@@ -11,14 +11,25 @@ coefficient vectors to coefficient vectors the adjoint is M^{-1} B^T M,
 while for a basis map V (Euclidean r-vectors into the weighted space) the
 adjoint is V^T M. Element integrals are evaluated in closed form; there is
 no numerical quadrature anywhere in this module.
+
+Every assembled operator (mass, stiffness, weighted mass) is symmetric
+tridiagonal and is stored as its two diagonals (``Tridiagonal``), built by
+slice arithmetic over the elements. Factorizations and solves use the
+LAPACK routines for SPD tridiagonal matrices (dpttrf/dpttrs), so assembly,
+factorization and each solve cost O(n). ``WeightedSpace.M`` is a dense
+view for the dense callers (the prior's eigenbasis, low-rank algebra,
+eigen-analysis, diagnostics).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
+
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -60,36 +71,103 @@ class Mesh1D:
         return int(np.argmin(np.abs(self.node_coords - x)))
 
 
-class WeightedSpace:
-    """Coefficient space R^n equipped with the mass inner product.
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """Symmetric tridiagonal matrix stored by its diagonals.
 
-    Holds the (dense, SPD) mass matrix M, a Cholesky factor R with
-    R^T R = M used for whitening, and a cached factorization for
-    applying M^{-1}.
+    ``diag`` holds the n main-diagonal entries and ``off`` the n - 1
+    entries next to it (above and, by symmetry, below).
     """
 
-    def __init__(self, mesh: Mesh1D, mass: np.ndarray):
-        self.mesh = mesh
-        self.M = np.asarray(mass, dtype=float)
-        if self.M.shape != (mesh.n_nodes, mesh.n_nodes):
-            raise ValueError("mass matrix shape does not match the mesh")
-        # upper-triangular R with R^T R = M
-        self.R = scipy.linalg.cholesky(self.M, lower=False)
-        self._m_cho = scipy.linalg.cho_factor(self.M, lower=False)
+    diag: np.ndarray
+    off: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.M.shape[0]
+        return self.diag.size
+
+    def __add__(self, other: "Tridiagonal") -> "Tridiagonal":
+        return Tridiagonal(self.diag + other.diag, self.off + other.off)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Product with a nodal vector."""
+        y = self.diag * x
+        y[:-1] += self.off * x[1:]
+        y[1:] += self.off * x[:-1]
+        return y
+
+    def dense(self) -> np.ndarray:
+        A = np.diag(self.diag)
+        i = np.arange(self.n - 1)
+        A[i, i + 1] = self.off
+        A[i + 1, i] = self.off
+        return A
+
+    def factor(self) -> "TridiagonalFactor":
+        """L D L^T factorization (LAPACK dpttrf).
+
+        Raises NumericalError for a non-finite entry (dpttrf would pass a
+        NaN through) or when the matrix is not positive definite.
+        """
+        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
+            raise NumericalError("tridiagonal matrix has non-finite entries")
+        d, e, info = scipy.linalg.lapack.dpttrf(self.diag, self.off)
+        if info != 0:
+            raise NumericalError(f"tridiagonal matrix is not positive definite "
+                                 f"(pivot {info} of {self.n})")
+        return TridiagonalFactor(d, e)
+
+
+@dataclass(frozen=True, eq=False)
+class TridiagonalFactor:
+    """Factors of A = L D L^T as dpttrf returns them: the diagonal of D
+    and the subdiagonal of the unit lower-bidiagonal L."""
+
+    d: np.ndarray
+    e: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Apply A^{-1} to a vector or to the columns of a matrix (dpttrs)."""
+        return scipy.linalg.lapack.dpttrs(self.d, self.e, b)[0]
+
+
+class WeightedSpace:
+    """Coefficient space R^n equipped with the mass inner product.
+
+    Holds the tridiagonal mass matrix, its L D L^T factors for applying
+    M^{-1}, and the upper-bidiagonal whitening factor R = D^{1/2} L^T
+    (so R^T R = M) in LAPACK upper band storage: row 0 the superdiagonal
+    (first entry unused), row 1 the diagonal.
+    """
+
+    def __init__(self, mesh: Mesh1D, mass: Tridiagonal):
+        if mass.n != mesh.n_nodes:
+            raise ValueError("mass matrix size does not match the mesh")
+        self.mesh = mesh
+        self.mass = mass
+        self._m_factor = mass.factor()
+        root_d = np.sqrt(self._m_factor.d)
+        self.R = np.vstack([np.r_[0.0, root_d[:-1] * self._m_factor.e], root_d])
+
+    @property
+    def n(self) -> int:
+        return self.mass.n
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """Dense view of the mass matrix for the dense callers; no solve or
+        inner product uses it."""
+        return self.mass.dense()
 
     def inner(self, y: np.ndarray, z: np.ndarray) -> float:
-        return float(y @ (self.M @ z))
+        return float(y @ self.mass.matvec(z))
 
     def norm(self, y: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(y, y), 0.0)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply M^{-1} (converts assembled functionals to representers)."""
-        return scipy.linalg.cho_solve(self._m_cho, b)
+        return self._m_factor.solve(b)
 
     def white_noise(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw R^{-1} n with n ~ N(0, I).
@@ -99,31 +177,16 @@ class WeightedSpace:
         """
         shape = self.n if size is None else (self.n, size)
         n = rng.standard_normal(shape)
-        out = scipy.linalg.solve_triangular(self.R, n, lower=False)
+        out = scipy.linalg.lapack.dtbtrs(self.R, n)[0]
         return out if size is None else out.T
 
 
-def m_inner(y: np.ndarray, z: np.ndarray, space: WeightedSpace) -> float:
-    """<y, z>_M = y^T M z."""
-    return space.inner(y, z)
-
-
-def mm_adjoint(B: np.ndarray, space: WeightedSpace) -> np.ndarray:
-    """Adjoint of a map between weighted spaces: B* = M^{-1} B^T M."""
-    B = np.asarray(B, dtype=float)
-    if B.shape != (space.n, space.n):
-        raise ValueError("mm_adjoint expects a square matrix on the space")
-    return space.solve(B.T @ space.M)
-
-
-def em_adjoint(V: np.ndarray, space: WeightedSpace) -> np.ndarray:
-    """Adjoint of a basis map V: R^r (Euclidean) -> weighted space, V^T M."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    if V.shape[0] != space.n:
-        raise ValueError("basis map must have n rows")
-    return V.T @ space.M
+def _gather(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Nodal sums of per-element values at each element's left and right node."""
+    out = np.zeros(left.size + 1)
+    out[:-1] += left
+    out[1:] += right
+    return out
 
 
 def assemble_mass(mesh: Mesh1D) -> WeightedSpace:
@@ -131,18 +194,11 @@ def assemble_mass(mesh: Mesh1D) -> WeightedSpace:
 
     Each element of length h contributes h/6 * [[2, 1], [1, 2]].
     """
-    n = mesh.n_nodes
     h = mesh.element_lengths
-    M = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    np.add.at(M, (idx, idx), h / 3.0)
-    np.add.at(M, (idx + 1, idx + 1), h / 3.0)
-    np.add.at(M, (idx, idx + 1), h / 6.0)
-    np.add.at(M, (idx + 1, idx), h / 6.0)
-    return WeightedSpace(mesh, M)
+    return WeightedSpace(mesh, Tridiagonal(_gather(h / 3.0, h / 3.0), h / 6.0))
 
 
-def assemble_stiffness(mesh: Mesh1D, a: float, b: float) -> np.ndarray:
+def assemble_stiffness(mesh: Mesh1D, a: float, b: float) -> Tridiagonal:
     """Assemble K_ij = ∫ [a φ_i' φ_j' + b φ_i φ_j] dx.
 
     a must be positive (the a = 0 limit loses the derivative term that
@@ -153,38 +209,24 @@ def assemble_stiffness(mesh: Mesh1D, a: float, b: float) -> np.ndarray:
         raise ValueError("diffusion coefficient a must be positive")
     if b < 0.0:
         raise ValueError("reaction coefficient b must be non-negative")
-    n = mesh.n_nodes
     h = mesh.element_lengths
-    K = np.zeros((n, n))
-    idx = np.arange(n - 1)
     d = a / h + b * h / 3.0
-    o = -a / h + b * h / 6.0
-    np.add.at(K, (idx, idx), d)
-    np.add.at(K, (idx + 1, idx + 1), d)
-    np.add.at(K, (idx, idx + 1), o)
-    np.add.at(K, (idx + 1, idx), o)
-    return K
+    return Tridiagonal(_gather(d, d), -a / h + b * h / 6.0)
 
 
-def assemble_weighted_mass(mesh: Mesh1D, coeff: np.ndarray) -> np.ndarray:
+def assemble_weighted_mass(mesh: Mesh1D, coeff: np.ndarray) -> Tridiagonal:
     """Assemble ∫ c φ_i φ_j dx with c the piecewise-linear interpolant of
     the nodal values `coeff` (exact cubic element integrals).
 
     With c ≡ 1 this reproduces the plain mass matrix.
     """
     c = np.asarray(coeff, dtype=float)
-    n = mesh.n_nodes
-    if c.shape != (n,):
+    if c.shape != (mesh.n_nodes,):
         raise ValueError("coefficient must be a nodal vector")
     h = mesh.element_lengths
     cL, cR = c[:-1], c[1:]
-    W = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    np.add.at(W, (idx, idx), h * (3.0 * cL + cR) / 12.0)
-    np.add.at(W, (idx + 1, idx + 1), h * (cL + 3.0 * cR) / 12.0)
-    np.add.at(W, (idx, idx + 1), h * (cL + cR) / 12.0)
-    np.add.at(W, (idx + 1, idx), h * (cL + cR) / 12.0)
-    return W
+    return Tridiagonal(_gather(h * (3.0 * cL + cR) / 12.0, h * (cL + 3.0 * cR) / 12.0),
+                       h * (cL + cR) / 12.0)
 
 
 def assemble_product_load(mesh: Mesh1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,12 +244,8 @@ def assemble_product_load(mesh: Mesh1D, u: np.ndarray, v: np.ndarray) -> np.ndar
     uL, uR = u[:-1], u[1:]
     vL, vR = v[:-1], v[1:]
     cross = uL * vR + uR * vL
-    g = np.zeros(n)
-    np.add.at(g, np.arange(n - 1),
-              h * (3.0 * uL * vL + cross + uR * vR) / 12.0)
-    np.add.at(g, np.arange(1, n),
-              h * (uL * vL + cross + 3.0 * uR * vR) / 12.0)
-    return g
+    return _gather(h * (3.0 * uL * vL + cross + uR * vR) / 12.0,
+                   h * (uL * vL + cross + 3.0 * uR * vR) / 12.0)
 
 
 def interpolation_matrix(mesh: Mesh1D, points: np.ndarray) -> np.ndarray:

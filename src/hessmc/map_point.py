@@ -43,9 +43,10 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
     """Find the posterior mode; starts at the prior mean by default.
 
     Non-convergence within max_newton iterations is reported through
-    ``converged=False`` on the result, not as an exception. A failed line
-    search (no decrease after max_backtracks halvings) raises
-    NumericalError.
+    ``converged=False`` on the result, not as an exception. A trial point
+    whose objective cannot be evaluated (NumericalError) counts as a
+    failed trial and halves the step; a failed line search (no decrease
+    after max_backtracks halvings) raises NumericalError.
     """
     space = prior.space
     m = prior.mean.copy() if m0 is None else np.asarray(m0, dtype=float).copy()
@@ -101,7 +102,11 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
 
         step = 1.0
         for _ in range(max_backtracks + 1):
-            J_trial = objective(m + step * p)
+            try:
+                J_trial = objective(m + step * p)
+            except NumericalError:
+                # e.g. exp(m) overflows at the trial point: a failed trial
+                J_trial = np.inf
             if J_trial <= J + armijo_c * step * slope:
                 break
             step *= 0.5

@@ -19,7 +19,9 @@ and ``gradient``/``hvp`` return its exact first and second derivatives as
 Riesz representers in the M inner product: assembled integrals against
 test functions are converted by a single application of M^{-1}, and the
 observation pullback uses B* = M^{-1} B^T. Second-order (non-Gauss-Newton)
-terms are kept in the Hessian action.
+terms are kept in the Hessian action. M and the PDE operator are stored
+tridiagonal (see ``fem``) and solved with the LAPACK dpttrf/dpttrs pair,
+so every M^{-1} application and every PDE solve is O(n).
 
 Every linear(ized) PDE solve is reported to a ``SolveCounter``; the
 samplers' per-step cost ledger depends on these counts being exact, so
@@ -33,12 +35,11 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
-from .fem import (Mesh1D, WeightedSpace, assemble_product_load,
-                  assemble_stiffness, assemble_weighted_mass,
-                  interpolation_matrix)
+from .fem import (Mesh1D, TridiagonalFactor, WeightedSpace,
+                  assemble_product_load, assemble_stiffness,
+                  assemble_weighted_mass, interpolation_matrix)
 from .prior import GaussianPrior
 
 
@@ -184,8 +185,15 @@ class ExpReaction1D(ForwardModel):
     Hessian action keeps all second-order terms:
         M^{-1}[ mhat exp(m) .* load(u v) + exp(m) .* (load(uhat v) + load(u vhat)) ].
 
-    One factorization of F(m) is kept per parameter point and reused by
-    the gradient and by every Hessian action at that point.
+    F(m) is tridiagonal and stored as such. One L D L^T factorization
+    of it (LAPACK dpttrf) is kept per parameter point, together with the
+    states and exp(m) .* load(u v), and reused by the gradient and by every
+    Hessian action at that point; each solve is one O(n) dpttrs call.
+    Since load(a b) = W(a) b = W(b) a (both are the exact integral of
+    phi_k a_h b_h), the first Hessian action at a point also keeps the
+    tridiagonal W(u) and W(v); every action then applies
+    W(mhat exp(m)) u = W(u) (mhat exp(m)) and its companions as four
+    tridiagonal matvecs, with no assembly.
     """
 
     def __init__(self, mesh: Mesh1D, space: WeightedSpace,
@@ -194,42 +202,42 @@ class ExpReaction1D(ForwardModel):
         self.space = space
         self.source_constant = float(source_constant)
         self.K0 = assemble_stiffness(mesh, a=1.0, b=0.0)
-        self.rhs = space.M @ np.full(mesh.n_nodes, self.source_constant)
+        self.rhs = space.mass.matvec(np.full(mesh.n_nodes, self.source_constant))
         self.obs = None
         self.counter = SolveCounter()
         self._state: dict | None = None
 
     # -- state handling ------------------------------------------------
 
-    def _factorize(self, m: np.ndarray):
+    def _factorize(self, m: np.ndarray) -> tuple[np.ndarray, TridiagonalFactor]:
+        """exp(m) and the factors of F(m); an overflowed exp(m) or a NaN
+        raises NumericalError through the non-finite check of the factor."""
         em = np.exp(m)
-        F = self.K0 + assemble_weighted_mass(self.mesh, em)
-        try:
-            # ValueError covers inf/nan entries from an overflowed exp(m)
-            cho = scipy.linalg.cho_factor(F, lower=False)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NumericalError(f"forward operator factorization failed: {exc}")
-        return em, cho
+        return em, (self.K0 + assemble_weighted_mass(self.mesh, em)).factor()
 
     def _forward_state(self, m: np.ndarray) -> dict:
         if self._state is not None and np.array_equal(self._state["m"], m):
             return self._state
-        em, cho = self._factorize(m)
-        u = scipy.linalg.cho_solve(cho, self.rhs)
+        em, factor = self._factorize(m)
+        u = factor.solve(self.rhs)
         self.counter.forward_solves += 1
         if not np.all(np.isfinite(u)):
             raise NumericalError("forward solve produced non-finite state")
-        self._state = {"m": m.copy(), "em": em, "cho": cho, "u": u}
+        self._state = {"m": m.copy(), "em": em, "factor": factor, "u": u}
         return self._state
 
     def _adjoint_state(self, m: np.ndarray) -> dict:
+        """Forward state plus the adjoint v and exp(m) .* load(u v), which the
+        gradient and every Hessian action at m share."""
         state = self._forward_state(m)
         if "v" not in state:
             obs = self._require_obs()
             y = obs.B @ state["u"]
             rhs = -obs.B.T @ obs.weighted_residual(y)
-            state["v"] = scipy.linalg.cho_solve(state["cho"], rhs)
+            state["v"] = state["factor"].solve(rhs)
             self.counter.adjoint_solves += 1
+            state["em_uv"] = state["em"] * assemble_product_load(self.mesh, state["u"],
+                                                                 state["v"])
         return state
 
     # -- model interface -----------------------------------------------
@@ -245,21 +253,20 @@ class ExpReaction1D(ForwardModel):
         return self.observe(self.solve_forward(m))
 
     def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
-        state = self._adjoint_state(m)
-        g_hat = state["em"] * assemble_product_load(self.mesh, state["u"], state["v"])
-        return self.space.solve(g_hat)
+        return self.space.solve(self._adjoint_state(m)["em_uv"])
 
     def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
         state = self._adjoint_state(m)
         obs = self._require_obs()
-        em, cho, u, v = state["em"], state["cho"], state["u"], state["v"]
-        dW = assemble_weighted_mass(self.mesh, mhat * em)
-        uhat = scipy.linalg.cho_solve(cho, -dW @ u)
-        vhat = scipy.linalg.cho_solve(cho, -obs.B.T @ ((obs.B @ uhat) / obs.sigma**2) - dW @ v)
+        if "Wu" not in state:
+            state["Wu"] = assemble_weighted_mass(self.mesh, state["u"])
+            state["Wv"] = assemble_weighted_mass(self.mesh, state["v"])
+        em, factor, Wu, Wv = state["em"], state["factor"], state["Wu"], state["Wv"]
+        dc = mhat * em
+        uhat = factor.solve(-Wu.matvec(dc))
+        vhat = factor.solve(-obs.B.T @ ((obs.B @ uhat) / obs.sigma**2) - Wv.matvec(dc))
         self.counter.incremental_solves += 2
-        h_hat = (mhat * em * assemble_product_load(self.mesh, u, v)
-                 + em * assemble_product_load(self.mesh, uhat, v)
-                 + em * assemble_product_load(self.mesh, u, vhat))
+        h_hat = mhat * state["em_uv"] + em * (Wv.matvec(uhat) + Wu.matvec(vhat))
         return self.space.solve(h_hat)
 
 
@@ -311,11 +318,9 @@ def synthesize_data(model: ForwardModel, m_true: np.ndarray, noise_rel: float,
     if isinstance(model, LinearGaussianModel):
         y_clean = model.F @ m_true
     else:
-        # direct solve, bypassing the counter-facing cache path on purpose:
+        # solved outside the counter-facing cache path on purpose:
         # data synthesis is not part of any sampling cost ledger
-        em = np.exp(m_true)
-        Fm = model.K0 + assemble_weighted_mass(model.mesh, em)
-        y_clean = B @ np.linalg.solve(Fm, model.rhs)
+        y_clean = B @ model._factorize(m_true)[1].solve(model.rhs)
     scale = float(np.max(np.abs(y_clean)))
     if scale == 0.0:
         scale = 1.0

@@ -34,7 +34,7 @@ class GaussianPrior:
         self.mean = np.asarray(mean, dtype=float)
         if self.mean.shape != (space.n,):
             raise ValueError("prior mean must be a nodal vector")
-        self.K = assemble_stiffness(mesh, a, b)
+        self.K = assemble_stiffness(mesh, a, b).dense()
         # K v = lam M v, eigenvectors M-orthonormal (V^T M V = I)
         lam, V = scipy.linalg.eigh(self.K, self.space.M)
         if lam[0] <= 0.0:

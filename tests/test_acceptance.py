@@ -1,12 +1,13 @@
 """Acceptance suite: one test per shipped guarantee.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get a single pass/fail
-line per criterion. Criteria 1-7 are exact property suites on the
-collapsed Gaussian case, the derivative stack, the low-rank algebra, the
-cost ledger, the diagnostics oracles, and the MAP solver. Criteria 8 and 9
-are ordering/structure checks on the nonlinear campaign at its pinned
-defaults; they are asserted as stated, and their failure messages carry
-the full measured tables.
+line per criterion; every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the fast suite alone. Criteria 1-7 are
+exact property suites on the collapsed Gaussian case, the derivative stack,
+the low-rank algebra, the cost ledger, the diagnostics oracles, and the MAP
+solver. Criteria 8 and 9 are ordering/structure checks on the nonlinear
+campaign at its pinned defaults; they are asserted as stated, and their
+failure messages carry the full measured tables.
 """
 
 import time
@@ -26,6 +27,8 @@ from hessmc.pipeline import (LANCZOS_KEY, build_problem, observed_mask,
                              probe_node, run_campaign, stage_diagnose,
                              stage_lowrank, stage_map, stage_pilot)
 from hessmc.samplers import SamplerSettings, run_chain
+
+pytestmark = pytest.mark.acceptance
 
 
 @pytest.fixture(scope="session")

@@ -5,16 +5,15 @@ import pytest
 
 from hessmc.fem import (
     Mesh1D,
+    Tridiagonal,
     WeightedSpace,
     assemble_mass,
     assemble_product_load,
     assemble_stiffness,
     assemble_weighted_mass,
-    em_adjoint,
     interpolation_matrix,
-    m_inner,
-    mm_adjoint,
 )
+from hessmc.errors import NumericalError
 
 
 def test_mesh_validation():
@@ -61,7 +60,7 @@ def test_mass_row_sums_are_hat_integrals():
 
 def test_stiffness_single_element_laplacian():
     K = assemble_stiffness(Mesh1D.uniform(2, 1.0), a=1.0, b=0.0)
-    np.testing.assert_allclose(K, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(K.dense(), [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
 
 def test_stiffness_on_constants_reduces_to_mass_term():
@@ -70,7 +69,7 @@ def test_stiffness_on_constants_reduces_to_mass_term():
     space = assemble_mass(mesh)
     K = assemble_stiffness(mesh, a=3.0, b=7.0)
     ones = np.ones(17)
-    np.testing.assert_allclose(K @ ones, 7.0 * (space.M @ ones), atol=1e-13)
+    np.testing.assert_allclose(K.matvec(ones), 7.0 * (space.M @ ones), atol=1e-13)
 
 
 def test_stiffness_coefficient_validation():
@@ -85,16 +84,39 @@ def test_weighted_space_inner_and_norm():
     space = assemble_mass(Mesh1D.uniform(6))
     y = np.arange(6.0)
     z = np.ones(6)
-    assert m_inner(y, z, space) == pytest.approx(y @ space.M @ z)
+    assert space.inner(y, z) == pytest.approx(y @ space.M @ z)
     assert space.norm(y) == pytest.approx(np.sqrt(y @ space.M @ y))
 
 
 def test_cholesky_whitening_factor():
     space = assemble_mass(Mesh1D.uniform(9, 0.7))
-    np.testing.assert_allclose(space.R.T @ space.R, space.M, atol=1e-14)
+    # R is upper bidiagonal, held in LAPACK upper band storage
+    R = np.diag(space.R[1]) + np.diag(space.R[0, 1:], 1)
+    np.testing.assert_allclose(R.T @ R, space.M, atol=1e-14)
     # solve applies M^{-1}
     b = np.sin(np.arange(9.0))
     np.testing.assert_allclose(space.M @ space.solve(b), b, atol=1e-12)
+
+
+def test_mass_solve_inverts_dense_view_on_nonuniform_mesh():
+    mesh = Mesh1D(np.array([0.0, 0.05, 0.3, 0.32, 0.9, 1.4, 1.45]))
+    space = assemble_mass(mesh)
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal(7)
+    np.testing.assert_allclose(space.solve(b), np.linalg.solve(space.M, b), rtol=1e-12)
+    B = rng.standard_normal((7, 3))
+    np.testing.assert_allclose(space.solve(B), np.linalg.solve(space.M, B), rtol=1e-12)
+    np.testing.assert_allclose(space.mass.matvec(b), space.M @ b, rtol=1e-14)
+
+
+def test_tridiagonal_factor_rejects_indefinite_and_non_finite():
+    off = np.array([-1.0, -1.0])
+    with pytest.raises(NumericalError):
+        Tridiagonal(np.array([1.0, -2.0, 1.0]), off).factor()
+    with pytest.raises(NumericalError):
+        Tridiagonal(np.array([2.0, np.nan, 2.0]), off).factor()
+    with pytest.raises(NumericalError):
+        Tridiagonal(np.array([2.0, 2.0, 2.0]), np.array([-1.0, np.inf])).factor()
 
 
 def test_white_noise_has_inverse_mass_covariance():
@@ -107,43 +129,11 @@ def test_white_noise_has_inverse_mass_covariance():
     np.testing.assert_allclose(cov, Minv, rtol=0.05, atol=0.05 * np.abs(Minv).max())
 
 
-def test_mm_adjoint_hand_oracle():
-    # M = diag(2, 1), B = [[0, 1], [0, 0]] -> B* = M^{-1} B^T M = [[0, 0], [2, 0]]
-    mesh = Mesh1D.uniform(2)
-    space = WeightedSpace(mesh, np.diag([2.0, 1.0]))
-    B = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(mm_adjoint(B, space), [[0.0, 0.0], [2.0, 0.0]], atol=1e-15)
-
-
-def test_mm_adjoint_inner_product_identity():
-    space = assemble_mass(Mesh1D.uniform(7))
-    rng = np.random.default_rng(1)
-    B = rng.standard_normal((7, 7))
-    Bs = mm_adjoint(B, space)
-    y, z = rng.standard_normal(7), rng.standard_normal(7)
-    assert m_inner(B @ y, z, space) == pytest.approx(m_inner(y, Bs @ z, space), rel=1e-12)
-    with pytest.raises(ValueError):
-        mm_adjoint(np.zeros((3, 7)), space)
-
-
-def test_em_adjoint_inner_product_identity():
-    # <V e, z>_M (weighted) equals (e, V* z) (Euclidean)
-    space = assemble_mass(Mesh1D.uniform(8))
-    rng = np.random.default_rng(2)
-    V = rng.standard_normal((8, 3))
-    Vs = em_adjoint(V, space)
-    e, z = rng.standard_normal(3), rng.standard_normal(8)
-    assert m_inner(V @ e, z, space) == pytest.approx(e @ (Vs @ z), rel=1e-12)
-    assert em_adjoint(V[:, 0], space).shape == (1, 8)
-    with pytest.raises(ValueError):
-        em_adjoint(np.zeros((5, 2)), space)
-
-
 def test_weighted_mass_reduces_to_mass_for_unit_coefficient():
     mesh = Mesh1D(np.array([0.0, 0.3, 0.4, 1.0, 1.5]))
     space = assemble_mass(mesh)
     W = assemble_weighted_mass(mesh, np.ones(5))
-    np.testing.assert_allclose(W, space.M, atol=1e-15)
+    np.testing.assert_allclose(W.dense(), space.M, atol=1e-15)
 
 
 def test_weighted_mass_row_sum_identity():
@@ -152,8 +142,7 @@ def test_weighted_mass_row_sum_identity():
     space = assemble_mass(mesh)
     c = np.array([2.0, -1.0, 0.5, 3.0, 1.0])
     W = assemble_weighted_mass(mesh, c)
-    np.testing.assert_allclose(W @ np.ones(5), space.M @ c, atol=1e-14)
-    np.testing.assert_allclose(W, W.T, atol=1e-15)
+    np.testing.assert_allclose(W.matvec(np.ones(5)), space.M @ c, atol=1e-14)
 
 
 def test_product_load_matches_weighted_mass_quadratic_form():
@@ -163,9 +152,48 @@ def test_product_load_matches_weighted_mass_quadratic_form():
     u, v, c = rng.standard_normal((3, 6))
     g = assemble_product_load(mesh, u, v)
     W = assemble_weighted_mass(mesh, c)
-    assert c @ g == pytest.approx(u @ (W @ v), rel=1e-13)
+    assert c @ g == pytest.approx(u @ W.matvec(v), rel=1e-13)
     with pytest.raises(ValueError):
         assemble_product_load(mesh, u[:-1], v)
+
+
+def _scatter(n, left, right, off=None):
+    """Reference assembly: element contributions scattered with np.add.at."""
+    idx = np.arange(n - 1)
+    if off is None:
+        g = np.zeros(n)
+        np.add.at(g, idx, left)
+        np.add.at(g, idx + 1, right)
+        return g
+    A = np.zeros((n, n))
+    np.add.at(A, (idx, idx), left)
+    np.add.at(A, (idx + 1, idx + 1), right)
+    np.add.at(A, (idx, idx + 1), off)
+    np.add.at(A, (idx + 1, idx), off)
+    return A
+
+
+def test_slice_assembly_equals_scatter_reference():
+    # same element arithmetic, same summation order: bit-identical entries
+    mesh = Mesh1D(np.array([0.0, 0.07, 0.3, 0.31, 0.8, 1.25, 1.3]))
+    n, h = mesh.n_nodes, mesh.element_lengths
+    rng = np.random.default_rng(5)
+    u, v, c = rng.standard_normal((3, n))
+    np.testing.assert_array_equal(assemble_mass(mesh).M, _scatter(n, h / 3, h / 3, h / 6))
+    d = 2.0 / h + 3.0 * h / 3.0
+    np.testing.assert_array_equal(assemble_stiffness(mesh, 2.0, 3.0).dense(),
+                                  _scatter(n, d, d, -2.0 / h + 3.0 * h / 6.0))
+    cL, cR = c[:-1], c[1:]
+    np.testing.assert_array_equal(
+        assemble_weighted_mass(mesh, c).dense(),
+        _scatter(n, h * (3.0 * cL + cR) / 12.0, h * (cL + 3.0 * cR) / 12.0,
+                 h * (cL + cR) / 12.0))
+    uL, uR, vL, vR = u[:-1], u[1:], v[:-1], v[1:]
+    cross = uL * vR + uR * vL
+    np.testing.assert_array_equal(
+        assemble_product_load(mesh, u, v),
+        _scatter(n, h * (3.0 * uL * vL + cross + uR * vR) / 12.0,
+                 h * (uL * vL + cross + 3.0 * uR * vR) / 12.0))
 
 
 def test_interpolation_matrix_evaluates_linear_functions_exactly():
@@ -184,4 +212,4 @@ def test_interpolation_matrix_evaluates_linear_functions_exactly():
 
 def test_weighted_space_shape_mismatch():
     with pytest.raises(ValueError):
-        WeightedSpace(Mesh1D.uniform(3), np.eye(4))
+        WeightedSpace(Mesh1D.uniform(3), Tridiagonal(np.ones(4), np.zeros(3)))

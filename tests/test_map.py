@@ -6,6 +6,7 @@ import scipy.linalg
 
 from hessmc.analysis import posterior_eigensystem
 from hessmc.config import RunConfig
+from hessmc.errors import NumericalError
 from hessmc.fem import Mesh1D, assemble_mass, interpolation_matrix
 from hessmc.map_point import solve_map
 from hessmc.models import (LinearGaussianModel, gradient, observation_points,
@@ -54,6 +55,39 @@ def test_nonlinear_problem_defaults():
     assert all(0.0 < s <= 1.0 for s in res.line_search_steps)
     assert len(res.objective) == res.newton_iters + 1
     assert len(res.line_search_steps) == res.newton_iters
+
+
+class _FailsOnFirstTrial:
+    """Model wrapper whose second prediction, the first Armijo trial point,
+    raises as an overflowed exp(m) would."""
+
+    def __init__(self, model):
+        self.model = model
+        self.predictions = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def predict(self, m):
+        self.predictions += 1
+        if self.predictions == 2:
+            raise NumericalError("simulated overflow at the trial point")
+        return self.model.predict(m)
+
+
+def test_numerical_error_at_trial_point_halves_the_step():
+    mesh, space, prior, model, _ = make_small_problem()
+    reference = solve_map(model.clone(), prior)
+    wrapped = _FailsOnFirstTrial(model.clone())
+    res = solve_map(wrapped, prior)
+    assert wrapped.predictions > 2
+    assert res.converged
+    assert res.line_search_steps[0] == 0.5
+    assert res.grad_norms[-1] <= 1e-5 * res.grad_norms[0]
+    assert space.norm(res.m_map - reference.m_map) <= 1e-3 * space.norm(reference.m_map)
+    # with no halving left the failed trial still ends the search
+    with pytest.raises(NumericalError):
+        solve_map(_FailsOnFirstTrial(model.clone()), prior, max_backtracks=0)
 
 
 def test_cg_iterations_account_for_all_incremental_solves():

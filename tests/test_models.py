@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hessmc.errors import NumericalError
-from hessmc.fem import Mesh1D, assemble_mass, interpolation_matrix
+from hessmc.fem import (Mesh1D, assemble_mass, assemble_weighted_mass,
+                        interpolation_matrix)
 from hessmc.models import (
     ExpReaction1D,
     LinearGaussianModel,
@@ -142,6 +143,33 @@ def test_factorization_failure_raises_numerical_error():
                     points=observation_points(mesh, 3))
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         model.predict(np.full(20, 800.0))  # exp overflows to inf
+
+
+def test_states_match_dense_solve_on_nonuniform_mesh():
+    mesh = Mesh1D(np.array([0.0, 0.04, 0.1, 0.35, 0.4, 0.7, 0.72, 1.0, 1.3]))
+    model = ExpReaction1D(mesh, assemble_mass(mesh), source_constant=2.0)
+    synthesize_data(model, np.zeros(9), 0.05, np.random.default_rng(0),
+                    points=observation_points(mesh, 3))
+    m = np.sin(3.0 * mesh.node_coords)
+    F = model.K0.dense() + assemble_weighted_mass(mesh, np.exp(m)).dense()
+    u_ref = np.linalg.solve(F, model.space.M @ np.full(9, 2.0))
+    u = model.solve_forward(m)
+    np.testing.assert_allclose(u, u_ref, rtol=1e-12)
+    obs = model.obs
+    v_ref = np.linalg.solve(F, -obs.B.T @ obs.weighted_residual(obs.B @ u_ref))
+    model.misfit_gradient(m)
+    np.testing.assert_allclose(model._state["v"], v_ref, rtol=1e-12)
+
+
+def test_factorize_rejects_overflow_and_nan():
+    mesh, model = make_exp_model()
+    m = np.zeros(20)
+    m[7] = 800.0
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        model._factorize(m)  # one node's exp(m) overflows to inf
+    m[7] = np.nan
+    with pytest.raises(NumericalError):
+        model._factorize(m)
 
 
 def test_linear_model_matches_dense_formulas():
