@@ -9,7 +9,9 @@ Hessian parts,
     lam_i = r_m(v_i) + r_p(v_i),
     r_m = <v, H_misfit v>_M / <v, v>_M,   r_p = <v, A v>_M / <v, v>_M,
 
-and the discriminant d = r_m^2 - r_p^2 orders directions from
+taken from the matrices the eigensolve already holds (M H_misfit and K),
+so the classification costs no solve; the discriminant
+d = r_m^2 - r_p^2 orders directions from
 data-dominated to prior-dominated. Eigenvectors are classified into four
 groups: ``data_informed`` (d > 0); among the rest, ``prior_tail`` when
 r_p exceeds the median prior quotient of the non-data group, ``shadowed``
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .models import ForwardModel, hvp, misfit_hvp
+from .models import ForwardModel, misfit_hvp
 from .prior import GaussianPrior
 
 
@@ -38,21 +40,23 @@ def posterior_eigensystem(model: ForwardModel, prior: GaussianPrior,
                           m_map: np.ndarray, k: int | None = None):
     """Dense M-symmetric eigendecomposition of the Hessian at m_map.
 
-    Returns (lam, V) sorted by descending eigenvalue with V^T M V = I.
-    Costs n Hessian actions (2n linearized solves).
+    Builds the misfit Hessian's columns once (n actions, 2n linearized
+    solves) and adds the prior part, M H = M H_misfit + K. Returns
+    (lam, V, MHm) with lam descending, V^T M V = I, and MHm the
+    symmetrized M H_misfit, which ``classify_eigenvectors`` reuses.
     """
     n = prior.n
-    H = np.empty((n, n))
+    Hm = np.empty((n, n))
     eye = np.eye(n)
     for j in range(n):
-        H[:, j] = hvp(model, prior, m_map, eye[:, j])
-    MH = prior.space.M @ H
-    MH = 0.5 * (MH + MH.T)
-    lam, V = scipy.linalg.eigh(MH, prior.space.M)
+        Hm[:, j] = misfit_hvp(model, m_map, eye[:, j])
+    MHm = prior.space.M @ Hm
+    MHm = 0.5 * (MHm + MHm.T)
+    lam, V = scipy.linalg.eigh(MHm + prior.K.dense(), prior.space.M)
     lam, V = lam[::-1], V[:, ::-1]
     if k is not None:
         lam, V = lam[:k], V[:, :k]
-    return lam, V
+    return lam, V, MHm
 
 
 @dataclass
@@ -67,18 +71,21 @@ class EigenRecord:
     group: str
 
 
-def classify_eigenvectors(model: ForwardModel, prior: GaussianPrior,
-                          m_map: np.ndarray, lam: np.ndarray, V: np.ndarray,
-                          observed_mask: np.ndarray) -> list[EigenRecord]:
-    """Rayleigh-quotient classification; records sorted by descending d."""
+def classify_eigenvectors(prior: GaussianPrior, MHm: np.ndarray, lam: np.ndarray,
+                          V: np.ndarray, observed_mask: np.ndarray) -> list[EigenRecord]:
+    """Rayleigh-quotient classification; records sorted by descending d.
+
+    MHm is the symmetric M H_misfit that ``posterior_eigensystem`` returns,
+    so r_m = v^T MHm v and r_p = v^T K v over v^T M v cost no solve.
+    """
     space = prior.space
     observed_mask = np.asarray(observed_mask, dtype=bool)
     records = []
     for i in range(V.shape[1]):
         v = V[:, i]
         denom = space.inner(v, v)
-        r_m = space.inner(v, misfit_hvp(model, m_map, v)) / denom
-        r_p = space.inner(v, prior.apply_A(v)) / denom
+        r_m = float(v @ (MHm @ v)) / denom
+        r_p = float(v @ prior.K.matvec(v)) / denom
         v_obs = np.where(observed_mask, v, 0.0)
         v_un = np.where(observed_mask, 0.0, v)
         records.append(EigenRecord(

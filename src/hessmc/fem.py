@@ -16,9 +16,13 @@ Every assembled operator (mass, stiffness, weighted mass) is symmetric
 tridiagonal and is stored as its two diagonals (``Tridiagonal``), built by
 slice arithmetic over the elements. Factorizations and solves use the
 LAPACK routines for SPD tridiagonal matrices (dpttrf/dpttrs), so assembly,
-factorization and each solve cost O(n). ``WeightedSpace.M`` is a dense
-view for the dense callers (the prior's eigenbasis, low-rank algebra,
-eigen-analysis, diagnostics).
+factorization and each solve cost O(n). A factorization also gives the
+upper-bidiagonal Cholesky factor (A = C^T C), held in LAPACK upper band
+storage and applied or solved with in O(n) by ``bidiagonal_matvec`` and
+``bidiagonal_solve``; the mass matrix's factor whitens noise and, with the
+stiffness matrix's, gives the prior its square root. ``WeightedSpace.M``
+is a dense view for the dense callers (eigen-analysis, start-point
+selection, diagnostics).
 """
 
 from __future__ import annotations
@@ -130,6 +134,41 @@ class TridiagonalFactor:
         """Apply A^{-1} to a vector or to the columns of a matrix (dpttrs)."""
         return scipy.linalg.lapack.dpttrs(self.d, self.e, b)[0]
 
+    def cholesky(self) -> np.ndarray:
+        """Upper-bidiagonal C = D^{1/2} L^T with C^T C = A, in LAPACK upper
+        band storage: row 0 the superdiagonal (first entry unused), row 1
+        the diagonal."""
+        root_d = np.sqrt(self.d)
+        return np.vstack([np.r_[0.0, root_d[:-1] * self.e], root_d])
+
+    def inverse_diagonal(self) -> np.ndarray:
+        """diag(A^{-1}) by the backward recurrence of A^{-1} = L^{-T} D^{-1} L^{-1}:
+        s_n = 1/d_n and s_i = 1/d_i + e_i^2 s_{i+1}."""
+        s = 1.0 / self.d
+        for i in range(s.size - 2, -1, -1):
+            s[i] += self.e[i] ** 2 * s[i + 1]
+        return s
+
+
+def bidiagonal_matvec(band: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Product of an upper-bidiagonal matrix in upper band storage (or of
+    its transpose) with a vector or with the columns of a matrix."""
+    diag, sup = band[1], band[0, 1:]
+    if x.ndim == 2:
+        diag, sup = diag[:, None], sup[:, None]
+    y = diag * x
+    if trans:
+        y[1:] += sup * x[:-1]
+    else:
+        y[:-1] += sup * x[1:]
+    return y
+
+
+def bidiagonal_solve(band: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Solve with an upper-bidiagonal matrix in upper band storage (or with
+    its transpose) for a vector or for the columns of a matrix (dtbtrs)."""
+    return scipy.linalg.lapack.dtbtrs(band, b, trans="T" if trans else "N")[0]
+
 
 class WeightedSpace:
     """Coefficient space R^n equipped with the mass inner product.
@@ -146,8 +185,7 @@ class WeightedSpace:
         self.mesh = mesh
         self.mass = mass
         self._m_factor = mass.factor()
-        root_d = np.sqrt(self._m_factor.d)
-        self.R = np.vstack([np.r_[0.0, root_d[:-1] * self._m_factor.e], root_d])
+        self.R = self._m_factor.cholesky()
 
     @property
     def n(self) -> int:
@@ -177,7 +215,7 @@ class WeightedSpace:
         """
         shape = self.n if size is None else (self.n, size)
         n = rng.standard_normal(shape)
-        out = scipy.linalg.lapack.dtbtrs(self.R, n)[0]
+        out = bidiagonal_solve(self.R, n)
         return out if size is None else out.T
 
 

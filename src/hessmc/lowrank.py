@@ -6,13 +6,22 @@ negative log posterior splits as
     H = H_misfit + A = L^{-*} (L* H_misfit L + I) L^{-1}.
 
 The prior-preconditioned misfit Hessian Ht = L* H_misfit L is self-adjoint
-in the M inner product and typically has rapidly decaying spectrum, so a
-few Lanczos iterations give Ht ≈ V diag(lam) V* with M-orthonormal V.
-Writing D = diag(lam_i / (lam_i + 1)), the retained pairs yield matrix-free
+in the M inner product and typically has a rapidly decaying spectrum. With
+the prior's factor L = C^{-1} R (K = C^T C, M = R^T R; see ``prior``), the
+whitened coordinates z = R x turn it into the Euclidean-symmetric
 
-    H^{-1}  x = L (I - V D V*) L* x            (+ O(sum_{i>r} lam_i/(lam_i+1)))
-    H^{-1/2}x = L (V [(lam+1)^{-1/2} - 1] V* + I) x
-    H       x = L^{-*} (V diag(lam) V* + I) L^{-1} x
+    T = R Ht R^{-1} = C^{-T} (M H_misfit) C^{-1},
+
+with the same eigenvalues, and ||z|| = ||x||_M. Lanczos runs on T with
+plain dot products and gives T ≈ Z diag(lam) Z^T with orthonormal Z; the
+M-orthonormal eigenvectors of Ht are V = R^{-1} Z. Writing
+D = diag(lam_i / (lam_i + 1)) and E = diag((lam_i + 1)^{-1/2} - 1), the
+retained pairs yield matrix-free
+
+    H^{-1}  x = C^{-1} (I - Z D Z^T) C^{-T} M x   (+ O(sum_{i>r} lam_i/(lam_i+1)))
+    H^{-1/2}x = C^{-1} (I + Z E Z^T) R x
+    H       x = M^{-1} C^T (I + Z diag(lam) Z^T) C x
+    <d, H d>_M = ||C d||^2 + sum_i lam_i (Z^T C d)_i^2
     log det H^{1/2} = -log det L + 1/2 sum_i log(lam_i + 1)
 
 where only the state-dependent half log-determinant (the sum) is stored;
@@ -28,12 +37,13 @@ H^{-1} -> Gamma, H^{-1/2} -> L, H -> A, log det term -> 0.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
+from .fem import bidiagonal_matvec, bidiagonal_solve
 from .models import ForwardModel, misfit_hvp
 from .prior import GaussianPrior
 
@@ -42,13 +52,24 @@ logger = logging.getLogger(__name__)
 EIG_FLOOR = 1e-10
 
 
+def _c_inv_adj_m(prior: GaussianPrior, x: np.ndarray) -> np.ndarray:
+    """C^{-T} M x, which is R L* x."""
+    return bidiagonal_solve(prior.C, prior.space.mass.matvec(x), trans=True)
+
+
+def _whitened_misfit_hvp(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
+                         z: np.ndarray) -> np.ndarray:
+    """T z = C^{-T} M H_misfit(m) C^{-1} z: one misfit Hessian action."""
+    return _c_inv_adj_m(prior, misfit_hvp(model, m, bidiagonal_solve(prior.C, z)))
+
+
 @dataclass
 class LowRankHessian:
     """Retained eigenpairs of the preconditioned misfit Hessian at m_ref."""
 
     prior: GaussianPrior
     m_ref: np.ndarray
-    V: np.ndarray          # (n, r), M-orthonormal columns
+    Z: np.ndarray          # (n, r), orthonormal Ritz vectors of T (z = R x)
     lam: np.ndarray        # (r,), positive, descending
     lanczos_iters: int = 0
     deflations: int = 0
@@ -57,48 +78,46 @@ class LowRankHessian:
     def rank(self) -> int:
         return self.lam.size
 
-    def _v_coeffs(self, x: np.ndarray) -> np.ndarray:
-        """V* x = V^T M x."""
-        return self.V.T @ (self.prior.space.M @ x)
+    @property
+    def V(self) -> np.ndarray:
+        """M-orthonormal eigenvectors of L* H_misfit L, R^{-1} Z."""
+        return bidiagonal_solve(self.prior.space.R, self.Z)
 
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
-        """H^{-1} x = L (I - V D V*) L* x."""
-        y = self.prior.apply_L_adj(x)
+        """H^{-1} x = C^{-1} (I - Z D Z^T) C^{-T} M x."""
+        y = _c_inv_adj_m(self.prior, x)
         if self.rank:
-            c = self._v_coeffs(y)
-            y = y - self.V @ ((self.lam / (self.lam + 1.0)) * c)
-        return self.prior.apply_L(y)
+            y = y - self.Z @ ((self.lam / (self.lam + 1.0)) * (self.Z.T @ y))
+        return bidiagonal_solve(self.prior.C, y)
 
     def apply_inv_sqrt(self, x: np.ndarray) -> np.ndarray:
-        """H^{-1/2} x = L (V [(lam+1)^{-1/2} - 1] V* + I) x."""
-        y = x
+        """H^{-1/2} x = C^{-1} (I + Z E Z^T) R x."""
+        y = bidiagonal_matvec(self.prior.space.R, x)
         if self.rank:
-            c = self._v_coeffs(x)
-            y = x + self.V @ (((self.lam + 1.0) ** -0.5 - 1.0) * c)
-        return self.prior.apply_L(y)
+            y = y + self.Z @ (((self.lam + 1.0) ** -0.5 - 1.0) * (self.Z.T @ y))
+        return bidiagonal_solve(self.prior.C, y)
 
     def apply_inv_sqrt_adj(self, x: np.ndarray) -> np.ndarray:
-        """(H^{-1/2})* x; composition with apply_inv_sqrt gives H^{-1}."""
-        y = self.prior.apply_L_adj(x)
+        """(H^{-1/2})* x = R^{-1} (I + Z E Z^T) C^{-T} M x; composition with
+        apply_inv_sqrt gives H^{-1}."""
+        y = _c_inv_adj_m(self.prior, x)
         if self.rank:
-            c = self._v_coeffs(y)
-            y = y + self.V @ (((self.lam + 1.0) ** -0.5 - 1.0) * c)
-        return y
+            y = y + self.Z @ (((self.lam + 1.0) ** -0.5 - 1.0) * (self.Z.T @ y))
+        return bidiagonal_solve(self.prior.space.R, y)
 
     def apply_H(self, x: np.ndarray) -> np.ndarray:
-        """H x = L^{-*} (V diag(lam) V* + I) L^{-1} x."""
-        y = self.prior.apply_L_inv(x)
+        """H x = M^{-1} C^T (I + Z diag(lam) Z^T) C x."""
+        y = bidiagonal_matvec(self.prior.C, x)
         if self.rank:
-            c = self._v_coeffs(y)
-            y = y + self.V @ (self.lam * c)
-        return self.prior.apply_L_inv_adj(y)
+            y = y + self.Z @ (self.lam * (self.Z.T @ y))
+        return self.prior.space.solve(bidiagonal_matvec(self.prior.C, y, trans=True))
 
     def quad(self, d: np.ndarray) -> float:
-        """<d, H d>_M without forming H d explicitly."""
-        z = self.prior.apply_L_inv(d)
-        out = self.prior.space.inner(z, z)
+        """<d, H d>_M = ||C d||^2 + sum_i lam_i (Z^T C d)_i^2, without forming H d."""
+        z = bidiagonal_matvec(self.prior.C, d)
+        out = float(z @ z)
         if self.rank:
-            c = self._v_coeffs(z)
+            c = self.Z.T @ z
             out += float(c @ (self.lam * c))
         return out
 
@@ -111,29 +130,29 @@ class LowRankHessian:
         return mean + self.apply_inv_sqrt(self.prior.space.white_noise(rng))
 
     def residuals(self, model: ForwardModel) -> np.ndarray:
-        """Eigen-residuals ||Ht v_i - lam_i v_i||_M for the retained pairs.
+        """Eigen-residuals ||Ht v_i - lam_i v_i||_M = ||T z_i - lam_i z_i||
+        for the retained pairs.
 
         Costs extra Hessian actions; meant for verification, never called
         inside the build (which must stay at exactly 2(r+l) solves).
         """
         res = np.empty(self.rank)
         for i in range(self.rank):
-            v = self.V[:, i]
-            Pv = self.prior.apply_L_adj(
-                misfit_hvp(model, self.m_ref, self.prior.apply_L(v)))
-            res[i] = self.prior.space.norm(Pv - self.lam[i] * v)
+            z = self.Z[:, i]
+            Tz = _whitened_misfit_hvp(model, self.prior, self.m_ref, z)
+            res[i] = np.linalg.norm(Tz - self.lam[i] * z)
         return res
 
 
 def build_lowrank(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
                   r: int, l: int, rng: np.random.Generator) -> LowRankHessian:
-    """Lanczos on the preconditioned misfit Hessian at m.
+    """Lanczos on the whitened preconditioned misfit Hessian T at m.
 
     Runs exactly r + l iterations (one Hessian action each, i.e. exactly
-    2(r+l) linearized solves), with full reorthogonalization in the M
-    inner product, then keeps the top r Ritz pairs whose values pass the
-    positivity floor. If the Krylov space is exhausted early (the operator
-    has numerically low rank), a fresh random direction is injected so the
+    2(r+l) linearized solves), with full Euclidean reorthogonalization,
+    then keeps the top r Ritz pairs whose values pass the positivity
+    floor. If the Krylov space is exhausted early (the operator has
+    numerically low rank), a fresh random direction is injected so the
     iteration count -- and with it the solve count -- never changes.
     """
     n = prior.n
@@ -142,42 +161,41 @@ def build_lowrank(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
         raise ValueError("need r >= 1 and l >= 0")
     if k > n:
         raise ValueError("r + l must not exceed the parameter dimension")
-    space = prior.space
-    Q = np.empty((n, k))
-    W = np.empty((n, k))
+    Q = np.empty((k, n))               # Lanczos vectors as rows
+    W = np.empty((k, n))               # their images under T
 
     def orthonormalize(w: np.ndarray, j: int) -> tuple[np.ndarray, float]:
-        # two passes of full block Gram-Schmidt in <.,.>_M against Q[:, :j]
+        # two passes of full block Gram-Schmidt against Q[:j]
         for _ in range(2):
             if j:
-                w = w - Q[:, :j] @ (Q[:, :j].T @ (space.M @ w))
-        return w, space.norm(w)
+                w = w - (Q[:j] @ w) @ Q[:j]
+        return w, float(np.sqrt(w @ w))
 
     def fresh_direction(j: int) -> np.ndarray:
         for _ in range(3):
             raw = rng.standard_normal(n)
             w, beta = orthonormalize(raw, j)
-            if beta > 1e-10 * space.norm(raw):
+            if beta > 1e-10 * np.sqrt(raw @ raw):
                 return w / beta
         raise NumericalError("Lanczos could not find a new direction after 3 restarts")
 
-    Q[:, 0] = fresh_direction(0)
+    Q[0] = fresh_direction(0)
     op_scale = 0.0
     deflations = 0
     for j in range(k):
-        w = prior.apply_L_adj(misfit_hvp(model, m, prior.apply_L(Q[:, j])))
-        W[:, j] = w
-        op_scale = max(op_scale, space.norm(w))
+        w = _whitened_misfit_hvp(model, prior, m, Q[j])
+        W[j] = w
+        op_scale = max(op_scale, float(np.sqrt(w @ w)))
         if j + 1 == k:
             break
         w_orth, beta = orthonormalize(w, j + 1)
         if beta <= 1e-11 * max(1.0, op_scale):
-            # invariant subspace reached; continue in its M-orthogonal complement
+            # invariant subspace reached; continue in its orthogonal complement
             deflations += 1
-            Q[:, j + 1] = fresh_direction(j + 1)
+            Q[j + 1] = fresh_direction(j + 1)
         else:
-            Q[:, j + 1] = w_orth / beta
-    G = Q.T @ (space.M @ W)             # Rayleigh-Ritz projection of Ht
+            Q[j + 1] = w_orth / beta
+    G = Q @ W.T                         # Rayleigh-Ritz projection of T
     G = 0.5 * (G + G.T)
     theta, S = scipy.linalg.eigh(G)
     order = np.argsort(theta)[::-1]
@@ -187,10 +205,10 @@ def build_lowrank(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
     if keep.size == 0:
         logger.warning("no positive Hessian eigenvalues retained at this point; "
                        "operators fall back to the prior covariance")
-        V = np.zeros((n, 0))
+        Z = np.zeros((n, 0))
         lam = np.zeros(0)
     else:
         lam = theta[keep]
-        V = Q @ S[:, keep]
+        Z = Q.T @ S[:, keep]
     return LowRankHessian(prior=prior, m_ref=np.asarray(m, dtype=float).copy(),
-                          V=V, lam=lam, lanczos_iters=k, deflations=deflations)
+                          Z=Z, lam=lam, lanczos_iters=k, deflations=deflations)

@@ -245,10 +245,9 @@ def stage_analyze(problem: Problem, groups: dict[str, list], m_map: np.ndarray,
     chains = groups[method]
     burn = cfg["run.burn_frac"]
     pooled = np.vstack([ch.samples[int(burn * ch.n_samples):] for ch in chains])
-    lam, V = posterior_eigensystem(problem.model, problem.prior, m_map)
+    lam, V, MHm = posterior_eigensystem(problem.model, problem.prior, m_map)
     mask = observed_mask(problem.mesh, cfg["obs.region"])
-    records = classify_eigenvectors(problem.model, problem.prior, m_map,
-                                    lam, V, mask)
+    records = classify_eigenvectors(problem.prior, MHm, lam, V, mask)
     out = {"eigenvalues": lam, "eigenvectors": V, "records": records,
            "method": method, "marginals": {}, "pairs": {}}
 

@@ -7,21 +7,28 @@ constant) is
 
     log pi0(m) = -1/2 <m - m0, A (m - m0)>_M = -1/2 (m - m0)^T K (m - m0).
 
-A square-root factorization Gamma = L L* is built once from the dense
-generalized eigenproblem K v = lam M v with V^T M V = I:
+K and M are tridiagonal, and each has an upper-bidiagonal Cholesky factor
+from its O(n) L D L^T factorization: K = C^T C and M = R^T R. The
+covariance square root is built from the two,
 
-    L = V diag(lam^{-1/2}) V^T M,
+    L = C^{-1} R,   L* = R^{-1} C^{-T} M,
+    L^{-1} = R^{-1} C,   (L^{-1})* = M^{-1} C^T R,
 
-which is self-adjoint in the M inner product (L* = L). Samples are
-m0 + L ñ with ñ = R^{-1} n, n ~ N(0, I), R^T R = M.
+with L* the adjoint in the M inner product, so that
+L L* = C^{-1} C^{-T} M = K^{-1} M = Gamma. A and Gamma are each one
+tridiagonal product and one tridiagonal solve. Any L with L L* = Gamma
+serves the low-rank algebra; this one costs O(n) per application and
+forms no n x n matrix. A prior draw m0 + L R^{-1} n = m0 + C^{-1} n,
+n ~ N(0, I), has Euclidean covariance K^{-1}.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .fem import Mesh1D, WeightedSpace, assemble_mass, assemble_stiffness
+from .errors import NumericalError
+from .fem import (Mesh1D, WeightedSpace, assemble_mass, assemble_stiffness,
+                  bidiagonal_matvec, bidiagonal_solve)
 
 
 class GaussianPrior:
@@ -34,66 +41,63 @@ class GaussianPrior:
         self.mean = np.asarray(mean, dtype=float)
         if self.mean.shape != (space.n,):
             raise ValueError("prior mean must be a nodal vector")
-        self.K = assemble_stiffness(mesh, a, b).dense()
-        # K v = lam M v, eigenvectors M-orthonormal (V^T M V = I)
-        lam, V = scipy.linalg.eigh(self.K, self.space.M)
-        if lam[0] <= 0.0:
-            raise ValueError("precision operator is not positive definite")
-        self.lam = lam
-        self.V = V
-        self._Vt_M = V.T @ self.space.M
+        self.K = assemble_stiffness(mesh, a, b)
+        try:
+            self._K_factor = self.K.factor()
+        except NumericalError as exc:
+            raise ValueError("precision operator is not positive definite") from exc
+        # upper bidiagonal, K = C^T C, in the band storage of space.R
+        self.C = self._K_factor.cholesky()
 
     @property
     def n(self) -> int:
         return self.space.n
 
-    def _modes(self, x: np.ndarray, power: float) -> np.ndarray:
-        """Apply V diag(lam^power) V^T M to a vector (or to columns)."""
-        y = self._Vt_M @ x
-        scale = self.lam ** power
-        return self.V @ (scale * y if x.ndim == 1 else scale[:, None] * y)
-
     def apply_A(self, x: np.ndarray) -> np.ndarray:
         """Precision operator A = M^{-1} K."""
-        return self._modes(x, 1.0)
+        return self.space.solve(self.K.matvec(x))
 
     def apply_covariance(self, x: np.ndarray) -> np.ndarray:
         """Covariance operator Gamma = A^{-1} = K^{-1} M."""
-        return self._modes(x, -1.0)
+        return self._K_factor.solve(self.space.mass.matvec(x))
 
     def apply_L(self, x: np.ndarray) -> np.ndarray:
-        """Covariance square root, Gamma = L L*. Self-adjoint in <.,.>_M."""
-        return self._modes(x, -0.5)
+        """Covariance square root L = C^{-1} R, Gamma = L L*."""
+        return bidiagonal_solve(self.C, bidiagonal_matvec(self.space.R, x))
 
     def apply_L_adj(self, x: np.ndarray) -> np.ndarray:
-        return self._modes(x, -0.5)
+        """M-adjoint L* = R^{-1} C^{-T} M."""
+        y = bidiagonal_solve(self.C, self.space.mass.matvec(x), trans=True)
+        return bidiagonal_solve(self.space.R, y)
 
     def apply_L_inv(self, x: np.ndarray) -> np.ndarray:
-        return self._modes(x, 0.5)
+        """L^{-1} = R^{-1} C."""
+        return bidiagonal_solve(self.space.R, bidiagonal_matvec(self.C, x))
 
     def apply_L_inv_adj(self, x: np.ndarray) -> np.ndarray:
-        return self._modes(x, 0.5)
+        """(L^{-1})* = (L*)^{-1} = M^{-1} C^T R."""
+        y = bidiagonal_matvec(self.space.R, x)
+        return self.space.solve(bidiagonal_matvec(self.C, y, trans=True))
 
     def log_density(self, m: np.ndarray) -> float:
         """-1/2 <m - m0, A(m - m0)>_M, no normalization constant."""
         d = m - self.mean
-        return -0.5 * float(d @ (self.K @ d))
+        return -0.5 * float(d @ self.K.matvec(d))
 
     def sample_from_noise(self, noise: np.ndarray) -> np.ndarray:
-        """Deterministic map of whitened noise to a sample: m0 + L noise."""
-        if noise.ndim == 1:
-            return self.mean + self.apply_L(noise)
-        return self.mean + self._modes(noise.T, -0.5).T
+        """Deterministic map of whitened noise to a sample: m0 + L noise
+        (rows are samples when noise is 2D)."""
+        return self.mean + self.apply_L(noise.T).T
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw from N(m0, Gamma); rows are samples when size is given."""
-        noise = self.space.white_noise(rng, size=size)
-        return self.sample_from_noise(noise)
+        """Draw from N(m0, Gamma) as m0 + C^{-1} n; rows are samples when
+        size is given."""
+        shape = self.n if size is None else (self.n, size)
+        return self.mean + bidiagonal_solve(self.C, rng.standard_normal(shape)).T
 
     def pointwise_variance(self) -> np.ndarray:
         """Variance of the nodal values, diag(K^{-1})."""
-        Kinv_diag = np.einsum("ij,ij->i", self.V, self.V / self.lam)
-        return Kinv_diag
+        return self._K_factor.inverse_diagonal()
 
     def pointwise_std(self) -> np.ndarray:
         return np.sqrt(self.pointwise_variance())

@@ -15,10 +15,16 @@ Four proposal kinds over the same kernel:
 
 Proposal draws are y = mean + H^{-1/2} ntilde with ntilde = R^{-1} n,
 n ~ N(0, I), so the draw lives in the same M geometry as the density
-evaluations. Within a step the random stream is consumed in a fixed
-order (proposal noise first, then the accept/reject uniform), and a
-rejected step leaves the state bit-identical, so chains are reproducible
-from (seed, chain_id) alone.
+evaluations; H^{-1/2}, H^{-1} and the quadratic form of H come in closed
+form from the low-rank factorization (see ``lowrank``). The Newton point
+m - H^{-1} g of an snmap/sn state is computed once and kept on the state
+(``newton_mean``): it is the mean of the reverse density when the state
+is proposed and, once the state is accepted, the mean of the next
+proposal and of its forward density, so each step applies H^{-1} once.
+Within a step the random stream is consumed in a fixed order (proposal
+noise first, then the accept/reject uniform), and a rejected step leaves
+the state bit-identical, so chains are reproducible from
+(seed, chain_id) alone.
 
 Per-step linearized solve costs (exact, enforced by the point caches in
 the models): ismap 1, snmap 2, sn 2 + 2(r+l), rwmh 1.
@@ -48,6 +54,7 @@ class ChainState:
     log_post: float
     grad: np.ndarray | None = None
     lrh: LowRankHessian | None = None
+    newton_mean: np.ndarray | None = None  # set by ``newton_mean``
 
 
 @dataclass
@@ -85,6 +92,15 @@ class SamplerSettings:
             raise ValueError(f"{self.method} needs the MAP point and its low-rank Hessian")
 
 
+def newton_mean(settings: SamplerSettings, state: ChainState) -> np.ndarray:
+    """Newton point m - H^{-1} g of an snmap/sn state, computed once per
+    state: the forward proposal and both log_q terms it enters share it."""
+    if state.newton_mean is None:
+        lrh = settings.lrh_map if settings.method == "snmap" else state.lrh
+        state.newton_mean = state.m - lrh.apply_inv(state.grad)
+    return state.newton_mean
+
+
 def log_q(settings: SamplerSettings, from_state: ChainState, to_point: np.ndarray,
           space=None) -> float:
     """Log proposal density q(from -> to), up to constants that cancel.
@@ -103,12 +119,11 @@ def log_q(settings: SamplerSettings, from_state: ChainState, to_point: np.ndarra
         return -0.5 * space.inner(d, d) / settings.rwmh_sigma**2
     if method == "ismap":
         return -0.5 * settings.lrh_map.quad(to_point - settings.m_map)
+    mean = newton_mean(settings, from_state)
     if method == "snmap":
-        mean = from_state.m - settings.lrh_map.apply_inv(from_state.grad)
         return -0.5 * settings.lrh_map.quad(to_point - mean)
     # sn
     lrh = from_state.lrh
-    mean = from_state.m - lrh.apply_inv(from_state.grad)
     return lrh.half_logdet_rel() - 0.5 * lrh.quad(to_point - mean)
 
 
@@ -149,8 +164,7 @@ def mh_step(settings: SamplerSettings, state: ChainState, model: ForwardModel,
                          - log_q(settings, state, y))
             candidate = ChainState(m=y, log_post=lp_y)
         elif method == "snmap":
-            mean_fwd = state.m - settings.lrh_map.apply_inv(state.grad)
-            y = mean_fwd + settings.lrh_map.apply_inv_sqrt(noise)
+            y = newton_mean(settings, state) + settings.lrh_map.apply_inv_sqrt(noise)
             lp_y = log_posterior(model, prior, y)
             g_y = gradient(model, prior, y)
             cand = ChainState(m=y, log_post=lp_y, grad=g_y)
@@ -159,8 +173,7 @@ def mh_step(settings: SamplerSettings, state: ChainState, model: ForwardModel,
                          - log_q(settings, state, y))
             candidate = cand
         else:  # sn
-            mean_fwd = state.m - state.lrh.apply_inv(state.grad)
-            y = mean_fwd + state.lrh.apply_inv_sqrt(noise)
+            y = newton_mean(settings, state) + state.lrh.apply_inv_sqrt(noise)
             lp_y = log_posterior(model, prior, y)
             g_y = gradient(model, prior, y)
             lrh_y = build_lowrank(model, prior, y, settings.r, settings.l, rng)

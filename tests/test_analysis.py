@@ -20,32 +20,32 @@ GROUPS = {"data_informed", "prior_tail", "shadowed", "mixed"}
 def linear_eigensystem():
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind="linear")
     res = solve_map(model.clone(), prior, grad_tol_rel=1e-10, cg_rtol=1e-12)
-    lam, V = posterior_eigensystem(model.clone(), prior, res.m_map)
-    return mesh, space, prior, model, res.m_map, lam, V
+    lam, V, MHm = posterior_eigensystem(model.clone(), prior, res.m_map)
+    return mesh, space, prior, model, res.m_map, lam, V, MHm
 
 
 @pytest.fixture(scope="module")
 def exp_records():
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6)
     res = solve_map(model.clone(), prior)
-    lam, V = posterior_eigensystem(model.clone(), prior, res.m_map)
+    lam, V, MHm = posterior_eigensystem(model.clone(), prior, res.m_map)
     mask = observed_mask(mesh, "right_half")
-    records = classify_eigenvectors(model.clone(), prior, res.m_map, lam, V, mask)
+    records = classify_eigenvectors(prior, MHm, lam, V, mask)
     return records, lam
 
 
 def test_eigensystem_matches_analytic_pencil(linear_eigensystem):
-    mesh, space, prior, model, m_map, lam, V = linear_eigensystem
+    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     F, sigma = model.F, model.obs.sigma[0]
-    P = prior.K + F.T @ F / sigma**2
+    P = prior.K.dense() + F.T @ F / sigma**2
     ref = scipy.linalg.eigh(P, space.M, eigvals_only=True)[::-1]
     np.testing.assert_allclose(lam, ref, rtol=1e-10)
     np.testing.assert_allclose(V.T @ space.M @ V, np.eye(prior.n), atol=1e-9)
 
 
 def test_eigensystem_truncation(linear_eigensystem):
-    mesh, space, prior, model, m_map, lam, V = linear_eigensystem
-    lam_k, V_k = posterior_eigensystem(model.clone(), prior, m_map, k=4)
+    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
+    lam_k, V_k, _ = posterior_eigensystem(model.clone(), prior, m_map, k=4)
     np.testing.assert_allclose(lam_k, lam[:4], rtol=1e-12)
     assert V_k.shape == (prior.n, 4)
 
@@ -82,9 +82,9 @@ def test_records_sorted_and_grouped(exp_records):
 def test_linear_misfit_quotient_is_nonnegative(linear_eigensystem):
     # Gauss-Newton-exact model: the misfit Hessian is PSD, so every
     # eigenvalue dominates its prior quotient
-    mesh, space, prior, model, m_map, lam, V = linear_eigensystem
+    mesh, space, prior, model, m_map, lam, V, MHm = linear_eigensystem
     mask = observed_mask(mesh, "right_half")
-    records = classify_eigenvectors(model.clone(), prior, m_map, lam, V, mask)
+    records = classify_eigenvectors(prior, MHm, lam, V, mask)
     for rec in records:
         assert rec.r_misfit >= -1e-10 * max(1.0, abs(rec.eigenvalue))
         assert rec.eigenvalue >= rec.r_prior - 1e-8 * max(1.0, abs(rec.eigenvalue))
@@ -134,7 +134,7 @@ def test_point_marginal_selects_the_requested_node():
 # -- eigen-coordinate marginals -------------------------------------------------
 
 def test_eigen_coordinates_algebra(linear_eigensystem):
-    mesh, space, prior, model, m_map, lam, V = linear_eigensystem
+    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     rng = np.random.default_rng(6)
     samples = prior.mean + 0.2 * space.white_noise(rng, size=7)
     v = V[:, 0]
@@ -144,7 +144,7 @@ def test_eigen_coordinates_algebra(linear_eigensystem):
 
 
 def test_eigen_marginal_gaussian_reference(linear_eigensystem):
-    mesh, space, prior, model, m_map, lam, V = linear_eigensystem
+    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     rng = np.random.default_rng(8)
     pooled = m_map + 0.1 * space.white_noise(rng, size=800)
     kde, gauss = eigen_marginal(pooled, V[:, 0], lam[0], m_map, prior)
@@ -167,9 +167,9 @@ def test_mass_levels_hand_example():
 def test_pair_density_contours(linear_eigensystem):
     # exact posterior draws, so the sample cloud and the Gaussian-at-MAP
     # reference live on the same scale and share a resolvable grid
-    mesh, space, prior, model, m_map, lam, V = linear_eigensystem
+    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     F, sigma = model.F, model.obs.sigma[0]
-    C = np.linalg.inv(prior.K + F.T @ F / sigma**2)
+    C = np.linalg.inv(prior.K.dense() + F.T @ F / sigma**2)
     rng = np.random.default_rng(10)
     pooled = m_map + rng.standard_normal((4000, prior.n)) @ np.linalg.cholesky(C).T
     pd = pair_density(pooled, V[:, 0], V[:, 1], lam[0], lam[1], m_map, prior,

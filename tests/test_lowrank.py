@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hessmc.config import RunConfig
 from hessmc.fem import Mesh1D, assemble_mass, interpolation_matrix
 from hessmc.lowrank import build_lowrank
+from hessmc.map_point import solve_map
 from hessmc.models import (LinearGaussianModel, gradient, misfit_hvp,
                            observation_points, synthesize_data)
+from hessmc.pipeline import LANCZOS_KEY, build_problem
 from hessmc.prior import build_prior
 
 from conftest import make_small_problem
@@ -193,3 +196,18 @@ def test_nonlinear_hessian_negatives_are_discarded():
     _, theta, _ = dense_preconditioned_misfit(model.clone(), prior, m)
     pos = theta[theta > 1e-10 * max(1.0, theta[0])][:25]
     np.testing.assert_allclose(lrh.lam, pos, rtol=1e-7)
+
+
+def test_whitened_lanczos_top_ritz_values_at_default_exp_map():
+    # pinned defaults: two eigenvalues above 1 (about 371.2 and 3.55), then
+    # a tail inside [-0.53, 0.70]; 25 iterations resolve the top two
+    cfg = RunConfig()
+    problem = build_problem(cfg)
+    m_map = solve_map(problem.model.clone(), problem.prior).m_map
+    lrh = build_lowrank(problem.model.clone(), problem.prior, m_map,
+                        cfg["lowrank.r"], cfg["lowrank.l"],
+                        np.random.default_rng([cfg["run.seed"], LANCZOS_KEY]))
+    _, theta, _ = dense_preconditioned_misfit(problem.model.clone(), problem.prior, m_map)
+    assert theta[0] == pytest.approx(371.2, rel=1e-3)
+    assert theta[1] == pytest.approx(3.55, rel=1e-2)
+    np.testing.assert_allclose(lrh.lam[:2], theta[:2], rtol=1e-8)

@@ -25,17 +25,42 @@ def test_scalar_mean_broadcasts(prior):
     np.testing.assert_array_equal(prior.mean, np.ones(21))
 
 
-def test_eigenbasis_is_m_orthonormal(prior):
-    G = prior.V.T @ prior.space.M @ prior.V
-    np.testing.assert_allclose(G, np.eye(prior.n), atol=1e-10)
-    assert np.all(prior.lam > 0)
+def _dense(op, n):
+    return np.column_stack([op(e) for e in np.eye(n)])
+
+
+def test_sqrt_factor_as_dense_matrices(prior):
+    n, M = prior.n, prior.space.M
+    K = prior.K.dense()
+    C = np.diag(prior.C[1]) + np.diag(prior.C[0, 1:], 1)
+    R = np.diag(prior.space.R[1]) + np.diag(prior.space.R[0, 1:], 1)
+    np.testing.assert_allclose(C.T @ C, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
+    L = _dense(prior.apply_L, n)
+    L_adj = _dense(prior.apply_L_adj, n)
+    L_inv = _dense(prior.apply_L_inv, n)
+    L_inv_adj = _dense(prior.apply_L_inv_adj, n)
+    Kinv = np.linalg.inv(K)
+    # L L* = K^{-1} M
+    np.testing.assert_allclose(L @ L_adj, Kinv @ M, atol=1e-10 * np.abs(Kinv @ M).max())
+    # <L x, y>_M = <x, L* y>_M for all x, y: L^T M = M L*
+    np.testing.assert_allclose(L.T @ M, M @ L_adj, atol=1e-12 * np.abs(M @ L_adj).max())
+    # L^{-1} L = I and (L^{-1})* L* = I
+    np.testing.assert_allclose(L_inv @ L, np.eye(n), atol=1e-10)
+    np.testing.assert_allclose(L_inv_adj @ L_adj, np.eye(n), atol=1e-10)
+    # a draw m0 + L R^{-1} n = m0 + C^{-1} n has covariance K^{-1}
+    draw = L @ np.linalg.inv(R)
+    np.testing.assert_allclose(draw, np.linalg.inv(C), atol=1e-10 * np.abs(Kinv).max())
+    np.testing.assert_allclose(draw @ draw.T, Kinv, atol=1e-10 * np.abs(Kinv).max())
+    noise = np.random.default_rng(5).standard_normal(n)
+    np.testing.assert_allclose(prior.sample(np.random.default_rng(5)) - prior.mean,
+                               np.linalg.solve(C, noise), atol=1e-12)
 
 
 def test_log_density_is_stiffness_quadratic(prior):
     rng = np.random.default_rng(0)
     m = rng.standard_normal(prior.n)
     d = m - prior.mean
-    assert prior.log_density(m) == pytest.approx(-0.5 * d @ prior.K @ d, rel=1e-12)
+    assert prior.log_density(m) == pytest.approx(-0.5 * d @ prior.K.dense() @ d, rel=1e-12)
     assert prior.log_density(prior.mean) == 0.0
 
 
@@ -75,7 +100,7 @@ def test_sample_covariance_matches_analytic():
     rng = np.random.default_rng(4)
     draws = prior.sample(rng, size=100_000)
     assert draws.shape == (100_000, 13)
-    Kinv = np.linalg.inv(prior.K)
+    Kinv = np.linalg.inv(prior.K.dense())
     emp_var = draws.var(axis=0, ddof=1)
     np.testing.assert_allclose(emp_var, np.diag(Kinv), rtol=0.05)
     np.testing.assert_allclose(prior.pointwise_variance(), np.diag(Kinv), rtol=1e-10)

@@ -248,9 +248,9 @@ def test_snmap_reproduces_analytic_gaussian_moments(linear_map):
 
     # analytic posterior in nodal coordinates
     F, sigma = model.F, model.obs.sigma[0]
-    P = prior.K + F.T @ F / sigma**2
+    P = prior.K.dense() + F.T @ F / sigma**2
     C = np.linalg.inv(P)
-    mu = C @ (prior.K @ prior.mean + F.T @ model.obs.y_obs / sigma**2)
+    mu = C @ (prior.K.matvec(prior.mean) + F.T @ model.obs.y_obs / sigma**2)
 
     mean_err = np.abs(pooled.mean(axis=0) - mu) / prior.pointwise_std()
     assert mean_err.max() < 0.05
