@@ -17,7 +17,7 @@ from .map_point import MapResult, solve_map
 from .samplers import (Chain, ChainState, SamplerSettings, mh_step, run_chain,
                        select_start_points)
 from .diagnostics import (DiagnosticsReport, diagnostics_report, ess, iat,
-                          mpsrf, msj, spis)
+                          mpsrf, msj)
 from .analysis import (classify_eigenvectors, eigen_marginal, pair_density,
                        point_marginal, posterior_eigensystem)
 from .config import RunConfig

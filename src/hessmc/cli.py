@@ -4,18 +4,24 @@ Subcommands: synth, map, sample, diagnose, analyze, pipeline. Every
 config key is mirrored by a flag (dots become dashes, e.g. --prior-a);
 flags override values from --config. Exit codes: 0 success, 2 for
 configuration problems, 3 for numerical failures.
+
+Each command works in one run directory (--out-dir, else the parent of
+--chains-dir, else run.out_dir) through ``pipeline.RunDir``, the path
+``pipeline`` takes too: a directory whose manifest records another
+problem config is refused before anything is written, and ``sample`` and
+``analyze`` reuse the MAP the directory records.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 
 from .config import SCHEMA, RunConfig
 from .errors import ConfigError, NumericalError
+from .samplers import METHODS
 from . import pipeline as pl
 
 
@@ -37,36 +43,32 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _out_dir(args: argparse.Namespace, cfg: RunConfig) -> str:
-    out = args.out_dir or cfg["run.out_dir"]
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _setup_for(problem, method: str, need_lowrank: bool):
-    map_result, map_info = pl.stage_map(problem)
-    lrh, lr_info = (None, {"solves": 0})
-    if need_lowrank:
-        lrh, lr_info = pl.stage_lowrank(problem, map_result.m_map)
-    return map_result, map_info, lrh, lr_info
+def _run_dir(args: argparse.Namespace, cfg: RunConfig) -> pl.RunDir:
+    """The run directory, its manifest checked: --out-dir, else the parent
+    of --chains-dir, else run.out_dir."""
+    if args.out_dir:
+        path = args.out_dir
+    elif getattr(args, "chains_dir", None):
+        path = os.path.dirname(os.path.abspath(args.chains_dir))
+    else:
+        path = cfg["run.out_dir"]
+    return pl.RunDir(cfg, path)
 
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    problem = pl.build_problem(cfg)
-    out = _out_dir(args, cfg)
-    pl.stage_synth(problem, out)
-    print(f"wrote truth.csv, observations.csv, signal.csv to {out}")
+    run = _run_dir(args, cfg)
+    run.synth(pl.build_problem(cfg))
+    print(f"wrote truth.csv, observations.csv, signal.csv to {run.path}")
     return 0
 
 
 def cmd_map(args) -> int:
     cfg = _load_config(args)
-    problem = pl.build_problem(cfg)
-    out = _out_dir(args, cfg)
-    result, info = pl.stage_map(problem, out)
+    run = _run_dir(args, cfg)
+    _, info = run.solve_map(pl.build_problem(cfg))
     print(f"MAP: converged={info['converged']} newton_iters={info['newton_iters']} "
-          f"cg_iters={info['cg_iters']} solves={info['solves']} -> {out}/map.csv")
+          f"cg_iters={info['cg_iters']} solves={info['solves']} -> {run.path}/map.csv")
     return 0
 
 
@@ -85,79 +87,28 @@ def cmd_sample(args) -> int:
     if len(methods) != 1:
         raise ConfigError("sample runs one method; pass --method")
     method = methods[0]
-    out = _out_dir(args, cfg)
-
+    run = _run_dir(args, cfg)
     problem = pl.build_problem(cfg)
-    map_result, map_info, lrh, lr_info = _setup_for(problem, method, need_lowrank=True)
-    _, starts, pilot_info = pl.stage_pilot(problem, map_result.m_map, lrh)
-    chains = pl.run_campaign(problem, method, starts, map_result.m_map, lrh, out)
+    _, groups = run.sample(problem, run.map_point(problem), methods)
+    chains = groups[method]
     ar = sum(ch.acceptance_rate for ch in chains) / len(chains)
-    _merge_manifest(out, cfg, map_info, lr_info, pilot_info, method, chains)
     print(f"{method}: {len(chains)} chains x {chains[0].n_samples} samples, "
-          f"mean acceptance {ar:.3f} -> {out}/chains/{method}/")
+          f"mean acceptance {ar:.3f} -> {run.path}/chains/{method}/")
     return 0
-
-
-def _merge_manifest(out: str, cfg: RunConfig, map_info, lr_info, pilot_info,
-                    method: str, chains) -> None:
-    path = os.path.join(out, "manifest.json")
-    manifest = {"config": dict(sorted(cfg.items())), "config_hash": cfg.digest(),
-                "stages": {}}
-    if os.path.exists(path):
-        with open(path) as fh:
-            existing = json.load(fh)
-        if existing.get("config_hash") == manifest["config_hash"]:
-            manifest = existing
-        else:
-            raise ConfigError(f"{path} was produced with a different config; "
-                              "use a fresh output directory")
-    manifest["stages"]["map"] = map_info
-    manifest["stages"]["lowrank"] = lr_info
-    manifest["stages"]["pilot"] = pilot_info
-    campaigns = manifest["stages"].setdefault("campaigns", {})
-    campaigns[method] = {
-        "chains": len(chains), "samples": int(chains[0].n_samples),
-        "solves": int(sum(ch.cum_solves[-1] for ch in chains)),
-        "acceptance_rate": float(sum(ch.acceptance_rate for ch in chains) / len(chains)),
-        "wall_time_volatile": float(sum(ch.meta.get("wall_time", 0.0) for ch in chains)),
-    }
-    manifest["manifest_hash"] = pl.manifest_hash(manifest)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, default=pl._json_default)
-        fh.write("\n")
-
-
-def _read_setup_solves(chains_dir: str) -> dict:
-    manifest_path = os.path.join(os.path.dirname(os.path.abspath(chains_dir)),
-                                 "manifest.json")
-    if not os.path.exists(manifest_path):
-        return {}
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    stages = manifest.get("stages", {})
-    setup = stages.get("map", {}).get("solves", 0) + \
-        stages.get("lowrank", {}).get("solves", 0)
-    return {method: setup for method in stages.get("campaigns", {})} or \
-        {"_default": setup}
 
 
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
+    run = _run_dir(args, cfg)
     problem = pl.build_problem(cfg)
-    chains_dir = args.chains_dir or os.path.join(cfg["run.out_dir"], "chains")
-    groups = pl.load_method_chains(chains_dir)
-    setup = _read_setup_solves(chains_dir)
-    default_setup = setup.get("_default", 0)
-    setup_by_method = {m: setup.get(m, default_setup) for m in groups}
-    out = args.out_dir or os.path.dirname(os.path.abspath(chains_dir))
-    reports = pl.stage_diagnose(problem, groups, probe_x=args.probe_x,
-                                setup_solves=setup_by_method, out_dir=out)
+    groups = pl.load_method_chains(args.chains_dir or os.path.join(run.path, "chains"))
+    reports = run.diagnose(problem, groups, probe_x=args.probe_x)
     for method in sorted(reports):
         rep = reports[method]
         print(f"{method}: AR={rep.acceptance_rate:.3f} MPSRF={rep.mpsrf:.4f} "
               f"IAT={rep.iat:.2f} ESS={rep.ess:.1f} MSJ={rep.msj:.4g} "
               f"SPIS={rep.spis:.2f}")
-    print(f"wrote {out}/report.csv")
+    print(f"wrote {run.path}/report.csv")
     return 0
 
 
@@ -177,31 +128,29 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
+    pairs = _parse_pairs(args.pairs)
+    run = _run_dir(args, cfg)
     problem = pl.build_problem(cfg)
-    chains_dir = args.chains_dir or os.path.join(cfg["run.out_dir"], "chains")
-    groups = pl.load_method_chains(chains_dir)
-    map_result, _ = pl.stage_map(problem)
-    out = args.out_dir or os.path.dirname(os.path.abspath(chains_dir))
-    result = pl.stage_analyze(problem, groups, map_result.m_map,
-                              n_eigs=args.eigs, pairs=_parse_pairs(args.pairs),
-                              out_dir=out, method=args.method)
+    groups = pl.load_method_chains(args.chains_dir or os.path.join(run.path, "chains"))
+    result = pl.stage_analyze(problem, groups, run.map_point(problem), n_eigs=args.eigs,
+                              pairs=pairs, out_dir=run.path, method=args.method)
     groups_count = {}
     for rec in result["records"]:
         groups_count[rec.group] = groups_count.get(rec.group, 0) + 1
-    print(f"eigen groups: {groups_count} -> {out}/analysis/")
+    print(f"eigen groups: {groups_count} -> {run.path}/analysis/")
     return 0
 
 
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    result = pl.run_pipeline(cfg, out_dir=out, n_eigs=args.eigs,
+    result = pl.run_pipeline(cfg, out_dir=args.out_dir, n_eigs=args.eigs,
                              pairs=_parse_pairs(args.pairs))
     for method in sorted(result["reports"]):
         rep = result["reports"][method]
         print(f"{method}: AR={rep.acceptance_rate:.3f} MPSRF={rep.mpsrf:.4f} "
               f"IAT={rep.iat:.2f} ESS={rep.ess:.1f} SPIS={rep.spis:.2f}")
-    print(f"pipeline complete -> {out} (manifest {result['manifest']['manifest_hash'][:12]})")
+    print(f"pipeline complete -> {result['out_dir']} "
+          f"(manifest {result['manifest']['manifest_hash'][:12]})")
     return 0
 
 
@@ -225,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None, help="output directory")
         p.set_defaults(func=func)
         if name == "sample":
-            p.add_argument("--method", choices=("rwmh", "sn", "snmap", "ismap"))
+            p.add_argument("--method", choices=METHODS)
             p.add_argument("--chains", type=int, default=None)
             p.add_argument("--samples", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)

@@ -8,11 +8,11 @@ dashes) and override file values. Serialization round-trips losslessly.
 from __future__ import annotations
 
 import hashlib
-import io
 
 import yaml
 
 from .errors import ConfigError
+from .samplers import METHODS
 
 # key -> (type, default, help)
 SCHEMA: dict[str, tuple[type, object, str]] = {
@@ -46,7 +46,7 @@ _CHOICES = {
     "model.kind": ("exp_reaction", "linear"),
     "obs.region": ("right_half", "full"),
     "truth.kind": ("sine_plus_one", "prior_mean"),
-    "pilot.method": ("rwmh", "sn", "snmap", "ismap"),
+    "pilot.method": METHODS,
 }
 
 
@@ -106,7 +106,7 @@ class RunConfig:
             if v[key] not in choices:
                 problems.append(f"{key} must be one of {choices}")
         for method in self.methods():
-            if method not in ("rwmh", "sn", "snmap", "ismap"):
+            if method not in METHODS:
                 problems.append(f"unknown method {method!r} in run.methods")
         if problems:
             raise ConfigError("; ".join(problems))

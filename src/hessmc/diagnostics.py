@@ -2,12 +2,9 @@
 
 The integrated autocorrelation time of a scalar series is
 tau = 1 + 2 sum_s rho(s). Sample autocorrelations are noise beyond the
-decay of the true ones, so the sum is truncated: the default estimator
-takes the maximum of the partial sums over the initial window of
-positive autocorrelations (capped at lag N/2, floored at 1). The
-unrestricted maximum over every truncation point is available as
-``truncation="max_all"`` for cross-checking; note that for weakly
-correlated series it inflates tau by an O(1) random-walk excursion.
+decay of the true ones, so the sum is truncated: the estimator takes
+the maximum of the partial sums over the initial window of positive
+autocorrelations (capped at lag N/2, floored at 1).
 """
 
 from __future__ import annotations
@@ -34,8 +31,7 @@ def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     return np.real(acov[1:]) / np.real(acov[0])
 
 
-def iat(series: np.ndarray, truncation: str = "positive",
-        lag_cap: int | None = None) -> float:
+def iat(series: np.ndarray) -> float:
     """Integrated autocorrelation time of a scalar chain.
 
     A constant series (undefined rho) is flagged and reported as fully
@@ -48,24 +44,18 @@ def iat(series: np.ndarray, truncation: str = "positive",
     if np.all(x == x[0]):
         logger.warning("constant series: IAT undefined, reporting full correlation")
         return float(n)
-    cap = n // 2 if lag_cap is None else min(int(lag_cap), n // 2)
-    rho = autocorrelation(x, cap)
-    if truncation == "positive":
-        nonpos = np.flatnonzero(rho <= 0.0)
-        window = rho[: nonpos[0]] if nonpos.size else rho
-    elif truncation == "max_all":
-        window = rho
-    else:
-        raise ValueError(f"unknown truncation rule {truncation!r}")
+    rho = autocorrelation(x, n // 2)
+    nonpos = np.flatnonzero(rho <= 0.0)
+    window = rho[: nonpos[0]] if nonpos.size else rho
     if window.size == 0:
         return 1.0
     partial = 1.0 + 2.0 * np.cumsum(window)
     return float(max(partial.max(), 1.0))
 
 
-def ess(series: np.ndarray, **kwargs) -> float:
+def ess(series: np.ndarray) -> float:
     """Effective sample size N / tau."""
-    return len(series) / iat(series, **kwargs)
+    return len(series) / iat(series)
 
 
 def msj(samples: np.ndarray, space) -> float:
@@ -120,16 +110,6 @@ def mpsrf(chain_samples: list[np.ndarray], burn_frac: float = 0.0) -> float:
                                     subset_by_index=[W.shape[0] - 1, W.shape[0] - 1])[0]
     lam_max = max(float(lam_max), 0.0)
     return float(np.sqrt((N - 1.0) / N + (c + 1.0) / c * lam_max))
-
-
-def spis(chains, probe_index: int, setup_solves: int = 0,
-         burn_frac: float = 0.0) -> float:
-    """Solves per independent sample: total linearized solves (campaign
-    plus any attributed setup cost) divided by the total effective sample
-    size at the probe coordinate."""
-    total = ess_total(chains, probe_index, burn_frac=burn_frac)
-    solves = setup_solves + sum(int(ch.cum_solves[-1]) for ch in chains)
-    return solves / total
 
 
 def ess_total(chains, probe_index: int, burn_frac: float = 0.0) -> float:

@@ -1,4 +1,5 @@
-"""End-to-end campaign orchestration and the problem builders.
+"""End-to-end campaign orchestration, the problem builders and the run
+directory.
 
 Every stage is a pure function of the configuration: data synthesis, the
 MAP solve, the low-rank Hessian at the MAP point, a pilot chain for
@@ -9,15 +10,20 @@ vectors at the MAP point, and chains use (seed, chain_id) with campaign
 chain ids 0..chains-1 and the reserved id 10_000 for the pilot. Rerunning
 with the same config reproduces every output byte except recorded wall
 times, which stay out of the manifest hash.
+
+``RunDir`` is the one orchestration path: ``run_pipeline`` and every CLI
+stage command write through it, so the manifest, the set-up cost charged
+to each method and the campaign step are defined once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +46,9 @@ logger = logging.getLogger(__name__)
 PILOT_CHAIN_ID = 10_000
 DATA_NOISE_KEY = 101
 LANCZOS_KEY = 202
+
+# set per call and recorded by each campaign, so a run directory is not keyed on them
+PER_CALL_KEYS = ("run.methods", "run.chains", "run.samples")
 
 
 @dataclass
@@ -297,61 +306,110 @@ def stage_analyze(problem: Problem, groups: dict[str, list], m_map: np.ndarray,
     return out
 
 
+def setup_solves(stages: dict, method: str) -> int:
+    """Set-up solves charged to one method: the MAP, plus the low-rank
+    Hessian at the MAP for every method except rwmh, which does not use it."""
+    solves = stages.get("map", {}).get("solves", 0)
+    if method != "rwmh":
+        solves += stages.get("lowrank", {}).get("solves", 0)
+    return solves
+
+
+class RunDir:
+    """A run directory and its ``manifest.json``.
+
+    The manifest is keyed on the problem config: every key except
+    ``PER_CALL_KEYS``. Opening a directory whose manifest records another
+    ``config_hash`` raises ConfigError, so a command refuses the directory
+    before it writes anything. Each stage merges its record into the
+    manifest, and each command rewrites it once its stages are done;
+    campaigns of different methods accumulate under ``stages.campaigns``.
+    """
+
+    def __init__(self, cfg: RunConfig, path: str):
+        config = {k: v for k, v in sorted(cfg.items()) if k not in PER_CALL_KEYS}
+        self.path, self.file = path, os.path.join(path, "manifest.json")
+        self.manifest = {"config": config, "config_hash": _sha256(config), "stages": {}}
+        if os.path.exists(self.file):
+            with open(self.file) as fh:
+                recorded = json.load(fh)
+            if recorded.get("config_hash") != self.manifest["config_hash"]:
+                raise ConfigError(f"{self.file} was produced with a different config; "
+                                  "use a fresh output directory")
+            self.manifest = recorded
+        self.stages = self.manifest["stages"]
+
+    def write(self) -> None:
+        self.manifest["manifest_hash"] = manifest_hash(self.manifest)
+        os.makedirs(self.path, exist_ok=True)
+        with open(self.file, "w") as fh:
+            fh.write(json.dumps(self.manifest, indent=2, default=_json_default) + "\n")
+
+    def synth(self, problem: Problem) -> None:
+        stage_synth(problem, self.path)
+        self.write()
+
+    def solve_map(self, problem: Problem):
+        result, info = stage_map(problem, self.path)
+        self.stages["map"] = info
+        self.write()
+        return result, info
+
+    def map_point(self, problem: Problem) -> np.ndarray:
+        """The MAP recorded here (map.csv holds %.17g, so the read-back is
+        bit-exact); solved and recorded now when there is none."""
+        if "map" in self.stages:
+            return np.loadtxt(os.path.join(self.path, "map.csv"), delimiter=",",
+                              skiprows=1, usecols=1)
+        return self.solve_map(problem)[0].m_map
+
+    def sample(self, problem: Problem, m_map: np.ndarray, methods: list[str]):
+        """Low-rank Hessian at the MAP, pilot starts, then one campaign per
+        method; returns the low-rank Hessian and the chains by method."""
+        lrh, self.stages["lowrank"] = stage_lowrank(problem, m_map)
+        _, starts, self.stages["pilot"] = stage_pilot(problem, m_map, lrh)
+        campaigns = self.stages.setdefault("campaigns", {})
+        groups: dict[str, list] = {}
+        for method in methods:
+            t0 = time.perf_counter()
+            chains = run_campaign(problem, method, starts, m_map, lrh, self.path)
+            campaigns[method] = {
+                "chains": len(chains),
+                "samples": int(chains[0].n_samples),
+                "solves": int(sum(ch.cum_solves[-1] for ch in chains)),
+                "acceptance_rate": float(np.mean([ch.acceptance_rate for ch in chains])),
+                "wall_time_volatile": time.perf_counter() - t0,
+            }
+            groups[method] = chains
+        self.write()
+        return lrh, groups
+
+    def diagnose(self, problem: Problem, groups: dict[str, list],
+                 probe_x: float | None = None):
+        """report.csv, with the set-up and wall time this directory records."""
+        campaigns = self.stages.get("campaigns", {})
+        return stage_diagnose(
+            problem, groups, probe_x,
+            setup_solves={m: setup_solves(self.stages, m) for m in groups},
+            wall_times={m: c["wall_time_volatile"] for m, c in campaigns.items()},
+            out_dir=self.path)
+
+
 def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
                  n_eigs: int = 8, pairs: list[tuple[int, int]] | None = None) -> dict:
     """synth -> map -> lowrank -> pilot -> campaigns -> diagnose -> analyze."""
-    out_dir = cfg["run.out_dir"] if out_dir is None else out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    run = RunDir(cfg, cfg["run.out_dir"] if out_dir is None else out_dir)
     pairs = [(0, 1)] if pairs is None else pairs
-    manifest: dict = {"config": dict(sorted(cfg.items())),
-                      "config_hash": cfg.digest(), "stages": {}}
-
     problem = build_problem(cfg)
-    stage_synth(problem, out_dir)
-
-    map_result, map_info = stage_map(problem, out_dir)
-    manifest["stages"]["map"] = map_info
-    lrh, lr_info = stage_lowrank(problem, map_result.m_map)
-    manifest["stages"]["lowrank"] = lr_info
-    _, starts, pilot_info = stage_pilot(problem, map_result.m_map, lrh)
-    manifest["stages"]["pilot"] = pilot_info
-
-    # MAP + low-rank setup cost is attributed to every method that uses it
-    setup = map_info["solves"] + lr_info["solves"]
-    setup_by_method = {"sn": setup, "snmap": setup, "ismap": setup,
-                       "rwmh": map_info["solves"]}
-
-    groups: dict[str, list] = {}
-    wall_times: dict[str, float] = {}
-    campaigns: dict[str, dict] = {}
-    for method in cfg.methods():
-        t0 = time.perf_counter()
-        chains = run_campaign(problem, method, starts, map_result.m_map, lrh, out_dir)
-        wall = time.perf_counter() - t0
-        groups[method] = chains
-        wall_times[method] = wall
-        campaigns[method] = {
-            "chains": len(chains),
-            "samples": int(chains[0].n_samples),
-            "solves": int(sum(ch.cum_solves[-1] for ch in chains)),
-            "acceptance_rate": float(np.mean([ch.acceptance_rate for ch in chains])),
-            "wall_time_volatile": wall,
-        }
-    manifest["stages"]["campaigns"] = campaigns
-
-    reports = stage_diagnose(problem, groups, probe_x=None,
-                             setup_solves=setup_by_method,
-                             wall_times=wall_times, out_dir=out_dir)
+    run.synth(problem)
+    map_result, _ = run.solve_map(problem)
+    lrh, groups = run.sample(problem, map_result.m_map, cfg.methods())
+    reports = run.diagnose(problem, groups)
     analysis = stage_analyze(problem, groups, map_result.m_map,
-                             n_eigs=n_eigs, pairs=pairs, out_dir=out_dir)
-
-    manifest["manifest_hash"] = manifest_hash(manifest)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, default=_json_default)
-        fh.write("\n")
+                             n_eigs=n_eigs, pairs=pairs, out_dir=run.path)
     return {"problem": problem, "map": map_result, "lowrank": lrh,
-            "reports": reports, "analysis": analysis, "manifest": manifest,
-            "out_dir": out_dir}
+            "reports": reports, "analysis": analysis, "manifest": run.manifest,
+            "out_dir": run.path}
 
 
 def _json_default(obj):
@@ -364,6 +422,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _sha256(obj) -> str:
+    canon = json.dumps(obj, sort_keys=True, default=_json_default)
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
 def _strip_volatile(node):
     if isinstance(node, dict):
         return {k: _strip_volatile(v) for k, v in sorted(node.items())
@@ -374,6 +437,4 @@ def _strip_volatile(node):
 
 
 def manifest_hash(manifest: dict) -> str:
-    import hashlib
-    canon = json.dumps(_strip_volatile(manifest), sort_keys=True, default=_json_default)
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return _sha256(_strip_volatile(manifest))

@@ -96,9 +96,14 @@ def test_sample_requires_a_single_method(tmp_path):
 
 
 def test_sample_refuses_mismatched_manifest(campaign_dir):
+    written = [campaign_dir / "manifest.json",
+               *sorted((campaign_dir / "chains").rglob("*.csv"))]
+    before = [f.read_bytes() for f in written]
     rc = main(["sample", *MINI, "--method", "ismap", "--chains", "2",
                "--samples", "40", "--seed", "1", "--out-dir", str(campaign_dir)])
     assert rc == 2  # same directory, different config hash
+    # refused before anything was written
+    assert [f.read_bytes() for f in written] == before
 
 
 # -- diagnose ------------------------------------------------------------------------
@@ -179,3 +184,38 @@ def test_pipeline_end_to_end_and_reproducible(tmp_path):
     assert h1 == h2
     assert (d1 / "chains/snmap/chain_001.csv").read_bytes() == \
         (d2 / "chains/snmap/chain_001.csv").read_bytes()
+
+
+def test_stage_commands_write_what_pipeline_writes(tmp_path):
+    methods = ("ismap", "snmap", "sn")
+    p, s = tmp_path / "pipeline", tmp_path / "stages"
+    assert main(["pipeline", *MINI, "--run-chains", "2", "--run-samples", "30",
+                 "--run-methods", ",".join(methods), "--eigs", "3",
+                 "--out-dir", str(p)]) == 0
+    commands = [["synth"], ["map"],
+                *[["sample", "--method", m, "--chains", "2", "--samples", "30"]
+                  for m in methods],
+                ["diagnose"], ["analyze", "--eigs", "3"]]
+    for cmd in commands:
+        assert main([*cmd, *MINI, "--out-dir", str(s)]) == 0, cmd
+
+    chains = sorted(f.relative_to(p) for f in p.glob("chains/*/chain_*.csv"))
+    analysis = sorted(f.relative_to(p) for f in p.glob("analysis/*.csv"))
+    assert len(chains) == 6 and len(analysis) == 5
+    for name in ["map.csv", *chains, *analysis]:
+        assert (s / name).read_bytes() == (p / name).read_bytes(), name
+
+    mp = json.loads((p / "manifest.json").read_text())
+    ms = json.loads((s / "manifest.json").read_text())
+    assert ms["config_hash"] == mp["config_hash"]
+    assert list(ms["stages"]["campaigns"]) == list(methods)
+    assert ms["stages"]["map"] == mp["stages"]["map"]
+    # the low-rank build at a MAP read from map.csv pays one forward and one
+    # adjoint solve that the build right after the MAP solve does not
+    assert ms["stages"]["lowrank"]["solves"] == mp["stages"]["lowrank"]["solves"] + 2
+    # every method is charged the MAP and the low-rank set-up, whichever
+    # command sampled it first
+    setup = ms["stages"]["map"]["solves"] + ms["stages"]["lowrank"]["solves"]
+    for line in rows(s / "report.csv"):
+        method, solves_total = line.split(",")[0], int(line.split(",")[9])
+        assert solves_total == ms["stages"]["campaigns"][method]["solves"] + setup

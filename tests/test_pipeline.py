@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hessmc.config import RunConfig
-from hessmc.pipeline import build_problem, stage_lowrank, stage_map, stage_pilot
+from hessmc.pipeline import (build_problem, setup_solves, stage_lowrank, stage_map,
+                             stage_pilot)
 
 MINI = {"mesh.n_nodes": 25, "obs.count": 4, "lowrank.r": 6, "lowrank.l": 2}
 
@@ -33,3 +34,10 @@ def test_pilot_warns_when_starts_are_not_over_dispersed(caplog, over, message):
     else:
         assert message in caplog.text
         assert n_distinct < len(starts)
+
+
+def test_setup_solves_charges_the_lowrank_build_to_all_but_rwmh():
+    stages = {"map": {"solves": 56}, "lowrank": {"solves": 50}, "pilot": {"solves": 9}}
+    assert {m: setup_solves(stages, m) for m in ("ismap", "snmap", "sn", "rwmh")} == \
+        {"ismap": 106, "snmap": 106, "sn": 106, "rwmh": 56}
+    assert setup_solves({}, "snmap") == 0
