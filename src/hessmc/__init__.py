@@ -10,8 +10,7 @@ eigen-analysis around them.
 from .fem import Mesh1D, WeightedSpace, assemble_mass, assemble_stiffness
 from .prior import GaussianPrior, build_prior
 from .models import (ExpReaction1D, LinearGaussianModel, ObservationSetup,
-                     SolveCounter, gradient, hvp, log_posterior, misfit_hvp,
-                     synthesize_data)
+                     SolveCounter, gradient, hvp, log_posterior, synthesize_data)
 from .lowrank import LowRankHessian, build_lowrank
 from .map_point import MapResult, solve_map
 from .samplers import (Chain, ChainState, SamplerSettings, mh_step, run_chain,

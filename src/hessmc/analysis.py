@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .models import ForwardModel, misfit_hvp
+from .models import ForwardModel
 from .prior import GaussianPrior
 
 
@@ -40,19 +40,19 @@ def posterior_eigensystem(model: ForwardModel, prior: GaussianPrior,
                           m_map: np.ndarray, k: int | None = None):
     """Dense M-symmetric eigendecomposition of the Hessian at m_map.
 
-    Builds the misfit Hessian's columns once (n actions, 2n linearized
-    solves) and adds the prior part, M H = M H_misfit + K. Returns
-    (lam, V, MHm) with lam descending, V^T M V = I, and MHm the
-    symmetrized M H_misfit, which ``classify_eigenvectors`` reuses.
+    Builds the columns of the assembled misfit Hessian M H_misfit once (n
+    actions, 2n linearized solves) and adds the prior part,
+    M H = M H_misfit + K. Returns (lam, V, MHm) with lam descending,
+    V^T M V = I, and MHm the symmetrized M H_misfit, which
+    ``classify_eigenvectors`` reuses.
     """
     n = prior.n
-    Hm = np.empty((n, n))
+    MHm = np.empty((n, n))
     eye = np.eye(n)
     for j in range(n):
-        Hm[:, j] = misfit_hvp(model, m_map, eye[:, j])
-    MHm = prior.space.M @ Hm
+        MHm[:, j] = model.misfit_hvp_raw(m_map, eye[:, j])
     MHm = 0.5 * (MHm + MHm.T)
-    lam, V = scipy.linalg.eigh(MHm + prior.K.dense(), prior.space.M)
+    lam, V = scipy.linalg.eigh(MHm + prior.K.dense(), prior.space.mass.dense())
     lam, V = lam[::-1], V[:, ::-1]
     if k is not None:
         lam, V = lam[:k], V[:, :k]
@@ -175,7 +175,7 @@ def point_marginal(pooled_samples: np.ndarray, node_index: int,
 def eigen_coordinates(samples: np.ndarray, v: np.ndarray, m0: np.ndarray,
                       space) -> np.ndarray:
     """<v, m - m0>_M for each sample row."""
-    return (np.asarray(samples) - m0) @ (space.M @ v)
+    return (np.asarray(samples) - m0) @ space.mass.matvec(v)
 
 
 def eigen_marginal(pooled_samples: np.ndarray, v: np.ndarray, lam: float,

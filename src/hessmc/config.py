@@ -2,12 +2,11 @@
 
 Config files are YAML, either nested (``prior: {a: 0.01}``) or flat
 (``prior.a: 0.01``). Command-line flags mirror the keys (dots become
-dashes) and override file values. Serialization round-trips losslessly.
+dashes) and override file values. A run records its configuration in the
+run directory's manifest (see ``pipeline.RunDir``).
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import yaml
 
@@ -113,25 +112,6 @@ class RunConfig:
 
     def methods(self) -> list[str]:
         return [m.strip() for m in self._values["run.methods"].split(",") if m.strip()]
-
-    # -- serialization --------------------------------------------------
-
-    def to_nested(self) -> dict:
-        out: dict = {}
-        for key, value in sorted(self._values.items()):
-            section, _, name = key.partition(".")
-            out.setdefault(section, {})[name] = value
-        return out
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_nested(), sort_keys=True)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_yaml())
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_yaml().encode()).hexdigest()
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -64,7 +64,7 @@ def msj(samples: np.ndarray, space) -> float:
     if X.shape[0] < 2:
         raise ValueError("mean squared jump needs at least two samples")
     d = np.diff(X, axis=0)
-    return float(np.einsum("ij,ij->i", d @ space.M, d).mean())
+    return float(np.einsum("ij,ij->i", space.mass.matvec(d.T).T, d).mean())
 
 
 def mpsrf(chain_samples: list[np.ndarray], burn_frac: float = 0.0) -> float:

@@ -20,15 +20,15 @@ factorization and each solve cost O(n). A factorization also gives the
 upper-bidiagonal Cholesky factor (A = C^T C), held in LAPACK upper band
 storage and applied or solved with in O(n) by ``bidiagonal_matvec`` and
 ``bidiagonal_solve``; the mass matrix's factor whitens noise and, with the
-stiffness matrix's, gives the prior its square root. ``WeightedSpace.M``
-is a dense view for the dense callers (eigen-analysis, start-point
-selection, diagnostics).
+stiffness matrix's, gives the prior its square root. No n x n mass matrix
+is kept: products with M are ``Tridiagonal.matvec`` on a vector or on the
+columns of a block, and a caller that needs the dense matrix forms
+``mass.dense()`` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg.lapack
@@ -94,10 +94,13 @@ class Tridiagonal:
         return Tridiagonal(self.diag + other.diag, self.off + other.off)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Product with a nodal vector."""
-        y = self.diag * x
-        y[:-1] += self.off * x[1:]
-        y[1:] += self.off * x[:-1]
+        """Product with a nodal vector or with the columns of a matrix."""
+        diag, off = self.diag, self.off
+        if x.ndim == 2:
+            diag, off = diag[:, None], off[:, None]
+        y = diag * x
+        y[:-1] += off * x[1:]
+        y[1:] += off * x[:-1]
         return y
 
     def dense(self) -> np.ndarray:
@@ -190,12 +193,6 @@ class WeightedSpace:
     @property
     def n(self) -> int:
         return self.mass.n
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        """Dense view of the mass matrix for the dense callers; no solve or
-        inner product uses it."""
-        return self.mass.dense()
 
     def inner(self, y: np.ndarray, z: np.ndarray) -> float:
         return float(y @ self.mass.matvec(z))

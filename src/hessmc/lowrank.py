@@ -12,11 +12,13 @@ whitened coordinates z = R x turn it into the Euclidean-symmetric
 
     T = R Ht R^{-1} = C^{-T} (M H_misfit) C^{-1},
 
-with the same eigenvalues, and ||z|| = ||x||_M. Lanczos runs on T with
-plain dot products and gives T ≈ Z diag(lam) Z^T with orthonormal Z; the
-M-orthonormal eigenvectors of Ht are V = R^{-1} Z. Writing
-D = diag(lam_i / (lam_i + 1)) and E = diag((lam_i + 1)^{-1/2} - 1), the
-retained pairs yield matrix-free
+with the same eigenvalues, and ||z|| = ||x||_M. M H_misfit is the
+assembled action the model's ``misfit_hvp_raw`` returns, so an action of T
+is two bidiagonal solves around it, with no mass solve or mass product.
+Lanczos runs on T with plain dot products and gives T ≈ Z diag(lam) Z^T
+with orthonormal Z; the M-orthonormal eigenvectors of Ht are V = R^{-1} Z.
+Writing D = diag(lam_i / (lam_i + 1)) and E = diag((lam_i + 1)^{-1/2} - 1),
+the retained pairs yield matrix-free
 
     H^{-1}  x = C^{-1} (I - Z D Z^T) C^{-T} M x   (+ O(sum_{i>r} lam_i/(lam_i+1)))
     H^{-1/2}x = C^{-1} (I + Z E Z^T) R x
@@ -27,7 +29,10 @@ retained pairs yield matrix-free
 where only the state-dependent half log-determinant (the sum) is stored;
 the det L part is shared by every Hessian built from the same prior and
 cancels in acceptance ratios. H^{-1/2} composes exactly:
-H^{-1} = H^{-1/2} (H^{-1/2})*.
+H^{-1} = H^{-1/2} (H^{-1/2})*. A draw from N(mean, H^{-1}) is
+H^{-1/2} applied to R^{-1} n, n ~ N(0, I), where R cancels:
+
+    mean + C^{-1} (I + Z E Z^T) n.
 
 Negative and numerically tiny Ritz values are discarded. When nothing
 survives (rank 0) every operator degenerates to its prior counterpart:
@@ -44,7 +49,7 @@ import scipy.linalg
 
 from .errors import NumericalError
 from .fem import bidiagonal_matvec, bidiagonal_solve
-from .models import ForwardModel, misfit_hvp
+from .models import ForwardModel
 from .prior import GaussianPrior
 
 logger = logging.getLogger(__name__)
@@ -59,8 +64,9 @@ def _c_inv_adj_m(prior: GaussianPrior, x: np.ndarray) -> np.ndarray:
 
 def _whitened_misfit_hvp(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
                          z: np.ndarray) -> np.ndarray:
-    """T z = C^{-T} M H_misfit(m) C^{-1} z: one misfit Hessian action."""
-    return _c_inv_adj_m(prior, misfit_hvp(model, m, bidiagonal_solve(prior.C, z)))
+    """T z = C^{-T} (M H_misfit(m)) C^{-1} z: one assembled misfit Hessian action."""
+    MHx = model.misfit_hvp_raw(m, bidiagonal_solve(prior.C, z))
+    return bidiagonal_solve(prior.C, MHx, trans=True)
 
 
 @dataclass
@@ -90,19 +96,21 @@ class LowRankHessian:
             y = y - self.Z @ ((self.lam / (self.lam + 1.0)) * (self.Z.T @ y))
         return bidiagonal_solve(self.prior.C, y)
 
-    def apply_inv_sqrt(self, x: np.ndarray) -> np.ndarray:
-        """H^{-1/2} x = C^{-1} (I + Z E Z^T) R x."""
-        y = bidiagonal_matvec(self.prior.space.R, x)
+    def _inv_sqrt_core(self, y: np.ndarray) -> np.ndarray:
+        """(I + Z E Z^T) y, the whitened middle factor of H^{-1/2}."""
         if self.rank:
             y = y + self.Z @ (((self.lam + 1.0) ** -0.5 - 1.0) * (self.Z.T @ y))
+        return y
+
+    def apply_inv_sqrt(self, x: np.ndarray) -> np.ndarray:
+        """H^{-1/2} x = C^{-1} (I + Z E Z^T) R x."""
+        y = self._inv_sqrt_core(bidiagonal_matvec(self.prior.space.R, x))
         return bidiagonal_solve(self.prior.C, y)
 
     def apply_inv_sqrt_adj(self, x: np.ndarray) -> np.ndarray:
         """(H^{-1/2})* x = R^{-1} (I + Z E Z^T) C^{-T} M x; composition with
         apply_inv_sqrt gives H^{-1}."""
-        y = _c_inv_adj_m(self.prior, x)
-        if self.rank:
-            y = y + self.Z @ (((self.lam + 1.0) ** -0.5 - 1.0) * (self.Z.T @ y))
+        y = self._inv_sqrt_core(_c_inv_adj_m(self.prior, x))
         return bidiagonal_solve(self.prior.space.R, y)
 
     def apply_H(self, x: np.ndarray) -> np.ndarray:
@@ -126,8 +134,10 @@ class LowRankHessian:
         return 0.5 * float(np.sum(np.log1p(self.lam))) if self.rank else 0.0
 
     def draw(self, rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
-        """Sample N(mean, H^{-1}): mean + H^{-1/2} (R^{-1} n)."""
-        return mean + self.apply_inv_sqrt(self.prior.space.white_noise(rng))
+        """Sample N(mean, H^{-1}): mean + C^{-1} (I + Z E Z^T) n with
+        n ~ N(0, I), which is H^{-1/2} (R^{-1} n) without the R round trip."""
+        n = rng.standard_normal(self.prior.n)
+        return mean + bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n))
 
     def residuals(self, model: ForwardModel) -> np.ndarray:
         """Eigen-residuals ||Ht v_i - lam_i v_i||_M = ||T z_i - lam_i z_i||

@@ -18,10 +18,14 @@ The negative log posterior is
 and ``gradient``/``hvp`` return its exact first and second derivatives as
 Riesz representers in the M inner product: assembled integrals against
 test functions are converted by a single application of M^{-1}, and the
-observation pullback uses B* = M^{-1} B^T. Second-order (non-Gauss-Newton)
-terms are kept in the Hessian action. M and the PDE operator are stored
-tridiagonal (see ``fem``) and solved with the LAPACK dpttrf/dpttrs pair,
-so every M^{-1} application and every PDE solve is O(n).
+observation pullback uses B* = M^{-1} B^T. A model's ``misfit_hvp_raw``
+stops before that conversion and returns the assembled action
+M H_misfit mhat, which is Euclidean-symmetric; the low-rank build and the
+eigen-analysis work with it directly, and only ``hvp`` applies M^{-1}.
+Second-order (non-Gauss-Newton) terms are kept in the Hessian action.
+M and the PDE operator are stored tridiagonal (see ``fem``) and solved
+with the LAPACK dpttrf/dpttrs pair, so every M^{-1} application and
+every PDE solve is O(n).
 
 Every linear(ized) PDE solve is reported to a ``SolveCounter``; the
 samplers' per-step cost ledger depends on these counts being exact, so
@@ -97,8 +101,9 @@ class ForwardModel:
 
     Subclasses must set ``mesh``, ``space``, ``counter`` and (once data
     exists) ``obs``, and implement ``predict``, ``misfit_gradient`` and
-    ``misfit_hvp_raw``. Observations are f(m); gradients/Hessian actions
-    of the data-misfit term are returned as M-representers.
+    ``misfit_hvp_raw``. Observations are f(m); the data-misfit gradient is
+    returned as an M-representer, and its Hessian action as the assembled
+    functional M H_misfit mhat (no M^{-1} applied).
     """
 
     mesh: Mesh1D
@@ -161,9 +166,8 @@ class LinearGaussianModel(ForwardModel):
 
     def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
         obs = self._require_obs()
-        h_hat = self.F.T @ ((self.F @ mhat) / obs.sigma**2)
         self.counter.incremental_solves += 2
-        return self.space.solve(h_hat)
+        return self.F.T @ ((self.F @ mhat) / obs.sigma**2)
 
 
 class ExpReaction1D(ForwardModel):
@@ -182,8 +186,9 @@ class ExpReaction1D(ForwardModel):
         inc. adjoint F(m) vhat = -B^T Gamma_noise^{-1} B uhat - W(mhat exp(m)) v
 
     Misfit gradient (M-representer): M^{-1}[exp(m) .* load(u v)] and the
-    Hessian action keeps all second-order terms:
-        M^{-1}[ mhat exp(m) .* load(u v) + exp(m) .* (load(uhat v) + load(u vhat)) ].
+    assembled Hessian action keeps all second-order terms:
+        M H_misfit mhat = mhat exp(m) .* load(u v)
+                          + exp(m) .* (load(uhat v) + load(u vhat)).
 
     F(m) is tridiagonal and stored as such. One L D L^T factorization
     of it (LAPACK dpttrf) is kept per parameter point, together with the
@@ -266,8 +271,7 @@ class ExpReaction1D(ForwardModel):
         uhat = factor.solve(-Wu.matvec(dc))
         vhat = factor.solve(-obs.B.T @ ((obs.B @ uhat) / obs.sigma**2) - Wv.matvec(dc))
         self.counter.incremental_solves += 2
-        h_hat = mhat * state["em_uv"] + em * (Wv.matvec(uhat) + Wu.matvec(vhat))
-        return self.space.solve(h_hat)
+        return mhat * state["em_uv"] + em * (Wv.matvec(uhat) + Wu.matvec(vhat))
 
 
 # -- posterior pieces ----------------------------------------------------
@@ -284,15 +288,10 @@ def gradient(model: ForwardModel, prior: GaussianPrior, m: np.ndarray) -> np.nda
     return model.misfit_gradient(m) + prior.apply_A(m - prior.mean)
 
 
-def misfit_hvp(model: ForwardModel, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
-    """Action of the data-misfit Hessian (second-order terms included)."""
-    return model.misfit_hvp_raw(m, mhat)
-
-
 def hvp(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
         mhat: np.ndarray) -> np.ndarray:
-    """Action of the full Hessian of J at m on mhat."""
-    return model.misfit_hvp_raw(m, mhat) + prior.apply_A(mhat)
+    """Action of the full Hessian of J at m on mhat (an M-representer)."""
+    return model.space.solve(model.misfit_hvp_raw(m, mhat)) + prior.apply_A(mhat)
 
 
 def synthesize_data(model: ForwardModel, m_true: np.ndarray, noise_rel: float,

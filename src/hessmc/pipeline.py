@@ -247,7 +247,15 @@ def stage_diagnose(problem: Problem, groups: dict[str, list], probe_x: float | N
 def stage_analyze(problem: Problem, groups: dict[str, list], m_map: np.ndarray,
                   n_eigs: int, pairs: list[tuple[int, int]],
                   out_dir: str | None = None, method: str | None = None):
-    """Eigen-classification plus marginal/contour tables from pooled samples."""
+    """Eigen-classification plus marginal/contour tables from pooled samples.
+
+    Every pair is checked against the parameter dimension first, so a bad
+    pair costs no solve and writes nothing.
+    """
+    n = problem.prior.n
+    for (i, j) in pairs:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ConfigError(f"invalid eigen pair ({i}, {j})")
     cfg = problem.cfg
     if method is None:
         method = "snmap" if "snmap" in groups else sorted(groups)[0]
@@ -284,8 +292,6 @@ def stage_analyze(problem: Problem, groups: dict[str, list], m_map: np.ndarray,
                                   f"group={rec.group}"])
 
     for (i, j) in pairs:
-        if not (0 <= i < V.shape[1] and 0 <= j < V.shape[1]) or i == j:
-            raise ConfigError(f"invalid eigen pair ({i}, {j})")
         pd = pair_density(pooled, V[:, i], V[:, j], lam[i], lam[j],
                           m_map, problem.prior)
         out["pairs"][(i, j)] = pd

@@ -84,11 +84,6 @@ class GaussianPrior:
         d = m - self.mean
         return -0.5 * float(d @ self.K.matvec(d))
 
-    def sample_from_noise(self, noise: np.ndarray) -> np.ndarray:
-        """Deterministic map of whitened noise to a sample: m0 + L noise
-        (rows are samples when noise is 2D)."""
-        return self.mean + self.apply_L(noise.T).T
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw from N(m0, Gamma) as m0 + C^{-1} n; rows are samples when
         size is given."""
@@ -98,9 +93,6 @@ class GaussianPrior:
     def pointwise_variance(self) -> np.ndarray:
         """Variance of the nodal values, diag(K^{-1})."""
         return self._K_factor.inverse_diagonal()
-
-    def pointwise_std(self) -> np.ndarray:
-        return np.sqrt(self.pointwise_variance())
 
 
 def build_prior(mesh: Mesh1D, a: float, b: float,

@@ -13,18 +13,22 @@ Four proposal kinds over the same kernel:
   MAP point; the determinant factor is state-independent and cancels.
 * ``ismap`` -- independence sampler N(m_map, H_map^{-1}).
 
-Proposal draws are y = mean + H^{-1/2} ntilde with ntilde = R^{-1} n,
-n ~ N(0, I), so the draw lives in the same M geometry as the density
-evaluations; H^{-1/2}, H^{-1} and the quadratic form of H come in closed
-form from the low-rank factorization (see ``lowrank``). The Newton point
-m - H^{-1} g of an snmap/sn state is computed once and kept on the state
-(``newton_mean``): it is the mean of the reverse density when the state
-is proposed and, once the state is accepted, the mean of the next
-proposal and of its forward density, so each step applies H^{-1} once.
-Within a step the random stream is consumed in a fixed order (proposal
-noise first, then the accept/reject uniform), and a rejected step leaves
-the state bit-identical, so chains are reproducible from
-(seed, chain_id) alone.
+Proposal draws are y = mean + H^{-1/2} R^{-1} n with n ~ N(0, I), so the
+draw lives in the same M geometry as the density evaluations; with the
+low-rank factorization (see ``lowrank``) the R factors cancel and the
+draw is
+
+    y = mean + C^{-1} (I + Z E Z^T) n,
+
+while H^{-1} and the quadratic form of H also come in closed form. The
+Newton point m - H^{-1} g of an snmap/sn state is computed once and kept
+on the state (``newton_mean``): it is the mean of the reverse density
+when the state is proposed and, once the state is accepted, the mean of
+the next proposal and of its forward density, so each step applies
+H^{-1} once. Within a step the random stream is consumed in a fixed
+order (proposal noise first, then the accept/reject uniform), and a
+rejected step leaves the state bit-identical, so chains are reproducible
+from (seed, chain_id) alone.
 
 Per-step linearized solve costs (exact, enforced by the point caches in
 the models): ismap 1, snmap 2, sn 2 + 2(r+l), rwmh 1.
@@ -101,22 +105,16 @@ def newton_mean(settings: SamplerSettings, state: ChainState) -> np.ndarray:
     return state.newton_mean
 
 
-def log_q(settings: SamplerSettings, from_state: ChainState, to_point: np.ndarray,
-          space=None) -> float:
-    """Log proposal density q(from -> to), up to constants that cancel.
+def log_q(settings: SamplerSettings, from_state: ChainState, to_point: np.ndarray) -> float:
+    """Log proposal density q(from -> to) of a Hessian-based method, up to
+    constants that cancel.
 
     For ``sn`` this includes the half log-determinant of the Hessian at
     the conditioning point; for the frozen-Hessian methods that factor is
-    state-independent and omitted. The rwmh density needs the weighted
-    space to be passed in (it cancels inside mh_step and is only exposed
-    for verification).
+    state-independent and omitted. The symmetric rwmh density cancels in
+    ``mh_step`` and has no term here.
     """
     method = settings.method
-    if method == "rwmh":
-        if space is None:
-            raise ValueError("rwmh log_q needs the weighted space")
-        d = to_point - from_state.m
-        return -0.5 * space.inner(d, d) / settings.rwmh_sigma**2
     if method == "ismap":
         return -0.5 * settings.lrh_map.quad(to_point - settings.m_map)
     mean = newton_mean(settings, from_state)
@@ -143,45 +141,32 @@ def mh_step(settings: SamplerSettings, state: ChainState, model: ForwardModel,
             prior: GaussianPrior, rng: np.random.Generator) -> tuple[ChainState, bool]:
     """One Metropolis-Hastings step; returns (new_state, accepted).
 
-    Solver failures while evaluating the proposal count as a rejection
-    (with a warning) rather than aborting the chain.
+    The proposal is drawn first, before anything in the step can raise.
+    Solver failures while evaluating it count as a rejection (with a
+    warning) rather than aborting the chain.
     """
     method = settings.method
-    space = prior.space
-    noise = space.white_noise(rng)
+    if method == "rwmh":
+        y = state.m + settings.rwmh_sigma * prior.space.white_noise(rng)
+    elif method == "ismap":
+        y = settings.lrh_map.draw(rng, settings.m_map)
+    else:
+        lrh = settings.lrh_map if method == "snmap" else state.lrh
+        y = lrh.draw(rng, newton_mean(settings, state))
 
     try:
-        if method == "rwmh":
-            y = state.m + settings.rwmh_sigma * noise
-            lp_y = log_posterior(model, prior, y)
-            log_ratio = lp_y - state.log_post
+        lp_y = log_posterior(model, prior, y)
+        if method in ("rwmh", "ismap"):
             candidate = ChainState(m=y, log_post=lp_y)
-        elif method == "ismap":
-            y = settings.m_map + settings.lrh_map.apply_inv_sqrt(noise)
-            lp_y = log_posterior(model, prior, y)
-            log_ratio = (lp_y - state.log_post
-                         + log_q(settings, ChainState(m=y, log_post=lp_y), state.m)
-                         - log_q(settings, state, y))
-            candidate = ChainState(m=y, log_post=lp_y)
-        elif method == "snmap":
-            y = newton_mean(settings, state) + settings.lrh_map.apply_inv_sqrt(noise)
-            lp_y = log_posterior(model, prior, y)
+        else:
             g_y = gradient(model, prior, y)
-            cand = ChainState(m=y, log_post=lp_y, grad=g_y)
-            log_ratio = (lp_y - state.log_post
-                         + log_q(settings, cand, state.m)
+            lrh_y = build_lowrank(model, prior, y, settings.r, settings.l, rng) \
+                if method == "sn" else None
+            candidate = ChainState(m=y, log_post=lp_y, grad=g_y, lrh=lrh_y)
+        log_ratio = lp_y - state.log_post
+        if method != "rwmh":
+            log_ratio = (log_ratio + log_q(settings, candidate, state.m)
                          - log_q(settings, state, y))
-            candidate = cand
-        else:  # sn
-            y = newton_mean(settings, state) + state.lrh.apply_inv_sqrt(noise)
-            lp_y = log_posterior(model, prior, y)
-            g_y = gradient(model, prior, y)
-            lrh_y = build_lowrank(model, prior, y, settings.r, settings.l, rng)
-            cand = ChainState(m=y, log_post=lp_y, grad=g_y, lrh=lrh_y)
-            log_ratio = (lp_y - state.log_post
-                         + log_q(settings, cand, state.m)
-                         - log_q(settings, state, y))
-            candidate = cand
     except NumericalError as exc:
         logger.warning("proposal evaluation failed (%s); step rejected", exc)
         rng.uniform()  # keep the stream aligned with the success path
@@ -247,11 +232,11 @@ def select_start_points(pilot_samples: np.ndarray, k: int,
     N = X.shape[0]
     if not 1 <= k <= N:
         raise ValueError("need 1 <= k <= number of pilot samples")
-    XM = X @ space.M
+    XM = space.mass.matvec(X.T).T
     row_quad = np.einsum("ij,ij->i", XM, X)
 
     def sq_dist_to(c: np.ndarray) -> np.ndarray:
-        return np.maximum(row_quad - 2.0 * (XM @ c) + float(c @ (space.M @ c)), 0.0)
+        return np.maximum(row_quad - 2.0 * (XM @ c) + space.inner(c, c), 0.0)
 
     mean = X.mean(axis=0)
     first = int(np.argmax(sq_dist_to(mean)))

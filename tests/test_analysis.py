@@ -38,9 +38,9 @@ def test_eigensystem_matches_analytic_pencil(linear_eigensystem):
     mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     F, sigma = model.F, model.obs.sigma[0]
     P = prior.K.dense() + F.T @ F / sigma**2
-    ref = scipy.linalg.eigh(P, space.M, eigvals_only=True)[::-1]
+    ref = scipy.linalg.eigh(P, space.mass.dense(), eigvals_only=True)[::-1]
     np.testing.assert_allclose(lam, ref, rtol=1e-10)
-    np.testing.assert_allclose(V.T @ space.M @ V, np.eye(prior.n), atol=1e-9)
+    np.testing.assert_allclose(V.T @ space.mass.dense() @ V, np.eye(prior.n), atol=1e-9)
 
 
 def test_eigensystem_truncation(linear_eigensystem):

@@ -142,6 +142,12 @@ def test_analyze_rejects_bad_pairs(campaign_dir):
     assert main([*base, "--pairs", "zero,one"]) == 2
 
 
+def test_analyze_refuses_bad_pairs_before_writing(tmp_path):
+    assert run_sample(tmp_path) == 0
+    assert main(["analyze", *MINI, "--out-dir", str(tmp_path), "--pairs", "0,999"]) == 2
+    assert not (tmp_path / "analysis").exists()
+
+
 # -- config plumbing -----------------------------------------------------------------
 
 def test_config_file_errors(tmp_path):

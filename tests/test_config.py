@@ -1,4 +1,4 @@
-"""Configuration registry, validation, and YAML round trips."""
+"""Configuration registry, validation, and YAML loading."""
 
 import pytest
 
@@ -66,14 +66,14 @@ def test_methods_parsing_tolerates_spacing():
     assert cfg.methods() == ["snmap", "rwmh"]
 
 
-def test_yaml_round_trip_nested(tmp_path):
-    cfg = RunConfig({"mesh.n_nodes": 41, "obs.noise_rel": 0.03,
-                     "run.methods": "rwmh"})
+def test_nested_yaml_accepted(tmp_path):
     path = tmp_path / "run.yaml"
-    cfg.save(str(path))
-    back = RunConfig.from_file(str(path))
-    assert dict(back.items()) == dict(cfg.items())
-    assert back.digest() == cfg.digest()
+    path.write_text("mesh:\n  n_nodes: 41\nobs:\n  noise_rel: 0.03\n"
+                    "run:\n  methods: rwmh\n")
+    cfg = RunConfig.from_file(str(path))
+    expected = RunConfig({"mesh.n_nodes": 41, "obs.noise_rel": 0.03,
+                          "run.methods": "rwmh"})
+    assert dict(cfg.items()) == dict(expected.items())
 
 
 def test_flat_yaml_accepted(tmp_path):
@@ -83,14 +83,6 @@ def test_flat_yaml_accepted(tmp_path):
     assert cfg["mesh.n_nodes"] == 33
     assert cfg["prior.a"] == 0.5
     assert cfg["prior.b"] == 1e2  # untouched default
-
-
-def test_digest_tracks_content():
-    a = RunConfig()
-    b = RunConfig()
-    assert a.digest() == b.digest()
-    b.set("run.seed", 1)
-    assert a.digest() != b.digest()
 
 
 def test_from_file_errors(tmp_path):

@@ -44,7 +44,7 @@ def test_mass_matrix_three_nodes_hand_values():
         [1 / 12, 1 / 3, 1 / 12],
         [0.0, 1 / 12, 1 / 6],
     ])
-    np.testing.assert_allclose(space.M, expected, atol=1e-15)
+    np.testing.assert_allclose(space.mass.dense(), expected, atol=1e-15)
 
 
 def test_mass_row_sums_are_hat_integrals():
@@ -54,8 +54,8 @@ def test_mass_row_sums_are_hat_integrals():
     expected = np.zeros(4)
     expected[:-1] += h / 2
     expected[1:] += h / 2
-    np.testing.assert_allclose(space.M.sum(axis=1), expected, atol=1e-15)
-    assert space.M.sum() == pytest.approx(mesh.length)
+    np.testing.assert_allclose(space.mass.dense().sum(axis=1), expected, atol=1e-15)
+    assert space.mass.dense().sum() == pytest.approx(mesh.length)
 
 
 def test_stiffness_single_element_laplacian():
@@ -69,7 +69,7 @@ def test_stiffness_on_constants_reduces_to_mass_term():
     space = assemble_mass(mesh)
     K = assemble_stiffness(mesh, a=3.0, b=7.0)
     ones = np.ones(17)
-    np.testing.assert_allclose(K.matvec(ones), 7.0 * (space.M @ ones), atol=1e-13)
+    np.testing.assert_allclose(K.matvec(ones), 7.0 * (space.mass.dense() @ ones), atol=1e-13)
 
 
 def test_stiffness_coefficient_validation():
@@ -84,29 +84,39 @@ def test_weighted_space_inner_and_norm():
     space = assemble_mass(Mesh1D.uniform(6))
     y = np.arange(6.0)
     z = np.ones(6)
-    assert space.inner(y, z) == pytest.approx(y @ space.M @ z)
-    assert space.norm(y) == pytest.approx(np.sqrt(y @ space.M @ y))
+    assert space.inner(y, z) == pytest.approx(y @ space.mass.dense() @ z)
+    assert space.norm(y) == pytest.approx(np.sqrt(y @ space.mass.dense() @ y))
 
 
 def test_cholesky_whitening_factor():
     space = assemble_mass(Mesh1D.uniform(9, 0.7))
     # R is upper bidiagonal, held in LAPACK upper band storage
     R = np.diag(space.R[1]) + np.diag(space.R[0, 1:], 1)
-    np.testing.assert_allclose(R.T @ R, space.M, atol=1e-14)
+    np.testing.assert_allclose(R.T @ R, space.mass.dense(), atol=1e-14)
     # solve applies M^{-1}
     b = np.sin(np.arange(9.0))
-    np.testing.assert_allclose(space.M @ space.solve(b), b, atol=1e-12)
+    np.testing.assert_allclose(space.mass.dense() @ space.solve(b), b, atol=1e-12)
 
 
 def test_mass_solve_inverts_dense_view_on_nonuniform_mesh():
     mesh = Mesh1D(np.array([0.0, 0.05, 0.3, 0.32, 0.9, 1.4, 1.45]))
     space = assemble_mass(mesh)
     rng = np.random.default_rng(4)
+    M = space.mass.dense()
     b = rng.standard_normal(7)
-    np.testing.assert_allclose(space.solve(b), np.linalg.solve(space.M, b), rtol=1e-12)
+    np.testing.assert_allclose(space.solve(b), np.linalg.solve(M, b), rtol=1e-12)
     B = rng.standard_normal((7, 3))
-    np.testing.assert_allclose(space.solve(B), np.linalg.solve(space.M, B), rtol=1e-12)
-    np.testing.assert_allclose(space.mass.matvec(b), space.M @ b, rtol=1e-14)
+    np.testing.assert_allclose(space.solve(B), np.linalg.solve(M, B), rtol=1e-12)
+    np.testing.assert_allclose(space.mass.matvec(b), M @ b, rtol=1e-14)
+
+
+def test_tridiagonal_matvec_acts_on_column_blocks():
+    mesh = Mesh1D(np.array([0.0, 0.05, 0.3, 0.32, 0.9, 1.4, 1.45]))
+    A = assemble_stiffness(mesh, 0.3, 2.0)
+    X = np.random.default_rng(9).standard_normal((7, 3))
+    np.testing.assert_allclose(A.matvec(X), A.dense() @ X, rtol=1e-13, atol=1e-13)
+    for k in range(3):
+        np.testing.assert_array_equal(A.matvec(X)[:, k], A.matvec(X[:, k]))
 
 
 def test_tridiagonal_factor_rejects_indefinite_and_non_finite():
@@ -125,7 +135,7 @@ def test_white_noise_has_inverse_mass_covariance():
     draws = space.white_noise(rng, size=200_000)
     assert draws.shape == (200_000, 5)
     cov = np.cov(draws, rowvar=False)
-    Minv = np.linalg.inv(space.M)
+    Minv = np.linalg.inv(space.mass.dense())
     np.testing.assert_allclose(cov, Minv, rtol=0.05, atol=0.05 * np.abs(Minv).max())
 
 
@@ -133,7 +143,7 @@ def test_weighted_mass_reduces_to_mass_for_unit_coefficient():
     mesh = Mesh1D(np.array([0.0, 0.3, 0.4, 1.0, 1.5]))
     space = assemble_mass(mesh)
     W = assemble_weighted_mass(mesh, np.ones(5))
-    np.testing.assert_allclose(W.dense(), space.M, atol=1e-15)
+    np.testing.assert_allclose(W.dense(), space.mass.dense(), atol=1e-15)
 
 
 def test_weighted_mass_row_sum_identity():
@@ -142,7 +152,7 @@ def test_weighted_mass_row_sum_identity():
     space = assemble_mass(mesh)
     c = np.array([2.0, -1.0, 0.5, 3.0, 1.0])
     W = assemble_weighted_mass(mesh, c)
-    np.testing.assert_allclose(W.matvec(np.ones(5)), space.M @ c, atol=1e-14)
+    np.testing.assert_allclose(W.matvec(np.ones(5)), space.mass.dense() @ c, atol=1e-14)
 
 
 def test_product_load_matches_weighted_mass_quadratic_form():
@@ -179,7 +189,8 @@ def test_slice_assembly_equals_scatter_reference():
     n, h = mesh.n_nodes, mesh.element_lengths
     rng = np.random.default_rng(5)
     u, v, c = rng.standard_normal((3, n))
-    np.testing.assert_array_equal(assemble_mass(mesh).M, _scatter(n, h / 3, h / 3, h / 6))
+    np.testing.assert_array_equal(assemble_mass(mesh).mass.dense(),
+                                  _scatter(n, h / 3, h / 3, h / 6))
     d = 2.0 / h + 3.0 * h / 3.0
     np.testing.assert_array_equal(assemble_stiffness(mesh, 2.0, 3.0).dense(),
                                   _scatter(n, d, d, -2.0 / h + 3.0 * h / 6.0))

@@ -8,11 +8,12 @@ import pytest
 import scipy.linalg
 
 from hessmc.config import RunConfig
-from hessmc.fem import Mesh1D, assemble_mass, interpolation_matrix
+from hessmc.fem import (Mesh1D, WeightedSpace, assemble_mass, bidiagonal_solve,
+                        interpolation_matrix)
 from hessmc.lowrank import build_lowrank
 from hessmc.map_point import solve_map
-from hessmc.models import (LinearGaussianModel, gradient, misfit_hvp,
-                           observation_points, synthesize_data)
+from hessmc.models import (LinearGaussianModel, gradient, observation_points,
+                           synthesize_data)
 from hessmc.pipeline import LANCZOS_KEY, build_problem
 from hessmc.prior import build_prior
 
@@ -30,10 +31,11 @@ def dense_preconditioned_misfit(model, prior, m):
     T = np.empty((n, n))
     eye = np.eye(n)
     for j in range(n):
-        T[:, j] = prior.apply_L_adj(misfit_hvp(model, m, prior.apply_L(eye[:, j])))
-    MT = prior.space.M @ T
+        Hx = prior.space.solve(model.misfit_hvp_raw(m, prior.apply_L(eye[:, j])))
+        T[:, j] = prior.apply_L_adj(Hx)
+    MT = prior.space.mass.dense() @ T
     MT = 0.5 * (MT + MT.T)
-    theta, U = scipy.linalg.eigh(MT, prior.space.M)
+    theta, U = scipy.linalg.eigh(MT, prior.space.mass.dense())
     return T, theta[::-1], U[:, ::-1]
 
 
@@ -57,7 +59,7 @@ def test_full_lanczos_matches_dense_eigenvalues(linear_setup):
 
 def test_retained_basis_is_m_orthonormal(linear_setup):
     prior, _, _, lrh, _, _ = linear_setup
-    G = lrh.V.T @ prior.space.M @ lrh.V
+    G = lrh.V.T @ prior.space.mass.dense() @ lrh.V
     np.testing.assert_allclose(G, np.eye(lrh.rank), atol=1e-10)
 
 
@@ -69,7 +71,7 @@ def test_eigen_residuals_are_small(linear_setup):
 
 def test_lanczos_eigenvectors_align_with_dense(linear_setup):
     prior, model, m_ref, lrh, theta, U = linear_setup
-    M = prior.space.M
+    M = prior.space.mass.dense()
     for i in range(lrh.rank):
         # skip clustered eigenvalues: individual vectors are not unique there
         if i > 0 and theta[i - 1] - theta[i] < 0.05 * theta[i]:
@@ -105,6 +107,21 @@ def test_quad_is_hessian_quadratic_form(linear_setup):
     assert lrh.quad(d) == pytest.approx(prior.space.inner(d, lrh.apply_H(d)), rel=1e-10)
 
 
+def test_draw_is_the_inverse_sqrt_of_whitened_noise(linear_setup, monkeypatch):
+    # the draw takes n ~ N(0, I) straight to C^{-1} (I + Z E Z^T) n: the
+    # result is H^{-1/2} R^{-1} n, without an R solve undone by a product
+    prior, _, m_ref, lrh, _, _ = linear_setup
+
+    def no_white_noise(*args, **kwargs):
+        raise AssertionError("draw must not go through WeightedSpace.white_noise")
+
+    monkeypatch.setattr(WeightedSpace, "white_noise", no_white_noise)
+    y = lrh.draw(np.random.default_rng(14), m_ref)
+    n = np.random.default_rng(14).standard_normal(prior.n)
+    ref = m_ref + lrh.apply_inv_sqrt(bidiagonal_solve(prior.space.R, n))
+    np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
 def test_half_logdet_matches_dense(linear_setup):
     _, _, _, lrh, theta, _ = linear_setup
     kept = theta[theta > 1e-10 * max(1.0, theta[0])]
@@ -126,6 +143,25 @@ def test_build_uses_exactly_two_solves_per_iteration():
     before = worker2.counter.total
     build_lowrank(worker2, prior2, prior2.mean, 12, 3, np.random.default_rng(0))
     assert worker2.counter.total - before == 2 * (12 + 3)
+
+
+@pytest.mark.parametrize("kind", ["linear", "exp_reaction"])
+def test_build_makes_no_mass_solve(kind, monkeypatch):
+    # the whitened action C^{-T} (M H_misfit) C^{-1} z uses the assembled
+    # Hessian action as it is: no M^{-1} that a product with M would undo
+    mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind=kind)
+    calls = []
+    solve = WeightedSpace.solve
+
+    def counting_solve(self, b):
+        calls.append(b.shape)
+        return solve(self, b)
+
+    monkeypatch.setattr(WeightedSpace, "solve", counting_solve)
+    lrh = build_lowrank(model.clone(), prior, prior.mean + 0.2, 12, 3,
+                        np.random.default_rng(0))
+    assert lrh.rank > 0
+    assert calls == []
 
 
 def test_truncation_keeps_top_r():

@@ -145,7 +145,7 @@ def test_default_problem_error_split():
     unobs_err = prob.space.norm(np.where(mask, 0.0, e))
 
     lam, _, _ = posterior_eigensystem(prob.model.clone(), prob.prior, res.m_map)
-    M = prob.space.M
+    M = prob.space.mass.dense()
     c_mask = max(np.sqrt(scipy.linalg.eigh(np.where(np.outer(k, k), M, 0.0), M,
                                            eigvals_only=True)[-1])
                  for k in (mask, ~mask))

@@ -12,7 +12,6 @@ from hessmc.models import (
     gradient,
     hvp,
     log_posterior,
-    misfit_hvp,
     observation_points,
     synthesize_data,
 )
@@ -152,7 +151,7 @@ def test_states_match_dense_solve_on_nonuniform_mesh():
                     points=observation_points(mesh, 3))
     m = np.sin(3.0 * mesh.node_coords)
     F = model.K0.dense() + assemble_weighted_mass(mesh, np.exp(m)).dense()
-    u_ref = np.linalg.solve(F, model.space.M @ np.full(9, 2.0))
+    u_ref = np.linalg.solve(F, model.space.mass.dense() @ np.full(9, 2.0))
     u = model.solve_forward(m)
     np.testing.assert_allclose(u, u_ref, rtol=1e-12)
     obs = model.obs
@@ -183,7 +182,7 @@ def test_linear_model_matches_dense_formulas():
     g_ref = space.solve(F.T @ ((F @ m - obs.y_obs) / obs.sigma**2))
     np.testing.assert_allclose(g, g_ref, atol=1e-12)
     mhat = rng.standard_normal(prior.n)
-    h_ref = space.solve(F.T @ ((F @ mhat) / obs.sigma**2))
+    h_ref = F.T @ ((F @ mhat) / obs.sigma**2)
     np.testing.assert_allclose(model.misfit_hvp_raw(m, mhat), h_ref, atol=1e-12)
 
 
@@ -220,7 +219,19 @@ def test_hvp_is_m_symmetric_and_consistent():
     lhs, rhs = space.inner(u, Hv), space.inner(Hu, v)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
     # full Hessian = misfit part + prior precision
-    np.testing.assert_allclose(Hv, misfit_hvp(model, m, v) + prior.apply_A(v), atol=1e-13)
+    np.testing.assert_allclose(Hv, space.solve(model.misfit_hvp_raw(m, v)) + prior.apply_A(v),
+                               atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_assembled_misfit_hessian_is_euclidean_symmetric(kind):
+    # misfit_hvp_raw returns M H_misfit mhat, so e_i . raw(e_j) = e_j . raw(e_i)
+    mesh, space, prior, model, _ = make_small_problem(kind=kind)
+    m = prior.mean + 0.3 * prior.apply_L(space.white_noise(np.random.default_rng(10)))
+    cols = np.column_stack([model.misfit_hvp_raw(m, e) for e in np.eye(prior.n)])
+    scale = np.abs(cols).max()
+    assert scale > 0.0
+    np.testing.assert_allclose(cols, cols.T, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_weighted_residual_and_misfit():
