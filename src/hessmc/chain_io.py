@@ -1,9 +1,20 @@
 """Chain and table serialization.
 
-One CSV file per chain: comment headers carry the metadata, then one row
-per step with columns k, accepted, log_post, cum_solves, m_1..m_n.
-Floats are written with %.17g so a read-back is bit-exact and every
-diagnostic recomputed from disk matches the in-memory value.
+The chain file format is a contract: ``bench/checks.py`` and any other
+reader parse it as text, so every byte is fixed.
+
+- Header lines, each ending in ``\n``: ``# method=<name>``, then
+  ``# <key>=<int>`` for each of seed, chain_id, n, r, l and start_index
+  that the chain's meta holds, in that order.
+- A column line ``k,accepted,log_post,cum_solves,m_1,...,m_n``.
+- One row per step: k (1-based), accepted (0/1), log_post, cum_solves,
+  then the n entries of the state.
+
+Fields are separated by commas with no quoting or padding, and every line
+after the header lines ends in ``\r\n``. Floats are written with ``%.17g``
+(``-0``, ``nan``, ``inf``, ``-inf`` as Python prints them), so a read-back
+is bit-exact and every diagnostic recomputed from disk matches the
+in-memory value.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ import numpy as np
 from .samplers import Chain
 
 _META_INT = ("seed", "chain_id", "n", "r", "l", "start_index")
+_COLUMNS = ("k", "accepted", "log_post", "cum_solves")
 
 
 def _fmt(x: float) -> str:
@@ -24,51 +36,46 @@ def _fmt(x: float) -> str:
 
 def write_chain(chain: Chain, path: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    n = chain.samples.shape[1]
+    samples = chain.samples
+    count, n = samples.shape
+    lines = [f"# method={chain.meta.get('method', '')}\n"]
+    lines += [f"# {key}={int(chain.meta[key])}\n" for key in _META_INT if key in chain.meta]
+    lines.append(",".join([*_COLUMNS, *(f"m_{j + 1}" for j in range(n))]) + "\r\n")
+    # a rejected step repeats its state bit for bit, so the state part of a
+    # row is formatted once per distinct state; bits, not float equality,
+    # keep -0 and 0 apart
+    bits = samples.view(np.uint64)
+    new_state = np.ones(count, dtype=bool)
+    new_state[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    state_fmt = ",%.17g" * n + "\r\n"
+    tails = [state_fmt % tuple(m) for m in samples[new_state].tolist()]
+    which = (np.cumsum(new_state) - 1).tolist()
+    heads = zip(range(1, count + 1), chain.accepted.tolist(), chain.log_post.tolist(),
+                chain.cum_solves.tolist())
+    lines += ["%d,%d,%.17g,%d" % head + tails[i] for head, i in zip(heads, which)]
     with open(path, "w", newline="") as fh:
-        fh.write(f"# method={chain.meta.get('method', '')}\n")
-        for key in _META_INT:
-            if key in chain.meta:
-                fh.write(f"# {key}={int(chain.meta[key])}\n")
-        cols = ["k", "accepted", "log_post", "cum_solves"] + \
-            [f"m_{j + 1}" for j in range(n)]
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for k in range(chain.n_samples):
-            row = [k + 1, int(chain.accepted[k]), _fmt(chain.log_post[k]),
-                   int(chain.cum_solves[k])]
-            row.extend(_fmt(v) for v in chain.samples[k])
-            writer.writerow(row)
+        fh.write("".join(lines))
 
 
 def read_chain(path: str) -> Chain:
     meta: dict = {}
     with open(path) as fh:
-        pos = fh.tell()
         line = fh.readline()
         while line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             key = key.strip()
             meta[key] = int(value) if key in _META_INT else value
-            pos = fh.tell()
             line = fh.readline()
-        fh.seek(pos)
-        reader = csv.reader(fh)
-        header = next(reader)
-        n = len(header) - 4
-        rows = list(reader)
-    count = len(rows)
-    samples = np.empty((count, n))
-    accepted = np.empty(count, dtype=bool)
-    log_post = np.empty(count)
-    cum_solves = np.empty(count, dtype=np.int64)
-    for i, row in enumerate(rows):
-        accepted[i] = bool(int(row[1]))
-        log_post[i] = float(row[2])
-        cum_solves[i] = int(row[3])
-        samples[i] = [float(v) for v in row[4:]]
-    return Chain(samples=samples, accepted=accepted, log_post=log_post,
-                 cum_solves=cum_solves, meta=meta)
+        n = line.count(",") + 1 - len(_COLUMNS)
+        body = fh.tell()
+        if fh.readline():
+            fh.seek(body)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        else:
+            data = np.empty((0, n + len(_COLUMNS)))
+    return Chain(samples=np.ascontiguousarray(data[:, len(_COLUMNS):]),
+                 accepted=data[:, 1] != 0, log_post=data[:, 2].copy(),
+                 cum_solves=data[:, 3].astype(np.int64), meta=meta)
 
 
 def write_table(path: str, header: list[str], rows, comments: list[str] | None = None) -> None:

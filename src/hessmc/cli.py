@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 
+from .chain_io import read_chain
 from .config import SCHEMA, RunConfig
 from .errors import ConfigError, NumericalError
 from .samplers import METHODS
@@ -130,10 +131,12 @@ def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     pairs = _parse_pairs(args.pairs)
     run = _run_dir(args, cfg)
+    files = pl.chain_files(args.chains_dir or os.path.join(run.path, "chains"))
+    method = pl.pooled_method(files, args.method)
     problem = pl.build_problem(cfg)
-    groups = pl.load_method_chains(args.chains_dir or os.path.join(run.path, "chains"))
-    result = pl.stage_analyze(problem, groups, run.map_point(problem), n_eigs=args.eigs,
-                              pairs=pairs, out_dir=run.path, method=args.method)
+    chains = [read_chain(f) for f in files[method]]
+    result = pl.stage_analyze(problem, method, chains, run.map_point(problem),
+                              n_eigs=args.eigs, pairs=pairs, out_dir=run.path)
     groups_count = {}
     for rec in result["records"]:
         groups_count[rec.group] = groups_count.get(rec.group, 0) + 1

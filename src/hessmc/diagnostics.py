@@ -133,6 +133,7 @@ class DiagnosticsReport:
     acceptance_rate: float
     solves_total: int
     spis: float
+    frozen_chains: int    # chains that accepted no proposal after burn-in
     tpis: float | None = None
 
 
@@ -149,6 +150,7 @@ def diagnostics_report(method: str, chains, space, probe_index: int,
     e_total = ess_total(chains, probe_index, burn_frac=burn_frac)
     solves = setup_solves + sum(int(ch.cum_solves[-1]) for ch in chains)
     trimmed = [ch.samples[int(burn_frac * ch.n_samples):] for ch in chains]
+    accepted = [ch.accepted[int(burn_frac * ch.n_samples):] for ch in chains]
     rep = DiagnosticsReport(
         method=method,
         n_chains=len(chains),
@@ -158,10 +160,10 @@ def diagnostics_report(method: str, chains, space, probe_index: int,
         iat=n_total / e_total,
         ess=e_total,
         msj=float(np.mean([msj(X, space) for X in trimmed])),
-        acceptance_rate=float(np.mean(np.concatenate(
-            [ch.accepted[int(burn_frac * ch.n_samples):] for ch in chains]))),
+        acceptance_rate=float(np.mean(np.concatenate(accepted))),
         solves_total=solves,
         spis=solves / e_total,
+        frozen_chains=sum(not acc.any() for acc in accepted),
         tpis=None if wall_time is None else wall_time / e_total,
     )
     return rep

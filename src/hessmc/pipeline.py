@@ -198,21 +198,40 @@ def run_campaign(problem: Problem, method: str, starts: np.ndarray,
     return chains
 
 
-def load_method_chains(chains_dir: str) -> dict[str, list]:
-    """Read chains grouped by method from <chains_dir>/<method>/chain_*.csv."""
-    groups: dict[str, list] = {}
+def chain_files(chains_dir: str) -> dict[str, list[str]]:
+    """Chain file paths grouped by method, from <chains_dir>/<method>/chain_*.csv."""
     if not os.path.isdir(chains_dir):
         raise ConfigError(f"chains directory not found: {chains_dir}")
+    groups: dict[str, list[str]] = {}
     for method in sorted(os.listdir(chains_dir)):
         mdir = os.path.join(chains_dir, method)
         if not os.path.isdir(mdir):
             continue
         files = sorted(f for f in os.listdir(mdir) if f.endswith(".csv"))
         if files:
-            groups[method] = [read_chain(os.path.join(mdir, f)) for f in files]
+            groups[method] = [os.path.join(mdir, f) for f in files]
     if not groups:
         raise ConfigError(f"no chain files under {chains_dir}")
     return groups
+
+
+def load_method_chains(chains_dir: str) -> dict[str, list]:
+    """Read chains grouped by method from <chains_dir>/<method>/chain_*.csv."""
+    return {method: [read_chain(f) for f in files]
+            for method, files in chain_files(chains_dir).items()}
+
+
+def pooled_method(methods, method: str | None = None) -> str:
+    """The method whose chains the analysis pools: ``method`` when given,
+    else snmap when it has chains, else the first of ``methods`` in sorted
+    order. Raises ConfigError, naming the methods found, when ``method``
+    has no chains."""
+    if method is None:
+        return "snmap" if "snmap" in methods else sorted(methods)[0]
+    if method not in methods:
+        raise ConfigError(f"no {method} chains to analyze; "
+                          f"found {', '.join(sorted(methods))}")
+    return method
 
 
 def stage_diagnose(problem: Problem, groups: dict[str, list], probe_x: float | None,
@@ -230,7 +249,8 @@ def stage_diagnose(problem: Problem, groups: dict[str, list], probe_x: float | N
             wall_time=(wall_times or {}).get(method))
     if out_dir is not None:
         header = ["method", "chains", "samples_total", "probe_node", "acceptance_rate",
-                  "mpsrf", "iat", "ess", "msj", "solves_total", "spis", "tpis"]
+                  "mpsrf", "iat", "ess", "msj", "solves_total", "spis", "tpis",
+                  "frozen_chains"]
         rows = []
         for method in sorted(reports):
             rep = reports[method]
@@ -238,16 +258,18 @@ def stage_diagnose(problem: Problem, groups: dict[str, list], probe_x: float | N
                          float(rep.acceptance_rate), float(rep.mpsrf), float(rep.iat),
                          float(rep.ess), float(rep.msj), rep.solves_total,
                          float(rep.spis),
-                         float(rep.tpis) if rep.tpis is not None else ""])
+                         float(rep.tpis) if rep.tpis is not None else "",
+                         rep.frozen_chains])
         write_table(os.path.join(out_dir, "report.csv"), header, rows,
                     comments=[f"probe_x={problem.mesh.node_coords[node]:.6g}"])
     return reports
 
 
-def stage_analyze(problem: Problem, groups: dict[str, list], m_map: np.ndarray,
+def stage_analyze(problem: Problem, method: str, chains: list, m_map: np.ndarray,
                   n_eigs: int, pairs: list[tuple[int, int]],
-                  out_dir: str | None = None, method: str | None = None):
-    """Eigen-classification plus marginal/contour tables from pooled samples.
+                  out_dir: str | None = None):
+    """Eigen-classification plus marginal/contour tables from the pooled
+    samples of one method's chains.
 
     Every pair is checked against the parameter dimension first, so a bad
     pair costs no solve and writes nothing.
@@ -257,9 +279,6 @@ def stage_analyze(problem: Problem, groups: dict[str, list], m_map: np.ndarray,
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ConfigError(f"invalid eigen pair ({i}, {j})")
     cfg = problem.cfg
-    if method is None:
-        method = "snmap" if "snmap" in groups else sorted(groups)[0]
-    chains = groups[method]
     burn = cfg["run.burn_frac"]
     pooled = np.vstack([ch.samples[int(burn * ch.n_samples):] for ch in chains])
     lam, V, MHm = posterior_eigensystem(problem.model, problem.prior, m_map)
@@ -411,7 +430,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     map_result, _ = run.solve_map(problem)
     lrh, groups = run.sample(problem, map_result.m_map, cfg.methods())
     reports = run.diagnose(problem, groups)
-    analysis = stage_analyze(problem, groups, map_result.m_map,
+    method = pooled_method(groups)
+    analysis = stage_analyze(problem, method, groups[method], map_result.m_map,
                              n_eigs=n_eigs, pairs=pairs, out_dir=run.path)
     return {"problem": problem, "map": map_result, "lowrank": lrh,
             "reports": reports, "analysis": analysis, "manifest": run.manifest,

@@ -1,6 +1,9 @@
-"""Chain CSV round trips must be bit-exact."""
+"""Chain CSV round trips must be bit-exact, and the bytes are pinned."""
+
+import warnings
 
 import numpy as np
+import pytest
 
 from hessmc.chain_io import read_chain, write_chain, write_table
 from hessmc.samplers import Chain
@@ -60,6 +63,51 @@ def test_rewrite_is_byte_identical(tmp_path):
     write_chain(chain, str(p1))
     write_chain(read_chain(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_chain_pinned_bytes(tmp_path):
+    # rows 2 and 3 repeat one state (a rejected step); rows 3 and 4 differ
+    # only in the sign of a zero and must not be merged
+    samples = np.array([[1.5, -0.0, np.nan],
+                        [np.inf, -np.inf, 1e-310],
+                        [np.inf, -np.inf, 1e-310],
+                        [np.inf, 0.0, 1e-310]])
+    chain = Chain(samples=samples,
+                  accepted=np.array([True, True, False, False]),
+                  log_post=np.array([-0.5, 0.1 + 0.2, 0.1 + 0.2, -0.0]),
+                  cum_solves=np.array([3, 5, 7, 9], dtype=np.int64),
+                  meta={"method": "sn", "seed": 4, "chain_id": 2, "n": 3,
+                        "r": 6, "l": 2, "start_index": 1, "wall_time": 0.25})
+    path = tmp_path / "chain.csv"
+    write_chain(chain, str(path))
+    assert path.read_bytes() == (
+        b"# method=sn\n# seed=4\n# chain_id=2\n# n=3\n# r=6\n# l=2\n# start_index=1\n"
+        b"k,accepted,log_post,cum_solves,m_1,m_2,m_3\r\n"
+        b"1,1,-0.5,3,1.5,-0,nan\r\n"
+        b"2,1,0.30000000000000004,5,inf,-inf,9.9999999999999694e-311\r\n"
+        b"3,0,0.30000000000000004,7,inf,-inf,9.9999999999999694e-311\r\n"
+        b"4,0,-0,9,inf,0,9.9999999999999694e-311\r\n")
+    back = read_chain(str(path))
+    assert back.samples.tobytes() == samples.tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_short_chain_round_trip(tmp_path, count):
+    n = 5
+    chain = Chain(samples=np.random.default_rng(2).standard_normal((count, n)),
+                  accepted=np.ones(count, dtype=bool), log_post=np.full(count, -1.25),
+                  cum_solves=np.arange(1, count + 1, dtype=np.int64),
+                  meta={"method": "snmap", "seed": 0, "chain_id": 0, "n": n})
+    path = tmp_path / "short.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_chain(chain, str(path))
+        back = read_chain(str(path))
+    assert back.samples.shape == (count, n)
+    for name in ("samples", "accepted", "log_post", "cum_solves"):
+        got, want = getattr(back, name), getattr(chain, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        np.testing.assert_array_equal(got, want)
 
 
 def test_write_table_comments_and_formatting(tmp_path):

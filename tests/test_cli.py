@@ -114,6 +114,9 @@ def test_diagnose_writes_report(campaign_dir, capsys):
     report = rows(campaign_dir / "report.csv")
     assert len(report) == 1
     assert report[0].startswith("ismap,")
+    header = [ln for ln in (campaign_dir / "report.csv").read_text().splitlines()
+              if not ln.startswith("#")][0].split(",")
+    assert header[-1] == "frozen_chains"
     assert "MPSRF=" in capsys.readouterr().out
 
 
@@ -146,6 +149,20 @@ def test_analyze_refuses_bad_pairs_before_writing(tmp_path):
     assert run_sample(tmp_path) == 0
     assert main(["analyze", *MINI, "--out-dir", str(tmp_path), "--pairs", "0,999"]) == 2
     assert not (tmp_path / "analysis").exists()
+
+
+def test_analyze_refuses_a_method_without_chains(campaign_dir, monkeypatch, capsys):
+    written = sorted(f for f in campaign_dir.rglob("*") if f.is_file())
+    before = [f.read_bytes() for f in written]
+
+    def no_solve(cfg):
+        raise AssertionError("the problem was built before the method was checked")
+    monkeypatch.setattr("hessmc.pipeline.build_problem", no_solve)
+    rc = main(["analyze", *MINI, "--out-dir", str(campaign_dir), "--method", "sn"])
+    assert rc == 2
+    assert "found ismap" in capsys.readouterr().err
+    assert sorted(f for f in campaign_dir.rglob("*") if f.is_file()) == written
+    assert [f.read_bytes() for f in written] == before
 
 
 # -- config plumbing -----------------------------------------------------------------

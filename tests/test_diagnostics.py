@@ -171,3 +171,13 @@ def test_diagnostics_report_single_chain_and_burn():
     assert np.isnan(rep.mpsrf)
     assert rep.n_samples_total == 70
     assert rep.tpis is None
+
+
+def test_diagnostics_report_counts_frozen_chains():
+    space = assemble_mass(Mesh1D.uniform(3, 1.0))
+    rng = np.random.default_rng(4)
+    chains = [make_chain(rng.standard_normal((100, 3))) for _ in range(3)]
+    chains[0].accepted[:] = False           # never moved
+    chains[1].accepted[30:] = False         # moved during burn-in only
+    assert diagnostics_report("sn", chains, space, 0).frozen_chains == 1
+    assert diagnostics_report("sn", chains, space, 0, burn_frac=0.3).frozen_chains == 2

@@ -199,6 +199,12 @@ def test_fatal_error_flushes_partial_chain(tmp_path):
     # init consumed one predict, so steps 1..4 completed before the blowup
     assert partial.n_samples == 4
     assert partial.meta["method"] == "rwmh"
+    # the flushed rows are the first steps of the same chain run to completion
+    full = run_chain(settings, ref_model.clone(), prior, prior.mean, 4, seed=0, chain_id=0)
+    for name in ("samples", "accepted", "log_post", "cum_solves"):
+        got, want = getattr(partial, name), getattr(full, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_settings_validation(linear_map):
