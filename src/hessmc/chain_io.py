@@ -4,8 +4,9 @@ The chain file format is a contract: ``bench/checks.py`` and any other
 reader parse it as text, so every byte is fixed.
 
 - Header lines, each ending in ``\n``: ``# method=<name>``, then
-  ``# <key>=<int>`` for each of seed, chain_id, n, r, l and start_index
-  that the chain's meta holds, in that order.
+  ``# <key>=<int>`` for each of seed, chain_id, n, r, l, start_index and
+  partial that the chain's meta holds, in that order. Only a chain flushed
+  by a failed run holds ``partial`` (written ``# partial=1``).
 - A column line ``k,accepted,log_post,cum_solves,m_1,...,m_n``.
 - One row per step: k (1-based), accepted (0/1), log_post, cum_solves,
   then the n entries of the state.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .samplers import Chain
 
-_META_INT = ("seed", "chain_id", "n", "r", "l", "start_index")
+_META_INT = ("seed", "chain_id", "n", "r", "l", "start_index", "partial")
 _COLUMNS = ("k", "accepted", "log_post", "cum_solves")
 
 

@@ -19,7 +19,6 @@ import logging
 import os
 import sys
 
-from .chain_io import read_chain
 from .config import SCHEMA, RunConfig
 from .errors import ConfigError, NumericalError
 from .samplers import METHODS
@@ -81,8 +80,6 @@ def cmd_sample(args) -> int:
         cfg.set("run.chains", args.chains)
     if args.samples is not None:
         cfg.set("run.samples", args.samples)
-    if args.seed is not None:
-        cfg.set("run.seed", args.seed)
     cfg.validate()
     methods = cfg.methods()
     if len(methods) != 1:
@@ -101,9 +98,9 @@ def cmd_sample(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
     run = _run_dir(args, cfg)
-    problem = pl.build_problem(cfg)
-    groups = pl.load_method_chains(args.chains_dir or os.path.join(run.path, "chains"))
-    reports = run.diagnose(problem, groups, probe_x=args.probe_x)
+    files = pl.chain_files(args.chains_dir or os.path.join(run.path, "chains"))
+    groups = {method: pl.read_chains(paths) for method, paths in files.items()}
+    reports = run.diagnose(pl.build_problem(cfg), groups, probe_x=args.probe_x)
     for method in sorted(reports):
         rep = reports[method]
         print(f"{method}: AR={rep.acceptance_rate:.3f} MPSRF={rep.mpsrf:.4f} "
@@ -130,11 +127,12 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     pairs = _parse_pairs(args.pairs)
+    pl.check_pairs(pairs, cfg["mesh.n_nodes"])
     run = _run_dir(args, cfg)
     files = pl.chain_files(args.chains_dir or os.path.join(run.path, "chains"))
     method = pl.pooled_method(files, args.method)
+    chains = pl.read_chains(files[method])
     problem = pl.build_problem(cfg)
-    chains = [read_chain(f) for f in files[method]]
     result = pl.stage_analyze(problem, method, chains, run.map_point(problem),
                               n_eigs=args.eigs, pairs=pairs, out_dir=run.path)
     groups_count = {}
@@ -180,23 +178,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=METHODS)
             p.add_argument("--chains", type=int, default=None)
             p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
         if name in ("diagnose", "analyze"):
             p.add_argument("--chains-dir", default=None,
                            help="directory holding <method>/chain_*.csv")
         if name == "diagnose":
             p.add_argument("--probe-x", type=float, default=None,
                            help="probe coordinate (default 0.69 of the domain)")
-        if name == "analyze":
+        if name in ("analyze", "pipeline"):
             p.add_argument("--eigs", type=int, default=8,
                            help="number of leading eigen-marginals to export")
             p.add_argument("--pairs", default="0,1",
                            help="eigen pairs for 2D densities, e.g. '0,1;0,2'")
+        if name == "analyze":
             p.add_argument("--method", default=None,
                            help="which method's chains to pool (default snmap)")
-        if name == "pipeline":
-            p.add_argument("--eigs", type=int, default=8)
-            p.add_argument("--pairs", default="0,1")
     return parser
 
 

@@ -36,7 +36,7 @@ point and only counts genuinely new solves.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (classify_eigenvectors, eigen_marginal, pair_density,
-                       point_marginal, posterior_eigensystem)
+                       posterior_eigensystem)
 from .chain_io import read_chain, write_chain, write_table
 from .config import RunConfig
 from .diagnostics import diagnostics_report
@@ -102,6 +102,18 @@ def observed_mask(mesh: Mesh1D, region: str) -> np.ndarray:
     return mesh.node_coords >= mesh.node_coords[0] + 0.5 * mesh.length
 
 
+def sampler_settings(cfg: RunConfig, method: str, lrh_map, m_map) -> SamplerSettings:
+    return SamplerSettings(method=method, r=cfg["lowrank.r"], l=cfg["lowrank.l"],
+                           rwmh_sigma=cfg["rwmh.sigma"], lrh_map=lrh_map, m_map=m_map)
+
+
+def check_pairs(pairs: list[tuple[int, int]], n: int) -> None:
+    """Refuse an eigen pair outside 0..n-1 or naming one index twice."""
+    for (i, j) in pairs:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ConfigError(f"invalid eigen pair ({i}, {j})")
+
+
 # -- stages ---------------------------------------------------------------
 
 def stage_synth(problem: Problem, out_dir: str) -> None:
@@ -152,9 +164,7 @@ def stage_pilot(problem: Problem, m_map: np.ndarray, lrh_map):
     starts are returned unchanged.
     """
     cfg = problem.cfg
-    settings = SamplerSettings(method=cfg["pilot.method"], r=cfg["lowrank.r"],
-                               l=cfg["lowrank.l"], rwmh_sigma=cfg["rwmh.sigma"],
-                               lrh_map=lrh_map, m_map=m_map)
+    settings = sampler_settings(cfg, cfg["pilot.method"], lrh_map, m_map)
     worker = problem.model.clone()
     pilot = run_chain(settings, worker, problem.prior, m_map,
                       cfg["pilot.samples"], cfg["run.seed"], PILOT_CHAIN_ID)
@@ -179,9 +189,7 @@ def run_campaign(problem: Problem, method: str, starts: np.ndarray,
                  n_samples: int | None = None) -> list:
     """All chains for one method; one cloned model (fresh counter) each."""
     cfg = problem.cfg
-    settings = SamplerSettings(method=method, r=cfg["lowrank.r"], l=cfg["lowrank.l"],
-                               rwmh_sigma=cfg["rwmh.sigma"],
-                               lrh_map=lrh_map, m_map=m_map)
+    settings = sampler_settings(cfg, method, lrh_map, m_map)
     n_samples = cfg["run.samples"] if n_samples is None else n_samples
     chains = []
     for cid in range(starts.shape[0]):
@@ -215,10 +223,14 @@ def chain_files(chains_dir: str) -> dict[str, list[str]]:
     return groups
 
 
-def load_method_chains(chains_dir: str) -> dict[str, list]:
-    """Read chains grouped by method from <chains_dir>/<method>/chain_*.csv."""
-    return {method: [read_chain(f) for f in files]
-            for method, files in chain_files(chains_dir).items()}
+def read_chains(files: list[str]) -> list:
+    """Read chain files to pool; one that a failed run flushed
+    (``# partial=1``) is refused with a ConfigError naming it."""
+    chains = [read_chain(f) for f in files]
+    for path, chain in zip(files, chains):
+        if chain.meta.get("partial"):
+            raise ConfigError(f"{path} is a partial chain flushed by a failed run")
+    return chains
 
 
 def pooled_method(methods, method: str | None = None) -> str:
@@ -274,10 +286,7 @@ def stage_analyze(problem: Problem, method: str, chains: list, m_map: np.ndarray
     Every pair is checked against the parameter dimension first, so a bad
     pair costs no solve and writes nothing.
     """
-    n = problem.prior.n
-    for (i, j) in pairs:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ConfigError(f"invalid eigen pair ({i}, {j})")
+    check_pairs(pairs, problem.prior.n)
     cfg = problem.cfg
     burn = cfg["run.burn_frac"]
     pooled = np.vstack([ch.samples[int(burn * ch.n_samples):] for ch in chains])
@@ -423,8 +432,9 @@ class RunDir:
 def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
                  n_eigs: int = 8, pairs: list[tuple[int, int]] | None = None) -> dict:
     """synth -> map -> lowrank -> pilot -> campaigns -> diagnose -> analyze."""
-    run = RunDir(cfg, cfg["run.out_dir"] if out_dir is None else out_dir)
     pairs = [(0, 1)] if pairs is None else pairs
+    check_pairs(pairs, cfg["mesh.n_nodes"])
+    run = RunDir(cfg, cfg["run.out_dir"] if out_dir is None else out_dir)
     problem = build_problem(cfg)
     run.synth(problem)
     map_result, _ = run.solve_map(problem)

@@ -1,17 +1,18 @@
 """Metropolis-Hastings samplers with Hessian-preconditioned proposals.
 
-Four proposal kinds over the same kernel:
+Every method is one kernel. A chain state at m carries the Gaussian
+N(mean, H^{-1}) it proposes from, and the methods differ only in where
+the mean and the Hessian H come from (``evaluate``):
 
-* ``rwmh``  -- random walk m + sigma * n with M-whitened noise; the
-  density is symmetric and drops out of the acceptance ratio.
-* ``sn``    -- full stochastic Newton: Gaussian centered at the Newton
-  point m - H(m)^{-1} g(m) with covariance H(m)^{-1}, both taken from a
-  fresh low-rank Hessian at the current (and, for the reverse density,
-  the proposed) point. The position-dependent determinant factor
-  exp(half_logdet_rel) is part of the density.
-* ``snmap`` -- same Newton-step mean but with the Hessian frozen at the
-  MAP point; the determinant factor is state-independent and cancels.
-* ``ismap`` -- independence sampler N(m_map, H_map^{-1}).
+* ``rwmh``  -- random walk m + sigma * n with M-whitened noise and no
+  Hessian; the density is symmetric and drops out of the acceptance ratio.
+* ``ismap`` -- independence sampler N(m_map, H_map^{-1}) at every state.
+* ``snmap`` -- stochastic Newton with the Hessian frozen at the MAP: the
+  mean is the Newton point m - H_map^{-1} g(m).
+* ``sn``    -- full stochastic Newton: a fresh low-rank H(m) at every state
+  and the mean m - H(m)^{-1} g(m). The position-dependent determinant
+  factor exp(half_logdet_rel) is part of its density; for the frozen
+  Hessians that factor is state-independent, cancels, and is carried as 0.
 
 Proposal draws are y = mean + H^{-1/2} R^{-1} n with n ~ N(0, I), so the
 draw lives in the same M geometry as the density evaluations; with the
@@ -21,14 +22,14 @@ draw is
     y = mean + C^{-1} (I + Z E Z^T) n,
 
 while H^{-1} and the quadratic form of H also come in closed form. The
-Newton point m - H^{-1} g of an snmap/sn state is computed once and kept
-on the state (``newton_mean``): it is the mean of the reverse density
-when the state is proposed and, once the state is accepted, the mean of
-the next proposal and of its forward density, so each step applies
-H^{-1} once. Within a step the random stream is consumed in a fixed
-order (proposal noise first, then the accept/reject uniform), and a
-rejected step leaves the state bit-identical, so chains are reproducible
-from (seed, chain_id) alone.
+mean is computed once, when the state is evaluated: it is the mean of the
+reverse density when the state is proposed and, once the state is
+accepted, the mean of the next proposal and of its forward density, so
+each step applies H^{-1} once. Within a step the random stream is
+consumed in a fixed order (proposal noise, the Lanczos start vectors of
+an sn candidate, then the accept/reject uniform), and a rejected step
+leaves the state bit-identical, so chains are reproducible from
+(seed, chain_id) alone.
 
 Per-step linearized solve costs (exact, enforced by the point caches in
 the models): ismap 1, snmap 2, sn 2 + 2(r+l), rwmh 1.
@@ -54,11 +55,14 @@ METHODS = ("rwmh", "sn", "snmap", "ismap")
 
 @dataclass
 class ChainState:
+    """A point, its log posterior and the proposal N(mean, H^{-1}) drawn
+    from it; ``lrh`` holds H, and is None for the rwmh walk."""
+
     m: np.ndarray
     log_post: float
-    grad: np.ndarray | None = None
     lrh: LowRankHessian | None = None
-    newton_mean: np.ndarray | None = None  # set by ``newton_mean``
+    mean: np.ndarray | None = None
+    half_logdet: float = 0.0
 
 
 @dataclass
@@ -96,45 +100,38 @@ class SamplerSettings:
             raise ValueError(f"{self.method} needs the MAP point and its low-rank Hessian")
 
 
-def newton_mean(settings: SamplerSettings, state: ChainState) -> np.ndarray:
-    """Newton point m - H^{-1} g of an snmap/sn state, computed once per
-    state: the forward proposal and both log_q terms it enters share it."""
-    if state.newton_mean is None:
-        lrh = settings.lrh_map if settings.method == "snmap" else state.lrh
-        state.newton_mean = state.m - lrh.apply_inv(state.grad)
-    return state.newton_mean
+def evaluate(settings: SamplerSettings, model: ForwardModel, prior: GaussianPrior,
+             m: np.ndarray, rng: np.random.Generator) -> ChainState:
+    """The log posterior at m and the proposal drawn from m.
 
-
-def log_q(settings: SamplerSettings, from_state: ChainState, to_point: np.ndarray) -> float:
-    """Log proposal density q(from -> to) of a Hessian-based method, up to
-    constants that cancel.
-
-    For ``sn`` this includes the half log-determinant of the Hessian at
-    the conditioning point; for the frozen-Hessian methods that factor is
-    state-independent and omitted. The symmetric rwmh density cancels in
-    ``mh_step`` and has no term here.
+    The gradient and the sn build run even where the log posterior is not
+    finite, so a step's solve count and random stream do not depend on
+    the candidate.
     """
-    method = settings.method
-    if method == "ismap":
-        return -0.5 * settings.lrh_map.quad(to_point - settings.m_map)
-    mean = newton_mean(settings, from_state)
-    if method == "snmap":
-        return -0.5 * settings.lrh_map.quad(to_point - mean)
-    # sn
-    lrh = from_state.lrh
-    return lrh.half_logdet_rel() - 0.5 * lrh.quad(to_point - mean)
+    lp = log_posterior(model, prior, m)
+    if settings.method == "rwmh":
+        return ChainState(m, lp)
+    if settings.method == "ismap":
+        return ChainState(m, lp, settings.lrh_map, settings.m_map, 0.0)
+    g = gradient(model, prior, m)
+    if settings.method == "snmap":
+        return ChainState(m, lp, settings.lrh_map, m - settings.lrh_map.apply_inv(g), 0.0)
+    lrh = build_lowrank(model, prior, m, settings.r, settings.l, rng)
+    return ChainState(m, lp, lrh, m - lrh.apply_inv(g), lrh.half_logdet_rel())
+
+
+def log_q(state: ChainState, point: np.ndarray) -> float:
+    """Log density of proposing ``point`` from ``state``, up to constants
+    that cancel."""
+    return state.half_logdet - 0.5 * state.lrh.quad(point - state.mean)
 
 
 def init_state(settings: SamplerSettings, model: ForwardModel, prior: GaussianPrior,
                m: np.ndarray, rng: np.random.Generator) -> ChainState:
-    m = np.asarray(m, dtype=float).copy()
-    lp = log_posterior(model, prior, m)
-    if not np.isfinite(lp):
+    state = evaluate(settings, model, prior, np.asarray(m, dtype=float).copy(), rng)
+    if not np.isfinite(state.log_post):
         raise NumericalError("non-finite log posterior at the chain start")
-    g = gradient(model, prior, m) if settings.method in ("sn", "snmap") else None
-    lrh = build_lowrank(model, prior, m, settings.r, settings.l, rng) \
-        if settings.method == "sn" else None
-    return ChainState(m=m, log_post=lp, grad=g, lrh=lrh)
+    return state
 
 
 def mh_step(settings: SamplerSettings, state: ChainState, model: ForwardModel,
@@ -145,28 +142,16 @@ def mh_step(settings: SamplerSettings, state: ChainState, model: ForwardModel,
     Solver failures while evaluating it count as a rejection (with a
     warning) rather than aborting the chain.
     """
-    method = settings.method
-    if method == "rwmh":
+    if state.lrh is None:
         y = state.m + settings.rwmh_sigma * prior.space.white_noise(rng)
-    elif method == "ismap":
-        y = settings.lrh_map.draw(rng, settings.m_map)
     else:
-        lrh = settings.lrh_map if method == "snmap" else state.lrh
-        y = lrh.draw(rng, newton_mean(settings, state))
+        y = state.lrh.draw(rng, state.mean)
 
     try:
-        lp_y = log_posterior(model, prior, y)
-        if method in ("rwmh", "ismap"):
-            candidate = ChainState(m=y, log_post=lp_y)
-        else:
-            g_y = gradient(model, prior, y)
-            lrh_y = build_lowrank(model, prior, y, settings.r, settings.l, rng) \
-                if method == "sn" else None
-            candidate = ChainState(m=y, log_post=lp_y, grad=g_y, lrh=lrh_y)
-        log_ratio = lp_y - state.log_post
-        if method != "rwmh":
-            log_ratio = (log_ratio + log_q(settings, candidate, state.m)
-                         - log_q(settings, state, y))
+        candidate = evaluate(settings, model, prior, y, rng)
+        log_ratio = candidate.log_post - state.log_post
+        if state.lrh is not None:
+            log_ratio = log_ratio + log_q(candidate, state.m) - log_q(state, y)
     except NumericalError as exc:
         logger.warning("proposal evaluation failed (%s); step rejected", exc)
         rng.uniform()  # keep the stream aligned with the success path

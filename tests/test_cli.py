@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from hessmc.chain_io import read_chain, write_chain
 from hessmc.cli import main
 
 MINI = ["--mesh-n-nodes", "25", "--obs-count", "4", "--lowrank-r", "6",
@@ -20,7 +21,7 @@ def rows(path):
 
 def run_sample(out_dir, method="ismap"):
     return main(["sample", *MINI, "--method", method, "--chains", "2",
-                 "--samples", "40", "--seed", "0", "--out-dir", str(out_dir)])
+                 "--samples", "40", "--run-seed", "0", "--out-dir", str(out_dir)])
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ def test_sample_refuses_mismatched_manifest(campaign_dir):
                *sorted((campaign_dir / "chains").rglob("*.csv"))]
     before = [f.read_bytes() for f in written]
     rc = main(["sample", *MINI, "--method", "ismap", "--chains", "2",
-               "--samples", "40", "--seed", "1", "--out-dir", str(campaign_dir)])
+               "--samples", "40", "--run-seed", "1", "--out-dir", str(campaign_dir)])
     assert rc == 2  # same directory, different config hash
     # refused before anything was written
     assert [f.read_bytes() for f in written] == before
@@ -149,6 +150,33 @@ def test_analyze_refuses_bad_pairs_before_writing(tmp_path):
     assert run_sample(tmp_path) == 0
     assert main(["analyze", *MINI, "--out-dir", str(tmp_path), "--pairs", "0,999"]) == 2
     assert not (tmp_path / "analysis").exists()
+
+
+def test_bad_pairs_are_refused_before_any_write(campaign_dir, tmp_path):
+    # no recorded MAP in the fresh directory: the refusal must come before
+    # the MAP solve, and pipeline's before its campaign
+    fresh = tmp_path / "fresh"
+    assert main(["analyze", *MINI, "--chains-dir", str(campaign_dir / "chains"),
+                 "--out-dir", str(fresh), "--pairs", "0,999"]) == 2
+    assert main(["pipeline", *MINI, "--run-chains", "2", "--run-samples", "10",
+                 "--run-methods", "ismap", "--out-dir", str(fresh),
+                 "--pairs", "0,999"]) == 2
+    assert not fresh.exists()
+
+
+def test_partial_chain_is_refused_before_any_write(tmp_path, capsys):
+    assert run_sample(tmp_path) == 0
+    chain = read_chain(str(tmp_path / "chains" / "ismap" / "chain_000.csv"))
+    chain.meta = {**chain.meta, "partial": True}
+    flushed = tmp_path / "chains" / "ismap" / "chain_002.csv"
+    write_chain(chain, str(flushed))
+    written = sorted(f for f in tmp_path.rglob("*") if f.is_file())
+    before = [f.read_bytes() for f in written]
+    for command in ("diagnose", "analyze"):
+        assert main([command, *MINI, "--out-dir", str(tmp_path)]) == 2
+        assert str(flushed) in capsys.readouterr().err
+    assert sorted(f for f in tmp_path.rglob("*") if f.is_file()) == written
+    assert [f.read_bytes() for f in written] == before
 
 
 def test_analyze_refuses_a_method_without_chains(campaign_dir, monkeypatch, capsys):

@@ -9,10 +9,10 @@ from hessmc.errors import NumericalError
 from hessmc.fem import WeightedSpace, interpolation_matrix
 from hessmc.lowrank import build_lowrank
 from hessmc.map_point import solve_map
-from hessmc.models import LinearGaussianModel, synthesize_data
+from hessmc.models import LinearGaussianModel, gradient, synthesize_data
 from hessmc.prior import build_prior
-from hessmc.samplers import (ChainState, SamplerSettings, init_state, log_q,
-                             mh_step, run_chain, select_start_points)
+from hessmc.samplers import (SamplerSettings, evaluate, init_state, log_q, mh_step,
+                             run_chain, select_start_points)
 
 from conftest import make_small_problem
 
@@ -64,23 +64,31 @@ def test_log_q_contracts(linear_map):
     a = m_map + 0.1 * space.white_noise(rng)
     b = m_map + 0.1 * space.white_noise(rng)
 
-    sa, sb = ChainState(m=a, log_post=0.0), ChainState(m=b, log_post=0.0)
+    def at(method, m):
+        settings = SamplerSettings(method=method, r=10, l=5, lrh_map=lrh, m_map=m_map)
+        return evaluate(settings, model.clone(), prior, m, np.random.default_rng(1))
 
     # ismap: independent of the current state
-    ism = SamplerSettings(method="ismap", lrh_map=lrh, m_map=m_map)
-    assert log_q(ism, sa, b) == log_q(ism, sb, b)
-    assert log_q(ism, sa, m_map) == 0.0
+    sa, sb = at("ismap", a), at("ismap", b)
+    assert log_q(sa, b) == log_q(sb, b)
+    assert log_q(sa, m_map) == 0.0
 
-    # snmap with a zero gradient proposes around the current point
-    snm = SamplerSettings(method="snmap", lrh_map=lrh, m_map=m_map)
-    za = ChainState(m=a, log_post=0.0, grad=np.zeros_like(a))
-    assert log_q(snm, za, b) == pytest.approx(-0.5 * lrh.quad(b - a), rel=1e-12)
-    assert log_q(snm, za, a) == 0.0
+    # snmap: no determinant factor, centred on the state's Newton point
+    za = at("snmap", a)
+    assert za.lrh is lrh and za.half_logdet == 0.0
+    newton = a - lrh.apply_inv(gradient(model.clone(), prior, a))
+    np.testing.assert_allclose(za.mean, newton, rtol=1e-12, atol=1e-12)
+    assert log_q(za, b) == pytest.approx(-0.5 * lrh.quad(b - za.mean), rel=1e-12)
+    assert log_q(za, za.mean) == 0.0
 
-    # sn additionally carries the determinant of its local Hessian
-    sn = SamplerSettings(method="sn", r=10, l=5)
-    za_sn = ChainState(m=a, log_post=0.0, grad=np.zeros_like(a), lrh=lrh)
-    assert log_q(sn, za_sn, a) == pytest.approx(lrh.half_logdet_rel(), rel=1e-12)
+    # sn additionally carries the determinant of its own local Hessian
+    za_sn = at("sn", a)
+    assert za_sn.lrh is not lrh and za_sn.lrh.rank > 0
+    assert za_sn.half_logdet == za_sn.lrh.half_logdet_rel() > 0.0
+    assert log_q(za_sn, za_sn.mean) == za_sn.lrh.half_logdet_rel()
+
+    # rwmh: no Hessian; its symmetric density drops out of the ratio
+    assert at("rwmh", a).lrh is None
 
 
 # -- reproducibility --------------------------------------------------------
@@ -199,6 +207,7 @@ def test_fatal_error_flushes_partial_chain(tmp_path):
     # init consumed one predict, so steps 1..4 completed before the blowup
     assert partial.n_samples == 4
     assert partial.meta["method"] == "rwmh"
+    assert partial.meta["partial"] == 1
     # the flushed rows are the first steps of the same chain run to completion
     full = run_chain(settings, ref_model.clone(), prior, prior.mean, 4, seed=0, chain_id=0)
     for name in ("samples", "accepted", "log_post", "cum_solves"):
