@@ -23,6 +23,9 @@ a small floor) of pooled chain samples: nodal values for point marginals,
 M-weighted eigencoordinates <v_i, m - m0>_M for eigen-marginals, the
 latter compared against the Gaussian that a quadratic expansion at the
 MAP point would predict (mean <v_i, m_map - m0>_M, variance 1/lam_i).
+One helper (``_eigen_axis``) computes an eigen axis's coordinates,
+bandwidth, Gaussian-at-MAP curve and grid for both the 1D marginals and
+the 2D pair densities.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .prior import GaussianPrior
 
 
 def posterior_eigensystem(model: ForwardModel, prior: GaussianPrior,
-                          m_map: np.ndarray, k: int | None = None):
+                          m_map: np.ndarray):
     """Dense M-symmetric eigendecomposition of the Hessian at m_map.
 
     Builds the columns of the assembled misfit Hessian M H_misfit once (n
@@ -53,10 +56,7 @@ def posterior_eigensystem(model: ForwardModel, prior: GaussianPrior,
         MHm[:, j] = model.misfit_hvp_raw(m_map, eye[:, j])
     MHm = 0.5 * (MHm + MHm.T)
     lam, V = scipy.linalg.eigh(MHm + prior.K.dense(), prior.space.mass.dense())
-    lam, V = lam[::-1], V[:, ::-1]
-    if k is not None:
-        lam, V = lam[:k], V[:, :k]
-    return lam, V, MHm
+    return lam[::-1], V[:, ::-1], MHm
 
 
 @dataclass
@@ -110,6 +110,10 @@ def classify_eigenvectors(prior: GaussianPrior, MHm: np.ndarray, lam: np.ndarray
 
 # -- kernel density estimates --------------------------------------------
 
+GRID_POINTS = 401                    # 1D marginal grids
+MASS_FRACTIONS = (0.05, 0.50, 0.95)  # contour levels of a pair density
+
+
 def silverman_bandwidth(x: np.ndarray, floor: float = 0.0) -> float:
     """0.9 min(std, IQR/1.34) N^{-1/5}, floored."""
     x = np.asarray(x, dtype=float)
@@ -135,12 +139,12 @@ class MarginalCurve:
         return float(np.trapezoid(self.density, self.grid))
 
 
-def default_grid(x: np.ndarray, h: float, n_points: int = 401) -> np.ndarray:
+def default_grid(x: np.ndarray, h: float) -> np.ndarray:
     lo = float(np.min(x)) - 5.0 * h
     hi = float(np.max(x)) + 5.0 * h
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, GRID_POINTS)
 
 
 def kde_1d(x: np.ndarray, grid: np.ndarray | None = None,
@@ -178,21 +182,31 @@ def eigen_coordinates(samples: np.ndarray, v: np.ndarray, m0: np.ndarray,
     return (np.asarray(samples) - m0) @ space.mass.matvec(v)
 
 
-def eigen_marginal(pooled_samples: np.ndarray, v: np.ndarray, lam: float,
-                   m_map: np.ndarray, prior: GaussianPrior,
-                   grid: np.ndarray | None = None) -> tuple[MarginalCurve, MarginalCurve]:
-    """KDE of an eigencoordinate plus its Gaussian-at-MAP reference."""
+def _eigen_axis(pooled_samples: np.ndarray, v: np.ndarray, lam: float,
+                m_map: np.ndarray, prior: GaussianPrior, widths: float,
+                n_points: int) -> tuple[np.ndarray, float, MarginalCurve]:
+    """Eigencoordinates of the samples along v, their Silverman bandwidth
+    (floored at 1e-12) and the Gaussian-at-MAP curve, on a grid that
+    reaches ``widths`` bandwidths past the samples and ``widths``
+    standard deviations past the Gaussian's mean."""
     space = prior.space
     coords = eigen_coordinates(pooled_samples, v, prior.mean, space)
+    h = silverman_bandwidth(coords, floor=1e-12)
     g_mean = float(space.inner(v, m_map - prior.mean))
     g_var = 1.0 / float(lam)
-    if grid is None:
-        h = silverman_bandwidth(coords, floor=1e-12)
-        lo = min(coords.min() - 5.0 * h, g_mean - 5.0 * np.sqrt(g_var))
-        hi = max(coords.max() + 5.0 * h, g_mean + 5.0 * np.sqrt(g_var))
-        grid = np.linspace(lo, hi, 401)
-    kde = kde_1d(coords, grid=grid)
-    return kde, gaussian_curve(g_mean, g_var, grid)
+    g_sd = np.sqrt(g_var)
+    grid = np.linspace(min(coords.min() - widths * h, g_mean - widths * g_sd),
+                       max(coords.max() + widths * h, g_mean + widths * g_sd), n_points)
+    return coords, h, gaussian_curve(g_mean, g_var, grid)
+
+
+def eigen_marginal(pooled_samples: np.ndarray, v: np.ndarray, lam: float,
+                   m_map: np.ndarray,
+                   prior: GaussianPrior) -> tuple[MarginalCurve, MarginalCurve]:
+    """KDE of an eigencoordinate plus its Gaussian-at-MAP reference."""
+    coords, _, gauss = _eigen_axis(pooled_samples, v, lam, m_map, prior, 5.0,
+                                   GRID_POINTS)
+    return kde_1d(coords, grid=gauss.grid), gauss
 
 
 @dataclass
@@ -206,14 +220,13 @@ class PairDensity:
     bandwidths: tuple
 
 
-def mass_levels(density: np.ndarray, cell_area: float,
-                fractions=(0.05, 0.50, 0.95)) -> dict:
-    """Density levels whose superlevel sets hold the given mass fractions."""
+def mass_levels(density: np.ndarray, cell_area: float) -> dict:
+    """Density levels whose superlevel sets hold the ``MASS_FRACTIONS``."""
     flat = np.sort(density.ravel())[::-1]
     cum = np.cumsum(flat) * cell_area
     total = cum[-1]
     out = {}
-    for frac in fractions:
+    for frac in MASS_FRACTIONS:
         idx = int(np.searchsorted(cum, frac * total))
         out[frac] = float(flat[min(idx, flat.size - 1)])
     return out
@@ -228,24 +241,13 @@ def pair_density(pooled_samples: np.ndarray, vi: np.ndarray, vj: np.ndarray,
     Gaussian-at-MAP surface and levels come from the quadratic expansion
     (independent coordinates with variances 1/lam).
     """
-    space = prior.space
-    ci = eigen_coordinates(pooled_samples, vi, prior.mean, space)
-    cj = eigen_coordinates(pooled_samples, vj, prior.mean, space)
-    hi = silverman_bandwidth(ci, floor=1e-12)
-    hj = silverman_bandwidth(cj, floor=1e-12)
-    gi_mean = float(space.inner(vi, m_map - prior.mean))
-    gj_mean = float(space.inner(vj, m_map - prior.mean))
-    gi_sd, gj_sd = np.sqrt(1.0 / lam_i), np.sqrt(1.0 / lam_j)
-    x_grid = np.linspace(min(ci.min() - 4 * hi, gi_mean - 4 * gi_sd),
-                         max(ci.max() + 4 * hi, gi_mean + 4 * gi_sd), grid_size)
-    y_grid = np.linspace(min(cj.min() - 4 * hj, gj_mean - 4 * gj_sd),
-                         max(cj.max() + 4 * hj, gj_mean + 4 * gj_sd), grid_size)
+    ci, hi, gi = _eigen_axis(pooled_samples, vi, lam_i, m_map, prior, 4.0, grid_size)
+    cj, hj, gj = _eigen_axis(pooled_samples, vj, lam_j, m_map, prior, 4.0, grid_size)
+    x_grid, y_grid = gi.grid, gj.grid
     zx = np.exp(-0.5 * ((x_grid[:, None] - ci[None, :]) / hi) ** 2)
     zy = np.exp(-0.5 * ((y_grid[:, None] - cj[None, :]) / hj) ** 2)
     density = zx @ zy.T / (ci.size * 2.0 * np.pi * hi * hj)
-    gx = np.exp(-0.5 * ((x_grid - gi_mean) / gi_sd) ** 2) / (gi_sd * np.sqrt(2 * np.pi))
-    gy = np.exp(-0.5 * ((y_grid - gj_mean) / gj_sd) ** 2) / (gj_sd * np.sqrt(2 * np.pi))
-    gauss = np.outer(gx, gy)
+    gauss = np.outer(gi.density, gj.density)
     area = float((x_grid[1] - x_grid[0]) * (y_grid[1] - y_grid[0]))
     return PairDensity(x_grid=x_grid, y_grid=y_grid, density=density,
                        levels=mass_levels(density, area),

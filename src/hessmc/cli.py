@@ -87,7 +87,7 @@ def cmd_sample(args) -> int:
     method = methods[0]
     run = _run_dir(args, cfg)
     problem = pl.build_problem(cfg)
-    _, groups = run.sample(problem, run.map_point(problem), methods)
+    groups = run.sample(problem, run.map_point(problem), methods)
     chains = groups[method]
     ar = sum(ch.acceptance_rate for ch in chains) / len(chains)
     print(f"{method}: {len(chains)} chains x {chains[0].n_samples} samples, "
@@ -133,10 +133,10 @@ def cmd_analyze(args) -> int:
     method = pl.pooled_method(files, args.method)
     chains = pl.read_chains(files[method])
     problem = pl.build_problem(cfg)
-    result = pl.stage_analyze(problem, method, chains, run.map_point(problem),
-                              n_eigs=args.eigs, pairs=pairs, out_dir=run.path)
+    records = pl.stage_analyze(problem, method, chains, run.map_point(problem),
+                               n_eigs=args.eigs, pairs=pairs, out_dir=run.path)
     groups_count = {}
-    for rec in result["records"]:
+    for rec in records:
         groups_count[rec.group] = groups_count.get(rec.group, 0) + 1
     print(f"eigen groups: {groups_count} -> {run.path}/analysis/")
     return 0

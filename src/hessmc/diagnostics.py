@@ -5,6 +5,9 @@ tau = 1 + 2 sum_s rho(s). Sample autocorrelations are noise beyond the
 decay of the true ones, so the sum is truncated: the estimator takes
 the maximum of the partial sums over the initial window of positive
 autocorrelations (capped at lag N/2, floored at 1).
+
+Every function here reads chains whose burn-in is already removed
+(``samplers.Chain.after_burn_in``); none of them trims.
 """
 
 from __future__ import annotations
@@ -67,27 +70,21 @@ def msj(samples: np.ndarray, space) -> float:
     return float(np.einsum("ij,ij->i", space.mass.matvec(d.T).T, d).mean())
 
 
-def mpsrf(chain_samples: list[np.ndarray], burn_frac: float = 0.0) -> float:
+def mpsrf(chain_samples: list[np.ndarray]) -> float:
     """Multivariate potential scale reduction factor over c chains.
 
     sqrt( (N-1)/N + (c+1)/c * lambda_max(W^{-1} B/N) ) with W the average
     within-chain covariance and B/N the between-chain covariance of the
-    chain means. A singular W is regularized with a tiny trace-scaled
-    ridge (flagged).
+    chain means, over the first N rows of each chain (N the shortest
+    chain). A singular W is regularized with a tiny trace-scaled ridge
+    (flagged).
     """
     if len(chain_samples) < 2:
         raise ValueError("MPSRF needs at least two chains")
-    if not 0.0 <= burn_frac < 1.0:
-        raise ValueError("burn_frac must be in [0, 1)")
-    trimmed = []
-    for X in chain_samples:
-        X = np.asarray(X, dtype=float)
-        X = X[int(burn_frac * X.shape[0]):]
-        if X.shape[0] < 2:
-            raise ValueError("each chain needs at least two retained samples")
-        trimmed.append(X)
-    N = min(X.shape[0] for X in trimmed)
-    trimmed = [X[:N] for X in trimmed]
+    N = min(np.shape(X)[0] for X in chain_samples)
+    if N < 2:
+        raise ValueError("each chain needs at least two samples")
+    trimmed = [np.asarray(X, dtype=float)[:N] for X in chain_samples]
     c = len(trimmed)
     if all(np.all(X == X[0]) for X in trimmed):
         # every chain is frozen: either they agree (nothing to reduce) or
@@ -112,14 +109,6 @@ def mpsrf(chain_samples: list[np.ndarray], burn_frac: float = 0.0) -> float:
     return float(np.sqrt((N - 1.0) / N + (c + 1.0) / c * lam_max))
 
 
-def ess_total(chains, probe_index: int, burn_frac: float = 0.0) -> float:
-    total = 0.0
-    for ch in chains:
-        series = ch.samples[int(burn_frac * ch.n_samples):, probe_index]
-        total += ess(series)
-    return total
-
-
 @dataclass
 class DiagnosticsReport:
     method: str
@@ -138,32 +127,30 @@ class DiagnosticsReport:
 
 
 def diagnostics_report(method: str, chains, space, probe_index: int,
-                       setup_solves: int = 0, burn_frac: float = 0.0,
+                       setup_solves: int = 0,
                        wall_time: float | None = None) -> DiagnosticsReport:
-    """Aggregate per-method diagnostics from a set of chains.
+    """Aggregate per-method diagnostics from a set of chains, burn-in
+    already removed (``Chain.after_burn_in``).
 
     The reported IAT is the pooled-equivalent value N_total/ESS_total
     (the N-weighted harmonic mean of per-chain IATs), so that
     ess == n_samples_total / iat holds exactly.
     """
-    n_total = sum(ch.n_samples - int(burn_frac * ch.n_samples) for ch in chains)
-    e_total = ess_total(chains, probe_index, burn_frac=burn_frac)
+    n_total = sum(ch.n_samples for ch in chains)
+    e_total = sum(ess(ch.samples[:, probe_index]) for ch in chains)
     solves = setup_solves + sum(int(ch.cum_solves[-1]) for ch in chains)
-    trimmed = [ch.samples[int(burn_frac * ch.n_samples):] for ch in chains]
-    accepted = [ch.accepted[int(burn_frac * ch.n_samples):] for ch in chains]
-    rep = DiagnosticsReport(
+    return DiagnosticsReport(
         method=method,
         n_chains=len(chains),
         n_samples_total=n_total,
         probe_index=probe_index,
-        mpsrf=mpsrf(trimmed) if len(chains) >= 2 else float("nan"),
+        mpsrf=mpsrf([ch.samples for ch in chains]) if len(chains) >= 2 else float("nan"),
         iat=n_total / e_total,
         ess=e_total,
-        msj=float(np.mean([msj(X, space) for X in trimmed])),
-        acceptance_rate=float(np.mean(np.concatenate(accepted))),
+        msj=float(np.mean([msj(ch.samples, space) for ch in chains])),
+        acceptance_rate=float(np.mean(np.concatenate([ch.accepted for ch in chains]))),
         solves_total=solves,
         spis=solves / e_total,
-        frozen_chains=sum(not acc.any() for acc in accepted),
+        frozen_chains=sum(not ch.accepted.any() for ch in chains),
         tpis=None if wall_time is None else wall_time / e_total,
     )
-    return rep

@@ -19,6 +19,9 @@ from .errors import NumericalError
 from .models import ForwardModel, gradient, hvp, log_posterior
 from .prior import GaussianPrior
 
+GRAD_TOL_ABS = 1e-12   # gradient norm below which the MAP is converged outright
+ARMIJO_C = 1e-4        # sufficient-decrease constant of the line search
+
 
 @dataclass
 class MapResult:
@@ -32,15 +35,14 @@ class MapResult:
 
 
 def solve_map(model: ForwardModel, prior: GaussianPrior,
-              m0: np.ndarray | None = None,
               grad_tol_rel: float = 1e-5,
-              grad_tol_abs: float = 1e-12,
               max_newton: int = 50,
               cg_rtol: float | None = None,
-              cg_max_iter: int | None = None,
-              armijo_c: float = 1e-4,
               max_backtracks: int = 30) -> MapResult:
-    """Find the posterior mode; starts at the prior mean by default.
+    """Find the posterior mode, starting at the prior mean.
+
+    Newton stops once ||g|| <= max(grad_tol_rel ||g_0||, GRAD_TOL_ABS);
+    each CG solve runs at most n iterations.
 
     Non-convergence within max_newton iterations is reported through
     ``converged=False`` on the result, not as an exception. A trial point
@@ -49,9 +51,7 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
     after max_backtracks halvings) raises NumericalError.
     """
     space = prior.space
-    m = prior.mean.copy() if m0 is None else np.asarray(m0, dtype=float).copy()
-    if cg_max_iter is None:
-        cg_max_iter = space.n
+    m = prior.mean.copy()
 
     def objective(point: np.ndarray) -> float:
         return -log_posterior(model, prior, point)
@@ -67,7 +67,7 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
         result.grad_norms.append(g_norm)
         if g0_norm is None:
             g0_norm = g_norm
-        if g_norm <= max(grad_tol_rel * g0_norm, grad_tol_abs):
+        if g_norm <= max(grad_tol_rel * g0_norm, GRAD_TOL_ABS):
             result.converged = True
             break
 
@@ -78,7 +78,7 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
         res = -g
         d = res.copy()
         rho = space.inner(res, res)
-        for _ in range(cg_max_iter):
+        for _ in range(space.n):
             Hd = hvp(model, prior, m, d)
             result.cg_iters_total += 1
             curv = space.inner(d, Hd)
@@ -107,7 +107,7 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
             except NumericalError:
                 # e.g. exp(m) overflows at the trial point: a failed trial
                 J_trial = np.inf
-            if J_trial <= J + armijo_c * step * slope:
+            if J_trial <= J + ARMIJO_C * step * slope:
                 break
             step *= 0.5
         else:
@@ -123,7 +123,7 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
         # loop exhausted; record the final gradient for reporting
         g_norm = space.norm(gradient(model, prior, m))
         result.grad_norms.append(g_norm)
-        if g0_norm is not None and g_norm <= max(grad_tol_rel * g0_norm, grad_tol_abs):
+        if g0_norm is not None and g_norm <= max(grad_tol_rel * g0_norm, GRAD_TOL_ABS):
             result.converged = True
 
     result.m_map = m

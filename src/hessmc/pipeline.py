@@ -13,7 +13,10 @@ times, which stay out of the manifest hash.
 
 ``RunDir`` is the one orchestration path: ``run_pipeline`` and every CLI
 stage command write through it, so the manifest, the set-up cost charged
-to each method and the campaign step are defined once.
+to each method and the campaign step are defined once. On the read side,
+``stage_diagnose`` and ``stage_analyze`` each remove the burn-in
+(``run.burn_frac``) once, through ``Chain.after_burn_in``, before any
+diagnostic or density sees the chains.
 """
 
 from __future__ import annotations
@@ -250,14 +253,15 @@ def stage_diagnose(problem: Problem, groups: dict[str, list], probe_x: float | N
                    setup_solves: dict[str, int] | None = None,
                    wall_times: dict[str, float] | None = None,
                    out_dir: str | None = None):
-    cfg = problem.cfg
+    """Diagnostics of each method's chains after burn-in, written to
+    report.csv when ``out_dir`` is given."""
+    burn = problem.cfg["run.burn_frac"]
     node = probe_node(problem.mesh, probe_x)
     reports = {}
     for method, chains in groups.items():
         reports[method] = diagnostics_report(
-            method, chains, problem.space, node,
+            method, [ch.after_burn_in(burn) for ch in chains], problem.space, node,
             setup_solves=(setup_solves or {}).get(method, 0),
-            burn_frac=cfg["run.burn_frac"],
             wall_time=(wall_times or {}).get(method))
     if out_dir is not None:
         header = ["method", "chains", "samples_total", "probe_node", "acceptance_rate",
@@ -278,66 +282,55 @@ def stage_diagnose(problem: Problem, groups: dict[str, list], probe_x: float | N
 
 
 def stage_analyze(problem: Problem, method: str, chains: list, m_map: np.ndarray,
-                  n_eigs: int, pairs: list[tuple[int, int]],
-                  out_dir: str | None = None):
-    """Eigen-classification plus marginal/contour tables from the pooled
-    samples of one method's chains.
+                  n_eigs: int, pairs: list[tuple[int, int]], out_dir: str) -> list:
+    """Eigen-classification plus marginal/contour tables, written under
+    <out_dir>/analysis, from the pooled samples of one method's chains
+    after burn-in; returns the classification records.
 
     Every pair is checked against the parameter dimension first, so a bad
     pair costs no solve and writes nothing.
     """
     check_pairs(pairs, problem.prior.n)
     cfg = problem.cfg
-    burn = cfg["run.burn_frac"]
-    pooled = np.vstack([ch.samples[int(burn * ch.n_samples):] for ch in chains])
+    pooled = np.vstack([ch.after_burn_in(cfg["run.burn_frac"]).samples for ch in chains])
     lam, V, MHm = posterior_eigensystem(problem.model, problem.prior, m_map)
     mask = observed_mask(problem.mesh, cfg["obs.region"])
     records = classify_eigenvectors(problem.prior, MHm, lam, V, mask)
-    out = {"eigenvalues": lam, "eigenvectors": V, "records": records,
-           "method": method, "marginals": {}, "pairs": {}}
+    table_dir = os.path.join(out_dir, "analysis")
 
-    n_eigs = min(n_eigs, len(records))
-    if out_dir is not None:
-        rows = [[rec.index, float(rec.eigenvalue), float(rec.r_misfit),
-                 float(rec.r_prior), float(rec.discriminant),
-                 float(rec.norm_observed), float(rec.norm_unobserved), rec.group]
-                for rec in records]
-        write_table(os.path.join(out_dir, "analysis", "eigen_classification.csv"),
-                    ["eigen_index", "eigenvalue", "rayleigh_misfit", "rayleigh_prior",
-                     "discriminant", "norm_observed", "norm_unobserved", "group"],
-                    rows, comments=[f"method={method}", f"pooled_samples={len(pooled)}"])
+    rows = [[rec.index, float(rec.eigenvalue), float(rec.r_misfit),
+             float(rec.r_prior), float(rec.discriminant),
+             float(rec.norm_observed), float(rec.norm_unobserved), rec.group]
+            for rec in records]
+    write_table(os.path.join(table_dir, "eigen_classification.csv"),
+                ["eigen_index", "eigenvalue", "rayleigh_misfit", "rayleigh_prior",
+                 "discriminant", "norm_observed", "norm_unobserved", "group"],
+                rows, comments=[f"method={method}", f"pooled_samples={len(pooled)}"])
 
     for rec in records[:n_eigs]:
         i = rec.index
         kde, gauss = eigen_marginal(pooled, V[:, i], lam[i], m_map, problem.prior)
-        out["marginals"][i] = (kde, gauss)
-        if out_dir is not None:
-            write_table(os.path.join(out_dir, "analysis", f"marginal_{i:03d}.csv"),
-                        ["coord", "density", "gaussian_at_map"],
-                        zip(kde.grid.tolist(), kde.density.tolist(),
-                            gauss.density.tolist()),
-                        comments=[f"eigen_index={i}", f"bandwidth={kde.bandwidth:.9g}",
-                                  f"group={rec.group}"])
+        write_table(os.path.join(table_dir, f"marginal_{i:03d}.csv"),
+                    ["coord", "density", "gaussian_at_map"],
+                    zip(kde.grid.tolist(), kde.density.tolist(), gauss.density.tolist()),
+                    comments=[f"eigen_index={i}", f"bandwidth={kde.bandwidth:.9g}",
+                              f"group={rec.group}"])
 
     for (i, j) in pairs:
         pd = pair_density(pooled, V[:, i], V[:, j], lam[i], lam[j],
                           m_map, problem.prior)
-        out["pairs"][(i, j)] = pd
-        if out_dir is not None:
-            rows = []
-            for a, xa in enumerate(pd.x_grid):
-                for b, yb in enumerate(pd.y_grid):
-                    rows.append([float(xa), float(yb), float(pd.density[a, b]),
-                                 float(pd.gauss_density[a, b])])
-            comments = [f"eigen_pair={i},{j}"]
-            comments += [f"level_{int(100 * frac)}={lvl:.9g}"
-                         for frac, lvl in pd.levels.items()]
-            comments += [f"gauss_level_{int(100 * frac)}={lvl:.9g}"
-                         for frac, lvl in pd.gauss_levels.items()]
-            write_table(os.path.join(out_dir, "analysis", f"contour_{i:03d}_{j:03d}.csv"),
-                        ["coord_i", "coord_j", "density", "gaussian_at_map"],
-                        rows, comments=comments)
-    return out
+        X, Y = np.meshgrid(pd.x_grid, pd.y_grid, indexing="ij")
+        rows = np.column_stack([X.ravel(), Y.ravel(), pd.density.ravel(),
+                                pd.gauss_density.ravel()]).tolist()
+        comments = [f"eigen_pair={i},{j}"]
+        comments += [f"level_{int(100 * frac)}={lvl:.9g}"
+                     for frac, lvl in pd.levels.items()]
+        comments += [f"gauss_level_{int(100 * frac)}={lvl:.9g}"
+                     for frac, lvl in pd.gauss_levels.items()]
+        write_table(os.path.join(table_dir, f"contour_{i:03d}_{j:03d}.csv"),
+                    ["coord_i", "coord_j", "density", "gaussian_at_map"],
+                    rows, comments=comments)
+    return records
 
 
 def setup_solves(stages: dict, method: str) -> int:
@@ -377,7 +370,7 @@ class RunDir:
         self.manifest["manifest_hash"] = manifest_hash(self.manifest)
         os.makedirs(self.path, exist_ok=True)
         with open(self.file, "w") as fh:
-            fh.write(json.dumps(self.manifest, indent=2, default=_json_default) + "\n")
+            fh.write(json.dumps(self.manifest, indent=2) + "\n")
 
     def synth(self, problem: Problem) -> None:
         stage_synth(problem, self.path)
@@ -399,7 +392,7 @@ class RunDir:
 
     def sample(self, problem: Problem, m_map: np.ndarray, methods: list[str]):
         """Low-rank Hessian at the MAP, pilot starts, then one campaign per
-        method; returns the low-rank Hessian and the chains by method."""
+        method; returns the chains by method."""
         lrh, self.stages["lowrank"] = stage_lowrank(problem, m_map)
         _, starts, self.stages["pilot"] = stage_pilot(problem, m_map, lrh)
         campaigns = self.stages.setdefault("campaigns", {})
@@ -416,7 +409,7 @@ class RunDir:
             }
             groups[method] = chains
         self.write()
-        return lrh, groups
+        return groups
 
     def diagnose(self, problem: Problem, groups: dict[str, list],
                  probe_x: float | None = None):
@@ -438,28 +431,17 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     problem = build_problem(cfg)
     run.synth(problem)
     map_result, _ = run.solve_map(problem)
-    lrh, groups = run.sample(problem, map_result.m_map, cfg.methods())
+    groups = run.sample(problem, map_result.m_map, cfg.methods())
     reports = run.diagnose(problem, groups)
     method = pooled_method(groups)
-    analysis = stage_analyze(problem, method, groups[method], map_result.m_map,
-                             n_eigs=n_eigs, pairs=pairs, out_dir=run.path)
-    return {"problem": problem, "map": map_result, "lowrank": lrh,
-            "reports": reports, "analysis": analysis, "manifest": run.manifest,
-            "out_dir": run.path}
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    stage_analyze(problem, method, groups[method], map_result.m_map,
+                  n_eigs=n_eigs, pairs=pairs, out_dir=run.path)
+    return {"problem": problem, "map": map_result, "reports": reports,
+            "manifest": run.manifest, "out_dir": run.path}
 
 
 def _sha256(obj) -> str:
-    canon = json.dumps(obj, sort_keys=True, default=_json_default)
+    canon = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

@@ -33,12 +33,16 @@ leaves the state bit-identical, so chains are reproducible from
 
 Per-step linearized solve costs (exact, enforced by the point caches in
 the models): ismap 1, snmap 2, sn 2 + 2(r+l), rwmh 1.
+
+A ``Chain`` holds one row per step. ``Chain.after_burn_in`` is the one
+place the burn-in rule is written: it drops the first int(frac * N) rows
+and keeps the last ``cum_solves``, so a trimmed chain still carries the
+cost of the whole run.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +86,14 @@ class Chain:
     @property
     def acceptance_rate(self) -> float:
         return float(np.mean(self.accepted)) if self.accepted.size else 0.0
+
+    def after_burn_in(self, frac: float) -> "Chain":
+        """The chain without its first int(frac * N) rows, as views; the
+        last ``cum_solves`` is still the cost of the whole chain."""
+        k = int(frac * self.n_samples)
+        return Chain(samples=self.samples[k:], accepted=self.accepted[k:],
+                     log_post=self.log_post[k:], cum_solves=self.cum_solves[k:],
+                     meta=self.meta)
 
 
 @dataclass
@@ -181,7 +193,6 @@ def run_chain(settings: SamplerSettings, model: ForwardModel, prior: GaussianPri
     cum_solves = np.zeros(n_samples, dtype=np.int64)
     meta = {"method": settings.method, "seed": int(seed), "chain_id": int(chain_id),
             "n": n, "r": settings.r, "l": settings.l}
-    t0 = time.perf_counter()
     k = 0
     try:
         state = init_state(settings, model, prior, m_start, rng)
@@ -199,7 +210,6 @@ def run_chain(settings: SamplerSettings, model: ForwardModel, prior: GaussianPri
             from .chain_io import write_chain
             write_chain(partial, flush_path)
         raise
-    meta["wall_time"] = time.perf_counter() - t0
     return Chain(samples=samples, accepted=accepted, log_post=log_post,
                  cum_solves=cum_solves, meta=meta)
 

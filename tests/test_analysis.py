@@ -43,13 +43,6 @@ def test_eigensystem_matches_analytic_pencil(linear_eigensystem):
     np.testing.assert_allclose(V.T @ space.mass.dense() @ V, np.eye(prior.n), atol=1e-9)
 
 
-def test_eigensystem_truncation(linear_eigensystem):
-    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
-    lam_k, V_k, _ = posterior_eigensystem(model.clone(), prior, m_map, k=4)
-    np.testing.assert_allclose(lam_k, lam[:4], rtol=1e-12)
-    assert V_k.shape == (prior.n, 4)
-
-
 def test_rayleigh_quotients_sum_to_eigenvalue(exp_records):
     records, lam = exp_records
     for rec in records:

@@ -136,7 +136,11 @@ def test_analyze_writes_tables(campaign_dir):
     assert len(rows(adir / "eigen_classification.csv")) == 25
     for i in range(3):
         assert (adir / f"marginal_{i:03d}.csv").exists()
-    assert (adir / "contour_000_001.csv").exists()
+    cells = np.array([[float(v) for v in r.split(",")[:2]]
+                      for r in rows(adir / "contour_000_001.csv")])
+    x_grid, y_grid = np.unique(cells[:, 0]), np.unique(cells[:, 1])
+    # one row per grid cell, coord_i outer and coord_j inner
+    np.testing.assert_array_equal(cells, [[x, y] for x in x_grid for y in y_grid])
 
 
 def test_analyze_rejects_bad_pairs(campaign_dir):

@@ -5,8 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from hessmc.diagnostics import (autocorrelation, diagnostics_report, ess,
-                                ess_total, iat, mpsrf, msj)
+from hessmc.diagnostics import (autocorrelation, diagnostics_report, ess, iat,
+                                mpsrf, msj)
 from hessmc.fem import Mesh1D, assemble_mass
 from hessmc.samplers import Chain
 
@@ -115,15 +115,13 @@ def test_mpsrf_burn_in_discards_transient():
         X[:500] += off  # transient half
         chains.append(X)
     assert mpsrf(chains) > 1.3
-    assert mpsrf(chains, burn_frac=0.5) < 1.05
+    assert mpsrf([X[500:] for X in chains]) < 1.05
 
 
 def test_mpsrf_validation():
     X = np.random.default_rng(0).standard_normal((100, 2))
     with pytest.raises(ValueError):
         mpsrf([X])
-    with pytest.raises(ValueError):
-        mpsrf([X, X], burn_frac=1.0)
     with pytest.raises(ValueError):
         mpsrf([X[:1], X[:1]])
 
@@ -153,7 +151,7 @@ def test_diagnostics_report_invariants():
     assert rep.n_chains == 2
     assert rep.n_samples_total == 1000
     assert rep.ess == pytest.approx(rep.n_samples_total / rep.iat, rel=1e-12)
-    assert ess_total(chains, 1) == pytest.approx(
+    assert rep.ess == pytest.approx(
         ess(chains[0].samples[:, 1]) + ess(chains[1].samples[:, 1]), rel=1e-12)
     assert rep.solves_total == 30 + 50 + 70
     assert rep.spis == pytest.approx(rep.solves_total / rep.ess, rel=1e-12)
@@ -167,7 +165,7 @@ def test_diagnostics_report_single_chain_and_burn():
     space = assemble_mass(Mesh1D.uniform(3, 1.0))
     rng = np.random.default_rng(12)
     ch = make_chain(rng.standard_normal((100, 3)))
-    rep = diagnostics_report("ismap", [ch], space, probe_index=0, burn_frac=0.3)
+    rep = diagnostics_report("ismap", [ch.after_burn_in(0.3)], space, probe_index=0)
     assert np.isnan(rep.mpsrf)
     assert rep.n_samples_total == 70
     assert rep.tpis is None
@@ -180,4 +178,5 @@ def test_diagnostics_report_counts_frozen_chains():
     chains[0].accepted[:] = False           # never moved
     chains[1].accepted[30:] = False         # moved during burn-in only
     assert diagnostics_report("sn", chains, space, 0).frozen_chains == 1
-    assert diagnostics_report("sn", chains, space, 0, burn_frac=0.3).frozen_chains == 2
+    burned = [ch.after_burn_in(0.3) for ch in chains]
+    assert diagnostics_report("sn", burned, space, 0).frozen_chains == 2

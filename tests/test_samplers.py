@@ -11,8 +11,8 @@ from hessmc.lowrank import build_lowrank
 from hessmc.map_point import solve_map
 from hessmc.models import LinearGaussianModel, gradient, synthesize_data
 from hessmc.prior import build_prior
-from hessmc.samplers import (SamplerSettings, evaluate, init_state, log_q, mh_step,
-                             run_chain, select_start_points)
+from hessmc.samplers import (Chain, SamplerSettings, evaluate, init_state, log_q,
+                             mh_step, run_chain, select_start_points)
 
 from conftest import make_small_problem
 
@@ -163,8 +163,24 @@ def test_chain_meta_fields(linear_map):
     assert chain.meta["method"] == "ismap"
     assert (chain.meta["seed"], chain.meta["chain_id"]) == (9, 4)
     assert chain.meta["n"] == prior.n
-    assert chain.meta["wall_time"] > 0.0
     assert chain.n_samples == 10
+
+
+def test_after_burn_in_keeps_the_tail_as_views():
+    n = 100
+    chain = Chain(samples=np.arange(3.0 * n).reshape(n, 3),
+                  accepted=np.ones(n, dtype=bool), log_post=np.zeros(n),
+                  cum_solves=np.arange(1, n + 1, dtype=np.int64), meta={"seed": 1})
+    whole = chain.after_burn_in(0.0)
+    assert whole.n_samples == n
+    np.testing.assert_array_equal(whole.samples, chain.samples)
+    tail = chain.after_burn_in(0.3)
+    assert tail.n_samples == 70
+    np.testing.assert_array_equal(tail.samples, chain.samples[30:])
+    assert tail.cum_solves[-1] == chain.cum_solves[-1] == n
+    for name in ("samples", "accepted", "log_post", "cum_solves"):
+        assert np.shares_memory(getattr(tail, name), getattr(chain, name)), name
+    assert tail.meta == chain.meta
 
 
 # -- failure handling -------------------------------------------------------
