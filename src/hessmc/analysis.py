@@ -23,6 +23,8 @@ a small floor) of pooled chain samples: nodal values for point marginals,
 M-weighted eigencoordinates <v_i, m - m0>_M for eigen-marginals, the
 latter compared against the Gaussian that a quadratic expansion at the
 MAP point would predict (mean <v_i, m_map - m0>_M, variance 1/lam_i).
+Pooled eigencoordinates with no spread (frozen chains) give no density:
+their marginal is flagged degenerate instead of drawn as a spike.
 One helper (``_eigen_axis``) computes an eigen axis's coordinates,
 bandwidth, Gaussian-at-MAP curve and grid for both the 1D marginals and
 the 2D pair densities.
@@ -134,6 +136,7 @@ class MarginalCurve:
     mean: float
     variance: float
     percentiles: dict = field(default_factory=dict)
+    degenerate: bool = False   # samples with zero spread; density is nan
 
     def integral(self) -> float:
         return float(np.trapezoid(self.density, self.grid))
@@ -203,10 +206,20 @@ def _eigen_axis(pooled_samples: np.ndarray, v: np.ndarray, lam: float,
 def eigen_marginal(pooled_samples: np.ndarray, v: np.ndarray, lam: float,
                    m_map: np.ndarray,
                    prior: GaussianPrior) -> tuple[MarginalCurve, MarginalCurve]:
-    """KDE of an eigencoordinate plus its Gaussian-at-MAP reference."""
-    coords, _, gauss = _eigen_axis(pooled_samples, v, lam, m_map, prior, 5.0,
+    """KDE of an eigencoordinate plus its Gaussian-at-MAP reference.
+
+    The KDE uses the axis's bandwidth. When every eigencoordinate is the
+    same number (all chains frozen at one point) there is no density to
+    estimate at the grid's resolution: the curve is flagged ``degenerate``
+    and its density is nan, not a spike of the floored bandwidth.
+    """
+    coords, h, gauss = _eigen_axis(pooled_samples, v, lam, m_map, prior, 5.0,
                                    GRID_POINTS)
-    return kde_1d(coords, grid=gauss.grid), gauss
+    if coords.min() == coords.max():
+        return MarginalCurve(grid=gauss.grid, density=np.full_like(gauss.grid, np.nan),
+                             bandwidth=h, mean=float(coords[0]), variance=0.0,
+                             degenerate=True), gauss
+    return kde_1d(coords, grid=gauss.grid, bandwidth=h), gauss
 
 
 @dataclass

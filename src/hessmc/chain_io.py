@@ -80,12 +80,20 @@ def read_chain(path: str) -> Chain:
 
 
 def write_table(path: str, header: list[str], rows, comments: list[str] | None = None) -> None:
-    """Generic CSV writer used for every non-chain artifact."""
+    """CSV writer for every non-chain artifact, in the chain files' number
+    format: floats as ``%.17g``, lines ending in ``\r\n`` after the
+    ``# `` comment lines. A 2D float array body is formatted with one row
+    format and written in one call; a list of rows holding ints or strings
+    goes through ``csv.writer``. Both give the same bytes for float rows."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         for line in comments or []:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        if isinstance(rows, np.ndarray):
+            row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+            fh.write("".join([row_fmt % tuple(row) for row in rows.tolist()]))
+        else:
+            for row in rows:
+                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])

@@ -20,7 +20,12 @@ factorization and each solve cost O(n). A factorization also gives the
 upper-bidiagonal Cholesky factor (A = C^T C), held in LAPACK upper band
 storage and applied or solved with in O(n) by ``bidiagonal_matvec`` and
 ``bidiagonal_solve``; the mass matrix's factor whitens noise and, with the
-stiffness matrix's, gives the prior its square root. No n x n mass matrix
+stiffness matrix's, gives the prior its square root. A tridiagonal matrix
+times a diagonal scaling, A diag(s), is kept in LAPACK general band
+storage (``Tridiagonal.column_scaled_band``) and applied, or its transpose
+applied, by one BLAS dgbmv call (``band_matvec``); the exp model's Hessian
+actions use it. Band arrays are Fortran-ordered, so the BLAS and LAPACK
+wrappers read them without a copy. No n x n mass matrix
 is kept: products with M are ``Tridiagonal.matvec`` on a vector or on the
 columns of a block, and a caller that needs the dense matrix forms
 ``mass.dense()`` itself.
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
+from scipy.linalg.blas import dgbmv
 
 from .errors import NumericalError
 
@@ -103,6 +109,17 @@ class Tridiagonal:
         y[1:] += off * x[:-1]
         return y
 
+    def column_scaled_band(self, scale: np.ndarray) -> np.ndarray:
+        """A diag(scale) in LAPACK general band storage with kl = ku = 1, in
+        the Fortran order dgbmv reads: column j holds A[j-1, j], A[j, j] and
+        A[j+1, j], each times scale[j], in rows 0, 1 and 2 (the two unused
+        corners are zero)."""
+        band = np.zeros((3, self.n), order="F")
+        band[0, 1:] = self.off * scale[1:]
+        band[1] = self.diag * scale
+        band[2, :-1] = self.off * scale[:-1]
+        return band
+
     def dense(self) -> np.ndarray:
         A = np.diag(self.diag)
         i = np.arange(self.n - 1)
@@ -140,9 +157,9 @@ class TridiagonalFactor:
     def cholesky(self) -> np.ndarray:
         """Upper-bidiagonal C = D^{1/2} L^T with C^T C = A, in LAPACK upper
         band storage: row 0 the superdiagonal (first entry unused), row 1
-        the diagonal."""
+        the diagonal. Fortran order, so dtbtrs reads it without a copy."""
         root_d = np.sqrt(self.d)
-        return np.vstack([np.r_[0.0, root_d[:-1] * self.e], root_d])
+        return np.asfortranarray([np.r_[0.0, root_d[:-1] * self.e], root_d])
 
     def inverse_diagonal(self) -> np.ndarray:
         """diag(A^{-1}) by the backward recurrence of A^{-1} = L^{-T} D^{-1} L^{-1}:
@@ -165,6 +182,17 @@ def bidiagonal_matvec(band: np.ndarray, x: np.ndarray, trans: bool = False) -> n
     else:
         y[:-1] += sup * x[1:]
     return y
+
+
+def band_matvec(band: np.ndarray, x: np.ndarray, alpha: float = 1.0,
+                trans: bool = False, y: np.ndarray | None = None) -> np.ndarray:
+    """alpha A x, or alpha A^T x, for a tridiagonal A held as
+    ``Tridiagonal.column_scaled_band`` returns it (BLAS dgbmv). A given y
+    is overwritten with y + alpha A x (or y + alpha A^T x) and returned."""
+    n = band.shape[1]
+    if y is None:
+        return dgbmv(n, n, 1, 1, alpha, band, x, trans=trans)
+    return dgbmv(n, n, 1, 1, alpha, band, x, beta=1.0, y=y, trans=trans, overwrite_y=1)
 
 
 def bidiagonal_solve(band: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:

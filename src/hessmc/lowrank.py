@@ -14,7 +14,8 @@ whitened coordinates z = R x turn it into the Euclidean-symmetric
 
 with the same eigenvalues, and ||z|| = ||x||_M. M H_misfit is the
 assembled action the model's ``misfit_hvp_raw`` returns, so an action of T
-is two bidiagonal solves around it, with no mass solve or mass product.
+is two bidiagonal solves around it, with no mass solve or mass product;
+the build binds the model's action and C once and makes r + l of them.
 Lanczos runs on T with plain dot products and gives T ≈ Z diag(lam) Z^T
 with orthonormal Z; the M-orthonormal eigenvectors of Ht are V = R^{-1} Z.
 Writing D = diag(lam_i / (lam_i + 1)) and E = diag((lam_i + 1)^{-1/2} - 1),
@@ -62,11 +63,14 @@ def _c_inv_adj_m(prior: GaussianPrior, x: np.ndarray) -> np.ndarray:
     return bidiagonal_solve(prior.C, prior.space.mass.matvec(x), trans=True)
 
 
-def _whitened_misfit_hvp(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
-                         z: np.ndarray) -> np.ndarray:
-    """T z = C^{-T} (M H_misfit(m)) C^{-1} z: one assembled misfit Hessian action."""
-    MHx = model.misfit_hvp_raw(m, bidiagonal_solve(prior.C, z))
-    return bidiagonal_solve(prior.C, MHx, trans=True)
+def _whitened_operator(model: ForwardModel, prior: GaussianPrior, m: np.ndarray):
+    """z -> T z = C^{-T} (M H_misfit(m)) C^{-1} z, one assembled misfit
+    Hessian action each, with the action and C bound once."""
+    hvp_raw, C = model.misfit_hvp_raw, prior.C
+
+    def apply(z: np.ndarray) -> np.ndarray:
+        return bidiagonal_solve(C, hvp_raw(m, bidiagonal_solve(C, z)), trans=True)
+    return apply
 
 
 @dataclass
@@ -146,11 +150,11 @@ class LowRankHessian:
         Costs extra Hessian actions; meant for verification, never called
         inside the build (which must stay at exactly 2(r+l) solves).
         """
+        T = _whitened_operator(model, self.prior, self.m_ref)
         res = np.empty(self.rank)
         for i in range(self.rank):
             z = self.Z[:, i]
-            Tz = _whitened_misfit_hvp(model, self.prior, self.m_ref, z)
-            res[i] = np.linalg.norm(Tz - self.lam[i] * z)
+            res[i] = np.linalg.norm(T(z) - self.lam[i] * z)
         return res
 
 
@@ -189,11 +193,12 @@ def build_lowrank(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
                 return w / beta
         raise NumericalError("Lanczos could not find a new direction after 3 restarts")
 
+    T = _whitened_operator(model, prior, m)
     Q[0] = fresh_direction(0)
     op_scale = 0.0
     deflations = 0
     for j in range(k):
-        w = _whitened_misfit_hvp(model, prior, m, Q[j])
+        w = T(Q[j])
         W[j] = w
         op_scale = max(op_scale, float(np.sqrt(w @ w)))
         if j + 1 == k:

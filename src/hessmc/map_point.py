@@ -2,7 +2,12 @@
 
 The Newton system H p = -g is solved by conjugate gradients formulated in
 the M inner product (H is self-adjoint there), matrix-free through Hessian
-actions. CG is truncated adaptively: the forcing term follows
+actions and preconditioned by the prior covariance Gamma = K^{-1} M, which
+is M-self-adjoint and O(n) to apply. Gamma H = I + Gamma H_misfit is the
+identity plus a compact, data-informed part, so the CG count follows the
+number of directions the data inform and does not grow with the mesh. The
+stopping test stays on the unpreconditioned residual ||r||_M. CG is
+truncated adaptively: the forcing term follows
 eta_k = min(0.5, sqrt(||g_k|| / ||g_0||)) unless a fixed relative
 tolerance is requested, and encountering non-positive curvature stops the
 inner iteration (falling back to steepest descent if it happens on the
@@ -73,11 +78,11 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
 
         eta = cg_rtol if cg_rtol is not None else min(0.5, np.sqrt(g_norm / g0_norm))
 
-        # CG on H p = -g in the M inner product
+        # CG on H p = -g in the M inner product, preconditioned by Gamma
         p = np.zeros_like(m)
         res = -g
-        d = res.copy()
-        rho = space.inner(res, res)
+        d = prior.apply_covariance(res)
+        rho = space.inner(res, d)
         for _ in range(space.n):
             Hd = hvp(model, prior, m, d)
             result.cg_iters_total += 1
@@ -89,10 +94,11 @@ def solve_map(model: ForwardModel, prior: GaussianPrior,
             alpha = rho / curv
             p += alpha * d
             res -= alpha * Hd
-            rho_new = space.inner(res, res)
-            if np.sqrt(rho_new) <= eta * g_norm:
+            if space.norm(res) <= eta * g_norm:
                 break
-            d = res + (rho_new / rho) * d
+            z = prior.apply_covariance(res)
+            rho_new = space.inner(res, z)
+            d = z + (rho_new / rho) * d
             rho = rho_new
 
         slope = space.inner(g, p)

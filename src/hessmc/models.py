@@ -25,12 +25,14 @@ eigen-analysis work with it directly, and only ``hvp`` applies M^{-1}.
 Second-order (non-Gauss-Newton) terms are kept in the Hessian action.
 M and the PDE operator are stored tridiagonal (see ``fem``) and solved
 with the LAPACK dpttrf/dpttrs pair, so every M^{-1} application and
-every PDE solve is O(n).
+every PDE solve is O(n); an exp-model Hessian action is a handful of
+BLAS/LAPACK calls (two dpttrs, four banded dgbmv products and the
+observation products).
 
 Every linear(ized) PDE solve is reported to a ``SolveCounter``; the
 samplers' per-step cost ledger depends on these counts being exact, so
 each model caches its most recent forward/adjoint state per parameter
-point and only counts genuinely new solves.
+point, keyed on the point's bytes, and only counts genuinely new solves.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .fem import (Mesh1D, TridiagonalFactor, WeightedSpace,
-                  assemble_product_load, assemble_stiffness,
-                  assemble_weighted_mass, interpolation_matrix)
+from .fem import (Mesh1D, TridiagonalFactor, WeightedSpace, assemble_product_load,
+                  assemble_stiffness, assemble_weighted_mass, band_matvec,
+                  interpolation_matrix)
 from .prior import GaussianPrior
 
 
@@ -147,14 +149,15 @@ class LinearGaussianModel(ForwardModel):
         self.F = np.asarray(F, dtype=float)
         self.obs = None
         self.counter = SolveCounter()
-        self._pred_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._pred_cache: tuple[bytes, np.ndarray] | None = None
 
     def predict(self, m: np.ndarray) -> np.ndarray:
-        if self._pred_cache is not None and np.array_equal(self._pred_cache[0], m):
+        key = m.tobytes()
+        if self._pred_cache is not None and self._pred_cache[0] == key:
             return self._pred_cache[1]
         y = self.F @ m
         self.counter.forward_solves += 1
-        self._pred_cache = (m.copy(), y)
+        self._pred_cache = (key, y)
         return y
 
     def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
@@ -195,10 +198,17 @@ class ExpReaction1D(ForwardModel):
     states and exp(m) .* load(u v), and reused by the gradient and by every
     Hessian action at that point; each solve is one O(n) dpttrs call.
     Since load(a b) = W(a) b = W(b) a (both are the exact integral of
-    phi_k a_h b_h), the first Hessian action at a point also keeps the
-    tridiagonal W(u) and W(v); every action then applies
-    W(mhat exp(m)) u = W(u) (mhat exp(m)) and its companions as four
-    tridiagonal matvecs, with no assembly.
+    phi_k a_h b_h), W(mhat exp(m)) u = W(u) diag(exp(m)) mhat and
+    exp(m) .* load(uhat v) = (W(v) diag(exp(m)))^T uhat. So the first
+    Hessian action at a point keeps Au = W(u) diag(exp(m)) and
+    Av = W(v) diag(exp(m)) in general band storage, and each action is
+
+        uhat = F(m)^{-1} (-Au mhat)
+        vhat = F(m)^{-1} (-B^T Gamma_noise^{-1} B uhat - Av mhat)
+        M H_misfit mhat = mhat exp(m) .* load(u v) + Av^T uhat + Au^T vhat,
+
+    two dpttrs and four dgbmv calls (the transposed pair accumulating in
+    place), with no assembly.
     """
 
     def __init__(self, mesh: Mesh1D, space: WeightedSpace,
@@ -221,14 +231,15 @@ class ExpReaction1D(ForwardModel):
         return em, (self.K0 + assemble_weighted_mass(self.mesh, em)).factor()
 
     def _forward_state(self, m: np.ndarray) -> dict:
-        if self._state is not None and np.array_equal(self._state["m"], m):
+        key = m.tobytes()
+        if self._state is not None and self._state["key"] == key:
             return self._state
         em, factor = self._factorize(m)
         u = factor.solve(self.rhs)
         self.counter.forward_solves += 1
         if not np.all(np.isfinite(u)):
             raise NumericalError("forward solve produced non-finite state")
-        self._state = {"m": m.copy(), "em": em, "factor": factor, "u": u}
+        self._state = {"key": key, "em": em, "factor": factor, "u": u}
         return self._state
 
     def _adjoint_state(self, m: np.ndarray) -> dict:
@@ -262,16 +273,18 @@ class ExpReaction1D(ForwardModel):
 
     def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
         state = self._adjoint_state(m)
-        obs = self._require_obs()
-        if "Wu" not in state:
-            state["Wu"] = assemble_weighted_mass(self.mesh, state["u"])
-            state["Wv"] = assemble_weighted_mass(self.mesh, state["v"])
-        em, factor, Wu, Wv = state["em"], state["factor"], state["Wu"], state["Wv"]
-        dc = mhat * em
-        uhat = factor.solve(-Wu.matvec(dc))
-        vhat = factor.solve(-obs.B.T @ ((obs.B @ uhat) / obs.sigma**2) - Wv.matvec(dc))
+        if "Au" not in state:
+            em = state["em"]
+            state["Au"] = assemble_weighted_mass(self.mesh, state["u"]).column_scaled_band(em)
+            state["Av"] = assemble_weighted_mass(self.mesh, state["v"]).column_scaled_band(em)
+            state["sigma2"] = self.obs.sigma**2
+        factor, Au, Av, B = state["factor"], state["Au"], state["Av"], self.obs.B
+        uhat = factor.solve(band_matvec(Au, mhat, alpha=-1.0))
+        rhs = -(B.T @ ((B @ uhat) / state["sigma2"]))
+        vhat = factor.solve(band_matvec(Av, mhat, alpha=-1.0, y=rhs))
         self.counter.incremental_solves += 2
-        return mhat * state["em_uv"] + em * (Wv.matvec(uhat) + Wu.matvec(vhat))
+        out = band_matvec(Av, uhat, trans=True, y=mhat * state["em_uv"])
+        return band_matvec(Au, vhat, trans=True, y=out)
 
 
 # -- posterior pieces ----------------------------------------------------

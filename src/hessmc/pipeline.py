@@ -122,11 +122,11 @@ def check_pairs(pairs: list[tuple[int, int]], n: int) -> None:
 def stage_synth(problem: Problem, out_dir: str) -> None:
     mesh, obs = problem.mesh, problem.obs
     write_table(os.path.join(out_dir, "truth.csv"), ["node_coord", "value"],
-                zip(mesh.node_coords.tolist(), problem.m_true.tolist()))
+                np.column_stack([mesh.node_coords, problem.m_true]))
     write_table(os.path.join(out_dir, "observations.csv"), ["point", "value", "sigma"],
-                zip(obs.points.tolist(), obs.y_obs.tolist(), obs.sigma.tolist()))
+                np.column_stack([obs.points, obs.y_obs, obs.sigma]))
     write_table(os.path.join(out_dir, "signal.csv"), ["point", "value_clean"],
-                zip(obs.points.tolist(), obs.y_clean.tolist()))
+                np.column_stack([obs.points, obs.y_clean]))
 
 
 def stage_map(problem: Problem, out_dir: str | None = None):
@@ -144,7 +144,7 @@ def stage_map(problem: Problem, out_dir: str | None = None):
                        result.newton_iters)
     if out_dir is not None:
         write_table(os.path.join(out_dir, "map.csv"), ["node_coord", "value"],
-                    zip(problem.mesh.node_coords.tolist(), result.m_map.tolist()))
+                    np.column_stack([problem.mesh.node_coords, result.m_map]))
     return result, info
 
 
@@ -310,18 +310,21 @@ def stage_analyze(problem: Problem, method: str, chains: list, m_map: np.ndarray
     for rec in records[:n_eigs]:
         i = rec.index
         kde, gauss = eigen_marginal(pooled, V[:, i], lam[i], m_map, problem.prior)
+        comments = [f"eigen_index={i}", f"bandwidth={kde.bandwidth:.9g}",
+                    f"group={rec.group}"]
+        if kde.degenerate:
+            comments.append("degenerate=1")
         write_table(os.path.join(table_dir, f"marginal_{i:03d}.csv"),
                     ["coord", "density", "gaussian_at_map"],
-                    zip(kde.grid.tolist(), kde.density.tolist(), gauss.density.tolist()),
-                    comments=[f"eigen_index={i}", f"bandwidth={kde.bandwidth:.9g}",
-                              f"group={rec.group}"])
+                    np.column_stack([kde.grid, kde.density, gauss.density]),
+                    comments=comments)
 
     for (i, j) in pairs:
         pd = pair_density(pooled, V[:, i], V[:, j], lam[i], lam[j],
                           m_map, problem.prior)
         X, Y = np.meshgrid(pd.x_grid, pd.y_grid, indexing="ij")
         rows = np.column_stack([X.ravel(), Y.ravel(), pd.density.ravel(),
-                                pd.gauss_density.ravel()]).tolist()
+                                pd.gauss_density.ravel()])
         comments = [f"eigen_pair={i},{j}"]
         comments += [f"level_{int(100 * frac)}={lvl:.9g}"
                      for frac, lvl in pd.levels.items()]

@@ -146,7 +146,20 @@ def test_eigen_marginal_gaussian_reference(linear_eigensystem):
     assert gauss.variance == pytest.approx(1.0 / lam[0], rel=1e-12)
     np.testing.assert_array_equal(kde.grid, gauss.grid)
     assert gauss.integral() == pytest.approx(1.0, abs=1e-3)
+    assert not kde.degenerate
     assert kde.integral() == pytest.approx(1.0, abs=1e-2)
+
+
+def test_eigen_marginal_of_frozen_chains_is_flagged(linear_eigensystem):
+    # 200 copies of one state: the eigencoordinates have no spread, and a
+    # KDE at the floored bandwidth would be a spike the grid cannot resolve
+    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
+    pooled = np.tile(m_map + 0.05, (200, 1))
+    kde, gauss = eigen_marginal(pooled, V[:, 0], lam[0], m_map, prior)
+    assert kde.degenerate
+    assert np.isnan(kde.density).all()
+    np.testing.assert_array_equal(kde.grid, gauss.grid)
+    assert gauss.integral() == pytest.approx(1.0, abs=1e-3)
 
 
 # -- 2D pair densities ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Chain CSV round trips must be bit-exact, and the bytes are pinned."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -121,3 +123,18 @@ def test_write_table_comments_and_formatting(tmp_path):
     assert text[2] == "name,value"
     assert text[3] == "alpha,0.30000000000000004"  # %.17g, not str()
     assert text[4] == "beta,3"
+
+
+def test_write_table_array_body_matches_csv_writer(tmp_path):
+    values = np.array([[0.1 + 0.2, -0.0, 1e-310, np.nan],
+                       [np.inf, -np.inf, 123456789.0, -2.5e300],
+                       [1.0, 3.0, 1.0 / 3.0, -7.0]])
+    path = tmp_path / "table.csv"
+    write_table(str(path), ["a", "b", "c", "d"], values, comments=["k=1"])
+    ref = io.StringIO(newline="")
+    ref.write("# k=1\n")
+    writer = csv.writer(ref)
+    writer.writerow(["a", "b", "c", "d"])
+    for row in values.tolist():
+        writer.writerow(["%.17g" % v for v in row])
+    assert path.read_bytes() == ref.getvalue().encode()

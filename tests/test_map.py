@@ -100,6 +100,18 @@ def test_cg_iterations_account_for_all_incremental_solves():
     assert worker.counter.incremental_solves == 2 * res.cg_iters_total
 
 
+def test_exp_map_cg_count_does_not_grow_with_the_mesh():
+    # with the prior covariance as preconditioner CG sees the identity plus
+    # the compact data-informed part, whose rank does not depend on n
+    counts = []
+    for n in (139, 2000):
+        prob = build_problem(RunConfig({"mesh.n_nodes": n}))
+        res = solve_map(prob.model.clone(), prob.prior)
+        assert res.converged
+        counts.append(res.cg_iters_total)
+    assert counts[0] == counts[1]
+
+
 def test_iteration_budget_reports_nonconvergence():
     mesh, space, prior, model, _ = make_small_problem()
     res = solve_map(model.clone(), prior, max_newton=1)

@@ -97,6 +97,7 @@ def test_predict_cache_and_counter_ledger():
     assert (model.counter.forward_solves, model.counter.adjoint_solves,
             model.counter.incremental_solves) == (1, 0, 0)
     model.predict(m)                      # same point: cached
+    model.predict(m.copy())               # equal values in another array: cached
     assert model.counter.forward_solves == 1
     model.misfit_gradient(m)              # reuses the forward state
     assert (model.counter.forward_solves, model.counter.adjoint_solves) == (1, 1)
@@ -109,8 +110,17 @@ def test_predict_cache_and_counter_ledger():
     model.predict(m + 0.1)
     assert model.counter.forward_solves == 2
     assert model.counter.total == 2 + 1 + 4
+    # one entry moved by one ulp is a new point
+    m_next = m + 0.1
+    m_next[3] = np.nextafter(m_next[3], np.inf)
+    model.predict(m_next)
+    assert model.counter.forward_solves == 3
     model.counter.reset()
     assert model.counter.total == 0
+    linear = make_small_problem(kind="linear")[3].clone()
+    for point in (m, m.copy(), m_next, m_next.copy()):
+        linear.predict(point)
+    assert linear.counter.forward_solves == 2
 
 
 def test_clone_isolates_counter_and_caches():
@@ -158,6 +168,29 @@ def test_states_match_dense_solve_on_nonuniform_mesh():
     v_ref = np.linalg.solve(F, -obs.B.T @ obs.weighted_residual(obs.B @ u_ref))
     model.misfit_gradient(m)
     np.testing.assert_allclose(model._state["v"], v_ref, rtol=1e-12)
+
+
+def test_misfit_hvp_matches_dense_operators_on_nonuniform_mesh():
+    # every operator of the second-order adjoint formula formed dense:
+    # F(m) = K0 + W(e^m), W(u), W(v), B and Gamma_noise^{-1}
+    mesh = Mesh1D(np.array([0.0, 0.04, 0.1, 0.35, 0.4, 0.7, 0.72, 1.0, 1.3]))
+    model = ExpReaction1D(mesh, assemble_mass(mesh), source_constant=2.0)
+    synthesize_data(model, np.zeros(9), 0.05, np.random.default_rng(0),
+                    points=observation_points(mesh, 3))
+    m = np.sin(3.0 * mesh.node_coords)
+    em = np.exp(m)
+    F = model.K0.dense() + assemble_weighted_mass(mesh, em).dense()
+    obs = model.obs
+    BtB = obs.B.T @ np.diag(obs.sigma**-2.0) @ obs.B
+    u = np.linalg.solve(F, model.space.mass.dense() @ np.full(9, 2.0))
+    v = np.linalg.solve(F, -obs.B.T @ obs.weighted_residual(obs.B @ u))
+    Wu = assemble_weighted_mass(mesh, u).dense()
+    Wv = assemble_weighted_mass(mesh, v).dense()
+    for mhat in np.random.default_rng(1).standard_normal((4, 9)):
+        uhat = np.linalg.solve(F, -Wu @ (em * mhat))
+        vhat = np.linalg.solve(F, -BtB @ uhat - Wv @ (em * mhat))
+        ref = mhat * em * (Wu @ v) + em * (Wv @ uhat + Wu @ vhat)
+        np.testing.assert_allclose(model.misfit_hvp_raw(m, mhat), ref, rtol=1e-12)
 
 
 def test_factorize_rejects_overflow_and_nan():
