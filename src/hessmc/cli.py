@@ -8,8 +8,9 @@ configuration problems, 3 for numerical failures.
 Each command works in one run directory (--out-dir, else the parent of
 --chains-dir, else run.out_dir) through ``pipeline.RunDir``, the path
 ``pipeline`` takes too: a directory whose manifest records another
-problem config is refused before anything is written, and ``sample`` and
-``analyze`` reuse the MAP the directory records.
+problem config is refused before anything is written, ``sample`` and
+``analyze`` reuse the MAP the directory records, and ``sample`` reuses the
+pilot's start points recorded for the same chain count.
 """
 
 from __future__ import annotations
@@ -74,13 +75,6 @@ def cmd_map(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
-    if args.method:
-        cfg.set("run.methods", args.method)
-    if args.chains is not None:
-        cfg.set("run.chains", args.chains)
-    if args.samples is not None:
-        cfg.set("run.samples", args.samples)
-    cfg.validate()
     methods = cfg.methods()
     if len(methods) != 1:
         raise ConfigError("sample runs one method; pass --method")
@@ -175,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None, help="output directory")
         p.set_defaults(func=func)
         if name == "sample":
-            p.add_argument("--method", choices=METHODS)
-            p.add_argument("--chains", type=int, default=None)
-            p.add_argument("--samples", type=int, default=None)
+            # aliases of --run-methods, --run-chains and --run-samples
+            p.add_argument("--method", dest="cfg::run.methods", choices=METHODS)
+            p.add_argument("--chains", dest="cfg::run.chains", type=int, metavar="INT")
+            p.add_argument("--samples", dest="cfg::run.samples", type=int, metavar="INT")
         if name in ("diagnose", "analyze"):
             p.add_argument("--chains-dir", default=None,
                            help="directory holding <method>/chain_*.csv")

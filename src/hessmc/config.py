@@ -101,6 +101,9 @@ class RunConfig:
             problems.append("run.burn_frac must be in [0, 1)")
         if v["run.chains"] < 1 or v["run.samples"] < 1 or v["pilot.samples"] < 2:
             problems.append("chain/sample counts must be positive (pilot >= 2)")
+        if v["run.chains"] > v["pilot.samples"]:
+            problems.append("run.chains must not exceed pilot.samples: each chain "
+                            "starts from a distinct pilot state")
         for key, choices in _CHOICES.items():
             if v[key] not in choices:
                 problems.append(f"{key} must be one of {choices}")

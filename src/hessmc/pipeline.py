@@ -11,6 +11,11 @@ chain ids 0..chains-1 and the reserved id 10_000 for the pilot. Rerunning
 with the same config reproduces every output byte except recorded wall
 times, which stay out of the manifest hash.
 
+The pilot's start points depend only on the problem config and
+``run.chains``, so a run directory records them in ``pilot_starts.csv``
+and a later campaign with the same chain count reads them instead of
+rerunning the pilot.
+
 ``RunDir`` is the one orchestration path: ``run_pipeline`` and every CLI
 stage command write through it, so the manifest, the set-up cost charged
 to each method and the campaign step are defined once. On the read side,
@@ -21,6 +26,7 @@ diagnostic or density sees the chains.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -52,6 +58,7 @@ LANCZOS_KEY = 202
 
 # set per call and recorded by each campaign, so a run directory is not keyed on them
 PER_CALL_KEYS = ("run.methods", "run.chains", "run.samples")
+PILOT_STARTS = "pilot_starts.csv"
 
 
 @dataclass
@@ -181,7 +188,8 @@ def stage_pilot(problem: Problem, m_map: np.ndarray, lrh_map):
         logger.warning("only %d of %d start points are distinct; the %s pilot "
                        "accepted %.4f of its proposals", n_distinct, len(starts),
                        settings.method, pilot.acceptance_rate)
-    info = {"samples": pilot.n_samples, "solves": int(pilot.cum_solves[-1]),
+    info = {"chains": len(starts), "samples": pilot.n_samples,
+            "solves": int(pilot.cum_solves[-1]),
             "acceptance_rate": pilot.acceptance_rate,
             "start_indices": idx.tolist()}
     return pilot, starts, info
@@ -380,8 +388,13 @@ class RunDir:
         self.write()
 
     def solve_map(self, problem: Problem):
+        """Solve and record the MAP; the pilot's start points recorded
+        around an earlier MAP are dropped."""
         result, info = stage_map(problem, self.path)
         self.stages["map"] = info
+        self.stages.pop("pilot", None)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(self.path, PILOT_STARTS))
         self.write()
         return result, info
 
@@ -393,11 +406,28 @@ class RunDir:
                               skiprows=1, usecols=1)
         return self.solve_map(problem)[0].m_map
 
+    def pilot_starts(self, problem: Problem, m_map: np.ndarray, lrh) -> np.ndarray:
+        """The ``run.chains`` start points recorded here, when the pilot
+        record names that chain count and the file's sha256 matches it
+        (the file holds %.17g, so the read-back is bit-exact); otherwise
+        the pilot is run now and its record and file are replaced."""
+        path = os.path.join(self.path, PILOT_STARTS)
+        record = self.stages.get("pilot", {})
+        if (record.get("chains") == problem.cfg["run.chains"] and os.path.exists(path)
+                and _file_sha256(path) == record.get("starts_sha256")):
+            starts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            return np.ascontiguousarray(starts.T)
+        _, starts, record = stage_pilot(problem, m_map, lrh)
+        write_table(path, [f"chain_{cid:03d}" for cid in range(len(starts))], starts.T)
+        record["starts_sha256"] = _file_sha256(path)
+        self.stages["pilot"] = record
+        return starts
+
     def sample(self, problem: Problem, m_map: np.ndarray, methods: list[str]):
-        """Low-rank Hessian at the MAP, pilot starts, then one campaign per
-        method; returns the chains by method."""
+        """Low-rank Hessian at the MAP, the pilot's start points, then one
+        campaign per method; returns the chains by method."""
         lrh, self.stages["lowrank"] = stage_lowrank(problem, m_map)
-        _, starts, self.stages["pilot"] = stage_pilot(problem, m_map, lrh)
+        starts = self.pilot_starts(problem, m_map, lrh)
         campaigns = self.stages.setdefault("campaigns", {})
         groups: dict[str, list] = {}
         for method in methods:
@@ -446,6 +476,11 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
 def _sha256(obj) -> str:
     canon = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _strip_volatile(node):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from hessmc import pipeline
 from hessmc.chain_io import read_chain, write_chain
 from hessmc.cli import main
 
@@ -22,6 +23,19 @@ def rows(path):
 def run_sample(out_dir, method="ismap"):
     return main(["sample", *MINI, "--method", method, "--chains", "2",
                  "--samples", "40", "--run-seed", "0", "--out-dir", str(out_dir)])
+
+
+@pytest.fixture
+def pilot_runs(monkeypatch):
+    """The chain count of every pilot run while the test runs."""
+    calls, stage_pilot = [], pipeline.stage_pilot
+
+    def counted(problem, *args):
+        calls.append(problem.cfg["run.chains"])
+        return stage_pilot(problem, *args)
+
+    monkeypatch.setattr(pipeline, "stage_pilot", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +119,51 @@ def test_sample_refuses_mismatched_manifest(campaign_dir):
     assert rc == 2  # same directory, different config hash
     # refused before anything was written
     assert [f.read_bytes() for f in written] == before
+
+
+def test_more_chains_than_pilot_samples_is_refused_before_any_work(tmp_path, capsys):
+    out = tmp_path / "run"
+    for cmd in (["sample", "--method", "snmap", "--chains", "60"],
+                ["pipeline", "--run-chains", "60"]):
+        assert main([*cmd, *MINI, "--out-dir", str(out)]) == 2, cmd
+        assert "run.chains must not exceed pilot.samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_another_chain_count_reruns_the_pilot(tmp_path, pilot_runs):
+    d, fresh = tmp_path / "d", tmp_path / "fresh"
+    three = ["sample", *MINI, "--method", "snmap", "--chains", "3", "--samples", "40"]
+    assert run_sample(d) == 0
+    assert main([*three, "--out-dir", str(d)]) == 0
+    assert pilot_runs == [2, 3]
+    assert json.loads((d / "manifest.json").read_text())["stages"]["pilot"]["chains"] == 3
+    assert main([*three, "--out-dir", str(fresh)]) == 0
+    for name in ["pilot_starts.csv", *(f"chains/snmap/chain_{c:03d}.csv" for c in range(3))]:
+        assert (d / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_map_drops_the_recorded_pilot_starts(tmp_path, pilot_runs):
+    assert run_sample(tmp_path) == 0
+    assert main(["map", *MINI, "--out-dir", str(tmp_path)]) == 0
+    assert "pilot" not in json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert not (tmp_path / "pilot_starts.csv").exists()
+    assert run_sample(tmp_path) == 0
+    assert pilot_runs == [2, 2]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[: len(text) // 2],  # truncated mid-file
+    lambda text: text[:-4],  # last value cut short
+    lambda text: "\r\n".join(ln.split(",")[0] for ln in text.splitlines()),  # one column
+], ids=["truncated", "last-value-cut", "mis-shaped"])
+def test_damaged_pilot_starts_are_not_used(tmp_path, pilot_runs, damage):
+    starts = tmp_path / "pilot_starts.csv"
+    assert run_sample(tmp_path) == 0
+    recorded = starts.read_bytes()
+    starts.write_bytes(damage(recorded.decode()).encode())
+    assert run_sample(tmp_path) == 0
+    assert pilot_runs == [2, 2]
+    assert starts.read_bytes() == recorded
 
 
 # -- diagnose ------------------------------------------------------------------------
@@ -241,7 +300,7 @@ def test_pipeline_end_to_end_and_reproducible(tmp_path):
         (d2 / "chains/snmap/chain_001.csv").read_bytes()
 
 
-def test_stage_commands_write_what_pipeline_writes(tmp_path):
+def test_stage_commands_write_what_pipeline_writes(tmp_path, pilot_runs):
     methods = ("ismap", "snmap", "sn")
     p, s = tmp_path / "pipeline", tmp_path / "stages"
     assert main(["pipeline", *MINI, "--run-chains", "2", "--run-samples", "30",
@@ -253,11 +312,14 @@ def test_stage_commands_write_what_pipeline_writes(tmp_path):
                 ["diagnose"], ["analyze", "--eigs", "3"]]
     for cmd in commands:
         assert main([*cmd, *MINI, "--out-dir", str(s)]) == 0, cmd
+    # once for the pipeline, once for the first sample call: the other two
+    # read the start points the run directory records
+    assert pilot_runs == [2, 2]
 
     chains = sorted(f.relative_to(p) for f in p.glob("chains/*/chain_*.csv"))
     analysis = sorted(f.relative_to(p) for f in p.glob("analysis/*.csv"))
     assert len(chains) == 6 and len(analysis) == 5
-    for name in ["map.csv", *chains, *analysis]:
+    for name in ["map.csv", "pilot_starts.csv", *chains, *analysis]:
         assert (s / name).read_bytes() == (p / name).read_bytes(), name
 
     mp = json.loads((p / "manifest.json").read_text())

@@ -51,6 +51,7 @@ def test_validate_rejects_inconsistent_values():
         {"lowrank.r": 100, "lowrank.l": 40},   # exceeds default n_nodes
         {"run.burn_frac": 1.0},
         {"pilot.samples": 1},
+        {"pilot.samples": 50, "run.chains": 51},   # more chains than pilot states
         {"model.kind": "heat"},
         {"truth.kind": "bumps"},
         {"pilot.method": "nuts"},
@@ -59,6 +60,7 @@ def test_validate_rejects_inconsistent_values():
     for overrides in bad:
         with pytest.raises(ConfigError):
             RunConfig(overrides)
+    RunConfig({"pilot.samples": 50, "run.chains": 50})
 
 
 def test_methods_parsing_tolerates_spacing():

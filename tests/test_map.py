@@ -112,6 +112,16 @@ def test_exp_map_cg_count_does_not_grow_with_the_mesh():
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_default_exp_map_reaches_a_tight_tolerance(seed):
+    # seed 0 once stopped in the Armijo line search at ||g||/||g0|| = 2.6e-8,
+    # where the decrease it asked for fell below the rounding of J
+    prob = build_problem(RunConfig({"run.seed": seed}))
+    res = solve_map(prob.model.clone(), prob.prior, grad_tol_rel=1e-8)
+    assert res.converged
+    assert res.grad_norms[-1] <= 1e-8 * res.grad_norms[0]
+
+
 def test_iteration_budget_reports_nonconvergence():
     mesh, space, prior, model, _ = make_small_problem()
     res = solve_map(model.clone(), prior, max_newton=1)
