@@ -24,7 +24,14 @@ M-weighted eigencoordinates <v_i, m - m0>_M for eigen-marginals, the
 latter compared against the Gaussian that a quadratic expansion at the
 MAP point would predict (mean <v_i, m_map - m0>_M, variance 1/lam_i).
 Pooled eigencoordinates with no spread (frozen chains) give no density:
-their marginal is flagged degenerate instead of drawn as a spike.
+their marginal or pair surface is flagged degenerate instead of drawn as a
+spike.
+
+Working memory of the densities: ``kde_1d`` sums its kernel over blocks of
+grid rows in one buffer of about 1 MB (``KDE_BLOCK_VALUES`` floats, or one
+row when N exceeds that), and ``pair_density`` holds one grid_size x N
+kernel matrix per axis, built in place. Neither holds the 401 x N
+temporaries of a one-shot evaluation, and both give the same bits as one.
 One helper (``_eigen_axis``) computes an eigen axis's coordinates,
 bandwidth, Gaussian-at-MAP curve and grid for both the 1D marginals and
 the 2D pair densities.
@@ -32,7 +39,7 @@ the 2D pair densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -113,6 +120,7 @@ def classify_eigenvectors(prior: GaussianPrior, MHm: np.ndarray, lam: np.ndarray
 # -- kernel density estimates --------------------------------------------
 
 GRID_POINTS = 401                    # 1D marginal grids
+KDE_BLOCK_VALUES = 1 << 17           # kernel buffer of kde_1d: 1 MB of floats
 MASS_FRACTIONS = (0.05, 0.50, 0.95)  # contour levels of a pair density
 
 
@@ -135,7 +143,6 @@ class MarginalCurve:
     bandwidth: float
     mean: float
     variance: float
-    percentiles: dict = field(default_factory=dict)
     degenerate: bool = False   # samples with zero spread; density is nan
 
     def integral(self) -> float:
@@ -150,20 +157,43 @@ def default_grid(x: np.ndarray, h: float) -> np.ndarray:
     return np.linspace(lo, hi, GRID_POINTS)
 
 
+def _gaussian_kernel(grid: np.ndarray, x: np.ndarray, h: float,
+                     out: np.ndarray) -> np.ndarray:
+    """exp(-0.5 ((grid_a - x_b) / h)^2) into ``out`` (len(grid) x len(x)),
+    in place, step by step as the one-shot expression rounds it."""
+    np.subtract(grid[:, None], x[None, :], out=out)
+    out /= h
+    np.square(out, out=out)
+    out *= -0.5
+    return np.exp(out, out=out)
+
+
 def kde_1d(x: np.ndarray, grid: np.ndarray | None = None,
            bandwidth: float | None = None) -> MarginalCurve:
+    """Gaussian KDE of x on ``grid``.
+
+    The kernel sum runs over blocks of grid rows in one reused buffer of
+    about ``KDE_BLOCK_VALUES`` floats (at least one row of len(x)), so the
+    working set does not grow with the grid. Each row is still one
+    pairwise sum over all of x, so the density is bit-identical to the
+    one-shot (grid x N) evaluation.
+    """
     x = np.asarray(x, dtype=float)
     if bandwidth is None:
         span_floor = 1e-6 * (float(np.max(x) - np.min(x)) or 1.0)
         bandwidth = silverman_bandwidth(x, floor=max(span_floor, 1e-12))
     if grid is None:
         grid = default_grid(x, bandwidth)
-    z = (grid[:, None] - x[None, :]) / bandwidth
-    density = np.exp(-0.5 * z**2).sum(axis=1) / (x.size * bandwidth * np.sqrt(2.0 * np.pi))
+    rows = max(1, KDE_BLOCK_VALUES // max(x.size, 1))
+    buf = np.empty((min(rows, grid.size), x.size))
+    density = np.empty(grid.size)
+    for lo in range(0, grid.size, rows):
+        block = grid[lo:lo + rows]
+        kernel = _gaussian_kernel(block, x, bandwidth, buf[:block.size])
+        kernel.sum(axis=1, out=density[lo:lo + block.size])
+    density /= x.size * bandwidth * np.sqrt(2.0 * np.pi)
     return MarginalCurve(grid=grid, density=density, bandwidth=bandwidth,
-                         mean=float(np.mean(x)), variance=float(np.var(x, ddof=1)),
-                         percentiles={p: float(np.percentile(x, p))
-                                      for p in (2.5, 50.0, 97.5)})
+                         mean=float(np.mean(x)), variance=float(np.var(x, ddof=1)))
 
 
 def gaussian_curve(mean: float, variance: float, grid: np.ndarray) -> MarginalCurve:
@@ -231,6 +261,7 @@ class PairDensity:
     gauss_density: np.ndarray
     gauss_levels: dict
     bandwidths: tuple
+    degenerate: bool = False      # an axis with zero spread; density and levels are nan
 
 
 def mass_levels(density: np.ndarray, cell_area: float) -> dict:
@@ -252,17 +283,26 @@ def pair_density(pooled_samples: np.ndarray, vi: np.ndarray, vj: np.ndarray,
 
     Contour levels enclose 5/50/95% of the estimated mass; the analogous
     Gaussian-at-MAP surface and levels come from the quadratic expansion
-    (independent coordinates with variances 1/lam).
+    (independent coordinates with variances 1/lam). Each axis's kernel
+    matrix (grid_size x N) is built in place, so one such array is live per
+    axis. When either axis's eigencoordinates have no spread (frozen
+    chains) the surface is flagged ``degenerate`` and its density and
+    levels are nan, as in ``eigen_marginal``.
     """
     ci, hi, gi = _eigen_axis(pooled_samples, vi, lam_i, m_map, prior, 4.0, grid_size)
     cj, hj, gj = _eigen_axis(pooled_samples, vj, lam_j, m_map, prior, 4.0, grid_size)
     x_grid, y_grid = gi.grid, gj.grid
-    zx = np.exp(-0.5 * ((x_grid[:, None] - ci[None, :]) / hi) ** 2)
-    zy = np.exp(-0.5 * ((y_grid[:, None] - cj[None, :]) / hj) ** 2)
-    density = zx @ zy.T / (ci.size * 2.0 * np.pi * hi * hj)
     gauss = np.outer(gi.density, gj.density)
     area = float((x_grid[1] - x_grid[0]) * (y_grid[1] - y_grid[0]))
-    return PairDensity(x_grid=x_grid, y_grid=y_grid, density=density,
-                       levels=mass_levels(density, area),
+    degenerate = bool(ci.min() == ci.max() or cj.min() == cj.max())
+    if degenerate:
+        density = np.full((x_grid.size, y_grid.size), np.nan)
+        levels = dict.fromkeys(MASS_FRACTIONS, np.nan)
+    else:
+        zx = _gaussian_kernel(x_grid, ci, hi, np.empty((x_grid.size, ci.size)))
+        zy = _gaussian_kernel(y_grid, cj, hj, np.empty((y_grid.size, cj.size)))
+        density = zx @ zy.T / (ci.size * 2.0 * np.pi * hi * hj)
+        levels = mass_levels(density, area)
+    return PairDensity(x_grid=x_grid, y_grid=y_grid, density=density, levels=levels,
                        gauss_density=gauss, gauss_levels=mass_levels(gauss, area),
-                       bandwidths=(hi, hj))
+                       bandwidths=(hi, hj), degenerate=degenerate)

@@ -16,6 +16,11 @@ after the header lines ends in ``\r\n``. Floats are written with ``%.17g``
 (``-0``, ``nan``, ``inf``, ``-inf`` as Python prints them), so a read-back
 is bit-exact and every diagnostic recomputed from disk matches the
 in-memory value.
+
+``write_chain`` formats and writes a block of rows (``WRITE_BLOCK_VALUES``
+state entries) at a time, so its working memory beyond the chain itself
+stays near 2 MB at any chain length; the bytes are those of a formatter
+that writes one row at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .samplers import Chain
 
 _META_INT = ("seed", "chain_id", "n", "r", "l", "start_index", "partial")
 _COLUMNS = ("k", "accepted", "log_post", "cum_solves")
+WRITE_BLOCK_VALUES = 1 << 15   # state entries formatted per block of rows
 
 
 def _fmt(x: float) -> str:
@@ -36,6 +42,7 @@ def _fmt(x: float) -> str:
 
 
 def write_chain(chain: Chain, path: str) -> None:
+    """Write ``chain`` in the format above, one block of rows at a time."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     samples = chain.samples
     count, n = samples.shape
@@ -44,18 +51,26 @@ def write_chain(chain: Chain, path: str) -> None:
     lines.append(",".join([*_COLUMNS, *(f"m_{j + 1}" for j in range(n))]) + "\r\n")
     # a rejected step repeats its state bit for bit, so the state part of a
     # row is formatted once per distinct state; bits, not float equality,
-    # keep -0 and 0 apart
+    # keep -0 and 0 apart. A block's first row is compared with the last
+    # row of the block before it, whose tail it may reuse.
     bits = samples.view(np.uint64)
-    new_state = np.ones(count, dtype=bool)
-    new_state[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     state_fmt = ",%.17g" * n + "\r\n"
-    tails = [state_fmt % tuple(m) for m in samples[new_state].tolist()]
-    which = (np.cumsum(new_state) - 1).tolist()
-    heads = zip(range(1, count + 1), chain.accepted.tolist(), chain.log_post.tolist(),
-                chain.cum_solves.tolist())
-    lines += ["%d,%d,%.17g,%d" % head + tails[i] for head, i in zip(heads, which)]
+    step = max(1, WRITE_BLOCK_VALUES // max(n, 1))
+    tail = None
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            first = max(lo, 1)
+            new_state = np.ones(hi - lo, dtype=bool)
+            new_state[first - lo:] = (bits[first:hi] != bits[first - 1:hi - 1]).any(axis=1)
+            tails = [tail, *[state_fmt % tuple(m)
+                             for m in samples[lo:hi][new_state].tolist()]]
+            heads = zip(range(lo + 1, hi + 1), chain.accepted[lo:hi].tolist(),
+                        chain.log_post[lo:hi].tolist(), chain.cum_solves[lo:hi].tolist())
+            fh.write("".join(["%d,%d,%.17g,%d" % head + tails[i]
+                              for head, i in zip(heads, np.cumsum(new_state).tolist())]))
+            tail = tails[-1]
 
 
 def read_chain(path: str) -> Chain:

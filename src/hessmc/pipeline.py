@@ -338,6 +338,8 @@ def stage_analyze(problem: Problem, method: str, chains: list, m_map: np.ndarray
                      for frac, lvl in pd.levels.items()]
         comments += [f"gauss_level_{int(100 * frac)}={lvl:.9g}"
                      for frac, lvl in pd.gauss_levels.items()]
+        if pd.degenerate:
+            comments.append("degenerate=1")
         write_table(os.path.join(table_dir, f"contour_{i:03d}_{j:03d}.csv"),
                     ["coord_i", "coord_j", "density", "gaussian_at_map"],
                     rows, comments=comments)

@@ -1,9 +1,13 @@
 """Posterior eigenstructure, classification, and KDE marginals."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from hessmc import analysis
 from hessmc.analysis import (classify_eigenvectors, eigen_coordinates,
                              eigen_marginal, kde_1d, mass_levels,
                              pair_density, point_marginal,
@@ -105,7 +109,46 @@ def test_kde_integrates_to_one_and_matches_normal_peak():
     assert peak == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=0.03)
     assert curve.mean == pytest.approx(0.0, abs=0.02)
     assert curve.variance == pytest.approx(1.0, rel=0.03)
-    assert curve.percentiles[50.0] == pytest.approx(0.0, abs=0.02)
+    # the estimate puts half its mass below the samples' median
+    below = curve.grid <= np.median(x)
+    assert np.trapezoid(curve.density[below], curve.grid[below]) == \
+        pytest.approx(0.5, abs=0.01)
+
+
+def one_shot_kde(x, grid, h):
+    """The (grid x N) evaluation that ``kde_1d`` blocks."""
+    z = (grid[:, None] - x[None, :]) / h
+    return np.exp(-0.5 * z**2).sum(axis=1) / (x.size * h * np.sqrt(2.0 * np.pi))
+
+
+@pytest.mark.parametrize("size", [1, 7, 1921, 4999])
+@pytest.mark.parametrize("block_rows", [None, 1, 3, 400])
+def test_blocked_kde_is_bit_identical_to_one_shot(monkeypatch, size, block_rows):
+    # None keeps the module's block; 3 and 400 leave a short last block of
+    # the 401-point grid
+    if block_rows is not None:
+        monkeypatch.setattr(analysis, "KDE_BLOCK_VALUES", block_rows * size)
+    x = np.random.default_rng(size).standard_normal(size) * 0.3 + 2.0
+    grid = np.linspace(0.5, 3.5, analysis.GRID_POINTS)
+    h = 0.11 if size == 1 else silverman_bandwidth(x)
+    with warnings.catch_warnings():
+        # the ddof=1 variance of a single sample is undefined and warns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        curve = kde_1d(x, grid=grid, bandwidth=h)
+    assert curve.density.tobytes() == one_shot_kde(x, grid, h).tobytes()
+
+
+def test_kde_memory_is_bounded():
+    # a one-shot kde_1d held 401 x 20 000 floats several times (about 190 MB)
+    x = np.random.default_rng(3).standard_normal(20_000)
+    kde_1d(x)
+    tracemalloc.start()
+    try:
+        kde_1d(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_point_marginal_of_frozen_chain_is_a_spike():
@@ -168,6 +211,39 @@ def test_mass_levels_hand_example():
     density = np.array([[4.0, 3.0], [2.0, 1.0]])
     levels = mass_levels(density, cell_area=0.1)
     assert levels == {0.05: 4.0, 0.50: 3.0, 0.95: 1.0}
+
+
+@pytest.mark.parametrize("size", [143, 1921])
+def test_pair_density_is_bit_identical_to_one_shot(linear_eigensystem, size):
+    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
+    rng = np.random.default_rng(size)
+    pooled = m_map + 0.1 * space.white_noise(rng, size=size)
+    pd = pair_density(pooled, V[:, 0], V[:, 2], lam[0], lam[2], m_map, prior,
+                      grid_size=37)
+    ci, hi, gi = analysis._eigen_axis(pooled, V[:, 0], lam[0], m_map, prior, 4.0, 37)
+    cj, hj, gj = analysis._eigen_axis(pooled, V[:, 2], lam[2], m_map, prior, 4.0, 37)
+    zx = np.exp(-0.5 * ((gi.grid[:, None] - ci[None, :]) / hi) ** 2)
+    zy = np.exp(-0.5 * ((gj.grid[:, None] - cj[None, :]) / hj) ** 2)
+    ref = zx @ zy.T / (ci.size * 2.0 * np.pi * hi * hj)
+    assert not pd.degenerate
+    assert pd.density.tobytes() == ref.tobytes()
+    assert pd.levels == mass_levels(ref, float((gi.grid[1] - gi.grid[0])
+                                               * (gj.grid[1] - gj.grid[0])))
+
+
+def test_pair_density_of_frozen_chains_is_flagged(linear_eigensystem):
+    # frozen chains: floored 1e-12 bandwidths would put the point mass
+    # between grid cells and give an all-zero table with zero levels
+    mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
+    pooled = np.tile(m_map + 0.05, (200, 1))
+    pd = pair_density(pooled, V[:, 0], V[:, 1], lam[0], lam[1], m_map, prior,
+                      grid_size=40)
+    assert pd.degenerate
+    assert pd.density.shape == (40, 40)
+    assert np.isnan(pd.density).all()
+    assert all(np.isnan(lvl) for lvl in pd.levels.values())
+    assert np.isfinite(pd.gauss_density).all()
+    assert pd.gauss_levels[0.05] >= pd.gauss_levels[0.50] >= pd.gauss_levels[0.95] > 0.0
 
 
 def test_pair_density_contours(linear_eigensystem):

@@ -2,11 +2,13 @@
 
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from hessmc import chain_io
 from hessmc.chain_io import read_chain, write_chain, write_table
 from hessmc.samplers import Chain
 
@@ -91,6 +93,65 @@ def test_write_chain_pinned_bytes(tmp_path):
         b"4,0,-0,9,inf,0,9.9999999999999694e-311\r\n")
     back = read_chain(str(path))
     assert back.samples.tobytes() == samples.tobytes()
+
+
+def row_at_a_time(chain):
+    """The chain file's bytes, formatting every row in full."""
+    n = chain.samples.shape[1]
+    text = f"# method={chain.meta['method']}\n"
+    text += "".join(f"# {key}={chain.meta[key]}\n" for key in ("seed", "chain_id", "n")
+                    if key in chain.meta)
+    text += ",".join(["k", "accepted", "log_post", "cum_solves",
+                      *(f"m_{j + 1}" for j in range(n))]) + "\r\n"
+    for k in range(chain.samples.shape[0]):
+        text += "%d,%d,%.17g,%d" % (k + 1, chain.accepted[k], chain.log_post[k],
+                                    chain.cum_solves[k])
+        text += "".join(",%.17g" % v for v in chain.samples[k]) + "\r\n"
+    return text.encode()
+
+
+@pytest.mark.parametrize("block_rows", [None, 4])
+def test_blocked_write_matches_row_at_a_time(tmp_path, monkeypatch, block_rows):
+    # None keeps the module's block size; 4 rows makes many short blocks
+    n = 3
+    if block_rows is not None:
+        monkeypatch.setattr(chain_io, "WRITE_BLOCK_VALUES", block_rows * n)
+    step = chain_io.WRITE_BLOCK_VALUES // n
+    count = 2 * step + step // 2 + 1
+    rng = np.random.default_rng(9)
+    samples = rng.standard_normal((count, n))
+    # a run of rejected steps across the first block boundary
+    samples[step - 2:step + 3] = samples[step - 3]
+    # rows that differ only in the sign of a zero, across the second
+    samples[2 * step - 1:2 * step + 1] = [0.5, 0.0, 1.0]
+    samples[2 * step, 1] = -0.0
+    chain = Chain(samples=samples, accepted=rng.uniform(size=count) < 0.5,
+                  log_post=rng.standard_normal(count),
+                  cum_solves=np.arange(count, dtype=np.int64) * 2,
+                  meta={"method": "snmap", "seed": 1, "chain_id": 4, "n": n})
+    path = tmp_path / "chain.csv"
+    write_chain(chain, str(path))
+    assert path.read_bytes() == row_at_a_time(chain)
+
+
+def test_write_chain_memory_is_bounded(tmp_path):
+    # formatting every row before one write held about 53 MB for this chain
+    rng = np.random.default_rng(6)
+    count, n = 5000, 139
+    samples = rng.standard_normal((count, n))
+    samples[1::2] = samples[::2]
+    chain = Chain(samples=samples, accepted=np.zeros(count, dtype=bool),
+                  log_post=rng.standard_normal(count),
+                  cum_solves=np.arange(count, dtype=np.int64),
+                  meta={"method": "sn", "n": n})
+    path = tmp_path / "chain.csv"
+    tracemalloc.start()
+    try:
+        write_chain(chain, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("count", [0, 1])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hessmc.config import RunConfig
-from hessmc.pipeline import (build_problem, setup_solves, stage_lowrank, stage_map,
-                             stage_pilot)
+from hessmc.pipeline import (build_problem, setup_solves, stage_analyze, stage_lowrank,
+                             stage_map, stage_pilot)
+from hessmc.samplers import Chain
 
 MINI = {"mesh.n_nodes": 25, "obs.count": 4, "lowrank.r": 6, "lowrank.l": 2}
 
@@ -41,3 +42,25 @@ def test_setup_solves_charges_the_lowrank_build_to_all_but_rwmh():
     assert {m: setup_solves(stages, m) for m in ("ismap", "snmap", "sn", "rwmh")} == \
         {"ismap": 106, "snmap": 106, "sn": 106, "rwmh": 56}
     assert setup_solves({}, "snmap") == 0
+
+
+def test_analyze_flags_the_tables_of_frozen_chains(tmp_path):
+    # every chain holds one state: no marginal or contour has a density
+    problem = build_problem(RunConfig({**MINI, "model.kind": "linear"}))
+    res, _ = stage_map(problem)
+    count = 20
+    frozen = Chain(samples=np.tile(res.m_map + 0.01, (count, 1)),
+                   accepted=np.zeros(count, dtype=bool), log_post=np.zeros(count),
+                   cum_solves=np.arange(count, dtype=np.int64))
+    stage_analyze(problem, "snmap", [frozen], res.m_map, 1, [(0, 1)], str(tmp_path))
+    marginal, = (tmp_path / "analysis").glob("marginal_*.csv")
+    for path in (marginal, tmp_path / "analysis" / "contour_000_001.csv"):
+        text = path.read_text().splitlines()
+        comments = [ln for ln in text if ln.startswith("#")]
+        assert comments[-1] == "# degenerate=1", path.name
+        density = [ln.split(",")[-2] for ln in text[len(comments) + 1:]]
+        assert set(density) == {"nan"}, path.name
+    assert [c for c in comments if c.startswith("# level_")] == \
+        ["# level_5=nan", "# level_50=nan", "# level_95=nan"]
+    assert all(float(c.partition("=")[2]) > 0.0
+               for c in comments if c.startswith("# gauss_level_"))
