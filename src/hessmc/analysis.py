@@ -141,12 +141,7 @@ class MarginalCurve:
     grid: np.ndarray
     density: np.ndarray
     bandwidth: float
-    mean: float
-    variance: float
     degenerate: bool = False   # samples with zero spread; density is nan
-
-    def integral(self) -> float:
-        return float(np.trapezoid(self.density, self.grid))
 
 
 def default_grid(x: np.ndarray, h: float) -> np.ndarray:
@@ -192,15 +187,13 @@ def kde_1d(x: np.ndarray, grid: np.ndarray | None = None,
         kernel = _gaussian_kernel(block, x, bandwidth, buf[:block.size])
         kernel.sum(axis=1, out=density[lo:lo + block.size])
     density /= x.size * bandwidth * np.sqrt(2.0 * np.pi)
-    return MarginalCurve(grid=grid, density=density, bandwidth=bandwidth,
-                         mean=float(np.mean(x)), variance=float(np.var(x, ddof=1)))
+    return MarginalCurve(grid=grid, density=density, bandwidth=bandwidth)
 
 
 def gaussian_curve(mean: float, variance: float, grid: np.ndarray) -> MarginalCurve:
     sd = float(np.sqrt(variance))
     density = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
-    return MarginalCurve(grid=grid, density=density, bandwidth=0.0,
-                         mean=mean, variance=variance)
+    return MarginalCurve(grid=grid, density=density, bandwidth=0.0)
 
 
 def point_marginal(pooled_samples: np.ndarray, node_index: int,
@@ -247,8 +240,7 @@ def eigen_marginal(pooled_samples: np.ndarray, v: np.ndarray, lam: float,
                                    GRID_POINTS)
     if coords.min() == coords.max():
         return MarginalCurve(grid=gauss.grid, density=np.full_like(gauss.grid, np.nan),
-                             bandwidth=h, mean=float(coords[0]), variance=0.0,
-                             degenerate=True), gauss
+                             bandwidth=h, degenerate=True), gauss
     return kde_1d(coords, grid=gauss.grid, bandwidth=h), gauss
 
 

@@ -121,7 +121,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     pairs = _parse_pairs(args.pairs)
-    pl.check_pairs(pairs, cfg["mesh.n_nodes"])
+    pl.check_exports(args.eigs, pairs, cfg["mesh.n_nodes"])
     run = _run_dir(args, cfg)
     files = pl.chain_files(args.chains_dir or os.path.join(run.path, "chains"))
     method = pl.pooled_method(files, args.method)

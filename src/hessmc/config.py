@@ -30,7 +30,6 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "lowrank.l": (int, 5, "extra Lanczos iterations beyond r"),
     "map.grad_tol_rel": (float, 1e-5, "MAP relative gradient tolerance"),
     "map.max_newton": (int, 50, "maximum Newton iterations"),
-    "rwmh.sigma": (float, 0.1, "random-walk step size (M-whitened)"),
     "pilot.samples": (int, 2000, "pilot chain length for start-point selection"),
     "pilot.method": (str, "snmap", "pilot chain proposal method"),
     "run.seed": (int, 0, "master seed"),

@@ -19,8 +19,8 @@ LAPACK routines for SPD tridiagonal matrices (dpttrf/dpttrs), so assembly,
 factorization and each solve cost O(n). A factorization also gives the
 upper-bidiagonal Cholesky factor (A = C^T C), held in LAPACK upper band
 storage and applied or solved with in O(n) by ``bidiagonal_matvec`` and
-``bidiagonal_solve``; the mass matrix's factor whitens noise and, with the
-stiffness matrix's, gives the prior its square root. A tridiagonal matrix
+``bidiagonal_solve``; the mass matrix's factor whitens the M-norm and, with
+the stiffness matrix's, gives the prior its square root. A tridiagonal matrix
 times a diagonal scaling, A diag(s), is kept in LAPACK general band
 storage (``Tridiagonal.column_scaled_band``) and applied, or its transpose
 applied, by one BLAS dgbmv call (``band_matvec``); the exp model's Hessian
@@ -231,17 +231,6 @@ class WeightedSpace:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply M^{-1} (converts assembled functionals to representers)."""
         return self._m_factor.solve(b)
-
-    def white_noise(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw R^{-1} n with n ~ N(0, I).
-
-        The result has Euclidean covariance M^{-1}, i.e. identity
-        covariance as an operator in the M inner product.
-        """
-        shape = self.n if size is None else (self.n, size)
-        n = rng.standard_normal(shape)
-        out = bidiagonal_solve(self.R, n)
-        return out if size is None else out.T
 
 
 def _gather(left: np.ndarray, right: np.ndarray) -> np.ndarray:

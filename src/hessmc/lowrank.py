@@ -88,11 +88,6 @@ class LowRankHessian:
     def rank(self) -> int:
         return self.lam.size
 
-    @property
-    def V(self) -> np.ndarray:
-        """M-orthonormal eigenvectors of L* H_misfit L, R^{-1} Z."""
-        return bidiagonal_solve(self.prior.space.R, self.Z)
-
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
         """H^{-1} x = C^{-1} (I - Z D Z^T) C^{-T} M x."""
         y = _c_inv_adj_m(self.prior, x)
@@ -142,20 +137,6 @@ class LowRankHessian:
         n ~ N(0, I), which is H^{-1/2} (R^{-1} n) without the R round trip."""
         n = rng.standard_normal(self.prior.n)
         return mean + bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n))
-
-    def residuals(self, model: ForwardModel) -> np.ndarray:
-        """Eigen-residuals ||Ht v_i - lam_i v_i||_M = ||T z_i - lam_i z_i||
-        for the retained pairs.
-
-        Costs extra Hessian actions; meant for verification, never called
-        inside the build (which must stay at exactly 2(r+l) solves).
-        """
-        T = _whitened_operator(model, self.prior, self.m_ref)
-        res = np.empty(self.rank)
-        for i in range(self.rank):
-            z = self.Z[:, i]
-            res[i] = np.linalg.norm(T(z) - self.lam[i] * z)
-        return res
 
 
 def build_lowrank(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,

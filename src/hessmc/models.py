@@ -61,11 +61,6 @@ class SolveCounter:
     def total(self) -> int:
         return self.forward_solves + self.adjoint_solves + self.incremental_solves
 
-    def reset(self) -> None:
-        self.forward_solves = 0
-        self.adjoint_solves = 0
-        self.incremental_solves = 0
-
 
 @dataclass
 class ObservationSetup:

@@ -17,8 +17,9 @@ and a later campaign with the same chain count reads them instead of
 rerunning the pilot.
 
 ``RunDir`` is the one orchestration path: ``run_pipeline`` and every CLI
-stage command write through it, so the manifest, the set-up cost charged
-to each method and the campaign step are defined once. On the read side,
+stage command write through it, so the manifest, the campaign step and
+the set-up cost are defined once. Every method is charged the same set-up:
+the MAP solve plus the low-rank Hessian at the MAP. On the read side,
 ``stage_diagnose`` and ``stage_analyze`` each remove the burn-in
 (``run.burn_frac``) once, through ``Chain.after_burn_in``, before any
 diagnostic or density sees the chains.
@@ -114,11 +115,14 @@ def observed_mask(mesh: Mesh1D, region: str) -> np.ndarray:
 
 def sampler_settings(cfg: RunConfig, method: str, lrh_map, m_map) -> SamplerSettings:
     return SamplerSettings(method=method, r=cfg["lowrank.r"], l=cfg["lowrank.l"],
-                           rwmh_sigma=cfg["rwmh.sigma"], lrh_map=lrh_map, m_map=m_map)
+                           lrh_map=lrh_map, m_map=m_map)
 
 
-def check_pairs(pairs: list[tuple[int, int]], n: int) -> None:
-    """Refuse an eigen pair outside 0..n-1 or naming one index twice."""
+def check_exports(n_eigs: int, pairs: list[tuple[int, int]], n: int) -> None:
+    """Refuse a negative number of eigen-marginals, and an eigen pair
+    outside 0..n-1 or naming one index twice."""
+    if n_eigs < 0:
+        raise ConfigError(f"the number of eigen-marginals must be >= 0, got {n_eigs}")
     for (i, j) in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ConfigError(f"invalid eigen pair ({i}, {j})")
@@ -258,18 +262,19 @@ def pooled_method(methods, method: str | None = None) -> str:
 
 
 def stage_diagnose(problem: Problem, groups: dict[str, list], probe_x: float | None,
-                   setup_solves: dict[str, int] | None = None,
+                   setup_solves: int = 0,
                    wall_times: dict[str, float] | None = None,
                    out_dir: str | None = None):
     """Diagnostics of each method's chains after burn-in, written to
-    report.csv when ``out_dir`` is given."""
+    report.csv when ``out_dir`` is given; every method is charged the
+    same ``setup_solves``."""
     burn = problem.cfg["run.burn_frac"]
     node = probe_node(problem.mesh, probe_x)
     reports = {}
     for method, chains in groups.items():
         reports[method] = diagnostics_report(
             method, [ch.after_burn_in(burn) for ch in chains], problem.space, node,
-            setup_solves=(setup_solves or {}).get(method, 0),
+            setup_solves=setup_solves,
             wall_time=(wall_times or {}).get(method))
     if out_dir is not None:
         header = ["method", "chains", "samples_total", "probe_node", "acceptance_rate",
@@ -295,10 +300,10 @@ def stage_analyze(problem: Problem, method: str, chains: list, m_map: np.ndarray
     <out_dir>/analysis, from the pooled samples of one method's chains
     after burn-in; returns the classification records.
 
-    Every pair is checked against the parameter dimension first, so a bad
-    pair costs no solve and writes nothing.
+    The eigen-marginal count and every pair are checked first, so a bad
+    request costs no solve and writes nothing.
     """
-    check_pairs(pairs, problem.prior.n)
+    check_exports(n_eigs, pairs, problem.prior.n)
     cfg = problem.cfg
     pooled = np.vstack([ch.after_burn_in(cfg["run.burn_frac"]).samples for ch in chains])
     lam, V, MHm = posterior_eigensystem(problem.model, problem.prior, m_map)
@@ -344,15 +349,6 @@ def stage_analyze(problem: Problem, method: str, chains: list, m_map: np.ndarray
                     ["coord_i", "coord_j", "density", "gaussian_at_map"],
                     rows, comments=comments)
     return records
-
-
-def setup_solves(stages: dict, method: str) -> int:
-    """Set-up solves charged to one method: the MAP, plus the low-rank
-    Hessian at the MAP for every method except rwmh, which does not use it."""
-    solves = stages.get("map", {}).get("solves", 0)
-    if method != "rwmh":
-        solves += stages.get("lowrank", {}).get("solves", 0)
-    return solves
 
 
 class RunDir:
@@ -448,11 +444,14 @@ class RunDir:
 
     def diagnose(self, problem: Problem, groups: dict[str, list],
                  probe_x: float | None = None):
-        """report.csv, with the set-up and wall time this directory records."""
+        """report.csv, with the wall times this directory records and the
+        set-up it charges every method: the MAP solve plus the low-rank
+        Hessian at the MAP."""
         campaigns = self.stages.get("campaigns", {})
         return stage_diagnose(
             problem, groups, probe_x,
-            setup_solves={m: setup_solves(self.stages, m) for m in groups},
+            setup_solves=sum(self.stages.get(stage, {}).get("solves", 0)
+                             for stage in ("map", "lowrank")),
             wall_times={m: c["wall_time_volatile"] for m, c in campaigns.items()},
             out_dir=self.path)
 
@@ -461,7 +460,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
                  n_eigs: int = 8, pairs: list[tuple[int, int]] | None = None) -> dict:
     """synth -> map -> lowrank -> pilot -> campaigns -> diagnose -> analyze."""
     pairs = [(0, 1)] if pairs is None else pairs
-    check_pairs(pairs, cfg["mesh.n_nodes"])
+    check_exports(n_eigs, pairs, cfg["mesh.n_nodes"])
     run = RunDir(cfg, cfg["run.out_dir"] if out_dir is None else out_dir)
     problem = build_problem(cfg)
     run.synth(problem)

@@ -4,8 +4,6 @@ Every method is one kernel. A chain state at m carries the Gaussian
 N(mean, H^{-1}) it proposes from, and the methods differ only in where
 the mean and the Hessian H come from (``evaluate``):
 
-* ``rwmh``  -- random walk m + sigma * n with M-whitened noise and no
-  Hessian; the density is symmetric and drops out of the acceptance ratio.
 * ``ismap`` -- independence sampler N(m_map, H_map^{-1}) at every state.
 * ``snmap`` -- stochastic Newton with the Hessian frozen at the MAP: the
   mean is the Newton point m - H_map^{-1} g(m).
@@ -32,7 +30,7 @@ leaves the state bit-identical, so chains are reproducible from
 (seed, chain_id) alone.
 
 Per-step linearized solve costs (exact, enforced by the point caches in
-the models): ismap 1, snmap 2, sn 2 + 2(r+l), rwmh 1.
+the models): ismap 1, snmap 2, sn 2 + 2(r+l).
 
 A ``Chain`` holds one row per step. ``Chain.after_burn_in`` is the one
 place the burn-in rule is written: it drops the first int(frac * N) rows
@@ -54,19 +52,19 @@ from .prior import GaussianPrior
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("rwmh", "sn", "snmap", "ismap")
+METHODS = ("sn", "snmap", "ismap")
 
 
 @dataclass
 class ChainState:
     """A point, its log posterior and the proposal N(mean, H^{-1}) drawn
-    from it; ``lrh`` holds H, and is None for the rwmh walk."""
+    from it; ``lrh`` holds H."""
 
     m: np.ndarray
     log_post: float
-    lrh: LowRankHessian | None = None
-    mean: np.ndarray | None = None
-    half_logdet: float = 0.0
+    lrh: LowRankHessian
+    mean: np.ndarray
+    half_logdet: float
 
 
 @dataclass
@@ -101,7 +99,6 @@ class SamplerSettings:
     method: str = "snmap"
     r: int = 20
     l: int = 5
-    rwmh_sigma: float = 0.1
     lrh_map: LowRankHessian | None = None
     m_map: np.ndarray | None = None
 
@@ -121,8 +118,6 @@ def evaluate(settings: SamplerSettings, model: ForwardModel, prior: GaussianPrio
     the candidate.
     """
     lp = log_posterior(model, prior, m)
-    if settings.method == "rwmh":
-        return ChainState(m, lp)
     if settings.method == "ismap":
         return ChainState(m, lp, settings.lrh_map, settings.m_map, 0.0)
     g = gradient(model, prior, m)
@@ -154,16 +149,11 @@ def mh_step(settings: SamplerSettings, state: ChainState, model: ForwardModel,
     Solver failures while evaluating it count as a rejection (with a
     warning) rather than aborting the chain.
     """
-    if state.lrh is None:
-        y = state.m + settings.rwmh_sigma * prior.space.white_noise(rng)
-    else:
-        y = state.lrh.draw(rng, state.mean)
-
+    y = state.lrh.draw(rng, state.mean)
     try:
         candidate = evaluate(settings, model, prior, y, rng)
-        log_ratio = candidate.log_post - state.log_post
-        if state.lrh is not None:
-            log_ratio = log_ratio + log_q(candidate, state.m) - log_q(state, y)
+        log_ratio = (candidate.log_post - state.log_post
+                     + log_q(candidate, state.m) - log_q(state, y))
     except NumericalError as exc:
         logger.warning("proposal evaluation failed (%s); step rejected", exc)
         rng.uniform()  # keep the stream aligned with the success path

@@ -7,7 +7,7 @@ behavior of the default configuration build it explicitly.
 import numpy as np
 import pytest
 
-from hessmc.fem import Mesh1D, assemble_mass, interpolation_matrix
+from hessmc.fem import Mesh1D, assemble_mass, bidiagonal_solve, interpolation_matrix
 from hessmc.models import (
     ExpReaction1D,
     LinearGaussianModel,
@@ -15,6 +15,15 @@ from hessmc.models import (
     synthesize_data,
 )
 from hessmc.prior import build_prior
+
+
+def white_noise(space, rng, size=None):
+    """R^{-1} n with n ~ N(0, I), R the mass matrix's whitening factor: the
+    draw has Euclidean covariance M^{-1}, the identity in the M inner
+    product. With ``size``, one draw per row."""
+    shape = space.n if size is None else (space.n, size)
+    out = bidiagonal_solve(space.R, rng.standard_normal(shape))
+    return out if size is None else out.T
 
 
 def make_small_problem(n=35, q=6, kind="exp_reaction", a=1e-2, b=1e2,

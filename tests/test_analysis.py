@@ -1,7 +1,6 @@
 """Posterior eigenstructure, classification, and KDE marginals."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from hessmc.analysis import (classify_eigenvectors, eigen_coordinates,
 from hessmc.map_point import solve_map
 from hessmc.pipeline import observed_mask
 
-from conftest import make_small_problem
+from conftest import make_small_problem, white_noise
 
 GROUPS = {"data_informed", "prior_tail", "shadowed", "mixed"}
 
@@ -104,11 +103,11 @@ def test_silverman_floor_and_degenerate_input():
 def test_kde_integrates_to_one_and_matches_normal_peak():
     x = np.random.default_rng(0).standard_normal(100_000)
     curve = kde_1d(x)
-    assert curve.integral() == pytest.approx(1.0, abs=1e-3)
+    assert np.trapezoid(curve.density, curve.grid) == pytest.approx(1.0, abs=1e-3)
     peak = curve.density[np.argmin(np.abs(curve.grid))]
     assert peak == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=0.03)
-    assert curve.mean == pytest.approx(0.0, abs=0.02)
-    assert curve.variance == pytest.approx(1.0, rel=0.03)
+    assert np.mean(x) == pytest.approx(0.0, abs=0.02)
+    assert np.var(x, ddof=1) == pytest.approx(1.0, rel=0.03)
     # the estimate puts half its mass below the samples' median
     below = curve.grid <= np.median(x)
     assert np.trapezoid(curve.density[below], curve.grid[below]) == \
@@ -131,10 +130,7 @@ def test_blocked_kde_is_bit_identical_to_one_shot(monkeypatch, size, block_rows)
     x = np.random.default_rng(size).standard_normal(size) * 0.3 + 2.0
     grid = np.linspace(0.5, 3.5, analysis.GRID_POINTS)
     h = 0.11 if size == 1 else silverman_bandwidth(x)
-    with warnings.catch_warnings():
-        # the ddof=1 variance of a single sample is undefined and warns
-        warnings.simplefilter("ignore", RuntimeWarning)
-        curve = kde_1d(x, grid=grid, bandwidth=h)
+    curve = kde_1d(x, grid=grid, bandwidth=h)
     assert curve.density.tobytes() == one_shot_kde(x, grid, h).tobytes()
 
 
@@ -156,15 +152,16 @@ def test_point_marginal_of_frozen_chain_is_a_spike():
     curve = point_marginal(pooled, 1)
     assert curve.bandwidth == pytest.approx(1e-6)
     assert curve.grid[np.argmax(curve.density)] == pytest.approx(2.0, abs=1e-7)
-    assert curve.integral() == pytest.approx(1.0, abs=1e-3)
-    assert curve.variance == 0.0
+    assert np.trapezoid(curve.density, curve.grid) == pytest.approx(1.0, abs=1e-3)
+    assert np.var(pooled[:, 1], ddof=1) == 0.0
 
 
 def test_point_marginal_selects_the_requested_node():
     rng = np.random.default_rng(4)
     pooled = rng.standard_normal((2000, 3)) + np.array([0.0, 5.0, -5.0])
     curve = point_marginal(pooled, 2)
-    assert curve.mean == pytest.approx(-5.0, abs=0.1)
+    mean = np.trapezoid(curve.grid * curve.density, curve.grid)
+    assert mean == pytest.approx(-5.0, abs=0.1)
 
 
 # -- eigen-coordinate marginals -------------------------------------------------
@@ -172,7 +169,7 @@ def test_point_marginal_selects_the_requested_node():
 def test_eigen_coordinates_algebra(linear_eigensystem):
     mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     rng = np.random.default_rng(6)
-    samples = prior.mean + 0.2 * space.white_noise(rng, size=7)
+    samples = prior.mean + 0.2 * white_noise(space, rng, size=7)
     v = V[:, 0]
     coords = eigen_coordinates(samples, v, prior.mean, space)
     direct = np.array([space.inner(v, s - prior.mean) for s in samples])
@@ -182,15 +179,17 @@ def test_eigen_coordinates_algebra(linear_eigensystem):
 def test_eigen_marginal_gaussian_reference(linear_eigensystem):
     mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     rng = np.random.default_rng(8)
-    pooled = m_map + 0.1 * space.white_noise(rng, size=800)
+    pooled = m_map + 0.1 * white_noise(space, rng, size=800)
     kde, gauss = eigen_marginal(pooled, V[:, 0], lam[0], m_map, prior)
-    assert gauss.mean == pytest.approx(space.inner(V[:, 0], m_map - prior.mean),
-                                       rel=1e-12)
-    assert gauss.variance == pytest.approx(1.0 / lam[0], rel=1e-12)
+    # N(<v, m_map - m0>_M, 1/lam) on the shared grid
+    g_mean = space.inner(V[:, 0], m_map - prior.mean)
+    expected = (np.sqrt(lam[0] / (2.0 * np.pi))
+                * np.exp(-0.5 * lam[0] * (gauss.grid - g_mean) ** 2))
+    np.testing.assert_allclose(gauss.density, expected, rtol=1e-12)
     np.testing.assert_array_equal(kde.grid, gauss.grid)
-    assert gauss.integral() == pytest.approx(1.0, abs=1e-3)
+    assert np.trapezoid(gauss.density, gauss.grid) == pytest.approx(1.0, abs=1e-3)
     assert not kde.degenerate
-    assert kde.integral() == pytest.approx(1.0, abs=1e-2)
+    assert np.trapezoid(kde.density, kde.grid) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_eigen_marginal_of_frozen_chains_is_flagged(linear_eigensystem):
@@ -202,7 +201,7 @@ def test_eigen_marginal_of_frozen_chains_is_flagged(linear_eigensystem):
     assert kde.degenerate
     assert np.isnan(kde.density).all()
     np.testing.assert_array_equal(kde.grid, gauss.grid)
-    assert gauss.integral() == pytest.approx(1.0, abs=1e-3)
+    assert np.trapezoid(gauss.density, gauss.grid) == pytest.approx(1.0, abs=1e-3)
 
 
 # -- 2D pair densities ------------------------------------------------------------
@@ -217,7 +216,7 @@ def test_mass_levels_hand_example():
 def test_pair_density_is_bit_identical_to_one_shot(linear_eigensystem, size):
     mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     rng = np.random.default_rng(size)
-    pooled = m_map + 0.1 * space.white_noise(rng, size=size)
+    pooled = m_map + 0.1 * white_noise(space, rng, size=size)
     pd = pair_density(pooled, V[:, 0], V[:, 2], lam[0], lam[2], m_map, prior,
                       grid_size=37)
     ci, hi, gi = analysis._eigen_axis(pooled, V[:, 0], lam[0], m_map, prior, 4.0, 37)

@@ -227,6 +227,29 @@ def test_bad_pairs_are_refused_before_any_write(campaign_dir, tmp_path):
     assert not fresh.exists()
 
 
+def test_negative_eigs_is_refused_before_any_write(campaign_dir, tmp_path):
+    # records[:-1] would silently drop the last marginal
+    fresh = tmp_path / "fresh"
+    assert main(["analyze", *MINI, "--chains-dir", str(campaign_dir / "chains"),
+                 "--out-dir", str(fresh), "--eigs=-1"]) == 2
+    assert main(["pipeline", *MINI, "--run-chains", "2", "--run-samples", "10",
+                 "--run-methods", "ismap", "--out-dir", str(fresh), "--eigs=-1"]) == 2
+    assert not fresh.exists()
+
+
+def test_the_random_walk_is_refused(tmp_path):
+    out = ["--out-dir", str(tmp_path)]
+    assert main(["pipeline", *MINI, "--run-methods", "rwmh", *out]) == 2
+    assert main(["pipeline", *MINI, "--pilot-method", "rwmh", *out]) == 2
+    # argparse refuses an unknown choice or flag with exit status 2
+    for argv in (["sample", *MINI, "--method", "rwmh", *out],
+                 ["pipeline", *MINI, "--rwmh-sigma", "0.1", *out]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert not tmp_path.joinpath("manifest.json").exists()
+
+
 def test_partial_chain_is_refused_before_any_write(tmp_path, capsys):
     assert run_sample(tmp_path) == 0
     chain = read_chain(str(tmp_path / "chains" / "ismap" / "chain_000.csv"))

@@ -1,9 +1,14 @@
 """Configuration registry, validation, and YAML loading."""
 
+import ast
+import pathlib
+
 import pytest
 
 from hessmc.config import SCHEMA, RunConfig
 from hessmc.errors import ConfigError
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hessmc"
 
 
 def test_defaults():
@@ -64,17 +69,17 @@ def test_validate_rejects_inconsistent_values():
 
 
 def test_methods_parsing_tolerates_spacing():
-    cfg = RunConfig({"run.methods": " snmap , rwmh "})
-    assert cfg.methods() == ["snmap", "rwmh"]
+    cfg = RunConfig({"run.methods": " snmap , sn "})
+    assert cfg.methods() == ["snmap", "sn"]
 
 
 def test_nested_yaml_accepted(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("mesh:\n  n_nodes: 41\nobs:\n  noise_rel: 0.03\n"
-                    "run:\n  methods: rwmh\n")
+                    "run:\n  methods: sn\n")
     cfg = RunConfig.from_file(str(path))
     expected = RunConfig({"mesh.n_nodes": 41, "obs.noise_rel": 0.03,
-                          "run.methods": "rwmh"})
+                          "run.methods": "sn"})
     assert dict(cfg.items()) == dict(expected.items())
 
 
@@ -98,3 +103,35 @@ def test_from_file_errors(tmp_path):
     scalar.write_text("42\n")
     with pytest.raises(ConfigError):
         RunConfig.from_file(str(scalar))
+
+
+def test_the_random_walk_is_refused(tmp_path):
+    for overrides in ({"run.methods": "rwmh"}, {"run.methods": "ismap,rwmh"},
+                      {"pilot.method": "rwmh"}, {"rwmh.sigma": 0.1}):
+        with pytest.raises(ConfigError):
+            RunConfig(overrides)
+    for text in ("rwmh:\n  sigma: 0.1\n", "rwmh.sigma: 0.1\n"):
+        path = tmp_path / "walk.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(str(path))
+
+
+def subscript_keys(tree: ast.AST) -> set[str]:
+    """String constants used as a subscript, as in cfg["run.seed"]."""
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
+def test_every_config_key_is_read():
+    # a key that only the schema table and the validation name sets nothing;
+    # in config.py only RunConfig.methods reads a value (run.methods)
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "config.py":
+            tree = next(node for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef) and node.name == "methods")
+        read |= subscript_keys(tree)
+    assert sorted(set(SCHEMA) - read) == []

@@ -15,6 +15,8 @@ from hessmc.fem import (
 )
 from hessmc.errors import NumericalError
 
+from conftest import white_noise
+
 
 def test_mesh_validation():
     with pytest.raises(ValueError):
@@ -132,7 +134,7 @@ def test_tridiagonal_factor_rejects_indefinite_and_non_finite():
 def test_white_noise_has_inverse_mass_covariance():
     space = assemble_mass(Mesh1D.uniform(5))
     rng = np.random.default_rng(0)
-    draws = space.white_noise(rng, size=200_000)
+    draws = white_noise(space, rng, size=200_000)
     assert draws.shape == (200_000, 5)
     cov = np.cov(draws, rowvar=False)
     Minv = np.linalg.inv(space.mass.dense())

@@ -92,8 +92,7 @@ def test_numerical_error_at_trial_point_halves_the_step():
 
 def test_cg_iterations_account_for_all_incremental_solves():
     mesh, space, prior, model, _ = make_small_problem()
-    worker = model.clone()
-    worker.counter.reset()
+    worker = model.clone()  # a fresh counter
     res = solve_map(worker, prior)
     # every Hessian action inside CG costs two incremental solves, and
     # nothing else touches that counter

@@ -17,7 +17,7 @@ from hessmc.models import (
 )
 from hessmc.prior import build_prior
 
-from conftest import make_small_problem
+from conftest import make_small_problem, white_noise
 
 
 def make_exp_model(n=20, length=1.0, source=1.0):
@@ -115,8 +115,6 @@ def test_predict_cache_and_counter_ledger():
     m_next[3] = np.nextafter(m_next[3], np.inf)
     model.predict(m_next)
     assert model.counter.forward_solves == 3
-    model.counter.reset()
-    assert model.counter.total == 0
     linear = make_small_problem(kind="linear")[3].clone()
     for point in (m, m.copy(), m_next, m_next.copy()):
         linear.predict(point)
@@ -232,11 +230,11 @@ def test_log_posterior_splits_into_misfit_and_prior():
 def test_gradient_matches_finite_differences(kind):
     mesh, space, prior, model, _ = make_small_problem(kind=kind)
     rng = np.random.default_rng(7)
-    m = prior.mean + 0.4 * prior.apply_L(space.white_noise(rng))
+    m = prior.mean + 0.4 * prior.apply_L(white_noise(space, rng))
     g = gradient(model, prior, m)
     h = 1e-5
     for _ in range(3):
-        v = space.white_noise(rng)
+        v = white_noise(space, rng)
         v /= space.norm(v)
         fd = -(log_posterior(model, prior, m + h * v)
                - log_posterior(model, prior, m - h * v)) / (2 * h)
@@ -246,8 +244,8 @@ def test_gradient_matches_finite_differences(kind):
 def test_hvp_is_m_symmetric_and_consistent():
     mesh, space, prior, model, _ = make_small_problem()
     rng = np.random.default_rng(8)
-    m = prior.mean + 0.3 * prior.apply_L(space.white_noise(rng))
-    u, v = space.white_noise(rng), space.white_noise(rng)
+    m = prior.mean + 0.3 * prior.apply_L(white_noise(space, rng))
+    u, v = white_noise(space, rng), white_noise(space, rng)
     Hu, Hv = hvp(model, prior, m, u), hvp(model, prior, m, v)
     lhs, rhs = space.inner(u, Hv), space.inner(Hu, v)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -260,7 +258,7 @@ def test_hvp_is_m_symmetric_and_consistent():
 def test_assembled_misfit_hessian_is_euclidean_symmetric(kind):
     # misfit_hvp_raw returns M H_misfit mhat, so e_i . raw(e_j) = e_j . raw(e_i)
     mesh, space, prior, model, _ = make_small_problem(kind=kind)
-    m = prior.mean + 0.3 * prior.apply_L(space.white_noise(np.random.default_rng(10)))
+    m = prior.mean + 0.3 * prior.apply_L(white_noise(space, np.random.default_rng(10)))
     cols = np.column_stack([model.misfit_hvp_raw(m, e) for e in np.eye(prior.n)])
     scale = np.abs(cols).max()
     assert scale > 0.0

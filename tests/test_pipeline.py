@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hessmc.config import RunConfig
-from hessmc.pipeline import (build_problem, setup_solves, stage_analyze, stage_lowrank,
+from hessmc.pipeline import (RunDir, build_problem, stage_analyze, stage_lowrank,
                              stage_map, stage_pilot)
 from hessmc.samplers import Chain
 
@@ -37,11 +37,27 @@ def test_pilot_warns_when_starts_are_not_over_dispersed(caplog, over, message):
         assert n_distinct < len(starts)
 
 
-def test_setup_solves_charges_the_lowrank_build_to_all_but_rwmh():
-    stages = {"map": {"solves": 56}, "lowrank": {"solves": 50}, "pilot": {"solves": 9}}
-    assert {m: setup_solves(stages, m) for m in ("ismap", "snmap", "sn", "rwmh")} == \
-        {"ismap": 106, "snmap": 106, "sn": 106, "rwmh": 56}
-    assert setup_solves({}, "snmap") == 0
+def test_run_dir_charges_every_method_the_map_and_lowrank_solves(tmp_path):
+    problem = build_problem(RunConfig({**MINI, "model.kind": "linear"}))
+    rng = np.random.default_rng(0)
+    count = 50
+
+    def chain(cost):
+        return Chain(samples=rng.standard_normal((count, problem.prior.n)),
+                     accepted=np.ones(count, dtype=bool), log_post=np.zeros(count),
+                     cum_solves=cost * np.arange(1, count + 1, dtype=np.int64))
+
+    groups = {"ismap": [chain(1), chain(1)], "sn": [chain(14), chain(14)]}
+    charged = RunDir(problem.cfg, str(tmp_path / "charged"))
+    charged.stages.update({"map": {"solves": 56}, "lowrank": {"solves": 50},
+                           "pilot": {"solves": 9}})
+    reports = charged.diagnose(problem, groups)
+    assert {m: rep.solves_total for m, rep in reports.items()} == \
+        {"ismap": 106 + 2 * 50, "sn": 106 + 2 * 14 * 50}
+    # a directory that records no set-up charges none
+    reports = RunDir(problem.cfg, str(tmp_path / "bare")).diagnose(problem, groups)
+    assert {m: rep.solves_total for m, rep in reports.items()} == \
+        {"ismap": 2 * 50, "sn": 2 * 14 * 50}
 
 
 def test_analyze_flags_the_tables_of_frozen_chains(tmp_path):

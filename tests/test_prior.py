@@ -6,6 +6,8 @@ import pytest
 from hessmc.fem import Mesh1D, assemble_mass
 from hessmc.prior import build_prior
 
+from conftest import white_noise
+
 
 @pytest.fixture
 def prior():
@@ -112,5 +114,5 @@ def test_sample_is_mean_plus_transported_noise(prior):
     rng1 = np.random.default_rng(7)
     rng2 = np.random.default_rng(7)
     s = prior.sample(rng1)
-    noise = prior.space.white_noise(rng2)
+    noise = white_noise(prior.space, rng2)
     np.testing.assert_allclose(s, prior.mean + prior.apply_L(noise), atol=1e-13)

@@ -6,15 +6,15 @@ import pytest
 
 from hessmc.chain_io import read_chain
 from hessmc.errors import NumericalError
-from hessmc.fem import WeightedSpace, interpolation_matrix
-from hessmc.lowrank import build_lowrank
+from hessmc.fem import interpolation_matrix
+from hessmc.lowrank import LowRankHessian, build_lowrank
 from hessmc.map_point import solve_map
 from hessmc.models import LinearGaussianModel, gradient, synthesize_data
 from hessmc.prior import build_prior
 from hessmc.samplers import (Chain, SamplerSettings, evaluate, init_state, log_q,
                              mh_step, run_chain, select_start_points)
 
-from conftest import make_small_problem
+from conftest import make_small_problem, white_noise
 
 
 def tight_map_setup(kind="linear", n=35, q=6, r=10, l=5):
@@ -48,21 +48,13 @@ def test_hessian_proposals_are_exact_on_gaussian_target(linear_map):
     assert rates["ismap"] >= 0.999
 
 
-def test_rwmh_acceptance_band(linear_map):
-    mesh, space, prior, model, m_map, lrh = linear_map
-    settings = SamplerSettings(method="rwmh", rwmh_sigma=0.005)
-    chain = run_chain(settings, model.clone(), prior, m_map, 300,
-                      seed=3, chain_id=0)
-    assert 0.01 < chain.acceptance_rate < 0.95
-
-
 # -- proposal densities -----------------------------------------------------
 
 def test_log_q_contracts(linear_map):
     mesh, space, prior, model, m_map, lrh = linear_map
     rng = np.random.default_rng(0)
-    a = m_map + 0.1 * space.white_noise(rng)
-    b = m_map + 0.1 * space.white_noise(rng)
+    a = m_map + 0.1 * white_noise(space, rng)
+    b = m_map + 0.1 * white_noise(space, rng)
 
     def at(method, m):
         settings = SamplerSettings(method=method, r=10, l=5, lrh_map=lrh, m_map=m_map)
@@ -87,9 +79,6 @@ def test_log_q_contracts(linear_map):
     assert za_sn.half_logdet == za_sn.lrh.half_logdet_rel() > 0.0
     assert log_q(za_sn, za_sn.mean) == za_sn.lrh.half_logdet_rel()
 
-    # rwmh: no Hessian; its symmetric density drops out of the ratio
-    assert at("rwmh", a).lrh is None
-
 
 # -- reproducibility --------------------------------------------------------
 
@@ -107,8 +96,12 @@ def test_chain_is_deterministic_in_seed_and_chain_id(linear_map):
 
 def test_rejected_steps_repeat_the_state_bitwise(linear_map):
     mesh, space, prior, model, m_map, lrh = linear_map
-    # an absurd step size: every proposal lands in the far tail
-    settings = SamplerSettings(method="rwmh", rwmh_sigma=1e6)
+    # independence draws from the prior's spread around the MAP, rank 0:
+    # the data-informed eigenvalues reach 1.9e3, so every proposal lands
+    # in the far tail of this posterior
+    prior_only = LowRankHessian(prior=prior, m_ref=m_map, Z=np.zeros((prior.n, 0)),
+                                lam=np.zeros(0))
+    settings = SamplerSettings(method="ismap", lrh_map=prior_only, m_map=m_map)
     chain = run_chain(settings, model.clone(), prior, m_map, 50, seed=0, chain_id=0)
     assert chain.acceptance_rate == 0.0
     for k in range(50):
@@ -116,15 +109,10 @@ def test_rejected_steps_repeat_the_state_bitwise(linear_map):
     assert chain.log_post.min() == chain.log_post.max()
 
 
-def test_newton_proposals_draw_plain_normals(linear_map, monkeypatch):
-    # ismap/snmap/sn map n ~ N(0, I) through C^{-1} (I + Z E Z^T) without
-    # whitened noise; a step still takes n normals, then one uniform
+def test_newton_proposals_draw_plain_normals(linear_map):
+    # ismap/snmap/sn map n ~ N(0, I) through C^{-1} (I + Z E Z^T); a step
+    # takes n normals, then one uniform
     mesh, space, prior, model, m_map, lrh = linear_map
-
-    def no_white_noise(*args, **kwargs):
-        raise AssertionError("a Newton proposal must not draw whitened noise")
-
-    monkeypatch.setattr(WeightedSpace, "white_noise", no_white_noise)
     for method in ("ismap", "snmap"):
         settings = SamplerSettings(method=method, lrh_map=lrh, m_map=m_map)
         rng = np.random.default_rng(21)
@@ -146,7 +134,7 @@ def test_per_step_solve_costs():
     res = solve_map(model.clone(), prior)
     lrh = build_lowrank(model.clone(), prior, res.m_map, 4, 2,
                         np.random.default_rng(1))
-    expected = {"rwmh": 1, "ismap": 1, "snmap": 2, "sn": 2 + 2 * (4 + 2)}
+    expected = {"ismap": 1, "snmap": 2, "sn": 2 + 2 * (4 + 2)}
     for method, cost in expected.items():
         settings = SamplerSettings(method=method, r=4, l=2,
                                    lrh_map=lrh, m_map=res.m_map)
@@ -187,7 +175,7 @@ def test_after_burn_in_keeps_the_tail_as_views():
 
 def test_init_state_rejects_non_finite_start():
     mesh, space, prior, model, _ = make_small_problem()
-    settings = SamplerSettings(method="rwmh")
+    settings = SamplerSettings(method="sn", r=4, l=2)
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         init_state(settings, model.clone(), prior, np.full(prior.n, 800.0),
                    np.random.default_rng(0))
@@ -196,7 +184,7 @@ def test_init_state_rejects_non_finite_start():
 class DiskFullModel(LinearGaussianModel):
     """Fails hard after a fixed number of predictions."""
 
-    fail_after = 5
+    fail_after = 10
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -213,16 +201,17 @@ def test_fatal_error_flushes_partial_chain(tmp_path):
     mesh, space, prior, ref_model, _ = make_small_problem(kind="linear")
     model = DiskFullModel(mesh, space, ref_model.F.copy())
     model.obs = ref_model.obs
-    settings = SamplerSettings(method="rwmh", rwmh_sigma=0.01)
+    settings = SamplerSettings(method="sn", r=4, l=2)
     path = tmp_path / "partial.csv"
     with pytest.raises(RuntimeError):
         run_chain(settings, model, prior, prior.mean, 50, seed=0, chain_id=0,
                   flush_path=str(path))
     assert path.exists()
     partial = read_chain(str(path))
-    # init consumed one predict, so steps 1..4 completed before the blowup
+    # a state takes two predicts (log posterior and gradient): init consumed
+    # two, so steps 1..4 completed before the blowup
     assert partial.n_samples == 4
-    assert partial.meta["method"] == "rwmh"
+    assert partial.meta["method"] == "sn"
     assert partial.meta["partial"] == 1
     # the flushed rows are the first steps of the same chain run to completion
     full = run_chain(settings, ref_model.clone(), prior, prior.mean, 4, seed=0, chain_id=0)
@@ -248,7 +237,7 @@ def test_settings_validation(linear_map):
 def test_select_start_points_greedy_maximin(linear_map):
     mesh, space, prior, model, m_map, lrh = linear_map
     rng = np.random.default_rng(21)
-    pilot = prior.mean + 0.3 * space.white_noise(rng, size=40)
+    pilot = prior.mean + 0.3 * white_noise(space, rng, size=40)
     pts, idx = select_start_points(pilot, 6, space)
 
     # direct O(N^2) replication of the greedy rule
@@ -274,7 +263,7 @@ def test_select_start_points_greedy_maximin(linear_map):
 
 def test_select_start_points_edge_cases(linear_map):
     mesh, space, prior, model, m_map, lrh = linear_map
-    pilot = prior.mean + 0.1 * space.white_noise(np.random.default_rng(2), size=8)
+    pilot = prior.mean + 0.1 * white_noise(space, np.random.default_rng(2), size=8)
     pts, idx = select_start_points(pilot, 8, space)
     assert sorted(idx.tolist()) == list(range(8))
     with pytest.raises(ValueError):
