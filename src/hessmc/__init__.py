@@ -14,7 +14,7 @@ from .models import (ExpReaction1D, LinearGaussianModel, ObservationSetup,
 from .lowrank import LowRankHessian, build_lowrank
 from .map_point import MapResult, solve_map
 from .samplers import (Chain, ChainState, SamplerSettings, mh_step, run_chain,
-                       select_start_points)
+                       run_chains, select_start_points)
 from .diagnostics import (DiagnosticsReport, diagnostics_report, ess, iat,
                           mpsrf, msj)
 from .analysis import (classify_eigenvectors, eigen_marginal, pair_density,

@@ -16,6 +16,12 @@ with the same eigenvalues, and ||z|| = ||x||_M. M H_misfit is the
 assembled action the model's ``misfit_hvp_raw`` returns, so an action of T
 is two bidiagonal solves around it, with no mass solve or mass product;
 the build binds the model's action and C once and makes r + l of them.
+``build_lowrank`` builds at a batch of points (one per chain) in
+lockstep: each iteration makes one stacked action (the model's
+``stacked_hvp_raw``) between two multi-RHS bidiagonal solves, and one
+batched Gram-Schmidt, for every point at once. Each point's pairs, and
+its worker's solve count, are bit-identical to the build of that point
+alone, which is the batch of one.
 Lanczos runs on T with plain dot products and gives T ≈ Z diag(lam) Z^T
 with orthonormal Z; the M-orthonormal eigenvectors of Ht are V = R^{-1} Z.
 Writing D = diag(lam_i / (lam_i + 1)) and E = diag((lam_i + 1)^{-1/2} - 1),
@@ -63,13 +69,15 @@ def _c_inv_adj_m(prior: GaussianPrior, x: np.ndarray) -> np.ndarray:
     return bidiagonal_solve(prior.C, prior.space.mass.matvec(x), trans=True)
 
 
-def _whitened_operator(model: ForwardModel, prior: GaussianPrior, m: np.ndarray):
-    """z -> T z = C^{-T} (M H_misfit(m)) C^{-1} z, one assembled misfit
-    Hessian action each, with the action and C bound once."""
-    hvp_raw, C = model.misfit_hvp_raw, prior.C
+def _whitened_operator(workers: list[ForwardModel], prior: GaussianPrior,
+                       points: list[np.ndarray]):
+    """Z -> rows T_i Z[i] = C^{-T} (M H_misfit(m_i)) C^{-1} Z[i] for a (c, n)
+    block Z: one stacked assembled misfit Hessian action between two
+    multi-RHS bidiagonal solves, with the action and C bound once."""
+    hvp_raw, C = type(workers[0]).stacked_hvp_raw(workers, points), prior.C
 
-    def apply(z: np.ndarray) -> np.ndarray:
-        return bidiagonal_solve(C, hvp_raw(m, bidiagonal_solve(C, z)), trans=True)
+    def apply(Z: np.ndarray) -> np.ndarray:
+        return bidiagonal_solve(C, hvp_raw(bidiagonal_solve(C, Z.T)), trans=True).T
     return apply
 
 
@@ -139,16 +147,52 @@ class LowRankHessian:
         return mean + bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n))
 
 
-def build_lowrank(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
-                  r: int, l: int, rng: np.random.Generator) -> LowRankHessian:
-    """Lanczos on the whitened preconditioned misfit Hessian T at m.
+def _orthonormalize(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows w[i] of a (c, n) block after two passes of full block
+    Gram-Schmidt against the rows of Q[i] (Q is (c, j, n)), and their
+    norms. np.matvec, np.vecmat and np.vecdot run each row's gemv and dot
+    calls, bit for bit those of Q[i] @ w[i] alone."""
+    for _ in range(2):
+        if Q.shape[1]:
+            w = w - np.vecmat(np.matvec(Q, w), Q)
+    return w, np.sqrt(np.vecdot(w, w))
 
-    Runs exactly r + l iterations (one Hessian action each, i.e. exactly
-    2(r+l) linearized solves), with full Euclidean reorthogonalization,
-    then keeps the top r Ritz pairs whose values pass the positivity
-    floor. If the Krylov space is exhausted early (the operator has
-    numerically low rank), a fresh random direction is injected so the
-    iteration count -- and with it the solve count -- never changes.
+
+def _fresh_direction(rng: np.random.Generator, Q: np.ndarray) -> np.ndarray:
+    """A random unit vector orthogonal to the rows of Q (j, n)."""
+    for _ in range(3):
+        raw = rng.standard_normal(Q.shape[1])
+        w, beta = _orthonormalize(raw[None], Q[None])
+        if beta[0] > 1e-10 * np.sqrt(raw @ raw):
+            return w[0] / beta[0]
+    raise NumericalError("Lanczos could not find a new direction after 3 restarts")
+
+
+def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
+                  points: list[np.ndarray], r: int, l: int,
+                  rngs: list[np.random.Generator]) -> list:
+    """Lanczos on the whitened preconditioned misfit Hessian T at each point,
+    all points in lockstep; returns one LowRankHessian per point, or the
+    NumericalError that stopped that point's build.
+
+    Chain i uses ``workers[i]`` and ``rngs[i]`` alone. Each build runs
+    exactly r + l iterations (one Hessian action each, i.e. exactly 2(r+l)
+    linearized solves), with full Euclidean reorthogonalization, then keeps
+    the top r Ritz pairs whose values pass the positivity floor. If the
+    Krylov space is exhausted early (the operator has numerically low
+    rank), a fresh random direction is injected so the iteration count --
+    and with it the solve count -- never changes. A build whose fresh
+    direction cannot be found stops there and leaves the batch.
+
+    The c builds share their calls: one stacked Hessian action, one pair of
+    multi-RHS bidiagonal solves and one batched Gram-Schmidt per
+    iteration; the Rayleigh-Ritz step and the fresh-direction draws stay
+    per point. The blocks do not mix, so each result, and each worker's
+    counter, is bit-identical to the build of that point alone (the batch
+    of one). The Krylov basis and its images hold 2 c (r + l) n floats.
+    A point whose state cannot be formed raises NumericalError for the
+    batch (see ``ForwardModel.stacked_hvp_raw``); the samplers build only
+    at points whose gradient they have formed.
     """
     n = prior.n
     k = int(r) + int(l)
@@ -156,41 +200,70 @@ def build_lowrank(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
         raise ValueError("need r >= 1 and l >= 0")
     if k > n:
         raise ValueError("r + l must not exceed the parameter dimension")
-    Q = np.empty((k, n))               # Lanczos vectors as rows
-    W = np.empty((k, n))               # their images under T
+    results: list = [None] * len(workers)
+    live = list(range(len(workers)))
+    Q = np.empty((len(live), k, n))     # Lanczos vectors as rows, one stack per point
+    W = np.empty((len(live), k, n))     # their images under T
 
-    def orthonormalize(w: np.ndarray, j: int) -> tuple[np.ndarray, float]:
-        # two passes of full block Gram-Schmidt against Q[:j]
-        for _ in range(2):
-            if j:
-                w = w - (Q[:j] @ w) @ Q[:j]
-        return w, float(np.sqrt(w @ w))
+    def fresh_directions(rows, j: int) -> None:
+        """Q[i, j] for each row i, drawn from its point's stream; a point
+        that finds none is dropped from the batch."""
+        nonlocal Q, W, live, op_scale, deflations
+        keep = []
+        for i in range(len(live)):
+            if i in rows:
+                try:
+                    Q[i, j] = _fresh_direction(rngs[live[i]], Q[i, :j])
+                except NumericalError as exc:
+                    results[live[i]] = exc
+                    continue
+            keep.append(i)
+        if len(keep) < len(live):
+            Q, W = Q[keep], W[keep]
+            live, op_scale, deflations = ([x[i] for i in keep]
+                                          for x in (live, op_scale, deflations))
 
-    def fresh_direction(j: int) -> np.ndarray:
-        for _ in range(3):
-            raw = rng.standard_normal(n)
-            w, beta = orthonormalize(raw, j)
-            if beta > 1e-10 * np.sqrt(raw @ raw):
-                return w / beta
-        raise NumericalError("Lanczos could not find a new direction after 3 restarts")
-
-    T = _whitened_operator(model, prior, m)
-    Q[0] = fresh_direction(0)
-    op_scale = 0.0
-    deflations = 0
+    op_scale = [0.0] * len(live)        # largest |T q| so far, per point
+    deflations = [0] * len(live)
+    fresh_directions(range(len(live)), 0)
+    T = None                            # made for the points still live
     for j in range(k):
-        w = T(Q[j])
-        W[j] = w
-        op_scale = max(op_scale, float(np.sqrt(w @ w)))
+        if not live:
+            break
+        if T is None:
+            T = _whitened_operator([workers[i] for i in live], prior,
+                                   [points[i] for i in live])
+        w = T(Q[:, j])
+        W[:, j] = w
+        op_scale = [max(s, x) for s, x in zip(op_scale, np.sqrt(np.vecdot(w, w)).tolist())]
         if j + 1 == k:
             break
-        w_orth, beta = orthonormalize(w, j + 1)
-        if beta <= 1e-11 * max(1.0, op_scale):
-            # invariant subspace reached; continue in its orthogonal complement
-            deflations += 1
-            Q[j + 1] = fresh_direction(j + 1)
-        else:
-            Q[j + 1] = w_orth / beta
+        w_orth, beta = _orthonormalize(w, Q[:, :j + 1])
+        spent = {i for i, (b, s) in enumerate(zip(beta.tolist(), op_scale))
+                 if b <= 1e-11 * max(1.0, s)}
+        if not spent:
+            np.divide(w_orth, beta[:, None], out=Q[:, j + 1])
+            continue
+        # invariant subspace reached; continue in its orthogonal complement
+        for i in range(len(live)):
+            if i in spent:
+                deflations[i] += 1
+            else:
+                Q[i, j + 1] = w_orth[i] / beta[i]
+        before = len(live)
+        fresh_directions(spent, j + 1)
+        if len(live) < before:
+            T = None
+    for i, point in enumerate(live):
+        results[point] = _rayleigh_ritz(prior, points[point], Q[i], W[i], r, k,
+                                        deflations[i])
+    return results
+
+
+def _rayleigh_ritz(prior: GaussianPrior, m: np.ndarray, Q: np.ndarray, W: np.ndarray,
+                   r: int, k: int, deflations: int) -> LowRankHessian:
+    """The top r Ritz pairs of T on the Krylov basis Q (rows) with images W."""
+    n = prior.n
     G = Q @ W.T                         # Rayleigh-Ritz projection of T
     G = 0.5 * (G + G.T)
     theta, S = scipy.linalg.eigh(G)

@@ -22,6 +22,9 @@ observation pullback uses B* = M^{-1} B^T. A model's ``misfit_hvp_raw``
 stops before that conversion and returns the assembled action
 M H_misfit mhat, which is Euclidean-symmetric; the low-rank build and the
 eigen-analysis work with it directly, and only ``hvp`` applies M^{-1}.
+``stacked_hvp_raw`` gives the same action for c chain workers, each at
+its own point, in one set of BLAS/LAPACK calls; every column it returns
+is bit-identical to that worker's ``misfit_hvp_raw``.
 Second-order (non-Gauss-Newton) terms are kept in the Hessian action.
 M and the PDE operator are stored tridiagonal (see ``fem``) and solved
 with the LAPACK dpttrf/dpttrs pair, so every M^{-1} application and
@@ -97,10 +100,10 @@ class ForwardModel:
     """Interface shared by the concrete models.
 
     Subclasses must set ``mesh``, ``space``, ``counter`` and (once data
-    exists) ``obs``, and implement ``predict``, ``misfit_gradient`` and
-    ``misfit_hvp_raw``. Observations are f(m); the data-misfit gradient is
-    returned as an M-representer, and its Hessian action as the assembled
-    functional M H_misfit mhat (no M^{-1} applied).
+    exists) ``obs``, and implement ``predict``, ``misfit_gradient``,
+    ``stacked_hvp_raw`` and ``misfit_hvp_raw``. Observations are f(m); the
+    data-misfit gradient is returned as an M-representer, and its Hessian
+    action as the assembled functional M H_misfit mhat (no M^{-1} applied).
     """
 
     mesh: Mesh1D
@@ -115,6 +118,15 @@ class ForwardModel:
         raise NotImplementedError
 
     def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @classmethod
+    def stacked_hvp_raw(cls, workers: list["ForwardModel"], points: list[np.ndarray]):
+        """X -> Y with Y[:, i] = workers[i].misfit_hvp_raw(points[i], X[:, i]),
+        bit for bit, for X of shape (n, c); each call adds two incremental
+        solves to every worker's counter. The per-point state is formed
+        (and counted) when the action is made, so a point whose state
+        cannot be formed raises NumericalError here."""
         raise NotImplementedError
 
     def clone(self) -> "ForwardModel":
@@ -167,6 +179,20 @@ class LinearGaussianModel(ForwardModel):
         self.counter.incremental_solves += 2
         return self.F.T @ ((self.F @ mhat) / obs.sigma**2)
 
+    @classmethod
+    def stacked_hvp_raw(cls, workers, points):
+        """F^T ((F mhat) / sigma^2) for every worker: np.matvec over the
+        stacked F runs one gemv per chain, as F @ mhat does alone."""
+        F = _stack([w.F[None] for w in workers])
+        sigma2 = _stack([w._require_obs().sigma[None] for w in workers]) ** 2
+        Ft = F.transpose(0, 2, 1)
+
+        def apply(X: np.ndarray) -> np.ndarray:
+            for w in workers:
+                w.counter.incremental_solves += 2
+            return np.matvec(Ft, np.matvec(F, X.T) / sigma2).T
+        return apply
+
 
 class ExpReaction1D(ForwardModel):
     """-u'' + exp(m) u = s with natural boundary conditions.
@@ -203,7 +229,11 @@ class ExpReaction1D(ForwardModel):
         M H_misfit mhat = mhat exp(m) .* load(u v) + Av^T uhat + Au^T vhat,
 
     two dpttrs and four dgbmv calls (the transposed pair accumulating in
-    place), with no assembly.
+    place), with no assembly. ``stacked_hvp_raw`` makes the actions of c
+    workers one such set of calls on the block-diagonal system of c n
+    unknowns: the factors, bands and e^m .* load(u v) of the c points are
+    concatenated with zero coupling between the blocks, and the B products
+    run one gemv per chain through np.matvec.
     """
 
     def __init__(self, mesh: Mesh1D, space: WeightedSpace,
@@ -267,12 +297,7 @@ class ExpReaction1D(ForwardModel):
         return self.space.solve(self._adjoint_state(m)["em_uv"])
 
     def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
-        state = self._adjoint_state(m)
-        if "Au" not in state:
-            em = state["em"]
-            state["Au"] = assemble_weighted_mass(self.mesh, state["u"]).column_scaled_band(em)
-            state["Av"] = assemble_weighted_mass(self.mesh, state["v"]).column_scaled_band(em)
-            state["sigma2"] = self.obs.sigma**2
+        state = self._hvp_state(m)
         factor, Au, Av, B = state["factor"], state["Au"], state["Av"], self.obs.B
         uhat = factor.solve(band_matvec(Au, mhat, alpha=-1.0))
         rhs = -(B.T @ ((B @ uhat) / state["sigma2"]))
@@ -280,6 +305,58 @@ class ExpReaction1D(ForwardModel):
         self.counter.incremental_solves += 2
         out = band_matvec(Av, uhat, trans=True, y=mhat * state["em_uv"])
         return band_matvec(Au, vhat, trans=True, y=out)
+
+    def _hvp_state(self, m: np.ndarray) -> dict:
+        """The adjoint state plus Au and Av in general band storage and
+        sigma^2, formed by the first Hessian action at m."""
+        state = self._adjoint_state(m)
+        if "Au" not in state:
+            em = state["em"]
+            state["Au"] = assemble_weighted_mass(self.mesh, state["u"]).column_scaled_band(em)
+            state["Av"] = assemble_weighted_mass(self.mesh, state["v"]).column_scaled_band(em)
+            state["sigma2"] = self.obs.sigma**2
+        return state
+
+    @classmethod
+    def stacked_hvp_raw(cls, workers, points):
+        """The Hessian actions of c workers as two dpttrs and four dgbmv
+        calls on c n unknowns. The zero coupling isolates the blocks only
+        while every value is finite (0 * nan = nan), so an action with a
+        non-finite entry is redone worker by worker."""
+        states = [w._hvp_state(m) for w, m in zip(workers, points)]
+        c, n = len(states), workers[0].space.n
+        factor = TridiagonalFactor(
+            _stack([s["factor"].d for s in states]),
+            _stack([e for s in states for e in (_ZERO, s["factor"].e)][1:]))
+        Au = _stack([s["Au"] for s in states], axis=1)
+        Av = _stack([s["Av"] for s in states], axis=1)
+        em_uv = _stack([s["em_uv"] for s in states])
+        B = _stack([w.obs.B[None] for w in workers])
+        sigma2 = _stack([s["sigma2"][None] for s in states])
+        Bt = B.transpose(0, 2, 1)
+
+        def apply(X: np.ndarray) -> np.ndarray:
+            x = X.ravel(order="F")
+            uhat = factor.solve(band_matvec(Au, x, alpha=-1.0))
+            rhs = -np.matvec(Bt, np.matvec(B, uhat.reshape(c, n)) / sigma2).ravel()
+            vhat = factor.solve(band_matvec(Av, x, alpha=-1.0, y=rhs))
+            out = band_matvec(Av, uhat, trans=True, y=x * em_uv)
+            out = band_matvec(Au, vhat, trans=True, y=out)
+            if c > 1 and not np.isfinite(out).all():
+                return np.column_stack([w.misfit_hvp_raw(m, X[:, i])
+                                        for i, (w, m) in enumerate(zip(workers, points))])
+            for w in workers:
+                w.counter.incremental_solves += 2
+            return out.reshape((n, c), order="F")
+        return apply
+
+
+_ZERO = np.zeros(1)   # the coupling between two stacked blocks
+
+
+def _stack(blocks: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """The blocks concatenated along ``axis``; a single block as it is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)
 
 
 # -- posterior pieces ----------------------------------------------------

@@ -49,7 +49,7 @@ from .map_point import solve_map
 from .models import (ExpReaction1D, LinearGaussianModel, observation_points,
                      synthesize_data)
 from .prior import build_prior
-from .samplers import SamplerSettings, run_chain, select_start_points
+from .samplers import SamplerSettings, run_chain, run_chains, select_start_points
 
 logger = logging.getLogger(__name__)
 
@@ -163,8 +163,10 @@ def stage_lowrank(problem: Problem, m_map: np.ndarray):
     cfg = problem.cfg
     before = problem.model.counter.total
     rng = np.random.default_rng([cfg["run.seed"], LANCZOS_KEY])
-    lrh = build_lowrank(problem.model, problem.prior, m_map,
-                        cfg["lowrank.r"], cfg["lowrank.l"], rng)
+    (lrh,) = build_lowrank([problem.model], problem.prior, [m_map],
+                           cfg["lowrank.r"], cfg["lowrank.l"], [rng])
+    if isinstance(lrh, Exception):
+        raise lrh
     info = {"rank": lrh.rank, "iterations": lrh.lanczos_iters,
             "solves": problem.model.counter.total - before}
     return lrh, info
@@ -202,22 +204,21 @@ def stage_pilot(problem: Problem, m_map: np.ndarray, lrh_map):
 def run_campaign(problem: Problem, method: str, starts: np.ndarray,
                  m_map: np.ndarray, lrh_map, out_dir: str | None,
                  n_samples: int | None = None) -> list:
-    """All chains for one method; one cloned model (fresh counter) each."""
+    """All chains for one method, in lockstep; one cloned model (fresh
+    counter) each."""
     cfg = problem.cfg
     settings = sampler_settings(cfg, method, lrh_map, m_map)
     n_samples = cfg["run.samples"] if n_samples is None else n_samples
-    chains = []
-    for cid in range(starts.shape[0]):
-        worker = problem.model.clone()
-        path = None
-        if out_dir is not None:
-            path = os.path.join(out_dir, "chains", method, f"chain_{cid:03d}.csv")
-        chain = run_chain(settings, worker, problem.prior, starts[cid],
-                          n_samples, cfg["run.seed"], cid, flush_path=path)
+    ids = range(starts.shape[0])
+    paths = None
+    if out_dir is not None:
+        paths = [os.path.join(out_dir, "chains", method, f"chain_{cid:03d}.csv") for cid in ids]
+    chains = run_chains(settings, [problem.model.clone() for _ in ids], problem.prior,
+                        starts, n_samples, cfg["run.seed"], ids, flush_paths=paths)
+    for cid, chain in zip(ids, chains):
         chain.meta["start_index"] = cid
-        if path is not None:
-            write_chain(chain, path)
-        chains.append(chain)
+        if paths is not None:
+            write_chain(chain, paths[cid])
     return chains
 
 

@@ -32,6 +32,19 @@ leaves the state bit-identical, so chains are reproducible from
 Per-step linearized solve costs (exact, enforced by the point caches in
 the models): ismap 1, snmap 2, sn 2 + 2(r+l).
 
+A campaign advances all of its chains one step at a time (``run_chains``):
+every chain draws its proposal, the candidates of all chains are
+evaluated together, and each chain then accepts or rejects with its own
+uniform. For sn that is one lockstep ``build_lowrank`` a step, whose
+Hessian actions, whitening solves and Gram-Schmidt passes are each one
+BLAS/LAPACK call for all chains. Each chain keeps its own worker model,
+solve counter and (seed, chain_id) stream, and the stacked calls do not
+mix chains, so a chain's rows and ``cum_solves`` are bit-identical to
+those of the chain run alone, whatever the number of chains beside it;
+``run_chain`` is the driver with one chain. A solver failure at one
+chain's candidate rejects only that chain's step. A fatal error ends the
+campaign: every chain's rows so far are flushed, marked partial.
+
 A ``Chain`` holds one row per step. ``Chain.after_burn_in`` is the one
 place the burn-in rule is written: it drops the first int(frac * N) rows
 and keeps the last ``cum_solves``, so a trimmed chain still carries the
@@ -41,6 +54,7 @@ cost of the whole run.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +67,7 @@ from .prior import GaussianPrior
 logger = logging.getLogger(__name__)
 
 METHODS = ("sn", "snmap", "ismap")
+LOCKSTEP_BLOCK_VALUES = 1 << 18  # stacked Krylov basis floats per group of chains
 
 
 @dataclass
@@ -109,22 +124,44 @@ class SamplerSettings:
             raise ValueError(f"{self.method} needs the MAP point and its low-rank Hessian")
 
 
-def evaluate(settings: SamplerSettings, model: ForwardModel, prior: GaussianPrior,
-             m: np.ndarray, rng: np.random.Generator) -> ChainState:
-    """The log posterior at m and the proposal drawn from m.
+def evaluate(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
+             points: list[np.ndarray], rngs: list[np.random.Generator]) -> list:
+    """The log posterior at each point and the proposal drawn from it: one
+    ChainState per point, or the NumericalError that stopped its
+    evaluation. Point i uses ``workers[i]`` and ``rngs[i]`` alone.
 
     The gradient and the sn build run even where the log posterior is not
     finite, so a step's solve count and random stream do not depend on
-    the candidate.
+    the candidate. The sn builds of all points are one lockstep
+    ``build_lowrank``.
     """
-    lp = log_posterior(model, prior, m)
-    if settings.method == "ismap":
-        return ChainState(m, lp, settings.lrh_map, settings.m_map, 0.0)
-    g = gradient(model, prior, m)
-    if settings.method == "snmap":
-        return ChainState(m, lp, settings.lrh_map, m - settings.lrh_map.apply_inv(g), 0.0)
-    lrh = build_lowrank(model, prior, m, settings.r, settings.l, rng)
-    return ChainState(m, lp, lrh, m - lrh.apply_inv(g), lrh.half_logdet_rel())
+    out: list = []
+    for model, m in zip(workers, points):
+        try:
+            lp = log_posterior(model, prior, m)
+            if settings.method == "ismap":
+                out.append(ChainState(m, lp, settings.lrh_map, settings.m_map, 0.0))
+                continue
+            g = gradient(model, prior, m)
+        except NumericalError as exc:
+            out.append(exc)
+            continue
+        if settings.method == "snmap":
+            out.append(ChainState(m, lp, settings.lrh_map,
+                                  m - settings.lrh_map.apply_inv(g), 0.0))
+        else:
+            out.append((lp, g))         # completed by the build below
+    if settings.method == "sn":
+        todo = [i for i, o in enumerate(out) if isinstance(o, tuple)]
+        lrhs = build_lowrank([workers[i] for i in todo], prior, [points[i] for i in todo],
+                             settings.r, settings.l, [rngs[i] for i in todo])
+        for i, lrh in zip(todo, lrhs):
+            if isinstance(lrh, NumericalError):
+                out[i] = lrh
+            else:
+                (lp, g), m = out[i], points[i]
+                out[i] = ChainState(m, lp, lrh, m - lrh.apply_inv(g), lrh.half_logdet_rel())
+    return out
 
 
 def log_q(state: ChainState, point: np.ndarray) -> float:
@@ -133,75 +170,108 @@ def log_q(state: ChainState, point: np.ndarray) -> float:
     return state.half_logdet - 0.5 * state.lrh.quad(point - state.mean)
 
 
-def init_state(settings: SamplerSettings, model: ForwardModel, prior: GaussianPrior,
-               m: np.ndarray, rng: np.random.Generator) -> ChainState:
-    state = evaluate(settings, model, prior, np.asarray(m, dtype=float).copy(), rng)
-    if not np.isfinite(state.log_post):
-        raise NumericalError("non-finite log posterior at the chain start")
-    return state
+def init_states(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
+                starts: list[np.ndarray], rngs: list[np.random.Generator]) -> list[ChainState]:
+    """The first state of each chain; a start that cannot be evaluated, or
+    whose log posterior is not finite, raises."""
+    states = evaluate(settings, workers, prior,
+                      [np.asarray(m, dtype=float).copy() for m in starts], rngs)
+    for state in states:
+        if isinstance(state, NumericalError):
+            raise state
+        if not math.isfinite(state.log_post):
+            raise NumericalError("non-finite log posterior at the chain start")
+    return states
 
 
-def mh_step(settings: SamplerSettings, state: ChainState, model: ForwardModel,
-            prior: GaussianPrior, rng: np.random.Generator) -> tuple[ChainState, bool]:
-    """One Metropolis-Hastings step; returns (new_state, accepted).
+def mh_step(settings: SamplerSettings, states: list[ChainState], workers: list[ForwardModel],
+            prior: GaussianPrior, rngs: list[np.random.Generator]
+            ) -> tuple[list[ChainState], list[bool]]:
+    """One Metropolis-Hastings step of every chain; returns the new states
+    and whether each chain accepted.
 
-    The proposal is drawn first, before anything in the step can raise.
-    Solver failures while evaluating it count as a rejection (with a
-    warning) rather than aborting the chain.
+    Each proposal is drawn first, before anything in the step can raise,
+    and the candidates are evaluated together. A solver failure while
+    evaluating a chain's candidate rejects that chain's step (with a
+    warning) rather than aborting it; the other chains do not see it.
     """
-    y = state.lrh.draw(rng, state.mean)
+    candidates = evaluate(settings, workers, prior,
+                          [state.lrh.draw(rng, state.mean) for state, rng in zip(states, rngs)],
+                          rngs)
+    new, accepted = [], []
+    for state, candidate, rng in zip(states, candidates, rngs):
+        if isinstance(candidate, NumericalError):
+            logger.warning("proposal evaluation failed (%s); step rejected", candidate)
+            rng.uniform()  # keep the stream aligned with the success path
+            accept = False
+        elif not math.isfinite(candidate.log_post):
+            rng.uniform()
+            accept = False
+        else:
+            accept = np.log(rng.uniform()) < (candidate.log_post - state.log_post
+                                              + log_q(candidate, state.m)
+                                              - log_q(state, candidate.m))
+        new.append(candidate if accept else state)
+        accepted.append(accept)
+    return new, accepted
+
+
+def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
+               starts: list[np.ndarray], n_samples: int, seed: int, chain_ids: list[int],
+               flush_paths: list[str] | None = None) -> list[Chain]:
+    """Run one chain per worker, advancing the chains one step at a time
+    together; chain i's RNG stream is derived from (seed, chain_ids[i]).
+
+    The chains run in groups of as many as keep a group's stacked Krylov
+    basis, 2 (r + l) n floats per chain, within ``LOCKSTEP_BLOCK_VALUES``;
+    a group runs to the end before the next starts. A chain's rows do not
+    depend on the other chains, the grouping or their number. On a fatal
+    error every chain that has rows is flushed, marked partial, to its
+    path in ``flush_paths`` (when given) before the exception propagates.
+    """
+    n = prior.n
+    chains = [Chain(samples=np.empty((n_samples, n)), accepted=np.zeros(n_samples, dtype=bool),
+                    log_post=np.empty(n_samples), cum_solves=np.zeros(n_samples, dtype=np.int64),
+                    meta={"method": settings.method, "seed": int(seed),
+                          "chain_id": int(cid), "n": n, "r": settings.r, "l": settings.l})
+              for cid in chain_ids]
+    size = max(1, LOCKSTEP_BLOCK_VALUES // (2 * (settings.r + settings.l) * n))
+    group, k = range(0), 0              # the group running and the rows it has
     try:
-        candidate = evaluate(settings, model, prior, y, rng)
-        log_ratio = (candidate.log_post - state.log_post
-                     + log_q(candidate, state.m) - log_q(state, y))
-    except NumericalError as exc:
-        logger.warning("proposal evaluation failed (%s); step rejected", exc)
-        rng.uniform()  # keep the stream aligned with the success path
-        return state, False
-
-    if not np.isfinite(candidate.log_post):
-        rng.uniform()
-        return state, False
-
-    accept = np.log(rng.uniform()) < log_ratio
-    return (candidate, True) if accept else (state, False)
+        for lo in range(0, len(chains), size):
+            group, k = range(lo, min(lo + size, len(chains))), 0
+            members = [workers[i] for i in group]
+            rngs = [np.random.default_rng([int(seed), int(chain_ids[i])]) for i in group]
+            states = init_states(settings, members, prior, [starts[i] for i in group], rngs)
+            for k in range(n_samples):
+                states, accepted = mh_step(settings, states, members, prior, rngs)
+                for i, state, acc in zip(group, states, accepted):
+                    chain = chains[i]
+                    chain.samples[k] = state.m
+                    chain.accepted[k] = acc
+                    chain.log_post[k] = state.log_post
+                    chain.cum_solves[k] = workers[i].counter.total
+    except Exception:
+        if flush_paths is not None:
+            from .chain_io import write_chain
+            for i, (chain, path) in enumerate(zip(chains, flush_paths)):
+                rows = n_samples if i < group.start else k if i in group else 0
+                if rows > 0:
+                    write_chain(Chain(samples=chain.samples[:rows],
+                                      accepted=chain.accepted[:rows],
+                                      log_post=chain.log_post[:rows],
+                                      cum_solves=chain.cum_solves[:rows],
+                                      meta={**chain.meta, "partial": True}), path)
+        raise
+    return chains
 
 
 def run_chain(settings: SamplerSettings, model: ForwardModel, prior: GaussianPrior,
               m_start: np.ndarray, n_samples: int, seed: int, chain_id: int,
               flush_path=None) -> Chain:
-    """Run one chain; the RNG stream is derived from (seed, chain_id).
-
-    On a fatal error the partial chain is flushed to ``flush_path`` (when
-    given) before the exception propagates.
-    """
-    rng = np.random.default_rng([int(seed), int(chain_id)])
-    n = prior.n
-    samples = np.empty((n_samples, n))
-    accepted = np.zeros(n_samples, dtype=bool)
-    log_post = np.empty(n_samples)
-    cum_solves = np.zeros(n_samples, dtype=np.int64)
-    meta = {"method": settings.method, "seed": int(seed), "chain_id": int(chain_id),
-            "n": n, "r": settings.r, "l": settings.l}
-    k = 0
-    try:
-        state = init_state(settings, model, prior, m_start, rng)
-        for k in range(n_samples):
-            state, acc = mh_step(settings, state, model, prior, rng)
-            samples[k] = state.m
-            accepted[k] = acc
-            log_post[k] = state.log_post
-            cum_solves[k] = model.counter.total
-    except Exception:
-        if flush_path is not None and k > 0:
-            partial = Chain(samples=samples[:k], accepted=accepted[:k],
-                            log_post=log_post[:k], cum_solves=cum_solves[:k],
-                            meta={**meta, "partial": True})
-            from .chain_io import write_chain
-            write_chain(partial, flush_path)
-        raise
-    return Chain(samples=samples, accepted=accepted, log_post=log_post,
-                 cum_solves=cum_solves, meta=meta)
+    """Run one chain: ``run_chains`` with a single chain."""
+    return run_chains(settings, [model], prior, [m_start], n_samples, seed, [chain_id],
+                      None if flush_path is None else [flush_path])[0]
 
 
 def select_start_points(pilot_samples: np.ndarray, k: int,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hessmc.fem import Mesh1D, assemble_mass, bidiagonal_solve, interpolation_matrix
+from hessmc.lowrank import build_lowrank
 from hessmc.models import (
     ExpReaction1D,
     LinearGaussianModel,
@@ -24,6 +25,14 @@ def white_noise(space, rng, size=None):
     shape = space.n if size is None else (space.n, size)
     out = bidiagonal_solve(space.R, rng.standard_normal(shape))
     return out if size is None else out.T
+
+
+def build_one(model, prior, m, r, l, rng):
+    """``build_lowrank`` at one point (the batch of one); a failure raises."""
+    (lrh,) = build_lowrank([model], prior, [m], r, l, [rng])
+    if isinstance(lrh, Exception):
+        raise lrh
+    return lrh
 
 
 def make_small_problem(n=35, q=6, kind="exp_reaction", a=1e-2, b=1e2,

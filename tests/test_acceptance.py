@@ -20,7 +20,6 @@ import scipy.signal
 from hessmc.analysis import classify_eigenvectors, posterior_eigensystem
 from hessmc.config import RunConfig
 from hessmc.diagnostics import autocorrelation, ess, iat, mpsrf
-from hessmc.lowrank import build_lowrank
 from hessmc.map_point import solve_map
 from hessmc.models import gradient, hvp
 from hessmc.pipeline import (LANCZOS_KEY, build_problem, observed_mask,
@@ -28,7 +27,7 @@ from hessmc.pipeline import (LANCZOS_KEY, build_problem, observed_mask,
                              stage_lowrank, stage_map, stage_pilot)
 from hessmc.samplers import SamplerSettings, run_chain
 
-from conftest import white_noise
+from conftest import build_one, white_noise
 
 pytestmark = pytest.mark.acceptance
 
@@ -40,9 +39,9 @@ def linear_posterior():
     problem = build_problem(cfg)
     res = solve_map(problem.model.clone(), problem.prior,
                     grad_tol_rel=1e-10, cg_rtol=1e-12)
-    lrh = build_lowrank(problem.model.clone(), problem.prior, res.m_map,
-                        cfg["lowrank.r"], cfg["lowrank.l"],
-                        np.random.default_rng([cfg["run.seed"], LANCZOS_KEY]))
+    lrh = build_one(problem.model.clone(), problem.prior, res.m_map,
+                    cfg["lowrank.r"], cfg["lowrank.l"],
+                    np.random.default_rng([cfg["run.seed"], LANCZOS_KEY]))
     model = problem.model
     F, sigma = model.F, model.obs.sigma[0]
     P = problem.prior.K.dense() + F.T @ F / sigma**2
@@ -163,8 +162,8 @@ def test_criterion_4_lowrank_algebra_exactness(linear_posterior):
     prior, space = problem.prior, problem.space
     n = prior.n
     t0 = time.perf_counter()
-    lrh = build_lowrank(problem.model.clone(), prior, m_map, n - 5, 5,
-                        np.random.default_rng([0, LANCZOS_KEY]))
+    lrh = build_one(problem.model.clone(), prior, m_map, n - 5, 5,
+                    np.random.default_rng([0, LANCZOS_KEY]))
 
     worker = problem.model.clone()
     T = np.empty((n, n))
@@ -204,8 +203,8 @@ def test_criterion_5_solve_count_ledger():
     worker = problem.model.clone()
     gradient(worker, problem.prior, res.m_map)
     before = worker.counter.total
-    lrh = build_lowrank(worker, problem.prior, res.m_map, r, l,
-                        np.random.default_rng([0, LANCZOS_KEY]))
+    lrh = build_one(worker, problem.prior, res.m_map, r, l,
+                    np.random.default_rng([0, LANCZOS_KEY]))
     assert worker.counter.total - before == 2 * (r + l)
 
     per_step = {"ismap": 1, "snmap": 2, "sn": 2 + 2 * (r + l)}

@@ -1,12 +1,15 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or a test module imports is used in that
+module."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hessmc"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hessmc"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

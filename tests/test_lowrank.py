@@ -12,12 +12,13 @@ from hessmc.fem import (Mesh1D, WeightedSpace, assemble_mass, bidiagonal_solve,
                         interpolation_matrix)
 from hessmc.lowrank import build_lowrank
 from hessmc.map_point import solve_map
-from hessmc.models import (LinearGaussianModel, gradient, observation_points,
-                           synthesize_data)
+from hessmc.errors import NumericalError
+from hessmc.models import (ExpReaction1D, LinearGaussianModel, gradient,
+                           observation_points, synthesize_data)
 from hessmc.pipeline import LANCZOS_KEY, build_problem
 from hessmc.prior import build_prior
 
-from conftest import make_small_problem, white_noise
+from conftest import build_one, make_small_problem, white_noise
 
 
 def dense_preconditioned_misfit(model, prior, m):
@@ -43,8 +44,8 @@ def dense_preconditioned_misfit(model, prior, m):
 def linear_setup():
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind="linear")
     m_ref = prior.mean.copy()
-    lrh = build_lowrank(model.clone(), prior, m_ref, 25, 5,
-                        np.random.default_rng(10))  # r + l = n: exact regime
+    lrh = build_one(model.clone(), prior, m_ref, 25, 5,
+                    np.random.default_rng(10))  # r + l = n: exact regime
     _, theta, U = dense_preconditioned_misfit(model.clone(), prior, m_ref)
     return prior, model, m_ref, lrh, theta, U
 
@@ -137,7 +138,7 @@ def test_half_logdet_matches_dense(linear_setup):
 def test_build_uses_exactly_two_solves_per_iteration():
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind="linear")
     worker = model.clone()
-    build_lowrank(worker, prior, prior.mean, 12, 3, np.random.default_rng(0))
+    build_one(worker, prior, prior.mean, 12, 3, np.random.default_rng(0))
     assert worker.counter.total == 2 * (12 + 3)
     assert worker.counter.incremental_solves == 2 * (12 + 3)
 
@@ -147,7 +148,7 @@ def test_build_uses_exactly_two_solves_per_iteration():
     worker2 = model2.clone()
     gradient(worker2, prior2, prior2.mean)
     before = worker2.counter.total
-    build_lowrank(worker2, prior2, prior2.mean, 12, 3, np.random.default_rng(0))
+    build_one(worker2, prior2, prior2.mean, 12, 3, np.random.default_rng(0))
     assert worker2.counter.total - before == 2 * (12 + 3)
 
 
@@ -164,16 +165,16 @@ def test_build_makes_no_mass_solve(kind, monkeypatch):
         return solve(self, b)
 
     monkeypatch.setattr(WeightedSpace, "solve", counting_solve)
-    lrh = build_lowrank(model.clone(), prior, prior.mean + 0.2, 12, 3,
-                        np.random.default_rng(0))
+    lrh = build_one(model.clone(), prior, prior.mean + 0.2, 12, 3,
+                    np.random.default_rng(0))
     assert lrh.rank > 0
     assert calls == []
 
 
 def test_truncation_keeps_top_r():
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind="linear")
-    full = build_lowrank(model.clone(), prior, prior.mean, 25, 5, np.random.default_rng(3))
-    trunc = build_lowrank(model.clone(), prior, prior.mean, 3, 27, np.random.default_rng(3))
+    full = build_one(model.clone(), prior, prior.mean, 25, 5, np.random.default_rng(3))
+    trunc = build_one(model.clone(), prior, prior.mean, 3, 27, np.random.default_rng(3))
     assert trunc.rank == 3
     np.testing.assert_allclose(trunc.lam, full.lam[:3], rtol=1e-9)
 
@@ -186,7 +187,7 @@ def test_breakdown_injects_fresh_directions_without_extra_solves():
     pts = observation_points(mesh, 2)
     model = LinearGaussianModel(mesh, space, interpolation_matrix(mesh, pts))
     synthesize_data(model, np.zeros(20), 0.02, np.random.default_rng(0), points=pts)
-    lrh = build_lowrank(model, prior, prior.mean, 8, 2, np.random.default_rng(1))
+    lrh = build_one(model, prior, prior.mean, 8, 2, np.random.default_rng(1))
     assert lrh.deflations > 0
     assert lrh.lanczos_iters == 10
     assert model.counter.total == 2 * 10
@@ -204,7 +205,7 @@ def test_rank_zero_falls_back_to_prior(caplog):
     synthesize_data(model, np.zeros(12), 0.1, np.random.default_rng(0),
                     points=np.array([0.5, 0.6, 0.7]))
     with caplog.at_level(logging.WARNING, logger="hessmc.lowrank"):
-        lrh = build_lowrank(model, prior, prior.mean, 3, 2, np.random.default_rng(0))
+        lrh = build_one(model, prior, prior.mean, 3, 2, np.random.default_rng(0))
     assert "fall back" in caplog.text
     assert lrh.rank == 0
     rng = np.random.default_rng(1)
@@ -220,11 +221,11 @@ def test_invalid_ranks_raise():
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind="linear")
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        build_lowrank(model.clone(), prior, prior.mean, 0, 5, rng)
+        build_one(model.clone(), prior, prior.mean, 0, 5, rng)
     with pytest.raises(ValueError):
-        build_lowrank(model.clone(), prior, prior.mean, 5, -1, rng)
+        build_one(model.clone(), prior, prior.mean, 5, -1, rng)
     with pytest.raises(ValueError):
-        build_lowrank(model.clone(), prior, prior.mean, 28, 5, rng)  # r + l > n
+        build_one(model.clone(), prior, prior.mean, 28, 5, rng)  # r + l > n
 
 
 def test_nonlinear_hessian_negatives_are_discarded():
@@ -233,7 +234,7 @@ def test_nonlinear_hessian_negatives_are_discarded():
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6)
     rng = np.random.default_rng(4)
     m = prior.mean + 0.5 * prior.apply_L(white_noise(space, rng))
-    lrh = build_lowrank(model.clone(), prior, m, 25, 5, np.random.default_rng(5))
+    lrh = build_one(model.clone(), prior, m, 25, 5, np.random.default_rng(5))
     assert np.all(lrh.lam > 0)
     _, theta, _ = dense_preconditioned_misfit(model.clone(), prior, m)
     pos = theta[theta > 1e-10 * max(1.0, theta[0])][:25]
@@ -246,10 +247,114 @@ def test_whitened_lanczos_top_ritz_values_at_default_exp_map():
     cfg = RunConfig()
     problem = build_problem(cfg)
     m_map = solve_map(problem.model.clone(), problem.prior).m_map
-    lrh = build_lowrank(problem.model.clone(), problem.prior, m_map,
-                        cfg["lowrank.r"], cfg["lowrank.l"],
-                        np.random.default_rng([cfg["run.seed"], LANCZOS_KEY]))
+    lrh = build_one(problem.model.clone(), problem.prior, m_map,
+                    cfg["lowrank.r"], cfg["lowrank.l"],
+                    np.random.default_rng([cfg["run.seed"], LANCZOS_KEY]))
     _, theta, _ = dense_preconditioned_misfit(problem.model.clone(), problem.prior, m_map)
     assert theta[0] == pytest.approx(371.2, rel=1e-3)
     assert theta[1] == pytest.approx(3.55, rel=1e-2)
     np.testing.assert_allclose(lrh.lam[:2], theta[:2], rtol=1e-8)
+
+
+# -- builds of several points in lockstep -------------------------------------
+
+def lockstep_points(kind, c=3):
+    """Workers (with their gradient formed, as in the samplers) at c
+    distinct points of a small problem; the linear one has 6 observations,
+    so a build with r + l > 6 deflates."""
+    mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind=kind)
+    rng = np.random.default_rng(21)
+    points = [prior.mean + 0.3 * prior.apply_L(white_noise(space, rng)) for _ in range(c)]
+    workers = [model.clone() for _ in points]
+    for worker, m in zip(workers, points):
+        gradient(worker, prior, m)
+    return prior, model, workers, points
+
+
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_stacked_action_equals_each_points_action(kind):
+    prior, model, workers, points = lockstep_points(kind)
+    alone = [model.clone() for _ in points]
+    X = np.random.default_rng(3).standard_normal((prior.n, len(points)))
+    before = [w.counter.total for w in workers]
+    Y = type(model).stacked_hvp_raw(workers, points)(X)
+    for i, (worker, m) in enumerate(zip(alone, points)):
+        gradient(worker, prior, m)
+        assert Y[:, i].tobytes() == worker.misfit_hvp_raw(m, X[:, i]).tobytes()
+        # exactly the two incremental solves of one action, per point
+        assert workers[i].counter.total - before[i] == 2
+        assert workers[i].counter.incremental_solves == 2
+
+
+def test_a_non_finite_stacked_action_leaves_the_other_blocks_alone():
+    # 0 * nan = nan: the zero coupling of the block-diagonal dpttrs and
+    # dgbmv calls would carry a nan into the neighbouring blocks
+    prior, model, workers, points = lockstep_points("exp_reaction")
+    X = np.random.default_rng(4).standard_normal((prior.n, 3))
+    X[5, 1] = np.nan
+    Y = ExpReaction1D.stacked_hvp_raw(workers, points)(X)
+    for i, (worker, m) in enumerate(zip(workers, points)):
+        assert Y[:, i].tobytes() == worker.misfit_hvp_raw(m, X[:, i]).tobytes()
+        assert worker.counter.incremental_solves == 4
+    assert np.isnan(Y[:, 1]).any() and np.isfinite(Y[:, [0, 2]]).all()
+
+
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_lockstep_build_equals_each_build_alone(kind):
+    prior, model, workers, points = lockstep_points(kind)
+    r, l = 8, 4
+    before = [w.counter.total for w in workers]
+    together = build_lowrank(workers, prior, points, r, l,
+                             [np.random.default_rng([9, i]) for i in range(3)])
+    for i, m in enumerate(points):
+        worker = model.clone()
+        gradient(worker, prior, m)
+        alone = build_one(worker, prior, m, r, l, np.random.default_rng([9, i]))
+        got = together[i]
+        assert got.lam.tobytes() == alone.lam.tobytes()
+        assert got.Z.tobytes() == alone.Z.tobytes()
+        assert (got.deflations, got.lanczos_iters) == (alone.deflations, alone.lanczos_iters)
+        assert workers[i].counter.total - before[i] == 2 * (r + l)
+        if kind == "linear":
+            assert got.deflations > 0
+
+
+class ZeroAfter:
+    """A generator whose standard normals after the first ``after`` are zero."""
+
+    def __init__(self, seed, after):
+        self.rng, self.after = np.random.default_rng(seed), after
+
+    def standard_normal(self, size=None):
+        self.after -= 1
+        out = self.rng.standard_normal(size)
+        return out if self.after >= 0 else 0.0 * out
+
+
+@pytest.mark.parametrize("after", [0, 1])
+def test_a_restart_failure_drops_only_that_build(after):
+    # after = 0: no start vector; after = 1: the first deflation of the
+    # linear build finds no fresh direction
+    prior, model, workers, points = lockstep_points("linear")
+    together = build_lowrank(workers, prior, points, 8, 4,
+                             [np.random.default_rng(0), ZeroAfter(1, after),
+                              np.random.default_rng(2)])
+    assert isinstance(together[1], NumericalError)
+    with pytest.raises(NumericalError, match="could not find a new direction"):
+        build_one(model.clone(), prior, points[1], 8, 4, ZeroAfter(1, after))
+    for i in (0, 2):
+        alone = build_one(model.clone(), prior, points[i], 8, 4, np.random.default_rng(i))
+        assert together[i].Z.tobytes() == alone.Z.tobytes()
+        assert together[i].lam.tobytes() == alone.lam.tobytes()
+        assert workers[i].counter.incremental_solves == 2 * 12
+
+
+def test_a_non_finite_build_fails_as_it_does_alone():
+    prior, model, workers, points = lockstep_points("exp_reaction")
+    workers[1]._state["em_uv"][4] = np.nan     # a nan in one point's Hessian
+    with pytest.raises(ValueError) as alone:
+        build_one(workers[1], prior, points[1], 8, 4, np.random.default_rng(1))
+    with pytest.raises(ValueError) as together:
+        build_lowrank(workers, prior, points, 8, 4,
+                      [np.random.default_rng(i) for i in range(3)])
+    assert str(together.value) == str(alone.value)

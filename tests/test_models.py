@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from hessmc.errors import NumericalError
-from hessmc.fem import (Mesh1D, assemble_mass, assemble_weighted_mass,
-                        interpolation_matrix)
+from hessmc.fem import Mesh1D, assemble_mass, assemble_weighted_mass
 from hessmc.models import (
     ExpReaction1D,
-    LinearGaussianModel,
     gradient,
     hvp,
     log_posterior,
     observation_points,
     synthesize_data,
 )
-from hessmc.prior import build_prior
 
 from conftest import make_small_problem, white_noise
 

@@ -1,27 +1,28 @@
 """MH kernels: proposal densities, acceptance behavior, reproducibility,
 solve-cost accounting, start-point selection."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from hessmc import samplers
 from hessmc.chain_io import read_chain
 from hessmc.errors import NumericalError
-from hessmc.fem import interpolation_matrix
-from hessmc.lowrank import LowRankHessian, build_lowrank
+from hessmc.lowrank import LowRankHessian
 from hessmc.map_point import solve_map
-from hessmc.models import LinearGaussianModel, gradient, synthesize_data
-from hessmc.prior import build_prior
-from hessmc.samplers import (Chain, SamplerSettings, evaluate, init_state, log_q,
-                             mh_step, run_chain, select_start_points)
+from hessmc.models import LinearGaussianModel, gradient
+from hessmc.samplers import (Chain, SamplerSettings, evaluate, init_states, log_q,
+                             mh_step, run_chain, run_chains, select_start_points)
 
-from conftest import make_small_problem, white_noise
+from conftest import build_one, make_small_problem, white_noise
 
 
 def tight_map_setup(kind="linear", n=35, q=6, r=10, l=5):
     mesh, space, prior, model, m_true = make_small_problem(n=n, q=q, kind=kind)
     res = solve_map(model.clone(), prior, grad_tol_rel=1e-10, cg_rtol=1e-12)
-    lrh = build_lowrank(model.clone(), prior, res.m_map, r, l,
-                        np.random.default_rng(7))
+    lrh = build_one(model.clone(), prior, res.m_map, r, l,
+                    np.random.default_rng(7))
     return mesh, space, prior, model, res.m_map, lrh
 
 
@@ -58,7 +59,7 @@ def test_log_q_contracts(linear_map):
 
     def at(method, m):
         settings = SamplerSettings(method=method, r=10, l=5, lrh_map=lrh, m_map=m_map)
-        return evaluate(settings, model.clone(), prior, m, np.random.default_rng(1))
+        return evaluate(settings, [model.clone()], prior, [m], [np.random.default_rng(1)])[0]
 
     # ismap: independent of the current state
     sa, sb = at("ismap", a), at("ismap", b)
@@ -115,9 +116,9 @@ def test_newton_proposals_draw_plain_normals(linear_map):
     mesh, space, prior, model, m_map, lrh = linear_map
     for method in ("ismap", "snmap"):
         settings = SamplerSettings(method=method, lrh_map=lrh, m_map=m_map)
-        rng = np.random.default_rng(21)
-        state = init_state(settings, model.clone(), prior, m_map, rng)
-        mh_step(settings, state, model.clone(), prior, rng)
+        rng, worker = np.random.default_rng(21), model.clone()
+        states = init_states(settings, [worker], prior, [m_map], [rng])
+        mh_step(settings, states, [worker], prior, [rng])
         ref = np.random.default_rng(21)
         ref.standard_normal(prior.n)
         ref.uniform()
@@ -132,8 +133,8 @@ def test_newton_proposals_draw_plain_normals(linear_map):
 def test_per_step_solve_costs():
     mesh, space, prior, model, m_true = make_small_problem()
     res = solve_map(model.clone(), prior)
-    lrh = build_lowrank(model.clone(), prior, res.m_map, 4, 2,
-                        np.random.default_rng(1))
+    lrh = build_one(model.clone(), prior, res.m_map, 4, 2,
+                    np.random.default_rng(1))
     expected = {"ismap": 1, "snmap": 2, "sn": 2 + 2 * (4 + 2)}
     for method, cost in expected.items():
         settings = SamplerSettings(method=method, r=4, l=2,
@@ -177,8 +178,8 @@ def test_init_state_rejects_non_finite_start():
     mesh, space, prior, model, _ = make_small_problem()
     settings = SamplerSettings(method="sn", r=4, l=2)
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
-        init_state(settings, model.clone(), prior, np.full(prior.n, 800.0),
-                   np.random.default_rng(0))
+        init_states(settings, [model.clone()], prior, [np.full(prior.n, 800.0)],
+                    [np.random.default_rng(0)])
 
 
 class DiskFullModel(LinearGaussianModel):
@@ -230,6 +231,158 @@ def test_settings_validation(linear_map):
     with pytest.raises(ValueError):
         SamplerSettings(method="ismap", m_map=m_map)
     SamplerSettings(method="ismap", m_map=m_map, lrh_map=lrh)  # fine
+
+
+# -- lockstep campaigns ------------------------------------------------------
+
+CHAIN_FIELDS = ("samples", "accepted", "log_post", "cum_solves")
+
+
+def assert_same_bytes(got, want):
+    for name in CHAIN_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.fixture(scope="module", params=["exp_reaction", "linear"])
+def campaign_setup(request):
+    """A small problem, its MAP and low-rank Hessian there, and three
+    dispersed starts. The exp prior is ten times stronger than the default,
+    so that every method accepts some steps; the linear problem has 6
+    observations and r + l = 12, so every sn build there deflates."""
+    kind = request.param
+    r, l = (4, 2) if kind == "exp_reaction" else (8, 4)
+    mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind=kind, a=0.1, b=1e3)
+    m_map = solve_map(model.clone(), prior).m_map
+    lrh = build_one(model.clone(), prior, m_map, r, l, np.random.default_rng(7))
+    if kind == "linear":
+        assert lrh.deflations > 0
+    rng = np.random.default_rng(3)
+    starts = [m_map + 0.02 * white_noise(space, rng) for _ in range(3)]
+    return prior, model, m_map, lrh, starts, r, l
+
+
+@pytest.mark.parametrize("method", ["ismap", "snmap", "sn"])
+def test_lockstep_campaign_matches_chains_run_alone(campaign_setup, method):
+    prior, model, m_map, lrh, starts, r, l = campaign_setup
+    settings = SamplerSettings(method=method, r=r, l=l, lrh_map=lrh, m_map=m_map)
+    ids = [0, 4, 7]
+    together = run_chains(settings, [model.clone() for _ in ids], prior, starts, 12,
+                          seed=5, chain_ids=ids)
+    for chain, start, cid in zip(together, starts, ids):
+        alone = run_chain(settings, model.clone(), prior, start, 12, seed=5, chain_id=cid)
+        assert_same_bytes(chain, alone)
+        assert chain.meta == alone.meta
+    assert any(chain.accepted.any() for chain in together)
+
+
+def test_groups_under_the_budget_give_the_same_bytes(campaign_setup, monkeypatch):
+    prior, model, m_map, lrh, starts, r, l = campaign_setup
+    settings = SamplerSettings(method="sn", r=r, l=l)
+    one_group = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
+                           seed=2, chain_ids=[0, 1, 2])
+    # room for the stacked Krylov bases of two chains: groups {0, 1} and {2}
+    monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_VALUES", 2 * 2 * (r + l) * prior.n)
+    calls = []
+    build = samplers.build_lowrank
+    monkeypatch.setattr(samplers, "build_lowrank",
+                        lambda workers, *args: calls.append(len(workers)) or build(workers, *args))
+    grouped = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
+                         seed=2, chain_ids=[0, 1, 2])
+    assert sorted(set(calls)) == [1, 2]
+    for a, b in zip(grouped, one_group):
+        assert_same_bytes(a, b)
+
+
+class FailingModel(LinearGaussianModel):
+    """Raises a NumericalError at the predictions numbered in ``fail_at``."""
+
+    def __init__(self, model, fail_at=()):
+        super().__init__(model.mesh, model.space, model.F)
+        self.obs = model.obs
+        self.fail_at, self.calls = set(fail_at), 0
+
+    def predict(self, m):
+        self.calls += 1
+        if self.calls in self.fail_at:
+            raise NumericalError("synthetic solver failure")
+        return super().predict(m)
+
+
+@pytest.mark.parametrize("method", ["ismap", "snmap", "sn"])
+def test_a_failed_candidate_rejects_only_its_chains_step(linear_map, method, caplog):
+    mesh, space, prior, model, m_map, lrh = linear_map
+    settings = SamplerSettings(method=method, r=10, l=5, lrh_map=lrh, m_map=m_map)
+    # a state takes one predict (ismap) or two (log posterior and gradient),
+    # the start included: chain 1 fails at two steps' candidates
+    fail_at = (5, 9) if method == "ismap" else (7, 13)
+    make = [lambda: FailingModel(model), lambda: FailingModel(model, fail_at),
+            lambda: FailingModel(model)]
+    with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
+        together = run_chains(settings, [m() for m in make], prior, [m_map] * 3, 10,
+                              seed=8, chain_ids=[0, 1, 2])
+    assert caplog.text.count("(synthetic solver failure); step rejected") == 2
+    for cid, (chain, m) in enumerate(zip(together, make)):
+        assert_same_bytes(chain, run_chain(settings, m(), prior, m_map, 10, seed=8,
+                                           chain_id=cid))
+    assert together[1].accepted.sum() == together[0].accepted.sum() - 2
+
+
+class ZeroWindow:
+    """A generator whose first four standard normals after its third
+    uniform are zero: the fourth step's proposal noise, then its Lanczos
+    start vector and the two restarts, which find no direction."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms, self.zeros = rng, 0, 0
+
+    def standard_normal(self, size=None):
+        out = self.rng.standard_normal(size)
+        if self.uniforms == 3 and self.zeros < 4:
+            self.zeros += 1
+            return 0.0 * out
+        return out
+
+    def uniform(self):
+        self.uniforms += 1
+        return self.rng.uniform()
+
+
+def test_a_lanczos_restart_failure_rejects_only_its_chains_step(campaign_setup, caplog,
+                                                                 monkeypatch):
+    prior, model, m_map, lrh, starts, r, l = campaign_setup
+    settings = SamplerSettings(method="sn", r=r, l=l)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: ZeroWindow(default_rng(key))
+                        if list(key)[1] == 1 else default_rng(key))
+    with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
+        together = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
+                              seed=4, chain_ids=[0, 1, 2])
+    assert caplog.text.count("could not find a new direction") == 1
+    assert not together[1].accepted[3]
+    for cid, (chain, start) in enumerate(zip(together, starts)):
+        assert_same_bytes(chain, run_chain(settings, model.clone(), prior, start, 8,
+                                           seed=4, chain_id=cid))
+
+
+def test_fatal_error_flushes_every_chain_of_the_campaign(tmp_path):
+    mesh, space, prior, ref_model, _ = make_small_problem(kind="linear")
+    settings = SamplerSettings(method="sn", r=4, l=2)
+    workers = [ref_model.clone(), DiskFullModel(mesh, space, ref_model.F.copy()),
+               ref_model.clone()]
+    workers[1].obs = ref_model.obs
+    paths = [str(tmp_path / f"chain_{cid}.csv") for cid in range(3)]
+    with pytest.raises(RuntimeError):
+        run_chains(settings, workers, prior, [prior.mean] * 3, 50, seed=0,
+                   chain_ids=[0, 1, 2], flush_paths=paths)
+    for cid, path in enumerate(paths):
+        partial = read_chain(path)
+        # the failing chain completed 4 steps (see above), and so did the others
+        assert partial.n_samples == 4
+        assert partial.meta["partial"] == 1 and partial.meta["chain_id"] == cid
+        assert_same_bytes(partial, run_chain(settings, ref_model.clone(), prior,
+                                             prior.mean, 4, seed=0, chain_id=cid))
 
 
 # -- start-point selection ---------------------------------------------------
