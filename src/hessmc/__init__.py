@@ -13,7 +13,7 @@ from .models import (ExpReaction1D, LinearGaussianModel, ObservationSetup,
                      SolveCounter, gradient, hvp, log_posterior, synthesize_data)
 from .lowrank import LowRankHessian, build_lowrank
 from .map_point import MapResult, solve_map
-from .samplers import (Chain, ChainState, SamplerSettings, mh_step, run_chain,
+from .samplers import (Chain, ChainStates, SamplerSettings, mh_step, run_chain,
                        run_chains, select_start_points)
 from .diagnostics import (DiagnosticsReport, diagnostics_report, ess, iat,
                           mpsrf, msj)

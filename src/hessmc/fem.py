@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dpttrf, dpttrs, dtbtrs
 
 from .errors import NumericalError
 
@@ -52,9 +52,12 @@ class Mesh1D:
         coords = np.atleast_1d(np.asarray(self.node_coords, dtype=float))
         if coords.ndim != 1 or coords.size < 2:
             raise ValueError("a mesh needs at least two nodes")
-        if not np.all(np.diff(coords) > 0.0):
+        h = np.diff(coords)
+        if not np.all(h > 0.0):
             raise ValueError("node coordinates must be strictly increasing")
+        h.flags.writeable = False
         object.__setattr__(self, "node_coords", coords)
+        object.__setattr__(self, "_h", h)
 
     @classmethod
     def uniform(cls, n_nodes: int, length: float = 1.0) -> "Mesh1D":
@@ -74,14 +77,15 @@ class Mesh1D:
 
     @property
     def element_lengths(self) -> np.ndarray:
-        return np.diff(self.node_coords)
+        """Node spacings, computed once per mesh (read-only)."""
+        return self._h
 
     def nearest_node(self, x: float) -> int:
         """Index of the node closest to coordinate x."""
         return int(np.argmin(np.abs(self.node_coords - x)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Tridiagonal:
     """Symmetric tridiagonal matrix stored by its diagonals.
 
@@ -135,14 +139,56 @@ class Tridiagonal:
         """
         if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
             raise NumericalError("tridiagonal matrix has non-finite entries")
-        d, e, info = scipy.linalg.lapack.dpttrf(self.diag, self.off)
+        d, e, info = dpttrf(self.diag, self.off)
         if info != 0:
             raise NumericalError(f"tridiagonal matrix is not positive definite "
                                  f"(pivot {info} of {self.n})")
         return TridiagonalFactor(d, e)
 
+    def factor_blocks(self) -> tuple["TridiagonalFactor | None", list[int], dict]:
+        """L D L^T of the block-diagonal matrix whose k blocks are the rows
+        of a stack (``diag`` (k, n), ``off`` (k, n - 1)), joined with zero
+        coupling, in one dpttrf call.
 
-@dataclass(frozen=True, eq=False)
+        Since d - 0 * 0 / d' = d, each block's factor is bitwise its own
+        ``factor()``. Returns the factor of the blocks that pass, their
+        rows, and for each other row the NumericalError its own
+        ``factor()`` raises: a block with a non-finite entry is left out
+        before the call, and dpttrf stops at the first non-positive
+        pivot, so the block that holds it is left out and the call is
+        made again for the rest. With no block left the factor is None.
+        """
+        k, n = self.diag.shape
+        rows = list(range(k))
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
+            finite = np.isfinite(self.diag).all(axis=1) & np.isfinite(self.off).all(axis=1)
+            rows = np.flatnonzero(finite).tolist()
+        factor = None
+        while rows:
+            diag, off = self.diag, self.off
+            if len(rows) < k:
+                diag, off = diag[rows], off[rows]
+            e = off.ravel()
+            if len(rows) > 1:
+                e = np.zeros((len(rows), n))
+                e[:, :-1] = off
+                e = e.ravel()[:-1]
+            d, e, info = dpttrf(diag.ravel(), e)
+            if info == 0:
+                factor = TridiagonalFactor(d, e)
+                break
+            rows.pop((info - 1) // n)
+        errors = {}
+        if len(rows) < k:
+            for row in sorted(set(range(k)).difference(rows)):
+                try:
+                    Tridiagonal(self.diag[row], self.off[row]).factor()
+                except NumericalError as exc:
+                    errors[row] = exc
+        return factor, rows, errors
+
+
+@dataclass(eq=False)
 class TridiagonalFactor:
     """Factors of A = L D L^T as dpttrf returns them: the diagonal of D
     and the subdiagonal of the unit lower-bidiagonal L."""
@@ -152,7 +198,22 @@ class TridiagonalFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply A^{-1} to a vector or to the columns of a matrix (dpttrs)."""
-        return scipy.linalg.lapack.dpttrs(self.d, self.e, b)[0]
+        return dpttrs(self.d, self.e, b)[0]
+
+    def block(self, i: int, n: int) -> "TridiagonalFactor":
+        """The factor of the i-th n x n diagonal block of a factor made by
+        ``Tridiagonal.factor_blocks`` (views, no copy)."""
+        return TridiagonalFactor(self.d[i * n:(i + 1) * n], self.e[i * n:(i + 1) * n - 1])
+
+    @staticmethod
+    def join(factors: list["TridiagonalFactor"]) -> "TridiagonalFactor":
+        """The factor of the block-diagonal matrix of the factored blocks,
+        joined with zero coupling; a single factor as it is."""
+        if len(factors) == 1:
+            return factors[0]
+        return TridiagonalFactor(
+            np.concatenate([f.d for f in factors]),
+            np.concatenate([x for f in factors for x in (_ZERO, f.e)][1:]))
 
     def cholesky(self) -> np.ndarray:
         """Upper-bidiagonal C = D^{1/2} L^T with C^T C = A, in LAPACK upper
@@ -168,6 +229,9 @@ class TridiagonalFactor:
         for i in range(s.size - 2, -1, -1):
             s[i] += self.e[i] ** 2 * s[i + 1]
         return s
+
+
+_ZERO = np.zeros(1)   # the coupling between two joined blocks
 
 
 def bidiagonal_matvec(band: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
@@ -198,7 +262,7 @@ def band_matvec(band: np.ndarray, x: np.ndarray, alpha: float = 1.0,
 def bidiagonal_solve(band: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
     """Solve with an upper-bidiagonal matrix in upper band storage (or with
     its transpose) for a vector or for the columns of a matrix (dtbtrs)."""
-    return scipy.linalg.lapack.dtbtrs(band, b, trans="T" if trans else "N")[0]
+    return dtbtrs(band, b, trans="T" if trans else "N")[0]
 
 
 class WeightedSpace:
@@ -234,10 +298,11 @@ class WeightedSpace:
 
 
 def _gather(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Nodal sums of per-element values at each element's left and right node."""
-    out = np.zeros(left.size + 1)
-    out[:-1] += left
-    out[1:] += right
+    """Nodal sums of per-element values at each element's left and right
+    node, along the last axis."""
+    out = np.zeros(left.shape[:-1] + (left.shape[-1] + 1,))
+    out[..., :-1] += left
+    out[..., 1:] += right
     return out
 
 
@@ -270,34 +335,46 @@ def assemble_weighted_mass(mesh: Mesh1D, coeff: np.ndarray) -> Tridiagonal:
     """Assemble ∫ c φ_i φ_j dx with c the piecewise-linear interpolant of
     the nodal values `coeff` (exact cubic element integrals).
 
-    With c ≡ 1 this reproduces the plain mass matrix.
+    With c ≡ 1 this reproduces the plain mass matrix. For a (k, n) block
+    of coefficients, one matrix per row: the diagonals are (k, n) and
+    (k, n - 1) blocks, each row bit for bit that row's matrix alone.
     """
     c = np.asarray(coeff, dtype=float)
-    if c.shape != (mesh.n_nodes,):
-        raise ValueError("coefficient must be a nodal vector")
-    h = mesh.element_lengths
-    cL, cR = c[:-1], c[1:]
-    return Tridiagonal(_gather(h * (3.0 * cL + cR) / 12.0, h * (cL + 3.0 * cR) / 12.0),
-                       h * (cL + cR) / 12.0)
+    if c.shape[-1:] != (mesh.n_nodes,) or c.ndim > 2:
+        raise ValueError("coefficient must be a nodal vector or a block of them")
+    cL, cR, t = c[..., :-1], c[..., 1:], 3.0 * c
+    # rows: h (3 cL + cR) / 12, h (cL + 3 cR) / 12 and h (cL + cR) / 12
+    e = np.empty((3,) + cR.shape)
+    np.add(t[..., :-1], cR, out=e[0])
+    np.add(cL, t[..., 1:], out=e[1])
+    np.add(cL, cR, out=e[2])
+    e *= mesh.element_lengths
+    e /= 12.0
+    return Tridiagonal(_gather(e[0], e[1]), e[2])
 
 
 def assemble_product_load(mesh: Mesh1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Assemble g_k = ∫ φ_k u_h v_h dx for piecewise-linear u_h, v_h.
 
     This is the load vector of the product of two mesh functions, again
-    integrated exactly (the integrand is cubic on each element).
+    integrated exactly (the integrand is cubic on each element). For two
+    (k, n) blocks, one load vector per row pair.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = mesh.n_nodes
-    if u.shape != (n,) or v.shape != (n,):
-        raise ValueError("u and v must be nodal vectors")
-    h = mesh.element_lengths
-    uL, uR = u[:-1], u[1:]
-    vL, vR = v[:-1], v[1:]
-    cross = uL * vR + uR * vL
-    return _gather(h * (3.0 * uL * vL + cross + uR * vR) / 12.0,
-                   h * (uL * vL + cross + 3.0 * uR * vR) / 12.0)
+    if u.shape != v.shape or u.shape[-1:] != (mesh.n_nodes,) or u.ndim > 2:
+        raise ValueError("u and v must be nodal vectors or blocks of them")
+    uv, tuv = u * v, 3.0 * u * v
+    cross = u[..., :-1] * v[..., 1:] + u[..., 1:] * v[..., :-1]
+    # rows: h (3 uL vL + cross + uR vR) / 12 and h (uL vL + cross + 3 uR vR) / 12
+    e = np.empty((2,) + cross.shape)
+    np.add(tuv[..., :-1], cross, out=e[0])
+    e[0] += uv[..., 1:]
+    np.add(uv[..., :-1], cross, out=e[1])
+    e[1] += tuv[..., 1:]
+    e *= mesh.element_lengths
+    e /= 12.0
+    return _gather(e[0], e[1])
 
 
 def interpolation_matrix(mesh: Mesh1D, points: np.ndarray) -> np.ndarray:

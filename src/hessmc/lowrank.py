@@ -22,6 +22,10 @@ lockstep: each iteration makes one stacked action (the model's
 batched Gram-Schmidt, for every point at once. Each point's pairs, and
 its worker's solve count, are bit-identical to the build of that point
 alone, which is the batch of one.
+The proposal algebra (``apply_inv``, ``quad``, ``draw``) takes a vector
+or a (c, n) block of rows, one per chain that shares this Hessian; each
+row goes through its own gemv calls (np.matvec with the transposed view
+Z.T as it is), so every row is bit-identical to the one-vector call.
 Lanczos runs on T with plain dot products and gives T ≈ Z diag(lam) Z^T
 with orthonormal Z; the M-orthonormal eigenvectors of Ht are V = R^{-1} Z.
 Writing D = diag(lam_i / (lam_i + 1)) and E = diag((lam_i + 1)^{-1/2} - 1),
@@ -65,8 +69,8 @@ EIG_FLOOR = 1e-10
 
 
 def _c_inv_adj_m(prior: GaussianPrior, x: np.ndarray) -> np.ndarray:
-    """C^{-T} M x, which is R L* x."""
-    return bidiagonal_solve(prior.C, prior.space.mass.matvec(x), trans=True)
+    """C^{-T} M x, which is R L* x, of a vector or of each row of a block."""
+    return bidiagonal_solve(prior.C, prior.space.mass.matvec(x.T), trans=True).T
 
 
 def _whitened_operator(workers: list[ForwardModel], prior: GaussianPrior,
@@ -92,21 +96,27 @@ class LowRankHessian:
     lanczos_iters: int = 0
     deflations: int = 0
 
+    def __post_init__(self):
+        self._D = self.lam / (self.lam + 1.0)
+        self._E = (self.lam + 1.0) ** -0.5 - 1.0
+
     @property
     def rank(self) -> int:
         return self.lam.size
 
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
-        """H^{-1} x = C^{-1} (I - Z D Z^T) C^{-T} M x."""
+        """H^{-1} x = C^{-1} (I - Z D Z^T) C^{-T} M x, of a vector or of each
+        row of a block."""
         y = _c_inv_adj_m(self.prior, x)
         if self.rank:
-            y = y - self.Z @ ((self.lam / (self.lam + 1.0)) * (self.Z.T @ y))
-        return bidiagonal_solve(self.prior.C, y)
+            y = y - np.matvec(self.Z, self._D * np.matvec(self.Z.T, y))
+        return bidiagonal_solve(self.prior.C, y.T).T
 
     def _inv_sqrt_core(self, y: np.ndarray) -> np.ndarray:
-        """(I + Z E Z^T) y, the whitened middle factor of H^{-1/2}."""
+        """(I + Z E Z^T) y, the whitened middle factor of H^{-1/2}, of a
+        vector or of each row of a block."""
         if self.rank:
-            y = y + self.Z @ (((self.lam + 1.0) ** -0.5 - 1.0) * (self.Z.T @ y))
+            y = y + np.matvec(self.Z, self._E * np.matvec(self.Z.T, y))
         return y
 
     def apply_inv_sqrt(self, x: np.ndarray) -> np.ndarray:
@@ -127,24 +137,33 @@ class LowRankHessian:
             y = y + self.Z @ (self.lam * (self.Z.T @ y))
         return self.prior.space.solve(bidiagonal_matvec(self.prior.C, y, trans=True))
 
-    def quad(self, d: np.ndarray) -> float:
-        """<d, H d>_M = ||C d||^2 + sum_i lam_i (Z^T C d)_i^2, without forming H d."""
-        z = bidiagonal_matvec(self.prior.C, d)
-        out = float(z @ z)
+    def quad(self, d: np.ndarray) -> float | np.ndarray:
+        """<d, H d>_M = ||C d||^2 + sum_i lam_i (Z^T C d)_i^2, without forming
+        H d, of a vector or of each row of a block."""
+        z = bidiagonal_matvec(self.prior.C, d.T).T
+        out = np.vecdot(z, z)
         if self.rank:
-            c = self.Z.T @ z
-            out += float(c @ (self.lam * c))
+            c = np.matvec(self.Z.T, z)
+            out = out + np.vecdot(c, self.lam * c)
         return out
 
     def half_logdet_rel(self) -> float:
         """State-dependent part of log det H^{1/2}: 1/2 sum log(lam_i + 1)."""
         return 0.5 * float(np.sum(np.log1p(self.lam))) if self.rank else 0.0
 
-    def draw(self, rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
+    def draw(self, rng, mean: np.ndarray) -> np.ndarray:
         """Sample N(mean, H^{-1}): mean + C^{-1} (I + Z E Z^T) n with
-        n ~ N(0, I), which is H^{-1/2} (R^{-1} n) without the R round trip."""
-        n = rng.standard_normal(self.prior.n)
-        return mean + bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n))
+        n ~ N(0, I), which is H^{-1/2} (R^{-1} n) without the R round trip.
+
+        For a (c, n) block of means, ``rng`` is a list of c generators and
+        row i draws its n normals from ``rng[i]``."""
+        if mean.ndim == 1:
+            n = rng.standard_normal(self.prior.n)
+        else:
+            n = np.empty(mean.shape)
+            for g, row in zip(rng, n):
+                g.standard_normal(out=row)
+        return mean + bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n).T).T
 
 
 def _orthonormalize(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,16 +252,17 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
         if T is None:
             T = _whitened_operator([workers[i] for i in live], prior,
                                    [points[i] for i in live])
-        w = T(Q[:, j])
-        W[:, j] = w
-        op_scale = [max(s, x) for s, x in zip(op_scale, np.sqrt(np.vecdot(w, w)).tolist())]
+        w = W[:, j] = T(Q[:, j])
         if j + 1 == k:
             break
         w_orth, beta = _orthonormalize(w, Q[:, :j + 1])
-        spent = {i for i, (b, s) in enumerate(zip(beta.tolist(), op_scale))
-                 if b <= 1e-11 * max(1.0, s)}
+        spent = []
+        for i, (x, b) in enumerate(zip(np.sqrt(np.vecdot(w, w)).tolist(), beta.tolist())):
+            op_scale[i] = max(op_scale[i], x)
+            if b <= 1e-11 * max(1.0, op_scale[i]):
+                spent.append(i)
         if not spent:
-            np.divide(w_orth, beta[:, None], out=Q[:, j + 1])
+            np.divide(w_orth.T, beta, out=Q[:, j + 1].T)
             continue
         # invariant subspace reached; continue in its orthogonal complement
         for i in range(len(live)):

@@ -24,7 +24,12 @@ M H_misfit mhat, which is Euclidean-symmetric; the low-rank build and the
 eigen-analysis work with it directly, and only ``hvp`` applies M^{-1}.
 ``stacked_hvp_raw`` gives the same action for c chain workers, each at
 its own point, in one set of BLAS/LAPACK calls; every column it returns
-is bit-identical to that worker's ``misfit_hvp_raw``.
+is bit-identical to that worker's ``misfit_hvp_raw``. In the same way
+``evaluate_points`` gives the log posterior and gradient at c points,
+one per worker, from one ``stacked_misfit`` (the forward and adjoint
+solves of all points at once) and one multi-RHS mass solve, each value
+bit-identical to ``log_posterior`` and ``gradient`` at that point alone,
+which stay the one-point reference (the MAP solver's path).
 Second-order (non-Gauss-Newton) terms are kept in the Hessian action.
 M and the PDE operator are stored tridiagonal (see ``fem``) and solved
 with the LAPACK dpttrf/dpttrs pair, so every M^{-1} application and
@@ -36,6 +41,8 @@ Every linear(ized) PDE solve is reported to a ``SolveCounter``; the
 samplers' per-step cost ledger depends on these counts being exact, so
 each model caches its most recent forward/adjoint state per parameter
 point, keyed on the point's bytes, and only counts genuinely new solves.
+The stacked paths keep each worker's cache and counter as the one-point
+calls would.
 """
 
 from __future__ import annotations
@@ -82,18 +89,21 @@ class ObservationSetup:
     def __post_init__(self):
         if np.any(self.sigma <= 0.0):
             raise ValueError("noise standard deviations must be positive")
+        self.sigma2 = self.sigma**2
 
     @property
     def q(self) -> int:
         return self.B.shape[0]
 
     def weighted_residual(self, y: np.ndarray) -> np.ndarray:
-        """Gamma_noise^{-1} (y - y_obs)."""
-        return (y - self.y_obs) / self.sigma**2
+        """Gamma_noise^{-1} (y - y_obs), of a vector or of each row of a block."""
+        return (y - self.y_obs) / self.sigma2
 
-    def misfit(self, y: np.ndarray) -> float:
+    def misfit(self, y: np.ndarray) -> float | np.ndarray:
+        """1/2 ||y - y_obs||^2 in the noise precision, of a vector or of each
+        row of a block."""
         r = (y - self.y_obs) / self.sigma
-        return 0.5 * float(r @ r)
+        return 0.5 * np.vecdot(r, r)
 
 
 class ForwardModel:
@@ -118,6 +128,22 @@ class ForwardModel:
         raise NotImplementedError
 
     def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @classmethod
+    def stacked_misfit(cls, workers: list["ForwardModel"], points: np.ndarray,
+                       adjoint: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
+        """The data misfit at each row of ``points`` (c, n), row i for
+        ``workers[i]``, and with ``adjoint`` the assembled misfit gradients
+        M g_misfit as rows, in one set of BLAS/LAPACK calls for all rows.
+
+        Returns (misfits (c,), gradients (c, n) or None, errors): a row
+        whose state cannot be formed holds nan, and ``errors`` maps it to
+        the NumericalError that stopped it. Every other row is bit for
+        bit ``obs.misfit(predict(m))`` and ``M misfit_gradient(m)`` of its
+        worker alone, and each worker's point cache and counter change as
+        those calls would change them. The workers are clones of one model
+        (``clone``): the operators and data are read from the first."""
         raise NotImplementedError
 
     @classmethod
@@ -177,20 +203,40 @@ class LinearGaussianModel(ForwardModel):
     def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
         obs = self._require_obs()
         self.counter.incremental_solves += 2
-        return self.F.T @ ((self.F @ mhat) / obs.sigma**2)
+        return self.F.T @ ((self.F @ mhat) / obs.sigma2)
+
+    @classmethod
+    def stacked_misfit(cls, workers, points, adjoint):
+        """F m and F^T Gamma_noise^{-1}(F m - y_obs) for every row: np.matvec
+        runs one gemv per row, as F @ m does alone. A worker whose cache
+        holds the point counts no forward solve; its cached F m has the
+        same bits."""
+        model = workers[0]
+        obs = model._require_obs()
+        Y = np.matvec(model.F, points)
+        for w, m, y in zip(workers, points, Y):
+            key = m.tobytes()
+            if w._pred_cache is None or w._pred_cache[0] != key:
+                w.counter.forward_solves += 1
+                w._pred_cache = (key, y)
+        raw = None
+        if adjoint:
+            raw = np.matvec(model.F.T, obs.weighted_residual(Y))
+            for w in workers:
+                w.counter.adjoint_solves += 1
+        return obs.misfit(Y), raw, {}
 
     @classmethod
     def stacked_hvp_raw(cls, workers, points):
-        """F^T ((F mhat) / sigma^2) for every worker: np.matvec over the
-        stacked F runs one gemv per chain, as F @ mhat does alone."""
-        F = _stack([w.F[None] for w in workers])
-        sigma2 = _stack([w._require_obs().sigma[None] for w in workers]) ** 2
-        Ft = F.transpose(0, 2, 1)
+        """F^T ((F mhat) / sigma^2) for every worker: np.matvec runs one gemv
+        per chain, as F @ mhat does alone. The workers are clones of one
+        model: F and sigma are read from the first."""
+        F, sigma2 = workers[0].F, workers[0]._require_obs().sigma2
 
         def apply(X: np.ndarray) -> np.ndarray:
             for w in workers:
                 w.counter.incremental_solves += 2
-            return np.matvec(Ft, np.matvec(F, X.T) / sigma2).T
+            return np.matvec(F.T, np.matvec(F, X.T) / sigma2).T
         return apply
 
 
@@ -233,7 +279,10 @@ class ExpReaction1D(ForwardModel):
     workers one such set of calls on the block-diagonal system of c n
     unknowns: the factors, bands and e^m .* load(u v) of the c points are
     concatenated with zero coupling between the blocks, and the B products
-    run one gemv per chain through np.matvec.
+    run one gemv per chain through np.matvec. ``stacked_misfit`` forms the
+    states of c new points the same way: one assembly of the c operators
+    F(m_i) as rows, one dpttrf of their block-diagonal system, and one
+    dpttrs each for the forward and the adjoint solves.
     """
 
     def __init__(self, mesh: Mesh1D, space: WeightedSpace,
@@ -314,8 +363,101 @@ class ExpReaction1D(ForwardModel):
             em = state["em"]
             state["Au"] = assemble_weighted_mass(self.mesh, state["u"]).column_scaled_band(em)
             state["Av"] = assemble_weighted_mass(self.mesh, state["v"]).column_scaled_band(em)
-            state["sigma2"] = self.obs.sigma**2
+            state["sigma2"] = self.obs.sigma2
         return state
+
+    @classmethod
+    def stacked_misfit(cls, workers, points, adjoint):
+        """The forward (and adjoint) solves at the points no worker has
+        cached, as one dpttrf and one dpttrs (per solve) on the
+        block-diagonal system of their c n unknowns
+        (``Tridiagonal.factor_blocks``); the B products run one gemv per
+        row through np.matvec. A block that cannot be factored fails its
+        row alone. The zero coupling isolates the blocks only while every
+        value is finite (0 * nan = nan), so a solve with a non-finite entry
+        is redone point by point, as is every point a worker has cached,
+        through the one-point state functions."""
+        workers[0]._require_obs()
+        c = len(workers)
+        keys = [m.tobytes() for m in points]
+        new = [i for i, (w, key) in enumerate(zip(workers, keys))
+               if w._state is None or w._state["key"] != key]
+        errors: dict = {}
+        parts, redo = [], []
+        if new:
+            *part, redo = cls._stacked_states(workers, points, keys, new, adjoint, errors)
+            if len(part[0]) == c:
+                return part[1], part[2], errors
+            parts.append(part)
+        alone = sorted(set(range(c)).difference(new).union(redo))
+        if alone:
+            parts.append(cls._point_states(workers, points, alone, adjoint, errors))
+        misfit = np.full(c, np.nan)
+        raw = np.full(points.shape, np.nan) if adjoint else None
+        for rows, mf, g in parts:
+            if rows:
+                misfit[rows] = mf
+                if adjoint:
+                    raw[rows] = g
+        return misfit, raw, errors
+
+    @classmethod
+    def _stacked_states(cls, workers, points, keys, new, adjoint, errors):
+        """The forward (and adjoint) states at points[new], stacked; returns
+        the rows done, their misfits and assembled gradients, and the rows
+        left to the one-point path. A row that cannot be factored goes to
+        ``errors``."""
+        model = workers[0]
+        obs, mesh, n = model.obs, model.mesh, model.space.n
+        em = np.exp(points if len(new) == len(points) else points[new])
+        factor, live, failed = (model.K0 + assemble_weighted_mass(mesh, em)).factor_blocks()
+        rows = new
+        if failed:
+            errors.update((new[j], exc) for j, exc in failed.items())
+            rows = [new[j] for j in live]
+            if not rows:
+                return rows, None, None, []
+            em = em[live]
+        u = factor.solve(np.concatenate([model.rhs] * len(rows)))
+        if not np.isfinite(u).all():
+            return [], None, None, rows
+        u = u.reshape(len(rows), n)
+        states = []
+        for k, i in enumerate(rows):
+            state = {"key": keys[i], "em": em[k], "factor": factor.block(k, n), "u": u[k]}
+            states.append(state)
+            workers[i]._state = state
+            workers[i].counter.forward_solves += 1
+        Y = np.matvec(obs.B, u)
+        if not adjoint:
+            return rows, obs.misfit(Y), None, []
+        v = factor.solve(np.matvec(-obs.B.T, obs.weighted_residual(Y)).ravel())
+        if len(rows) > 1 and not np.isfinite(v).all():
+            return [], None, None, rows
+        v = v.reshape(len(rows), n)
+        em_uv = em * assemble_product_load(mesh, u, v)
+        for i, state, vk, gk in zip(rows, states, v, em_uv):
+            state["v"], state["em_uv"] = vk, gk
+            workers[i].counter.adjoint_solves += 1
+        return rows, obs.misfit(Y), em_uv, []
+
+    @staticmethod
+    def _point_states(workers, points, rows, adjoint, errors):
+        """The misfits (and assembled gradients) at points[rows] one point
+        at a time, through ``_forward_state`` / ``_adjoint_state``."""
+        done, misfit, raw = [], [], []
+        for i in rows:
+            w = workers[i]
+            try:
+                state = w._adjoint_state(points[i]) if adjoint else w._forward_state(points[i])
+            except NumericalError as exc:
+                errors[i] = exc
+                continue
+            done.append(i)
+            misfit.append(w.obs.misfit(w.obs.B @ state["u"]))
+            if adjoint:
+                raw.append(state["em_uv"])
+        return done, misfit, raw if adjoint else None
 
     @classmethod
     def stacked_hvp_raw(cls, workers, points):
@@ -325,20 +467,16 @@ class ExpReaction1D(ForwardModel):
         non-finite entry is redone worker by worker."""
         states = [w._hvp_state(m) for w, m in zip(workers, points)]
         c, n = len(states), workers[0].space.n
-        factor = TridiagonalFactor(
-            _stack([s["factor"].d for s in states]),
-            _stack([e for s in states for e in (_ZERO, s["factor"].e)][1:]))
+        factor = TridiagonalFactor.join([s["factor"] for s in states])
         Au = _stack([s["Au"] for s in states], axis=1)
         Av = _stack([s["Av"] for s in states], axis=1)
         em_uv = _stack([s["em_uv"] for s in states])
-        B = _stack([w.obs.B[None] for w in workers])
-        sigma2 = _stack([s["sigma2"][None] for s in states])
-        Bt = B.transpose(0, 2, 1)
+        B, sigma2 = workers[0].obs.B, states[0]["sigma2"]
 
         def apply(X: np.ndarray) -> np.ndarray:
             x = X.ravel(order="F")
             uhat = factor.solve(band_matvec(Au, x, alpha=-1.0))
-            rhs = -np.matvec(Bt, np.matvec(B, uhat.reshape(c, n)) / sigma2).ravel()
+            rhs = -np.matvec(B.T, np.matvec(B, uhat.reshape(c, n)) / sigma2).ravel()
             vhat = factor.solve(band_matvec(Av, x, alpha=-1.0, y=rhs))
             out = band_matvec(Av, uhat, trans=True, y=x * em_uv)
             out = band_matvec(Au, vhat, trans=True, y=out)
@@ -349,9 +487,6 @@ class ExpReaction1D(ForwardModel):
                 w.counter.incremental_solves += 2
             return out.reshape((n, c), order="F")
         return apply
-
-
-_ZERO = np.zeros(1)   # the coupling between two stacked blocks
 
 
 def _stack(blocks: list[np.ndarray], axis: int = 0) -> np.ndarray:
@@ -365,12 +500,32 @@ def log_posterior(model: ForwardModel, prior: GaussianPrior, m: np.ndarray) -> f
     """Unnormalized log posterior: -misfit - prior quadratic."""
     obs = model._require_obs()
     y = model.predict(m)
-    return -obs.misfit(y) + prior.log_density(m)
+    return float(-obs.misfit(y) + prior.log_density(m))
 
 
 def gradient(model: ForwardModel, prior: GaussianPrior, m: np.ndarray) -> np.ndarray:
     """M-representer of dJ: misfit gradient + A(m - m0)."""
     return model.misfit_gradient(m) + prior.apply_A(m - prior.mean)
+
+
+def evaluate_points(workers: list[ForwardModel], prior: GaussianPrior, points: np.ndarray,
+                    with_gradient: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
+    """``log_posterior`` at each row of ``points`` (c, n), row i at
+    ``workers[i]``, and with ``with_gradient`` each ``gradient`` as rows,
+    every value bit for bit the one-point call's: the model's
+    ``stacked_misfit`` for all rows, K(m - m0) formed once per row for the
+    prior's log density and gradient, and one multi-RHS mass solve for
+    both gradient terms of every row.
+
+    Returns (log posteriors as a list of floats, gradients (c, n) or None,
+    errors); the rows in ``errors`` (row -> NumericalError) hold nan."""
+    misfit, raw, errors = type(workers[0]).stacked_misfit(workers, points, with_gradient)
+    log_prior, kd = prior.quadratic_terms(points)
+    g = None
+    if with_gradient:
+        both = prior.space.solve(np.concatenate([raw, kd]).T).T
+        g = both[:len(points)] + both[len(points):]
+    return (log_prior - misfit).tolist(), g, errors
 
 
 def hvp(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,

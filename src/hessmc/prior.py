@@ -81,8 +81,16 @@ class GaussianPrior:
 
     def log_density(self, m: np.ndarray) -> float:
         """-1/2 <m - m0, A(m - m0)>_M, no normalization constant."""
+        return float(self.quadratic_terms(m)[0])
+
+    def quadratic_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The log density and K(m - m0) at a point, or at each row of a
+        (c, n) block. K(m - m0) is the assembled form of the gradient's
+        A(m - m0) = M^{-1} K(m - m0), so a caller that needs both forms it
+        once."""
         d = m - self.mean
-        return -0.5 * float(d @ self.K.matvec(d))
+        kd = self.K.matvec(d.T).T
+        return -0.5 * np.vecdot(d, kd), kd
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw from N(m0, Gamma) as m0 + C^{-1} n; rows are samples when

@@ -32,18 +32,25 @@ leaves the state bit-identical, so chains are reproducible from
 Per-step linearized solve costs (exact, enforced by the point caches in
 the models): ismap 1, snmap 2, sn 2 + 2(r+l).
 
-A campaign advances all of its chains one step at a time (``run_chains``):
-every chain draws its proposal, the candidates of all chains are
-evaluated together, and each chain then accepts or rejects with its own
-uniform. For sn that is one lockstep ``build_lowrank`` a step, whose
-Hessian actions, whitening solves and Gram-Schmidt passes are each one
-BLAS/LAPACK call for all chains. Each chain keeps its own worker model,
-solve counter and (seed, chain_id) stream, and the stacked calls do not
-mix chains, so a chain's rows and ``cum_solves`` are bit-identical to
-those of the chain run alone, whatever the number of chains beside it;
-``run_chain`` is the driver with one chain. A solver failure at one
-chain's candidate rejects only that chain's step. A fatal error ends the
-campaign: every chain's rows so far are flushed, marked partial.
+A campaign advances all of its chains one step at a time (``run_chains``),
+and their states are rows of one ``ChainStates``. Every chain draws its
+proposal, the candidates of all chains are evaluated together, and each
+chain then accepts or rejects with its own uniform. The point
+evaluations of a step are one stacked forward (and adjoint) solve for
+all chains (``models.evaluate_points``); for sn the step adds one
+lockstep ``build_lowrank``, whose Hessian actions, whitening solves and
+Gram-Schmidt passes are each one BLAS/LAPACK call for all chains. The
+proposal algebra (``draw``, ``apply_inv`` and the ``quad`` of both MH
+directions) is one call a step on all rows where the chains share the
+MAP Hessian (ismap, snmap), and one call per row on sn's own Hessians.
+Each chain keeps its own worker model, solve counter and (seed,
+chain_id) stream, and the stacked calls do not mix chains, so a chain's
+rows and ``cum_solves`` are bit-identical to those of the chain run
+alone, whatever the number of chains beside it; ``run_chain`` is the
+driver with one chain, the batch of one. The per-step solve ledger
+above is unchanged. A solver failure at one chain's candidate rejects
+only that chain's step. A fatal error ends the campaign: every chain's
+rows so far are flushed, marked partial.
 
 A ``Chain`` holds one row per step. ``Chain.after_burn_in`` is the one
 place the burn-in rule is written: it drops the first int(frac * N) rows
@@ -61,7 +68,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .lowrank import LowRankHessian, build_lowrank
-from .models import ForwardModel, gradient, log_posterior
+from .models import ForwardModel, evaluate_points
 from .prior import GaussianPrior
 
 logger = logging.getLogger(__name__)
@@ -71,15 +78,39 @@ LOCKSTEP_BLOCK_VALUES = 1 << 18  # stacked Krylov basis floats per group of chai
 
 
 @dataclass
-class ChainState:
-    """A point, its log posterior and the proposal N(mean, H^{-1}) drawn
-    from it; ``lrh`` holds H."""
+class ChainStates:
+    """The states of c chains, one row each: the point, its log posterior
+    and the proposal N(mean, H^{-1}) drawn from it; ``lrhs[i]`` holds row
+    i's H. The per-chain numbers are lists of floats. A row that could
+    not be evaluated holds nan and no H."""
 
-    m: np.ndarray
-    log_post: float
-    lrh: LowRankHessian
-    mean: np.ndarray
-    half_logdet: float
+    m: np.ndarray              # (c, n)
+    log_post: list[float]
+    lrhs: list
+    mean: np.ndarray           # (c, n)
+    half_logdet: list[float]
+
+    def __len__(self) -> int:
+        return len(self.log_post)
+
+    def take(self, rows: list[int]) -> "ChainStates":
+        return ChainStates(self.m[rows], [self.log_post[i] for i in rows],
+                           [self.lrhs[i] for i in rows], self.mean[rows],
+                           [self.half_logdet[i] for i in rows])
+
+    def where(self, take: list[bool], other: "ChainStates") -> "ChainStates":
+        """Row i of ``other`` where take[i], else row i of these states."""
+        if all(take):
+            return other
+        if not any(take):
+            return self
+        rows = np.array(take)[:, None]
+
+        def pick(a, b):
+            return [y if t else x for t, x, y in zip(take, a, b)]
+        return ChainStates(np.where(rows, other.m, self.m), pick(self.log_post, other.log_post),
+                           pick(self.lrhs, other.lrhs), np.where(rows, other.mean, self.mean),
+                           pick(self.half_logdet, other.half_logdet))
 
 
 @dataclass
@@ -124,96 +155,125 @@ class SamplerSettings:
             raise ValueError(f"{self.method} needs the MAP point and its low-rank Hessian")
 
 
+def _per_hessian(settings: SamplerSettings, lrhs: list, apply, *blocks) -> np.ndarray:
+    """apply(lrh, *blocks) with each row's Hessian: one call on the whole
+    blocks when the rows share the MAP Hessian (ismap, snmap), and for
+    sn's own one call per row, on that row as a vector. A block is an
+    array or a list with one entry per row."""
+    if settings.method != "sn":
+        return apply(lrhs[0], *blocks)
+    return np.array([apply(h, *(b[i] for b in blocks)) for i, h in enumerate(lrhs)])
+
+
 def evaluate(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
-             points: list[np.ndarray], rngs: list[np.random.Generator]) -> list:
-    """The log posterior at each point and the proposal drawn from it: one
-    ChainState per point, or the NumericalError that stopped its
-    evaluation. Point i uses ``workers[i]`` and ``rngs[i]`` alone.
+             points: np.ndarray, rngs: list[np.random.Generator]
+             ) -> tuple[ChainStates, dict[int, NumericalError]]:
+    """The log posterior at each row of ``points`` (c, n) and the proposal
+    drawn from it, as ChainStates, and the NumericalError that stopped
+    each row that could not be evaluated (by row). Row i uses
+    ``workers[i]`` and ``rngs[i]`` alone.
 
-    The gradient and the sn build run even where the log posterior is not
-    finite, so a step's solve count and random stream do not depend on
-    the candidate. The sn builds of all points are one lockstep
-    ``build_lowrank``.
+    The log posteriors and gradients of all rows are one stacked
+    evaluation (``models.evaluate_points``); the gradient and the sn
+    build run even where the log posterior is not finite, so a step's
+    solve count and random stream do not depend on the candidate. The sn
+    builds of all points are one lockstep ``build_lowrank``, and the
+    Newton means one ``apply_inv`` per Hessian.
     """
-    out: list = []
-    for model, m in zip(workers, points):
-        try:
-            lp = log_posterior(model, prior, m)
-            if settings.method == "ismap":
-                out.append(ChainState(m, lp, settings.lrh_map, settings.m_map, 0.0))
-                continue
-            g = gradient(model, prior, m)
-        except NumericalError as exc:
-            out.append(exc)
-            continue
-        if settings.method == "snmap":
-            out.append(ChainState(m, lp, settings.lrh_map,
-                                  m - settings.lrh_map.apply_inv(g), 0.0))
-        else:
-            out.append((lp, g))         # completed by the build below
+    c = len(points)
+    lp, g, errors = evaluate_points(workers, prior, points, settings.method != "ismap")
+    lrhs = [settings.lrh_map] * c
+    if settings.method == "ismap":
+        return ChainStates(points, lp, lrhs, np.repeat(settings.m_map[None], c, axis=0),
+                           [0.0] * c), errors
     if settings.method == "sn":
-        todo = [i for i, o in enumerate(out) if isinstance(o, tuple)]
-        lrhs = build_lowrank([workers[i] for i in todo], prior, [points[i] for i in todo],
-                             settings.r, settings.l, [rngs[i] for i in todo])
-        for i, lrh in zip(todo, lrhs):
+        ok = [i for i in range(c) if i not in errors]
+        for i, lrh in zip(ok, build_lowrank([workers[i] for i in ok], prior,
+                                            [points[i] for i in ok], settings.r, settings.l,
+                                            [rngs[i] for i in ok])):
             if isinstance(lrh, NumericalError):
-                out[i] = lrh
+                errors[i], lp[i] = lrh, math.nan
             else:
-                (lp, g), m = out[i], points[i]
-                out[i] = ChainState(m, lp, lrh, m - lrh.apply_inv(g), lrh.half_logdet_rel())
-    return out
+                lrhs[i] = lrh
+    if not errors:
+        return ChainStates(points, lp, lrhs,
+                           points - _per_hessian(settings, lrhs, LowRankHessian.apply_inv, g),
+                           _half_logdets(settings, lrhs)), errors
+    ok = [i for i in range(c) if i not in errors]
+    mean = np.full(points.shape, np.nan)
+    half_logdet = [math.nan] * c
+    if ok:
+        hs = [lrhs[i] for i in ok]
+        mean[ok] = points[ok] - _per_hessian(settings, hs, LowRankHessian.apply_inv, g[ok])
+        for i, h in zip(ok, _half_logdets(settings, hs)):
+            half_logdet[i] = h
+    return ChainStates(points, lp, lrhs, mean, half_logdet), errors
 
 
-def log_q(state: ChainState, point: np.ndarray) -> float:
-    """Log density of proposing ``point`` from ``state``, up to constants
-    that cancel."""
-    return state.half_logdet - 0.5 * state.lrh.quad(point - state.mean)
+def _half_logdets(settings: SamplerSettings, lrhs: list[LowRankHessian]) -> list[float]:
+    """The determinant factor of each proposal density: sn's own, and 0
+    for the frozen MAP Hessian, where it cancels."""
+    if settings.method == "sn":
+        return [h.half_logdet_rel() for h in lrhs]
+    return [0.0] * len(lrhs)
+
+
+def log_q_pair(settings: SamplerSettings, states: ChainStates,
+               candidates: ChainStates) -> tuple[list, list]:
+    """log q(candidate -> state) and log q(state -> candidate) at each row,
+    up to constants that cancel: the two proposal densities of the
+    Metropolis-Hastings ratio. From a state, log q(y) = half_logdet
+    - 1/2 <y - mean, H (y - mean)>_M; the quadratic forms of both
+    directions are one ``quad`` call per Hessian."""
+    c = len(states)
+    q = _per_hessian(settings, candidates.lrhs + states.lrhs, LowRankHessian.quad,
+                     np.concatenate([states.m - candidates.mean,
+                                     candidates.m - states.mean])).tolist()
+    return ([h - 0.5 * x for h, x in zip(candidates.half_logdet, q[:c])],
+            [h - 0.5 * x for h, x in zip(states.half_logdet, q[c:])])
 
 
 def init_states(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
-                starts: list[np.ndarray], rngs: list[np.random.Generator]) -> list[ChainState]:
+                starts: list[np.ndarray], rngs: list[np.random.Generator]) -> ChainStates:
     """The first state of each chain; a start that cannot be evaluated, or
     whose log posterior is not finite, raises."""
-    states = evaluate(settings, workers, prior,
-                      [np.asarray(m, dtype=float).copy() for m in starts], rngs)
-    for state in states:
-        if isinstance(state, NumericalError):
-            raise state
-        if not math.isfinite(state.log_post):
+    states, errors = evaluate(settings, workers, prior, np.array(starts, dtype=float), rngs)
+    for i, lp in enumerate(states.log_post):
+        if i in errors:
+            raise errors[i]
+        if not math.isfinite(lp):
             raise NumericalError("non-finite log posterior at the chain start")
     return states
 
 
-def mh_step(settings: SamplerSettings, states: list[ChainState], workers: list[ForwardModel],
+def mh_step(settings: SamplerSettings, states: ChainStates, workers: list[ForwardModel],
             prior: GaussianPrior, rngs: list[np.random.Generator]
-            ) -> tuple[list[ChainState], list[bool]]:
+            ) -> tuple[ChainStates, list[bool]]:
     """One Metropolis-Hastings step of every chain; returns the new states
     and whether each chain accepted.
 
     Each proposal is drawn first, before anything in the step can raise,
     and the candidates are evaluated together. A solver failure while
     evaluating a chain's candidate rejects that chain's step (with a
-    warning) rather than aborting it; the other chains do not see it.
+    warning) rather than aborting it, and so does a non-finite log
+    posterior; the other chains do not see it. Each chain then draws its
+    uniform and accepts or rejects on its own.
     """
-    candidates = evaluate(settings, workers, prior,
-                          [state.lrh.draw(rng, state.mean) for state, rng in zip(states, rngs)],
-                          rngs)
-    new, accepted = [], []
-    for state, candidate, rng in zip(states, candidates, rngs):
-        if isinstance(candidate, NumericalError):
-            logger.warning("proposal evaluation failed (%s); step rejected", candidate)
-            rng.uniform()  # keep the stream aligned with the success path
-            accept = False
-        elif not math.isfinite(candidate.log_post):
-            rng.uniform()
-            accept = False
-        else:
-            accept = np.log(rng.uniform()) < (candidate.log_post - state.log_post
-                                              + log_q(candidate, state.m)
-                                              - log_q(state, candidate.m))
-        new.append(candidate if accept else state)
-        accepted.append(accept)
-    return new, accepted
+    proposals = _per_hessian(settings, states.lrhs, LowRankHessian.draw, rngs, states.mean)
+    candidates, errors = evaluate(settings, workers, prior, proposals, rngs)
+    for i in sorted(errors):
+        logger.warning("proposal evaluation failed (%s); step rejected", errors[i])
+    log_u = [np.log(rng.uniform()) for rng in rngs]
+    rows = [i for i, lp in enumerate(candidates.log_post) if math.isfinite(lp)]
+    accept = [False] * len(rngs)
+    if rows:
+        cand, state = candidates, states
+        if len(rows) < len(rngs):
+            cand, state = candidates.take(rows), states.take(rows)
+        for i, a, b, rev, fwd in zip(rows, cand.log_post, state.log_post,
+                                     *log_q_pair(settings, state, cand)):
+            accept[i] = log_u[i] < a - b + rev - fwd
+    return states.where(accept, candidates), accept
 
 
 def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
@@ -245,11 +305,11 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
             states = init_states(settings, members, prior, [starts[i] for i in group], rngs)
             for k in range(n_samples):
                 states, accepted = mh_step(settings, states, members, prior, rngs)
-                for i, state, acc in zip(group, states, accepted):
+                for j, i in enumerate(group):
                     chain = chains[i]
-                    chain.samples[k] = state.m
-                    chain.accepted[k] = acc
-                    chain.log_post[k] = state.log_post
+                    chain.samples[k] = states.m[j]
+                    chain.accepted[k] = accepted[j]
+                    chain.log_post[k] = states.log_post[j]
                     chain.cum_solves[k] = workers[i].counter.total
     except Exception:
         if flush_paths is not None:

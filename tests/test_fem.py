@@ -226,3 +226,50 @@ def test_interpolation_matrix_evaluates_linear_functions_exactly():
 def test_weighted_space_shape_mismatch():
     with pytest.raises(ValueError):
         WeightedSpace(Mesh1D.uniform(3), Tridiagonal(np.ones(4), np.zeros(3)))
+
+
+def test_element_lengths_are_computed_once():
+    mesh = Mesh1D(np.array([0.0, 0.2, 0.45, 0.8]))
+    h = mesh.element_lengths
+    assert h is mesh.element_lengths
+    assert not h.flags.writeable
+    np.testing.assert_array_equal(h, np.diff(mesh.node_coords))
+
+
+def test_stacked_assembly_rows_are_bit_identical():
+    mesh = Mesh1D(np.array([0.0, 0.07, 0.3, 0.31, 0.8, 1.25, 1.3]))
+    rng = np.random.default_rng(8)
+    U, V = rng.standard_normal((2, 3, mesh.n_nodes))
+    U[1, :3] = -0.0
+    W, g = assemble_weighted_mass(mesh, U), assemble_product_load(mesh, U, V)
+    for i in range(3):
+        alone = assemble_weighted_mass(mesh, U[i])
+        assert W.diag[i].tobytes() == alone.diag.tobytes()
+        assert W.off[i].tobytes() == alone.off.tobytes()
+        assert g[i].tobytes() == assemble_product_load(mesh, U[i], V[i]).tobytes()
+
+
+def test_stacked_factor_blocks_fail_only_their_rows():
+    # blocks 0 and 2 are SPD, block 1 is indefinite at its third pivot and
+    # block 3 holds a nan: one dpttrf call for the blocks that pass, and
+    # each failed block's own factor() error
+    n = 6
+    mesh = Mesh1D.uniform(n)
+    rng = np.random.default_rng(2)
+    A = [assemble_stiffness(mesh, 1.0, 1.0) + assemble_weighted_mass(mesh, np.exp(c))
+         for c in rng.standard_normal((4, n))]
+    A[1].diag[2] = -1.0
+    A[3].off[4] = np.nan
+    stack = Tridiagonal(np.stack([a.diag for a in A]), np.stack([a.off for a in A]))
+    factor, rows, errors = stack.factor_blocks()
+    assert rows == [0, 2] and sorted(errors) == [1, 3]
+    for i in (1, 3):
+        with pytest.raises(NumericalError) as alone:
+            A[i].factor()
+        assert str(errors[i]) == str(alone.value)
+    b = rng.standard_normal(n)
+    for k, i in enumerate(rows):
+        own = A[i].factor()
+        got = factor.block(k, n)
+        assert got.d.tobytes() == own.d.tobytes() and got.e.tobytes() == own.e.tobytes()
+        assert factor.solve(np.tile(b, 2))[k * n:(k + 1) * n].tobytes() == own.solve(b).tobytes()

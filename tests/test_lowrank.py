@@ -10,7 +10,7 @@ import scipy.linalg
 from hessmc.config import RunConfig
 from hessmc.fem import (Mesh1D, WeightedSpace, assemble_mass, bidiagonal_solve,
                         interpolation_matrix)
-from hessmc.lowrank import build_lowrank
+from hessmc.lowrank import LowRankHessian, build_lowrank
 from hessmc.map_point import solve_map
 from hessmc.errors import NumericalError
 from hessmc.models import (ExpReaction1D, LinearGaussianModel, gradient,
@@ -358,3 +358,23 @@ def test_a_non_finite_build_fails_as_it_does_alone():
         build_lowrank(workers, prior, points, 8, 4,
                       [np.random.default_rng(i) for i in range(3)])
     assert str(together.value) == str(alone.value)
+
+
+# -- proposal algebra on a block of rows -------------------------------------
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("rank", ["low", "zero"])
+def test_stacked_proposal_algebra_is_bit_identical_per_row(linear_setup, c, rank):
+    # one call on c rows (the shared MAP Hessian of ismap and snmap) against
+    # one call per row: apply_inv, quad and draw, the transposed view Z.T
+    # passed to np.matvec as it is
+    prior, model, m_ref, lrh, theta, U = linear_setup
+    if rank == "zero":
+        lrh = LowRankHessian(prior=prior, m_ref=m_ref, Z=np.zeros((prior.n, 0)), lam=np.zeros(0))
+    X = np.random.default_rng(c).standard_normal((c, prior.n))
+    inv, quad = lrh.apply_inv(X), lrh.quad(X)
+    draws = lrh.draw([np.random.default_rng([3, i]) for i in range(c)], X)
+    for i in range(c):
+        assert inv[i].tobytes() == lrh.apply_inv(X[i]).tobytes()
+        assert quad[i] == lrh.quad(X[i])
+        assert draws[i].tobytes() == lrh.draw(np.random.default_rng([3, i]), X[i]).tobytes()

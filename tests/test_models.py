@@ -1,12 +1,15 @@
 """Forward models: exact constant solutions, data synthesis, derivatives, caches."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from hessmc.errors import NumericalError
-from hessmc.fem import Mesh1D, assemble_mass, assemble_weighted_mass
+from hessmc.fem import Mesh1D, Tridiagonal, assemble_mass, assemble_weighted_mass
 from hessmc.models import (
     ExpReaction1D,
+    evaluate_points,
     gradient,
     hvp,
     log_posterior,
@@ -274,3 +277,95 @@ def test_synthesize_needs_points_on_fresh_model():
     mesh, model = make_exp_model()
     with pytest.raises(ValueError):
         synthesize_data(model, np.zeros(20), 0.1, np.random.default_rng(0))
+
+
+# -- stacked evaluation of several points ----------------------------------
+
+def stacked_points(kind, c):
+    """A small problem and c distinct points around its prior mean."""
+    mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind=kind)
+    rng = np.random.default_rng(40 + c)
+    points = prior.mean + 0.3 * np.array([prior.apply_L(white_noise(space, rng))
+                                          for _ in range(c)])
+    return prior, model, points
+
+
+def ledger(model):
+    c = model.counter
+    return c.forward_solves, c.adjoint_solves, c.incremental_solves
+
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+@pytest.mark.parametrize("with_gradient", [True, False])
+def test_stacked_evaluation_is_bit_identical_to_each_point(kind, c, with_gradient):
+    prior, model, points = stacked_points(kind, c)
+    workers = [model.clone() for _ in range(c)]
+    lp, g, errors = evaluate_points(workers, prior, points, with_gradient)
+    assert errors == {} and (g is None) != with_gradient
+    for i, worker in enumerate(workers):
+        alone = model.clone()
+        assert lp[i] == log_posterior(alone, prior, points[i])
+        if with_gradient:
+            assert g[i].tobytes() == gradient(alone, prior, points[i]).tobytes()
+        assert ledger(worker) == ledger(alone)
+        if kind == "exp_reaction":
+            # the stacked states are the ones the one-point path forms, the
+            # adjoint too, whose right-hand side -B^T(...) is zero away from
+            # the observations, next to each zero coupling
+            for key in ("em", "u") + (("v", "em_uv") if with_gradient else ()):
+                assert worker._state[key].tobytes() == alone._state[key].tobytes(), key
+            assert worker._state["factor"].d.tobytes() == alone._state["factor"].d.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_stacked_evaluation_of_cached_points_costs_what_each_point_costs(kind):
+    # rows 0 and 2 are cached in their workers (row 0 with its adjoint),
+    # row 1 is new: every row costs what the one-point calls cost, so a
+    # cached exp state costs no solve
+    prior, model, points = stacked_points(kind, 3)
+    workers = [model.clone() for _ in range(3)]
+    gradient(workers[0], prior, points[0])
+    log_posterior(workers[2], prior, points[2])
+    refs = [copy.deepcopy(w) for w in workers]     # caches and counters as they are
+    before = [ledger(w) for w in workers]
+    lp, g, errors = evaluate_points(workers, prior, points, True)
+    assert errors == {}
+    for i, (worker, ref) in enumerate(zip(workers, refs)):
+        assert lp[i] == log_posterior(ref, prior, points[i])
+        assert g[i].tobytes() == gradient(ref, prior, points[i]).tobytes()
+        assert ledger(worker) == ledger(ref)
+    if kind == "exp_reaction":
+        assert ledger(workers[0]) == before[0]
+        assert ledger(workers[2]) == (before[2][0], before[2][1] + 1, 0)
+
+
+def shifted(model, shift):
+    """The exp model with K0 - shift I: not positive definite where
+    exp(m) is small."""
+    other = model.clone()
+    other.K0 = other.K0 + Tridiagonal(np.full(model.space.n, -shift), np.zeros(model.space.n - 1))
+    return other
+
+
+@pytest.mark.parametrize("failure", ["overflow", "indefinite"])
+def test_a_failed_block_in_a_stacked_evaluation_leaves_the_other_rows_alone(failure):
+    prior, model, points = stacked_points("exp_reaction", 3)
+    if failure == "overflow":
+        points[1, 4] = 800.0                  # exp overflows to inf
+    else:
+        model = shifted(model, 0.01)
+        points[1] = -5.0                      # K0 - 0.01 I + W(e^-5) is indefinite
+    workers = [model.clone() for _ in range(3)]
+    with np.errstate(over="ignore"):
+        lp, g, errors = evaluate_points(workers, prior, points, True)
+        with pytest.raises(NumericalError) as alone:
+            log_posterior(model.clone(), prior, points[1])
+    assert list(errors) == [1] and str(errors[1]) == str(alone.value)
+    assert np.isnan(lp[1]) and np.isnan(g[1]).all()
+    assert ledger(workers[1]) == (0, 0, 0)
+    for i in (0, 2):
+        ref = model.clone()
+        assert lp[i] == log_posterior(ref, prior, points[i])
+        assert g[i].tobytes() == gradient(ref, prior, points[i]).tobytes()
+        assert ledger(workers[i]) == ledger(ref)

@@ -116,3 +116,12 @@ def test_sample_is_mean_plus_transported_noise(prior):
     s = prior.sample(rng1)
     noise = white_noise(prior.space, rng2)
     np.testing.assert_allclose(s, prior.mean + prior.apply_L(noise), atol=1e-13)
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_stacked_quadratic_terms_are_bit_identical(prior, c):
+    P = prior.mean + np.random.default_rng(c).standard_normal((c, prior.n))
+    log_density, kd = prior.quadratic_terms(P)
+    for i in range(c):
+        assert log_density[i] == prior.log_density(P[i])
+        assert kd[i].tobytes() == prior.K.matvec(P[i] - prior.mean).tobytes()

@@ -2,6 +2,7 @@
 solve-cost accounting, start-point selection."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from hessmc import samplers
 from hessmc.chain_io import read_chain
 from hessmc.errors import NumericalError
+from hessmc.fem import Tridiagonal
 from hessmc.lowrank import LowRankHessian
 from hessmc.map_point import solve_map
 from hessmc.models import LinearGaussianModel, gradient
-from hessmc.samplers import (Chain, SamplerSettings, evaluate, init_states, log_q,
-                             mh_step, run_chain, run_chains, select_start_points)
+from hessmc.samplers import (Chain, ChainStates, SamplerSettings, evaluate, init_states,
+                             log_q_pair, mh_step, run_chain, run_chains, select_start_points)
 
 from conftest import build_one, make_small_problem, white_noise
 
@@ -59,7 +61,16 @@ def test_log_q_contracts(linear_map):
 
     def at(method, m):
         settings = SamplerSettings(method=method, r=10, l=5, lrh_map=lrh, m_map=m_map)
-        return evaluate(settings, [model.clone()], prior, [m], [np.random.default_rng(1)])[0]
+        states, errors = evaluate(settings, [model.clone()], prior, m[None],
+                                  [np.random.default_rng(1)])
+        assert not errors
+        return settings, states
+
+    def log_q(at_state, point):
+        """log q(state -> point): the forward term of log_q_pair."""
+        settings, state = at_state
+        target = ChainStates(point[None], [0.0], state.lrhs, state.mean, state.half_logdet)
+        return log_q_pair(settings, state, target)[1][0]
 
     # ismap: independent of the current state
     sa, sb = at("ismap", a), at("ismap", b)
@@ -68,17 +79,24 @@ def test_log_q_contracts(linear_map):
 
     # snmap: no determinant factor, centred on the state's Newton point
     za = at("snmap", a)
-    assert za.lrh is lrh and za.half_logdet == 0.0
+    assert za[1].lrhs[0] is lrh and za[1].half_logdet == [0.0]
     newton = a - lrh.apply_inv(gradient(model.clone(), prior, a))
-    np.testing.assert_allclose(za.mean, newton, rtol=1e-12, atol=1e-12)
-    assert log_q(za, b) == pytest.approx(-0.5 * lrh.quad(b - za.mean), rel=1e-12)
-    assert log_q(za, za.mean) == 0.0
+    np.testing.assert_allclose(za[1].mean[0], newton, rtol=1e-12, atol=1e-12)
+    assert log_q(za, b) == pytest.approx(-0.5 * lrh.quad(b - za[1].mean[0]), rel=1e-12)
+    assert log_q(za, za[1].mean[0]) == 0.0
 
     # sn additionally carries the determinant of its own local Hessian
     za_sn = at("sn", a)
-    assert za_sn.lrh is not lrh and za_sn.lrh.rank > 0
-    assert za_sn.half_logdet == za_sn.lrh.half_logdet_rel() > 0.0
-    assert log_q(za_sn, za_sn.mean) == za_sn.lrh.half_logdet_rel()
+    own = za_sn[1].lrhs[0]
+    assert own is not lrh and own.rank > 0
+    assert za_sn[1].half_logdet == [own.half_logdet_rel()] and own.half_logdet_rel() > 0.0
+    assert log_q(za_sn, za_sn[1].mean[0]) == own.half_logdet_rel()
+
+    # the reverse term is the same density seen from the candidate
+    state, cand = at("snmap", a)[1], at("snmap", b)[1]
+    reverse, forward = log_q_pair(za[0], state, cand)
+    assert reverse[0] == log_q((za[0], cand), a)
+    assert forward[0] == log_q((za[0], state), b)
 
 
 # -- reproducibility --------------------------------------------------------
@@ -183,19 +201,22 @@ def test_init_state_rejects_non_finite_start():
 
 
 class DiskFullModel(LinearGaussianModel):
-    """Fails hard after a fixed number of predictions."""
+    """Fails hard after a fixed number of point evaluations (calls of the
+    stacked misfit that include the worker)."""
 
-    fail_after = 10
+    fail_after = 5
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = 0
 
-    def predict(self, m):
-        self.calls += 1
-        if self.calls > self.fail_after:
-            raise RuntimeError("synthetic hard failure")
-        return super().predict(m)
+    @classmethod
+    def stacked_misfit(cls, workers, points, adjoint):
+        for w in workers:
+            w.calls += 1
+            if w.calls > w.fail_after:
+                raise RuntimeError("synthetic hard failure")
+        return super().stacked_misfit(workers, points, adjoint)
 
 
 def test_fatal_error_flushes_partial_chain(tmp_path):
@@ -209,8 +230,8 @@ def test_fatal_error_flushes_partial_chain(tmp_path):
                   flush_path=str(path))
     assert path.exists()
     partial = read_chain(str(path))
-    # a state takes two predicts (log posterior and gradient): init consumed
-    # two, so steps 1..4 completed before the blowup
+    # a state takes one evaluation: init consumed one, so steps 1..4
+    # completed before the blowup
     assert partial.n_samples == 4
     assert partial.meta["method"] == "sn"
     assert partial.meta["partial"] == 1
@@ -296,27 +317,34 @@ def test_groups_under_the_budget_give_the_same_bytes(campaign_setup, monkeypatch
 
 
 class FailingModel(LinearGaussianModel):
-    """Raises a NumericalError at the predictions numbered in ``fail_at``."""
+    """Fails with a NumericalError at the point evaluations (calls of the
+    stacked misfit that include the worker) numbered in ``fail_at``."""
 
     def __init__(self, model, fail_at=()):
         super().__init__(model.mesh, model.space, model.F)
         self.obs = model.obs
         self.fail_at, self.calls = set(fail_at), 0
 
-    def predict(self, m):
-        self.calls += 1
-        if self.calls in self.fail_at:
-            raise NumericalError("synthetic solver failure")
-        return super().predict(m)
+    @classmethod
+    def stacked_misfit(cls, workers, points, adjoint):
+        misfit, raw, errors = super().stacked_misfit(workers, points, adjoint)
+        for i, w in enumerate(workers):
+            w.calls += 1
+            if w.calls in w.fail_at:
+                errors[i] = NumericalError("synthetic solver failure")
+                misfit[i] = np.nan
+                if raw is not None:
+                    raw[i] = np.nan
+        return misfit, raw, errors
 
 
 @pytest.mark.parametrize("method", ["ismap", "snmap", "sn"])
 def test_a_failed_candidate_rejects_only_its_chains_step(linear_map, method, caplog):
     mesh, space, prior, model, m_map, lrh = linear_map
     settings = SamplerSettings(method=method, r=10, l=5, lrh_map=lrh, m_map=m_map)
-    # a state takes one predict (ismap) or two (log posterior and gradient),
-    # the start included: chain 1 fails at two steps' candidates
-    fail_at = (5, 9) if method == "ismap" else (7, 13)
+    # a state takes one evaluation, the start included: chain 1 fails at
+    # the candidates of steps 4 and 8
+    fail_at = (5, 9)
     make = [lambda: FailingModel(model), lambda: FailingModel(model, fail_at),
             lambda: FailingModel(model)]
     with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
@@ -337,11 +365,11 @@ class ZeroWindow:
     def __init__(self, rng):
         self.rng, self.uniforms, self.zeros = rng, 0, 0
 
-    def standard_normal(self, size=None):
-        out = self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        out = self.rng.standard_normal(size, out=out)
         if self.uniforms == 3 and self.zeros < 4:
             self.zeros += 1
-            return 0.0 * out
+            out *= 0.0
         return out
 
     def uniform(self):
@@ -366,12 +394,69 @@ def test_a_lanczos_restart_failure_rejects_only_its_chains_step(campaign_setup, 
                                            seed=4, chain_id=cid))
 
 
+class ConstantWindow:
+    """A generator whose normals after its third uniform, the fourth step's
+    proposal noise, are all ``value``."""
+
+    def __init__(self, rng, value):
+        self.rng, self.value, self.uniforms, self.done = rng, value, 0, False
+
+    def standard_normal(self, size=None, out=None):
+        out = self.rng.standard_normal(size, out=out)
+        if self.uniforms == 3 and not self.done:
+            self.done = True
+            out[...] = self.value
+        return out
+
+    def uniform(self):
+        self.uniforms += 1
+        return self.rng.uniform()
+
+
+@pytest.mark.parametrize("method, failure", [
+    ("ismap", "overflow"), ("snmap", "overflow"), ("sn", "overflow"),
+    ("ismap", "indefinite"), ("snmap", "indefinite")])
+def test_a_failed_stacked_factorisation_rejects_only_its_chains_step(method, failure, caplog,
+                                                                    monkeypatch):
+    # chain 1's fourth candidate overflows exp(m), or makes the operator of
+    # an exp model shifted by -0.01 I indefinite, inside the one stacked
+    # factorisation of the three candidates. (sn's own Hessian at a chain
+    # state can map the constant noise of the indefinite case to a modest
+    # candidate, so that case runs with the MAP Hessian's methods.)
+    mesh, space, prior, model, _ = make_small_problem(n=30, q=6, a=0.1, b=1e3)
+    m_map = solve_map(model.clone(), prior).m_map
+    lrh = build_one(model.clone(), prior, m_map, 4, 2, np.random.default_rng(7))
+    rng = np.random.default_rng(3)
+    starts = [m_map + 0.02 * white_noise(space, rng) for _ in range(3)]
+    value, message = 1e4, "non-finite entries"
+    if failure == "indefinite":
+        value, message = -1e4, "not positive definite"
+        shift = Tridiagonal(np.full(prior.n, -0.01), np.zeros(prior.n - 1))
+        model.K0 = model.K0 + shift
+    settings = SamplerSettings(method=method, r=4, l=2, lrh_map=lrh, m_map=m_map)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: ConstantWindow(default_rng(key), value)
+                        if list(key)[1] == 1 else default_rng(key))
+    with caplog.at_level(logging.WARNING, logger="hessmc.samplers"), np.errstate(over="ignore"):
+        together = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
+                              seed=4, chain_ids=[0, 1, 2])
+        alone = [run_chain(settings, model.clone(), prior, start, 8, seed=4, chain_id=cid)
+                 for cid, start in enumerate(starts)]
+    assert caplog.text.count(message) == 2 and caplog.text.count("step rejected") == 2
+    assert not together[1].accepted[3]
+    for chain, ref in zip(together, alone):
+        assert_same_bytes(chain, ref)
+
+
 def test_fatal_error_flushes_every_chain_of_the_campaign(tmp_path):
     mesh, space, prior, ref_model, _ = make_small_problem(kind="linear")
     settings = SamplerSettings(method="sn", r=4, l=2)
-    workers = [ref_model.clone(), DiskFullModel(mesh, space, ref_model.F.copy()),
-               ref_model.clone()]
-    workers[1].obs = ref_model.obs
+    # the stacked misfit is the workers' class method: every worker is a
+    # DiskFullModel, and only chain 1's fails
+    workers = [DiskFullModel(mesh, space, ref_model.F.copy()) for _ in range(3)]
+    for w in workers:
+        w.obs = ref_model.obs
+    workers[0].fail_after = workers[2].fail_after = math.inf
     paths = [str(tmp_path / f"chain_{cid}.csv") for cid in range(3)]
     with pytest.raises(RuntimeError):
         run_chains(settings, workers, prior, [prior.mean] * 3, 50, seed=0,
