@@ -39,6 +39,7 @@ the 2D pair densities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,23 +86,28 @@ def classify_eigenvectors(prior: GaussianPrior, MHm: np.ndarray, lam: np.ndarray
     """Rayleigh-quotient classification; records sorted by descending d.
 
     MHm is the symmetric M H_misfit that ``posterior_eigensystem`` returns,
-    so r_m = v^T MHm v and r_p = v^T K v over v^T M v cost no solve.
+    so r_m = v^T MHm v and r_p = v^T K v over v^T M v cost no solve. The
+    quotients and norms of all columns v of V are a few whole-block calls:
+    one gemv per column for MHm v (``np.matvec``), the tridiagonal products
+    on V, and one dot per column (``np.vecdot``).
     """
-    space = prior.space
-    observed_mask = np.asarray(observed_mask, dtype=bool)
+    mask = np.asarray(observed_mask, dtype=bool)[:, None]
+    M = prior.space.mass
+
+    def quad(A, X: np.ndarray) -> list[float]:
+        """v^T A v of each column v of X, with A a Tridiagonal."""
+        return np.vecdot(X.T, A.matvec(X).T).tolist()
+
+    r_misfit = np.vecdot(V.T, np.matvec(MHm, V.T)).tolist()
     records = []
-    for i in range(V.shape[1]):
-        v = V[:, i]
-        denom = space.inner(v, v)
-        r_m = float(v @ (MHm @ v)) / denom
-        r_p = float(v @ prior.K.matvec(v)) / denom
-        v_obs = np.where(observed_mask, v, 0.0)
-        v_un = np.where(observed_mask, 0.0, v)
+    for i, (vmv, vmhv, vkv, obs, un) in enumerate(zip(
+            quad(M, V), r_misfit, quad(prior.K, V),
+            quad(M, np.where(mask, V, 0.0)), quad(M, np.where(mask, 0.0, V)))):
+        r_m, r_p = vmhv / vmv, vkv / vmv
         records.append(EigenRecord(
-            index=i, eigenvalue=float(lam[i]), r_misfit=float(r_m),
-            r_prior=float(r_p), discriminant=float(r_m**2 - r_p**2),
-            norm_observed=space.norm(v_obs), norm_unobserved=space.norm(v_un),
-            group=""))
+            index=i, eigenvalue=float(lam[i]), r_misfit=r_m, r_prior=r_p,
+            discriminant=r_m**2 - r_p**2, norm_observed=math.sqrt(max(obs, 0.0)),
+            norm_unobserved=math.sqrt(max(un, 0.0)), group=""))
     non_data = [rec for rec in records if rec.discriminant <= 0.0]
     rp_median = float(np.median([rec.r_prior for rec in non_data])) if non_data else 0.0
     for rec in records:

@@ -26,8 +26,12 @@ The proposal algebra (``apply_inv``, ``quad``, ``draw``) takes a vector
 or a (c, n) block of rows, one per chain that shares this Hessian; each
 row goes through its own gemv calls (np.matvec with the transposed view
 Z.T as it is), so every row is bit-identical to the one-vector call.
-Lanczos runs on T with plain dot products and gives T ≈ Z diag(lam) Z^T
-with orthonormal Z; the M-orthonormal eigenvectors of Ht are V = R^{-1} Z.
+Lanczos runs on T with plain dot products and full reorthogonalization;
+its coefficients form a (r + l) x (r + l) tridiagonal, whose eigenpairs
+(one LAPACK dstemr call, MRRR) are the Ritz pairs. They give
+T ≈ Z diag(lam) Z^T with orthonormal Z = Q^T S, Q the Lanczos basis and S
+the tridiagonal's eigenvectors; the M-orthonormal eigenvectors of Ht are
+V = R^{-1} Z.
 Writing D = diag(lam_i / (lam_i + 1)) and E = diag((lam_i + 1)^{-1/2} - 1),
 the retained pairs yield matrix-free
 
@@ -56,7 +60,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dstemr
 
 from .errors import NumericalError
 from .fem import bidiagonal_matvec, bidiagonal_solve
@@ -196,21 +200,25 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
 
     Chain i uses ``workers[i]`` and ``rngs[i]`` alone. Each build runs
     exactly r + l iterations (one Hessian action each, i.e. exactly 2(r+l)
-    linearized solves), with full Euclidean reorthogonalization, then keeps
-    the top r Ritz pairs whose values pass the positivity floor. If the
-    Krylov space is exhausted early (the operator has numerically low
-    rank), a fresh random direction is injected so the iteration count --
+    linearized solves), with full Euclidean reorthogonalization, keeping
+    the Lanczos coefficients alpha_j = q_j^T T q_j and beta_j = ||w_perp||;
+    it then keeps the top r Ritz pairs of their tridiagonal whose values
+    pass the positivity floor. If the Krylov space is exhausted early (the
+    operator has numerically low rank), a fresh random direction is
+    injected, with beta_j = 0 where it enters, so the iteration count --
     and with it the solve count -- never changes. A build whose fresh
-    direction cannot be found stops there and leaves the batch.
+    direction cannot be found, or whose tridiagonal eigensolve fails,
+    stops there and leaves the batch.
 
     The c builds share their calls: one stacked Hessian action, one pair of
     multi-RHS bidiagonal solves and one batched Gram-Schmidt per
-    iteration; the Rayleigh-Ritz step and the fresh-direction draws stay
-    per point. The blocks do not mix, so each result, and each worker's
-    counter, is bit-identical to the build of that point alone (the batch
-    of one). The Krylov basis and its images hold 2 c (r + l) n floats.
+    iteration; the tridiagonal eigensolve and the fresh-direction draws
+    stay per point. The blocks do not mix, so each result, and each
+    worker's counter, is bit-identical to the build of that point alone
+    (the batch of one). The Krylov basis holds c (r + l) n floats.
     A point whose state cannot be formed raises NumericalError for the
-    batch (see ``ForwardModel.stacked_hvp_raw``); the samplers build only
+    batch (see ``ForwardModel.stacked_hvp_raw``), and a non-finite
+    coefficient raises ValueError for the batch; the samplers build only
     at points whose gradient they have formed.
     """
     n = prior.n
@@ -222,12 +230,13 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
     results: list = [None] * len(workers)
     live = list(range(len(workers)))
     Q = np.empty((len(live), k, n))     # Lanczos vectors as rows, one stack per point
-    W = np.empty((len(live), k, n))     # their images under T
+    alpha = np.empty((len(live), k))    # the tridiagonal of each point: its diagonal,
+    beta = np.zeros((len(live), k))     # and its off-diagonal (the last entry unused)
 
     def fresh_directions(rows, j: int) -> None:
         """Q[i, j] for each row i, drawn from its point's stream; a point
         that finds none is dropped from the batch."""
-        nonlocal Q, W, live, op_scale, deflations
+        nonlocal Q, alpha, beta, live, op_scale, deflations
         keep = []
         for i in range(len(live)):
             if i in rows:
@@ -238,7 +247,7 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
                     continue
             keep.append(i)
         if len(keep) < len(live):
-            Q, W = Q[keep], W[keep]
+            Q, alpha, beta = Q[keep], alpha[keep], beta[keep]
             live, op_scale, deflations = ([x[i] for i in keep]
                                           for x in (live, op_scale, deflations))
 
@@ -252,44 +261,52 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
         if T is None:
             T = _whitened_operator([workers[i] for i in live], prior,
                                    [points[i] for i in live])
-        w = W[:, j] = T(Q[:, j])
+        w = T(Q[:, j])
+        alpha[:, j] = np.vecdot(Q[:, j], w)
         if j + 1 == k:
             break
-        w_orth, beta = _orthonormalize(w, Q[:, :j + 1])
+        w_orth, norms = _orthonormalize(w, Q[:, :j + 1])
+        beta[:, j] = norms
         spent = []
-        for i, (x, b) in enumerate(zip(np.sqrt(np.vecdot(w, w)).tolist(), beta.tolist())):
+        for i, (x, b) in enumerate(zip(np.sqrt(np.vecdot(w, w)).tolist(), norms.tolist())):
             op_scale[i] = max(op_scale[i], x)
             if b <= 1e-11 * max(1.0, op_scale[i]):
                 spent.append(i)
         if not spent:
-            np.divide(w_orth.T, beta, out=Q[:, j + 1].T)
+            np.divide(w_orth.T, norms, out=Q[:, j + 1].T)
             continue
         # invariant subspace reached; continue in its orthogonal complement
         for i in range(len(live)):
             if i in spent:
                 deflations[i] += 1
+                beta[i, j] = 0.0
             else:
-                Q[i, j + 1] = w_orth[i] / beta[i]
+                Q[i, j + 1] = w_orth[i] / norms[i]
         before = len(live)
         fresh_directions(spent, j + 1)
         if len(live) < before:
             T = None
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("array must not contain infs or NaNs")
     for i, point in enumerate(live):
-        results[point] = _rayleigh_ritz(prior, points[point], Q[i], W[i], r, k,
-                                        deflations[i])
+        results[point] = _rayleigh_ritz(prior, points[point], Q[i], alpha[i], beta[i],
+                                        r, k, deflations[i])
     return results
 
 
-def _rayleigh_ritz(prior: GaussianPrior, m: np.ndarray, Q: np.ndarray, W: np.ndarray,
-                   r: int, k: int, deflations: int) -> LowRankHessian:
-    """The top r Ritz pairs of T on the Krylov basis Q (rows) with images W."""
+def _rayleigh_ritz(prior: GaussianPrior, m: np.ndarray, Q: np.ndarray, alpha: np.ndarray,
+                   beta: np.ndarray, r: int, k: int,
+                   deflations: int) -> LowRankHessian | NumericalError:
+    """The top r Ritz pairs of T on the Krylov basis Q (rows), from the
+    eigenpairs of its Lanczos tridiagonal (diagonal alpha, off-diagonal
+    beta[:-1]; dstemr overwrites beta), or the NumericalError of a failed
+    eigensolve."""
     n = prior.n
-    G = Q @ W.T                         # Rayleigh-Ritz projection of T
-    G = 0.5 * (G + G.T)
-    theta, S = scipy.linalg.eigh(G)
-    order = np.argsort(theta)[::-1]
-    theta, S = theta[order], S[:, order]
-    floor = EIG_FLOOR * max(1.0, theta[0] if theta.size else 0.0)
+    _, theta, S, info = dstemr(alpha, beta, 0, 0.0, 0.0, 0, 0, compute_v=1)
+    if info:
+        return NumericalError(f"tridiagonal eigensolve (dstemr) failed with info {info}")
+    theta, S = theta[::-1], S[:, ::-1]  # descending
+    floor = EIG_FLOOR * max(1.0, theta[0])
     keep = np.flatnonzero(theta > floor)[:r]
     if keep.size == 0:
         logger.warning("no positive Hessian eigenvalues retained at this point; "

@@ -39,7 +39,8 @@ chain then accepts or rejects with its own uniform. The point
 evaluations of a step are one stacked forward (and adjoint) solve for
 all chains (``models.evaluate_points``); for sn the step adds one
 lockstep ``build_lowrank``, whose Hessian actions, whitening solves and
-Gram-Schmidt passes are each one BLAS/LAPACK call for all chains. The
+Gram-Schmidt passes are each one BLAS/LAPACK call for all chains, and
+whose Ritz pairs come from each chain's Lanczos tridiagonal. The
 proposal algebra (``draw``, ``apply_inv`` and the ``quad`` of both MH
 directions) is one call a step on all rows where the chains share the
 MAP Hessian (ismap, snmap), and one call per row on sn's own Hessians.
@@ -283,7 +284,7 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
     together; chain i's RNG stream is derived from (seed, chain_ids[i]).
 
     The chains run in groups of as many as keep a group's stacked Krylov
-    basis, 2 (r + l) n floats per chain, within ``LOCKSTEP_BLOCK_VALUES``;
+    basis, (r + l) n floats per chain, within ``LOCKSTEP_BLOCK_VALUES``;
     a group runs to the end before the next starts. A chain's rows do not
     depend on the other chains, the grouping or their number. On a fatal
     error every chain that has rows is flushed, marked partial, to its
@@ -295,7 +296,7 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
                     meta={"method": settings.method, "seed": int(seed),
                           "chain_id": int(cid), "n": n, "r": settings.r, "l": settings.l})
               for cid in chain_ids]
-    size = max(1, LOCKSTEP_BLOCK_VALUES // (2 * (settings.r + settings.l) * n))
+    size = max(1, LOCKSTEP_BLOCK_VALUES // ((settings.r + settings.l) * n))
     group, k = range(0), 0              # the group running and the rows it has
     try:
         for lo in range(0, len(chains), size):

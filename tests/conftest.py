@@ -6,6 +6,7 @@ behavior of the default configuration build it explicitly.
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from hessmc.fem import Mesh1D, assemble_mass, bidiagonal_solve, interpolation_matrix
 from hessmc.lowrank import build_lowrank
@@ -33,6 +34,19 @@ def build_one(model, prior, m, r, l, rng):
     if isinstance(lrh, Exception):
         raise lrh
     return lrh
+
+
+def failing_dstemr(fail_at):
+    """A stand-in for the ``dstemr`` that ``lowrank`` calls: LAPACK's, but
+    reporting info = 2 (its eigenvector stage failed) at the calls
+    numbered in ``fail_at`` (from 0)."""
+    calls = []
+
+    def dstemr(*args, **kwargs):
+        m, w, z, info = scipy.linalg.lapack.dstemr(*args, **kwargs)
+        calls.append(None)
+        return m, w, z, 2 if len(calls) - 1 in fail_at else info
+    return dstemr
 
 
 def make_small_problem(n=35, q=6, kind="exp_reaction", a=1e-2, b=1e2,

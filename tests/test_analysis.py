@@ -75,6 +75,31 @@ def test_records_sorted_and_grouped(exp_records):
         assert rec.group == expect
 
 
+def column_loop_records(prior, MHm, V, mask):
+    """(r_m, r_p, d, observed norm, unobserved norm) of each column of V,
+    one column at a time: the reference for the block calls."""
+    space, out = prior.space, []
+    for v in V.T:
+        denom = space.inner(v, v)
+        r_m = float(v @ (MHm @ v)) / denom
+        r_p = float(v @ prior.K.matvec(v)) / denom
+        out.append((r_m, r_p, r_m**2 - r_p**2, space.norm(np.where(mask, v, 0.0)),
+                    space.norm(np.where(mask, 0.0, v))))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_classification_is_bit_identical_to_a_column_loop(kind):
+    mesh, space, prior, model, _ = make_small_problem(n=139, q=10, kind=kind, seed=3)
+    m_map = solve_map(model.clone(), prior).m_map
+    lam, V, MHm = posterior_eigensystem(model.clone(), prior, m_map)
+    mask = observed_mask(mesh, "right_half")
+    records = sorted(classify_eigenvectors(prior, MHm, lam, V, mask), key=lambda rec: rec.index)
+    got = [(rec.r_misfit, rec.r_prior, rec.discriminant, rec.norm_observed,
+            rec.norm_unobserved) for rec in records]
+    assert got == column_loop_records(prior, MHm, V, mask)
+
+
 def test_linear_misfit_quotient_is_nonnegative(linear_eigensystem):
     # Gauss-Newton-exact model: the misfit Hessian is PSD, so every
     # eigenvalue dominates its prior quotient

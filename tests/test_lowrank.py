@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hessmc import lowrank
 from hessmc.config import RunConfig
 from hessmc.fem import (Mesh1D, WeightedSpace, assemble_mass, bidiagonal_solve,
                         interpolation_matrix)
@@ -18,7 +19,7 @@ from hessmc.models import (ExpReaction1D, LinearGaussianModel, gradient,
 from hessmc.pipeline import LANCZOS_KEY, build_problem
 from hessmc.prior import build_prior
 
-from conftest import build_one, make_small_problem, white_noise
+from conftest import build_one, failing_dstemr, make_small_problem, white_noise
 
 
 def dense_preconditioned_misfit(model, prior, m):
@@ -347,6 +348,26 @@ def test_a_restart_failure_drops_only_that_build(after):
         assert together[i].Z.tobytes() == alone.Z.tobytes()
         assert together[i].lam.tobytes() == alone.lam.tobytes()
         assert workers[i].counter.incremental_solves == 2 * 12
+
+
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_a_lockstep_tridiagonal_failure_drops_only_that_build(kind, monkeypatch):
+    # the eigensolve of the second point's Lanczos tridiagonal reports
+    # failure: that point, and only that point, gets a NumericalError
+    prior, model, workers, points = lockstep_points(kind)
+    monkeypatch.setattr(lowrank, "dstemr", failing_dstemr({1}))
+    together = build_lowrank(workers, prior, points, 8, 4,
+                             [np.random.default_rng(i) for i in range(3)])
+    monkeypatch.undo()
+    assert isinstance(together[1], NumericalError)
+    assert "dstemr" in str(together[1]) and "info 2" in str(together[1])
+    for i in (0, 2):
+        worker = model.clone()
+        gradient(worker, prior, points[i])
+        alone = build_one(worker, prior, points[i], 8, 4, np.random.default_rng(i))
+        assert together[i].Z.tobytes() == alone.Z.tobytes()
+        assert together[i].lam.tobytes() == alone.lam.tobytes()
+    assert all(w.counter.incremental_solves == 2 * 12 for w in workers)
 
 
 def test_a_non_finite_build_fails_as_it_does_alone():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hessmc import samplers
+from hessmc import lowrank, samplers
 from hessmc.chain_io import read_chain
 from hessmc.errors import NumericalError
 from hessmc.fem import Tridiagonal
@@ -17,7 +17,7 @@ from hessmc.models import LinearGaussianModel, gradient
 from hessmc.samplers import (Chain, ChainStates, SamplerSettings, evaluate, init_states,
                              log_q_pair, mh_step, run_chain, run_chains, select_start_points)
 
-from conftest import build_one, make_small_problem, white_noise
+from conftest import build_one, failing_dstemr, make_small_problem, white_noise
 
 
 def tight_map_setup(kind="linear", n=35, q=6, r=10, l=5):
@@ -304,7 +304,7 @@ def test_groups_under_the_budget_give_the_same_bytes(campaign_setup, monkeypatch
     one_group = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
                            seed=2, chain_ids=[0, 1, 2])
     # room for the stacked Krylov bases of two chains: groups {0, 1} and {2}
-    monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_VALUES", 2 * 2 * (r + l) * prior.n)
+    monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_VALUES", 2 * (r + l) * prior.n)
     calls = []
     build = samplers.build_lowrank
     monkeypatch.setattr(samplers, "build_lowrank",
@@ -392,6 +392,27 @@ def test_a_lanczos_restart_failure_rejects_only_its_chains_step(campaign_setup, 
     for cid, (chain, start) in enumerate(zip(together, starts)):
         assert_same_bytes(chain, run_chain(settings, model.clone(), prior, start, 8,
                                            seed=4, chain_id=cid))
+
+
+def test_a_lockstep_tridiagonal_failure_rejects_only_its_chains_step(campaign_setup, caplog,
+                                                                      monkeypatch):
+    # one eigensolve per chain and state, in chain order: chain 1's at its
+    # fourth candidate is call 3 + 3 * 3 + 1 of the campaign, and call
+    # 1 + 3 of the chain run alone
+    prior, model, m_map, lrh, starts, r, l = campaign_setup
+    settings = SamplerSettings(method="sn", r=r, l=l)
+    alone = [run_chain(settings, model.clone(), prior, start, 8, seed=4, chain_id=cid)
+             for cid, start in enumerate(starts)]
+    monkeypatch.setattr(lowrank, "dstemr", failing_dstemr({13}))
+    with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
+        together = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
+                              seed=4, chain_ids=[0, 1, 2])
+    assert caplog.text.count("failed with info 2); step rejected") == 1
+    assert not together[1].accepted[3]
+    monkeypatch.setattr(lowrank, "dstemr", failing_dstemr({4}))
+    alone[1] = run_chain(settings, model.clone(), prior, starts[1], 8, seed=4, chain_id=1)
+    for chain, ref in zip(together, alone):
+        assert_same_bytes(chain, ref)
 
 
 class ConstantWindow:
