@@ -74,15 +74,18 @@ def write_chain(chain: Chain, path: str) -> None:
 
 
 def read_chain(path: str) -> Chain:
+    """Read a chain file through one binary handle: the ``#`` header lines
+    and the column line as bytes, then the body by ``np.loadtxt`` on the same
+    handle (no newline translation on the way)."""
     meta: dict = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         line = fh.readline()
-        while line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
+        while line.startswith(b"#"):
+            key, _, value = line[1:].decode().strip().partition("=")
             key = key.strip()
             meta[key] = int(value) if key in _META_INT else value
             line = fh.readline()
-        n = line.count(",") + 1 - len(_COLUMNS)
+        n = line.count(b",") + 1 - len(_COLUMNS)
         body = fh.tell()
         if fh.readline():
             fh.seek(body)
@@ -97,9 +100,11 @@ def read_chain(path: str) -> Chain:
 def write_table(path: str, header: list[str], rows, comments: list[str] | None = None) -> None:
     """CSV writer for every non-chain artifact, in the chain files' number
     format: floats as ``%.17g``, lines ending in ``\r\n`` after the
-    ``# `` comment lines. A 2D float array body is formatted with one row
-    format and written in one call; a list of rows holding ints or strings
-    goes through ``csv.writer``. Both give the same bytes for float rows."""
+    ``# `` comment lines. A 2D float array body formats each distinct value
+    once (distinct by bits, so ``-0`` and ``0`` stay apart and every NaN
+    prints ``nan``), then joins the rows from those strings and writes them
+    in one call; a list of rows holding ints or strings goes through
+    ``csv.writer``. Both give the same bytes for float rows."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         for line in comments or []:
@@ -107,8 +112,14 @@ def write_table(path: str, header: list[str], rows, comments: list[str] | None =
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
-            row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-            fh.write("".join([row_fmt % tuple(row) for row in rows.tolist()]))
+            # contour grids repeat each coordinate once per cell of the
+            # other axis, and a Gaussian reference column is symmetric
+            rows = np.asarray(rows, dtype=np.float64)
+            bits, index = np.unique(rows.view(np.uint64), return_inverse=True)
+            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
+                            dtype=object)
+            fh.write("".join([",".join(row) + "\r\n"
+                              for row in text[index.reshape(rows.shape)].tolist()]))
         else:
             for row in rows:
                 writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])

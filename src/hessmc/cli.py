@@ -11,6 +11,10 @@ Each command works in one run directory (--out-dir, else the parent of
 problem config is refused before anything is written, ``sample`` and
 ``analyze`` reuse the MAP the directory records, and ``sample`` reuses the
 pilot's start points recorded for the same chain count.
+
+``main`` builds the parser of the command it runs, per call and never at
+import: every command is registered, so the top-level help, usage and
+errors list all six, but only the invoked one gets its options.
 """
 
 from __future__ import annotations
@@ -149,7 +153,10 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``hessmc`` parser with every command registered and only
+    ``command``'s options added. It holds each ``cmd_*`` as the module
+    held it when the parser was built."""
     parser = argparse.ArgumentParser(
         prog="hessmc",
         description="Hessian-preconditioned MCMC for a 1D Bayesian inverse problem")
@@ -165,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, func, help_text in specs:
         p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         _add_config_flags(p)
         p.add_argument("--out-dir", default=None, help="output directory")
         p.set_defaults(func=func)
@@ -192,8 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has no option that takes a value, so the
+    # command is its first argument that is not an option
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -187,15 +187,23 @@ def test_write_table_comments_and_formatting(tmp_path):
 
 
 def test_write_table_array_body_matches_csv_writer(tmp_path):
-    values = np.array([[0.1 + 0.2, -0.0, 1e-310, np.nan],
-                       [np.inf, -np.inf, 123456789.0, -2.5e300],
-                       [1.0, 3.0, 1.0 / 3.0, -7.0]])
-    path = tmp_path / "table.csv"
-    write_table(str(path), ["a", "b", "c", "d"], values, comments=["k=1"])
-    ref = io.StringIO(newline="")
-    ref.write("# k=1\n")
-    writer = csv.writer(ref)
-    writer.writerow(["a", "b", "c", "d"])
-    for row in values.tolist():
-        writer.writerow(["%.17g" % v for v in row])
-    assert path.read_bytes() == ref.getvalue().encode()
+    special = np.array([[0.1 + 0.2, -0.0, 1e-310, np.nan],
+                        [np.inf, -np.inf, 123456789.0, -2.5e300],
+                        [1.0, 3.0, 1.0 / 3.0, -7.0]])
+    # repeated values, +0 beside -0 and two NaN payloads (one negative), in
+    # the transposed view a caller may pass
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+    repeats = np.array([[0.0, -0.0, 0.25, 0.25],
+                        [*nans.view(np.float64), 0.0, -0.0],
+                        [0.25, 0.1 + 0.2, 0.1 + 0.2, nans.view(np.float64)[0]]]).T
+    for values in (special, repeats):
+        header = ["a", "b", "c", "d"][:values.shape[1]]
+        path = tmp_path / "table.csv"
+        write_table(str(path), header, values, comments=["k=1"])
+        ref = io.StringIO(newline="")
+        ref.write("# k=1\n")
+        writer = csv.writer(ref)
+        writer.writerow(header)
+        for row in values.tolist():
+            writer.writerow(["%.17g" % v for v in row])
+        assert path.read_bytes() == ref.getvalue().encode()

@@ -1,14 +1,17 @@
 """End-to-end CLI behavior through main(argv): artifacts, determinism,
 exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from hessmc import pipeline
+from hessmc import cli, pipeline
 from hessmc.chain_io import read_chain, write_chain
 from hessmc.cli import main
+from hessmc.config import SCHEMA
+from hessmc.samplers import METHODS
 
 MINI = ["--mesh-n-nodes", "25", "--obs-count", "4", "--lowrank-r", "6",
         "--lowrank-l", "2", "--pilot-samples", "50"]
@@ -43,6 +46,62 @@ def campaign_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("campaign")
     assert run_sample(d) == 0
     return d
+
+
+# -- parser ----------------------------------------------------------------------
+
+COMMANDS = ("synth", "map", "sample", "diagnose", "analyze", "pipeline")
+HELP = (["-h", "--help"], "help", argparse.SUPPRESS, None, None, None)
+# (option strings, dest, default, type, metavar, choices) of each command's
+# options after the config flags and --out-dir
+EXTRAS = {
+    "sample": [(["--method"], "cfg::run.methods", None, None, None, METHODS),
+               (["--chains"], "cfg::run.chains", None, int, "INT", None),
+               (["--samples"], "cfg::run.samples", None, int, "INT", None)],
+    "diagnose": [(["--chains-dir"], "chains_dir", None, None, None, None),
+                 (["--probe-x"], "probe_x", None, float, None, None)],
+    "analyze": [(["--chains-dir"], "chains_dir", None, None, None, None),
+                (["--eigs"], "eigs", 8, int, None, None),
+                (["--pairs"], "pairs", "0,1", None, None, None),
+                (["--method"], "method", None, None, None, None)],
+    "pipeline": [(["--eigs"], "eigs", 8, int, None, None),
+                 (["--pairs"], "pairs", "0,1", None, None, None)],
+}
+
+
+def options(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.metavar, a.choices)
+            for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_parser_builds_only_its_own_options(command):
+    config_flags = [(["--" + key.replace(".", "-").replace("_", "-")], f"cfg::{key}",
+                     None, typ, typ.__name__.upper(), None)
+                    for key, (typ, _, _) in SCHEMA.items()]
+    expected = [HELP, (["--config"], "config", None, None, "FILE", None), *config_flags,
+                (["--out-dir"], "out_dir", None, None, None, None), *EXTRAS.get(command, [])]
+    subparsers = cli.build_parser(command)._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(COMMANDS)
+    for name, sub in subparsers.items():
+        assert options(sub) == (expected if name == command else [HELP]), name
+
+
+def test_main_dispatches_to_the_command_as_patched_after_import(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args.out_dir) or 7)
+    assert main(["synth", "--out-dir", "elsewhere"]) == 7
+    assert seen == ["elsewhere"]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["synth", "--no-such-flag"]],
+                         ids=["no-command", "unknown-command", "unknown-flag"])
+def test_usage_errors_list_every_command(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    usage = capsys.readouterr().err.splitlines()[0]
+    assert usage == "usage: hessmc [-h] {" + ",".join(COMMANDS) + "} ..."
 
 
 # -- synth ---------------------------------------------------------------------
