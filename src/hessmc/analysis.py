@@ -54,7 +54,9 @@ def posterior_eigensystem(model: ForwardModel, prior: GaussianPrior,
     """Dense M-symmetric eigendecomposition of the Hessian at m_map.
 
     Builds the columns of the assembled misfit Hessian M H_misfit once (n
-    actions, 2n linearized solves) and adds the prior part,
+    actions, 2n linearized solves), through the model's batch-of-one
+    action (``stacked_hvp_raw`` at m_map alone), bound once and applied to
+    each column of the identity, and adds the prior part,
     M H = M H_misfit + K. Returns (lam, V, MHm) with lam descending,
     V^T M V = I, and MHm the symmetrized M H_misfit, which
     ``classify_eigenvectors`` reuses.
@@ -62,8 +64,9 @@ def posterior_eigensystem(model: ForwardModel, prior: GaussianPrior,
     n = prior.n
     MHm = np.empty((n, n))
     eye = np.eye(n)
+    apply = type(model).stacked_hvp_raw([model], [m_map])
     for j in range(n):
-        MHm[:, j] = model.misfit_hvp_raw(m_map, eye[:, j])
+        MHm[:, j] = apply(eye[:, j:j + 1])[:, 0]
     MHm = 0.5 * (MHm + MHm.T)
     lam, V = scipy.linalg.eigh(MHm + prior.K.dense(), prior.space.mass.dense())
     return lam[::-1], V[:, ::-1], MHm

@@ -13,15 +13,15 @@ whitened coordinates z = R x turn it into the Euclidean-symmetric
     T = R Ht R^{-1} = C^{-T} (M H_misfit) C^{-1},
 
 with the same eigenvalues, and ||z|| = ||x||_M. M H_misfit is the
-assembled action the model's ``misfit_hvp_raw`` returns, so an action of T
-is two bidiagonal solves around it, with no mass solve or mass product;
+assembled action the model's ``stacked_hvp_raw`` returns, so an action of
+T is two bidiagonal solves around it, with no mass solve or mass product;
 the build binds the model's action and C once and makes r + l of them.
 ``build_lowrank`` builds at a batch of points (one per chain) in
-lockstep: each iteration makes one stacked action (the model's
-``stacked_hvp_raw``) between two multi-RHS bidiagonal solves, and one
-batched Gram-Schmidt, for every point at once. Each point's pairs, and
-its worker's solve count, are bit-identical to the build of that point
-alone, which is the batch of one.
+lockstep: each iteration makes one stacked action between two multi-RHS
+bidiagonal solves, and one batched Gram-Schmidt, for every point at once.
+The build at one point (the pipeline's MAP Hessian, the pilot) is the
+batch of one of the same code, and each point's pairs, and its worker's
+solve count, are bit-identical to it.
 The proposal algebra (``apply_inv``, ``quad``, ``draw``) takes a vector
 or a (c, n) block of rows, one per chain that shares this Hessian; each
 row goes through its own gemv calls (np.matvec with the transposed view

@@ -18,18 +18,18 @@ The negative log posterior is
 and ``gradient``/``hvp`` return its exact first and second derivatives as
 Riesz representers in the M inner product: assembled integrals against
 test functions are converted by a single application of M^{-1}, and the
-observation pullback uses B* = M^{-1} B^T. A model's ``misfit_hvp_raw``
-stops before that conversion and returns the assembled action
-M H_misfit mhat, which is Euclidean-symmetric; the low-rank build and the
-eigen-analysis work with it directly, and only ``hvp`` applies M^{-1}.
-``stacked_hvp_raw`` gives the same action for c chain workers, each at
-its own point, in one set of BLAS/LAPACK calls; every column it returns
-is bit-identical to that worker's ``misfit_hvp_raw``. In the same way
-``evaluate_points`` gives the log posterior and gradient at c points,
-one per worker, from one ``stacked_misfit`` (the forward and adjoint
-solves of all points at once) and one multi-RHS mass solve, each value
-bit-identical to ``log_posterior`` and ``gradient`` at that point alone,
-which stay the one-point reference (the MAP solver's path).
+observation pullback uses B* = M^{-1} B^T. Each model evaluates through
+two stacked calls, one per kind of work, for c chain workers each at its
+own point in one set of BLAS/LAPACK calls: ``stacked_misfit`` (the
+forward and adjoint solves) and ``stacked_hvp_raw`` (the assembled
+Hessian action M H_misfit mhat, which is Euclidean-symmetric; the
+low-rank build and the eigen-analysis work with it directly, and only
+``hvp`` applies M^{-1}). ``evaluate_points`` adds the prior terms and one
+multi-RHS mass solve. The one-point calls (``predict``,
+``misfit_gradient``, ``misfit_hvp_raw``, ``log_posterior``, ``gradient``)
+are the batch of one of these, so there is one evaluation path; the
+blocks of a stack do not mix, so each row of a batch of c is bit for bit
+its batch of one.
 Second-order (non-Gauss-Newton) terms are kept in the Hessian action.
 M and the PDE operator are stored tridiagonal (see ``fem``) and solved
 with the LAPACK dpttrf/dpttrs pair, so every M^{-1} application and
@@ -39,10 +39,10 @@ observation products).
 
 Every linear(ized) PDE solve is reported to a ``SolveCounter``; the
 samplers' per-step cost ledger depends on these counts being exact, so
-each model caches its most recent forward/adjoint state per parameter
-point, keyed on the point's bytes, and only counts genuinely new solves.
-The stacked paths keep each worker's cache and counter as the one-point
-calls would.
+each model caches its most recent state per parameter point (``_state``),
+keyed on the point's bytes, and only counts genuinely new solves; a
+stacked call changes each worker's cache and counter as that worker's
+batch of one would.
 """
 
 from __future__ import annotations
@@ -109,50 +109,67 @@ class ObservationSetup:
 class ForwardModel:
     """Interface shared by the concrete models.
 
-    Subclasses must set ``mesh``, ``space``, ``counter`` and (once data
-    exists) ``obs``, and implement ``predict``, ``misfit_gradient``,
-    ``stacked_hvp_raw`` and ``misfit_hvp_raw``. Observations are f(m); the
-    data-misfit gradient is returned as an M-representer, and its Hessian
-    action as the assembled functional M H_misfit mhat (no M^{-1} applied).
+    Subclasses must set ``mesh``, ``space``, ``counter``, ``_state`` (the
+    point cache, None when empty) and (once data exists) ``obs``, and
+    implement ``stacked_misfit`` and ``stacked_hvp_raw``. Observations are
+    f(m); the data-misfit gradient is returned as an M-representer, and
+    its Hessian action as the assembled functional M H_misfit mhat (no
+    M^{-1} applied). ``predict``, ``misfit_gradient`` and ``misfit_hvp_raw``
+    are the batch of one of the stacked calls; each subclass binds them in
+    its own namespace, where ``bench/spans.py`` wraps them per model.
     """
 
     mesh: Mesh1D
     space: WeightedSpace
     obs: ObservationSetup | None
     counter: SolveCounter
+    _state: dict | None
 
     def predict(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """f(m), which the batch of one of ``stacked_misfit`` caches."""
+        self._batch_of_one(m, adjoint=False)
+        return self._state["y"]
 
     def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The data-misfit gradient at m, an M-representer."""
+        return self.space.solve(self._batch_of_one(m, adjoint=True)[0])
 
     def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """M H_misfit(m) mhat, the batch of one of ``stacked_hvp_raw``."""
+        return type(self).stacked_hvp_raw([self], [m])(mhat[:, None])[:, 0]
+
+    def _batch_of_one(self, m: np.ndarray, adjoint: bool) -> np.ndarray | None:
+        """``stacked_misfit`` at m alone: its assembled gradient rows (with
+        ``adjoint``), or the NumericalError of the row raised."""
+        _, raw, errors = type(self).stacked_misfit([self], m[None], adjoint)
+        if errors:
+            raise errors[0]
+        return raw
 
     @classmethod
     def stacked_misfit(cls, workers: list["ForwardModel"], points: np.ndarray,
                        adjoint: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
         """The data misfit at each row of ``points`` (c, n), row i for
         ``workers[i]``, and with ``adjoint`` the assembled misfit gradients
-        M g_misfit as rows, in one set of BLAS/LAPACK calls for all rows.
+        M g_misfit as rows, in one set of BLAS/LAPACK calls for all rows;
+        f(m) of each row is left in its worker's point cache.
 
         Returns (misfits (c,), gradients (c, n) or None, errors): a row
         whose state cannot be formed holds nan, and ``errors`` maps it to
-        the NumericalError that stopped it. Every other row is bit for
-        bit ``obs.misfit(predict(m))`` and ``M misfit_gradient(m)`` of its
-        worker alone, and each worker's point cache and counter change as
-        those calls would change them. The workers are clones of one model
-        (``clone``): the operators and data are read from the first."""
+        the NumericalError that stopped it. Every row, and each worker's
+        point cache and counter, is bit for bit that row's batch of one,
+        ``stacked_misfit([workers[i]], points[i:i + 1], adjoint)``. The
+        workers are clones of one model (``clone``): the operators and data
+        are read from the first."""
         raise NotImplementedError
 
     @classmethod
     def stacked_hvp_raw(cls, workers: list["ForwardModel"], points: list[np.ndarray]):
-        """X -> Y with Y[:, i] = workers[i].misfit_hvp_raw(points[i], X[:, i]),
-        bit for bit, for X of shape (n, c); each call adds two incremental
-        solves to every worker's counter. The per-point state is formed
-        (and counted) when the action is made, so a point whose state
-        cannot be formed raises NumericalError here."""
+        """X -> Y with Y[:, i] = M H_misfit(points[i]) X[:, i] for X of shape
+        (n, c), each column bit for bit that worker's batch of one; each call
+        adds two incremental solves to every worker's counter. The per-point
+        state is formed (and counted) when the action is made, so a point
+        whose state cannot be formed raises NumericalError here."""
         raise NotImplementedError
 
     def clone(self) -> "ForwardModel":
@@ -176,34 +193,17 @@ class LinearGaussianModel(ForwardModel):
     solves per Hessian action, even though each is a plain matvec.
     """
 
+    predict = ForwardModel.predict
+    misfit_gradient = ForwardModel.misfit_gradient
+    misfit_hvp_raw = ForwardModel.misfit_hvp_raw
+
     def __init__(self, mesh: Mesh1D, space: WeightedSpace, F: np.ndarray):
         self.mesh = mesh
         self.space = space
         self.F = np.asarray(F, dtype=float)
         self.obs = None
         self.counter = SolveCounter()
-        self._pred_cache: tuple[bytes, np.ndarray] | None = None
-
-    def predict(self, m: np.ndarray) -> np.ndarray:
-        key = m.tobytes()
-        if self._pred_cache is not None and self._pred_cache[0] == key:
-            return self._pred_cache[1]
-        y = self.F @ m
-        self.counter.forward_solves += 1
-        self._pred_cache = (key, y)
-        return y
-
-    def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
-        obs = self._require_obs()
-        y = self.predict(m)
-        g_hat = self.F.T @ obs.weighted_residual(y)
-        self.counter.adjoint_solves += 1
-        return self.space.solve(g_hat)
-
-    def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
-        obs = self._require_obs()
-        self.counter.incremental_solves += 2
-        return self.F.T @ ((self.F @ mhat) / obs.sigma2)
+        self._state = None
 
     @classmethod
     def stacked_misfit(cls, workers, points, adjoint):
@@ -216,9 +216,9 @@ class LinearGaussianModel(ForwardModel):
         Y = np.matvec(model.F, points)
         for w, m, y in zip(workers, points, Y):
             key = m.tobytes()
-            if w._pred_cache is None or w._pred_cache[0] != key:
+            if w._state is None or w._state["key"] != key:
                 w.counter.forward_solves += 1
-                w._pred_cache = (key, y)
+                w._state = {"key": key, "y": y}
         raw = None
         if adjoint:
             raw = np.matvec(model.F.T, obs.weighted_residual(Y))
@@ -279,11 +279,15 @@ class ExpReaction1D(ForwardModel):
     workers one such set of calls on the block-diagonal system of c n
     unknowns: the factors, bands and e^m .* load(u v) of the c points are
     concatenated with zero coupling between the blocks, and the B products
-    run one gemv per chain through np.matvec. ``stacked_misfit`` forms the
-    states of c new points the same way: one assembly of the c operators
-    F(m_i) as rows, one dpttrf of their block-diagonal system, and one
-    dpttrs each for the forward and the adjoint solves.
+    run one gemv per chain through np.matvec. ``_form_states`` forms the
+    states of c points the same way: one assembly of the operators F(m_i)
+    of the new points as rows, one dpttrf of their block-diagonal system,
+    and one dpttrs each for the forward and the adjoint solves.
     """
+
+    predict = ForwardModel.predict
+    misfit_gradient = ForwardModel.misfit_gradient
+    misfit_hvp_raw = ForwardModel.misfit_hvp_raw
 
     def __init__(self, mesh: Mesh1D, space: WeightedSpace,
                  source_constant: float = 1.0):
@@ -294,9 +298,7 @@ class ExpReaction1D(ForwardModel):
         self.rhs = space.mass.matvec(np.full(mesh.n_nodes, self.source_constant))
         self.obs = None
         self.counter = SolveCounter()
-        self._state: dict | None = None
-
-    # -- state handling ------------------------------------------------
+        self._state = None
 
     def _factorize(self, m: np.ndarray) -> tuple[np.ndarray, TridiagonalFactor]:
         """exp(m) and the factors of F(m); an overflowed exp(m) or a NaN
@@ -304,174 +306,128 @@ class ExpReaction1D(ForwardModel):
         em = np.exp(m)
         return em, (self.K0 + assemble_weighted_mass(self.mesh, em)).factor()
 
-    def _forward_state(self, m: np.ndarray) -> dict:
-        key = m.tobytes()
-        if self._state is not None and self._state["key"] == key:
-            return self._state
-        em, factor = self._factorize(m)
-        u = factor.solve(self.rhs)
-        self.counter.forward_solves += 1
-        if not np.all(np.isfinite(u)):
-            raise NumericalError("forward solve produced non-finite state")
-        self._state = {"key": key, "em": em, "factor": factor, "u": u}
-        return self._state
-
-    def _adjoint_state(self, m: np.ndarray) -> dict:
-        """Forward state plus the adjoint v and exp(m) .* load(u v), which the
-        gradient and every Hessian action at m share."""
-        state = self._forward_state(m)
-        if "v" not in state:
-            obs = self._require_obs()
-            y = obs.B @ state["u"]
-            rhs = -obs.B.T @ obs.weighted_residual(y)
-            state["v"] = state["factor"].solve(rhs)
-            self.counter.adjoint_solves += 1
-            state["em_uv"] = state["em"] * assemble_product_load(self.mesh, state["u"],
-                                                                 state["v"])
-        return state
-
-    # -- model interface -----------------------------------------------
-
-    def solve_forward(self, m: np.ndarray) -> np.ndarray:
-        """State u at parameter m (cached per point)."""
-        return self._forward_state(m)["u"]
-
-    def observe(self, u: np.ndarray) -> np.ndarray:
-        return self._require_obs().B @ u
-
-    def predict(self, m: np.ndarray) -> np.ndarray:
-        return self.observe(self.solve_forward(m))
-
-    def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
-        return self.space.solve(self._adjoint_state(m)["em_uv"])
-
-    def misfit_hvp_raw(self, m: np.ndarray, mhat: np.ndarray) -> np.ndarray:
-        state = self._hvp_state(m)
-        factor, Au, Av, B = state["factor"], state["Au"], state["Av"], self.obs.B
-        uhat = factor.solve(band_matvec(Au, mhat, alpha=-1.0))
-        rhs = -(B.T @ ((B @ uhat) / state["sigma2"]))
-        vhat = factor.solve(band_matvec(Av, mhat, alpha=-1.0, y=rhs))
-        self.counter.incremental_solves += 2
-        out = band_matvec(Av, uhat, trans=True, y=mhat * state["em_uv"])
-        return band_matvec(Au, vhat, trans=True, y=out)
-
-    def _hvp_state(self, m: np.ndarray) -> dict:
-        """The adjoint state plus Au and Av in general band storage and
-        sigma^2, formed by the first Hessian action at m."""
-        state = self._adjoint_state(m)
-        if "Au" not in state:
-            em = state["em"]
-            state["Au"] = assemble_weighted_mass(self.mesh, state["u"]).column_scaled_band(em)
-            state["Av"] = assemble_weighted_mass(self.mesh, state["v"]).column_scaled_band(em)
-            state["sigma2"] = self.obs.sigma2
-        return state
-
     @classmethod
-    def stacked_misfit(cls, workers, points, adjoint):
-        """The forward (and adjoint) solves at the points no worker has
-        cached, as one dpttrf and one dpttrs (per solve) on the
-        block-diagonal system of their c n unknowns
-        (``Tridiagonal.factor_blocks``); the B products run one gemv per
-        row through np.matvec. A block that cannot be factored fails its
-        row alone. The zero coupling isolates the blocks only while every
-        value is finite (0 * nan = nan), so a solve with a non-finite entry
-        is redone point by point, as is every point a worker has cached,
-        through the one-point state functions."""
-        workers[0]._require_obs()
-        c = len(workers)
+    def _form_states(cls, workers, points, adjoint):
+        """Forms in place the state each worker lacks at its row of
+        ``points``: the forward state (key, e^m, factor, u and y = B u) of
+        every row whose worker holds none at that point, as one dpttrf
+        (``Tridiagonal.factor_blocks``) and one dpttrs on the block-diagonal
+        system of those rows; then, with ``adjoint``, the adjoint state (v
+        and e^m .* load(u v)) of every row that lacks one, cached forward
+        states included, as one dpttrs on their factors, joined. An all-new
+        batch reuses its factor and stacked states for the adjoint without
+        joining them again. A block that cannot be factored fails its row
+        alone, and a non-finite solve is handled by ``_solve``.
+
+        Returns (errors, fresh): row -> NumericalError for each row whose
+        state cannot be formed, and, when the last stacked solve covered
+        every row, its (y rows, e^m .* load(u v) rows or None); else fresh
+        is None."""
+        model = workers[0]
+        obs, mesh, (c, n) = model._require_obs(), model.mesh, points.shape
         keys = [m.tobytes() for m in points]
         new = [i for i, (w, key) in enumerate(zip(workers, keys))
                if w._state is None or w._state["key"] != key]
         errors: dict = {}
-        parts, redo = [], []
+        done = []                       # the rows whose em, factor, u and Y are in hand
         if new:
-            *part, redo = cls._stacked_states(workers, points, keys, new, adjoint, errors)
-            if len(part[0]) == c:
-                return part[1], part[2], errors
-            parts.append(part)
-        alone = sorted(set(range(c)).difference(new).union(redo))
-        if alone:
-            parts.append(cls._point_states(workers, points, alone, adjoint, errors))
-        misfit = np.full(c, np.nan)
-        raw = np.full(points.shape, np.nan) if adjoint else None
-        for rows, mf, g in parts:
-            if rows:
-                misfit[rows] = mf
-                if adjoint:
-                    raw[rows] = g
-        return misfit, raw, errors
+            em = np.exp(points if len(new) == c else points[new])
+            factor, live, failed = (model.K0 + assemble_weighted_mass(mesh, em)).factor_blocks()
+            if failed:
+                errors.update((new[j], exc) for j, exc in failed.items())
+                new, em = [new[j] for j in live], em[live]
+            u = None
+            if new:
+                u = cls._solve(workers, points, new, factor,
+                               np.concatenate([model.rhs] * len(new)), "forward", errors)
+            if u is not None:
+                Y = np.matvec(obs.B, u)
+                for k, i in enumerate(new):
+                    workers[i]._state = {"key": keys[i], "em": em[k],
+                                         "factor": factor.block(k, n), "u": u[k], "y": Y[k]}
+                    workers[i].counter.forward_solves += 1
+                done = new
+        if not adjoint:
+            return errors, (Y, None) if len(done) == c else None
+        lacking = [i for i in range(c) if i not in errors and "v" not in workers[i]._state]
+        if not lacking:
+            return errors, None
+        if lacking != done:
+            states = [workers[i]._state for i in lacking]
+            factor = TridiagonalFactor.join([s["factor"] for s in states])
+            em, u, Y = (np.array([s[key] for s in states]) for key in ("em", "u", "y"))
+        v = cls._solve(workers, points, lacking, factor,
+                       np.matvec(obs.B.T, -obs.weighted_residual(Y)).ravel(), "adjoint", errors)
+        if v is None:
+            return errors, None
+        em_uv = em * assemble_product_load(mesh, u, v)
+        for i, vk, gk in zip(lacking, v, em_uv):
+            workers[i]._state.update(v=vk, em_uv=gk)
+            workers[i].counter.adjoint_solves += 1
+        return errors, (Y, em_uv) if len(lacking) == c else None
 
     @classmethod
-    def _stacked_states(cls, workers, points, keys, new, adjoint, errors):
-        """The forward (and adjoint) states at points[new], stacked; returns
-        the rows done, their misfits and assembled gradients, and the rows
-        left to the one-point path. A row that cannot be factored goes to
-        ``errors``."""
-        model = workers[0]
-        obs, mesh, n = model.obs, model.mesh, model.space.n
-        em = np.exp(points if len(new) == len(points) else points[new])
-        factor, live, failed = (model.K0 + assemble_weighted_mass(mesh, em)).factor_blocks()
-        rows = new
-        if failed:
-            errors.update((new[j], exc) for j, exc in failed.items())
-            rows = [new[j] for j in live]
-            if not rows:
-                return rows, None, None, []
-            em = em[live]
-        u = factor.solve(np.concatenate([model.rhs] * len(rows)))
-        if not np.isfinite(u).all():
-            return [], None, None, rows
-        u = u.reshape(len(rows), n)
-        states = []
-        for k, i in enumerate(rows):
-            state = {"key": keys[i], "em": em[k], "factor": factor.block(k, n), "u": u[k]}
-            states.append(state)
-            workers[i]._state = state
-            workers[i].counter.forward_solves += 1
-        Y = np.matvec(obs.B, u)
-        if not adjoint:
-            return rows, obs.misfit(Y), None, []
-        v = factor.solve(np.matvec(-obs.B.T, obs.weighted_residual(Y)).ravel())
-        if len(rows) > 1 and not np.isfinite(v).all():
-            return [], None, None, rows
-        v = v.reshape(len(rows), n)
-        em_uv = em * assemble_product_load(mesh, u, v)
-        for i, state, vk, gk in zip(rows, states, v, em_uv):
-            state["v"], state["em_uv"] = vk, gk
-            workers[i].counter.adjoint_solves += 1
-        return rows, obs.misfit(Y), em_uv, []
+    def _solve(cls, workers, points, rows, factor, rhs, kind, errors):
+        """``factor.solve(rhs)``, the ``kind`` ("forward" or "adjoint") solve
+        of one block per row, as rows; the caller counts it. The zero
+        coupling isolates the blocks only while every value is finite
+        (0 * nan = nan): a non-finite solution of one block is its row's
+        NumericalError (the solve counted here), and one of several blocks
+        is redone as batches of one, which report their own; either way
+        None is returned."""
+        x = factor.solve(rhs)
+        if np.isfinite(x).all():
+            return x.reshape(len(rows), -1)
+        if len(rows) == 1:
+            counter = workers[rows[0]].counter
+            setattr(counter, f"{kind}_solves", getattr(counter, f"{kind}_solves") + 1)
+            errors[rows[0]] = NumericalError(f"{kind} solve produced non-finite state")
+        else:
+            for i in rows:
+                one = cls._form_states([workers[i]], points[i:i + 1], kind == "adjoint")[0]
+                errors.update((i, exc) for exc in one.values())
+        return None
 
-    @staticmethod
-    def _point_states(workers, points, rows, adjoint, errors):
-        """The misfits (and assembled gradients) at points[rows] one point
-        at a time, through ``_forward_state`` / ``_adjoint_state``."""
-        done, misfit, raw = [], [], []
-        for i in rows:
-            w = workers[i]
-            try:
-                state = w._adjoint_state(points[i]) if adjoint else w._forward_state(points[i])
-            except NumericalError as exc:
-                errors[i] = exc
-                continue
-            done.append(i)
-            misfit.append(w.obs.misfit(w.obs.B @ state["u"]))
-            if adjoint:
-                raw.append(state["em_uv"])
-        return done, misfit, raw if adjoint else None
+    @classmethod
+    def stacked_misfit(cls, workers, points, adjoint):
+        """The states the workers lack, formed by ``_form_states``; the B
+        products of new states run one gemv per row through np.matvec."""
+        errors, fresh = cls._form_states(workers, points, adjoint)
+        obs = workers[0].obs
+        if fresh is not None:
+            return obs.misfit(fresh[0]), fresh[1], errors
+        rows = [i for i in range(len(workers)) if i not in errors]
+        states = [workers[i]._state for i in rows]
+        misfit = np.full(len(workers), np.nan)
+        misfit[rows] = obs.misfit(np.array([s["y"] for s in states]).reshape(len(rows), obs.q))
+        raw = None
+        if adjoint:
+            raw = np.full(points.shape, np.nan)
+            raw[rows] = np.array([s["em_uv"] for s in states]).reshape(len(rows), points.shape[1])
+        return misfit, raw, errors
 
     @classmethod
     def stacked_hvp_raw(cls, workers, points):
         """The Hessian actions of c workers as two dpttrs and four dgbmv
-        calls on c n unknowns. The zero coupling isolates the blocks only
-        while every value is finite (0 * nan = nan), so an action with a
-        non-finite entry is redone worker by worker."""
-        states = [w._hvp_state(m) for w, m in zip(workers, points)]
-        c, n = len(states), workers[0].space.n
+        calls on c n unknowns; the first action at a point keeps Au and Av
+        in its state. The zero coupling isolates the blocks only while
+        every value is finite (0 * nan = nan), so an action with a
+        non-finite entry is redone as batches of one."""
+        errors = cls._form_states(workers, np.asarray(points), True)[0]
+        if errors:
+            raise errors[min(errors)]
+        mesh, obs, n, c = workers[0].mesh, workers[0].obs, workers[0].space.n, len(workers)
+        states = [w._state for w in workers]
+        for state in states:
+            if "Au" not in state:
+                em = state["em"]
+                state["Au"] = assemble_weighted_mass(mesh, state["u"]).column_scaled_band(em)
+                state["Av"] = assemble_weighted_mass(mesh, state["v"]).column_scaled_band(em)
         factor = TridiagonalFactor.join([s["factor"] for s in states])
         Au = _stack([s["Au"] for s in states], axis=1)
         Av = _stack([s["Av"] for s in states], axis=1)
         em_uv = _stack([s["em_uv"] for s in states])
-        B, sigma2 = workers[0].obs.B, states[0]["sigma2"]
+        B, sigma2 = obs.B, obs.sigma2
 
         def apply(X: np.ndarray) -> np.ndarray:
             x = X.ravel(order="F")
@@ -497,22 +453,31 @@ def _stack(blocks: list[np.ndarray], axis: int = 0) -> np.ndarray:
 # -- posterior pieces ----------------------------------------------------
 
 def log_posterior(model: ForwardModel, prior: GaussianPrior, m: np.ndarray) -> float:
-    """Unnormalized log posterior: -misfit - prior quadratic."""
-    obs = model._require_obs()
-    y = model.predict(m)
-    return float(-obs.misfit(y) + prior.log_density(m))
+    """Unnormalized log posterior: -misfit - prior quadratic (``evaluate_points``
+    on one row)."""
+    return _one_row(model, prior, m, False)[0][0]
 
 
 def gradient(model: ForwardModel, prior: GaussianPrior, m: np.ndarray) -> np.ndarray:
-    """M-representer of dJ: misfit gradient + A(m - m0)."""
-    return model.misfit_gradient(m) + prior.apply_A(m - prior.mean)
+    """M-representer of dJ: misfit gradient + A(m - m0) (``evaluate_points``
+    on one row)."""
+    return _one_row(model, prior, m, True)[1][0]
+
+
+def _one_row(model: ForwardModel, prior: GaussianPrior, m: np.ndarray,
+             with_gradient: bool) -> tuple[list, np.ndarray | None]:
+    """``evaluate_points`` at m alone; the row's NumericalError is raised."""
+    lp, g, errors = evaluate_points([model], prior, m[None], with_gradient)
+    if errors:
+        raise errors[0]
+    return lp, g
 
 
 def evaluate_points(workers: list[ForwardModel], prior: GaussianPrior, points: np.ndarray,
                     with_gradient: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
-    """``log_posterior`` at each row of ``points`` (c, n), row i at
-    ``workers[i]``, and with ``with_gradient`` each ``gradient`` as rows,
-    every value bit for bit the one-point call's: the model's
+    """The log posterior at each row of ``points`` (c, n), row i at
+    ``workers[i]``, and with ``with_gradient`` each gradient as rows, every
+    value bit for bit the row's batch of one: the model's
     ``stacked_misfit`` for all rows, K(m - m0) formed once per row for the
     prior's log density and gradient, and one multi-RHS mass solve for
     both gradient terms of every row.
@@ -570,10 +535,7 @@ def synthesize_data(model: ForwardModel, m_true: np.ndarray, noise_rel: float,
                            sigma=np.full(y_clean.size, sigma_store),
                            y_obs=y_obs, y_clean=y_clean.copy())
     model.obs = obs
-    if isinstance(model, ExpReaction1D):
-        model._state = None  # observation change invalidates adjoint caches
-    else:
-        model._pred_cache = None
+    model._state = None  # an observation change invalidates the cached states
     return obs
 
 

@@ -14,7 +14,9 @@ times, which stay out of the manifest hash.
 The pilot's start points depend only on the problem config and
 ``run.chains``, so a run directory records them in ``pilot_starts.csv``
 and a later campaign with the same chain count reads them instead of
-rerunning the pilot.
+rerunning the pilot. The manifest records the sha256 of each recorded
+table, ``map.csv`` and ``pilot_starts.csv``, and a table is read back only
+while it matches.
 
 ``RunDir`` is the one orchestration path: ``run_pipeline`` and every CLI
 stage command write through it, so the manifest, the campaign step and
@@ -59,6 +61,7 @@ LANCZOS_KEY = 202
 
 # set per call and recorded by each campaign, so a run directory is not keyed on them
 PER_CALL_KEYS = ("run.methods", "run.chains", "run.samples")
+MAP_TABLE = "map.csv"
 PILOT_STARTS = "pilot_starts.csv"
 
 
@@ -154,7 +157,7 @@ def stage_map(problem: Problem, out_dir: str | None = None):
         logger.warning("MAP solve did not reach tolerance in %d iterations",
                        result.newton_iters)
     if out_dir is not None:
-        write_table(os.path.join(out_dir, "map.csv"), ["node_coord", "value"],
+        write_table(os.path.join(out_dir, MAP_TABLE), ["node_coord", "value"],
                     np.column_stack([problem.mesh.node_coords, result.m_map]))
     return result, info
 
@@ -387,9 +390,10 @@ class RunDir:
         self.write()
 
     def solve_map(self, problem: Problem):
-        """Solve and record the MAP; the pilot's start points recorded
-        around an earlier MAP are dropped."""
+        """Solve and record the MAP, with the sha256 of map.csv; the pilot's
+        start points recorded around an earlier MAP are dropped."""
         result, info = stage_map(problem, self.path)
+        info["map_sha256"] = _file_sha256(os.path.join(self.path, MAP_TABLE))
         self.stages["map"] = info
         self.stages.pop("pilot", None)
         with contextlib.suppress(FileNotFoundError):
@@ -397,25 +401,34 @@ class RunDir:
         self.write()
         return result, info
 
+    def _recorded_table(self, name: str, sha256: str | None, **loadtxt) -> np.ndarray | None:
+        """The body of the table ``name`` here when the file's sha256 is the
+        recorded ``sha256`` (the tables hold %.17g, so the read-back is
+        bit-exact); None when it is missing, edited or not recorded."""
+        path = os.path.join(self.path, name)
+        if sha256 is None or not os.path.exists(path) or _file_sha256(path) != sha256:
+            return None
+        return np.loadtxt(path, delimiter=",", skiprows=1, **loadtxt)
+
     def map_point(self, problem: Problem) -> np.ndarray:
-        """The MAP recorded here (map.csv holds %.17g, so the read-back is
-        bit-exact); solved and recorded now when there is none."""
-        if "map" in self.stages:
-            return np.loadtxt(os.path.join(self.path, "map.csv"), delimiter=",",
-                              skiprows=1, usecols=1)
-        return self.solve_map(problem)[0].m_map
+        """The MAP recorded here; when there is none, or map.csv is missing
+        or edited, it is solved and recorded now (which drops the pilot's
+        record)."""
+        m_map = self._recorded_table(MAP_TABLE, self.stages.get("map", {}).get("map_sha256"),
+                                    usecols=1)
+        return self.solve_map(problem)[0].m_map if m_map is None else m_map
 
     def pilot_starts(self, problem: Problem, m_map: np.ndarray, lrh) -> np.ndarray:
         """The ``run.chains`` start points recorded here, when the pilot
-        record names that chain count and the file's sha256 matches it
-        (the file holds %.17g, so the read-back is bit-exact); otherwise
-        the pilot is run now and its record and file are replaced."""
-        path = os.path.join(self.path, PILOT_STARTS)
+        record names that chain count and pilot_starts.csv is as recorded;
+        otherwise the pilot is run now and its record and file are
+        replaced."""
         record = self.stages.get("pilot", {})
-        if (record.get("chains") == problem.cfg["run.chains"] and os.path.exists(path)
-                and _file_sha256(path) == record.get("starts_sha256")):
-            starts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            return np.ascontiguousarray(starts.T)
+        if record.get("chains") == problem.cfg["run.chains"]:
+            starts = self._recorded_table(PILOT_STARTS, record.get("starts_sha256"), ndmin=2)
+            if starts is not None:
+                return np.ascontiguousarray(starts.T)
+        path = os.path.join(self.path, PILOT_STARTS)
         _, starts, record = stage_pilot(problem, m_map, lrh)
         write_table(path, [f"chain_{cid:03d}" for cid in range(len(starts))], starts.T)
         record["starts_sha256"] = _file_sha256(path)

@@ -19,7 +19,8 @@ L L* = C^{-1} C^{-T} M = K^{-1} M = Gamma. A and Gamma are each one
 tridiagonal product and one tridiagonal solve. Any L with L L* = Gamma
 serves the low-rank algebra; this one costs O(n) per application and
 forms no n x n matrix. A prior draw m0 + L R^{-1} n = m0 + C^{-1} n,
-n ~ N(0, I), has Euclidean covariance K^{-1}.
+n ~ N(0, I), has Euclidean covariance K^{-1}; the program draws it as
+``lowrank.LowRankHessian.draw`` at rank 0.
 """
 
 from __future__ import annotations
@@ -91,12 +92,6 @@ class GaussianPrior:
         d = m - self.mean
         kd = self.K.matvec(d.T).T
         return -0.5 * np.vecdot(d, kd), kd
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw from N(m0, Gamma) as m0 + C^{-1} n; rows are samples when
-        size is given."""
-        shape = self.n if size is None else (self.n, size)
-        return self.mean + bidiagonal_solve(self.C, rng.standard_normal(shape)).T
 
     def pointwise_variance(self) -> np.ndarray:
         """Variance of the nodal values, diag(K^{-1})."""

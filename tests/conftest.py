@@ -49,6 +49,24 @@ def failing_dstemr(fail_at):
     return dstemr
 
 
+def nan_dpttrs(n, fail_at):
+    """A stand-in for the ``dpttrs`` that ``fem`` calls: LAPACK's, but at
+    each call numbered in ``fail_at`` (from 0) the solution's block
+    ``fail_at[call]`` of n unknowns gets a nan, as a solve that overflows
+    in that block would leave it."""
+    calls = []
+
+    def dpttrs(*args, **kwargs):
+        x, info = scipy.linalg.lapack.dpttrs(*args, **kwargs)
+        block = fail_at.get(len(calls))
+        calls.append(None)
+        if block is not None:
+            x = x.copy()
+            x[block * n] = np.nan
+        return x, info
+    return dpttrs
+
+
 def make_small_problem(n=35, q=6, kind="exp_reaction", a=1e-2, b=1e2,
                        noise_rel=0.02, seed=0, length=1.0):
     """Small synthetic inverse problem used across the test modules."""

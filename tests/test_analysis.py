@@ -37,6 +37,22 @@ def exp_records():
     return records, lam
 
 
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_eigensystem_columns_are_batch_of_one_actions(kind):
+    # the action is bound once at m and applied per column: each column,
+    # and the solve count, is the batch-of-one action misfit_hvp_raw's
+    mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind=kind)
+    m = prior.mean + 0.3 * prior.apply_L(white_noise(space, np.random.default_rng(2)))
+    worker, ref = model.clone(), model.clone()
+    _, _, MHm = posterior_eigensystem(worker, prior, m)
+    cols = np.column_stack([ref.misfit_hvp_raw(m, e) for e in np.eye(prior.n)])
+    assert MHm.tobytes() == (0.5 * (cols + cols.T)).tobytes()
+    c, r = worker.counter, ref.counter
+    assert (c.forward_solves, c.adjoint_solves, c.incremental_solves) == \
+        (r.forward_solves, r.adjoint_solves, r.incremental_solves)
+    assert c.incremental_solves == 2 * prior.n
+
+
 def test_eigensystem_matches_analytic_pencil(linear_eigensystem):
     mesh, space, prior, model, m_map, lam, V, _ = linear_eigensystem
     F, sigma = model.F, model.obs.sigma[0]

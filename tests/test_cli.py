@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hessmc import cli, pipeline
-from hessmc.chain_io import read_chain, write_chain
+from hessmc.chain_io import read_chain, write_chain, write_table
 from hessmc.cli import main
 from hessmc.config import SCHEMA
 from hessmc.samplers import METHODS
@@ -223,6 +223,29 @@ def test_damaged_pilot_starts_are_not_used(tmp_path, pilot_runs, damage):
     assert run_sample(tmp_path) == 0
     assert pilot_runs == [2, 2]
     assert starts.read_bytes() == recorded
+
+
+@pytest.mark.parametrize("damage", ["deleted", "edited"])
+def test_a_missing_or_edited_map_is_solved_again(tmp_path, damage):
+    # map.csv is used only while it has the sha256 the manifest records;
+    # otherwise sample solves and records the MAP again, as in a fresh
+    # directory, and drops the pilot's record with it
+    d, fresh = tmp_path / "d", tmp_path / "fresh"
+    assert main(["map", *MINI, "--run-seed", "0", "--out-dir", str(d)]) == 0
+    recorded = (d / "map.csv").read_bytes()
+    if damage == "deleted":
+        (d / "map.csv").unlink()
+    else:
+        table = np.loadtxt(d / "map.csv", delimiter=",", skiprows=1)
+        table[:, 1] += 0.01
+        write_table(str(d / "map.csv"), ["node_coord", "value"], table)
+    assert run_sample(d) == 0
+    assert run_sample(fresh) == 0
+    assert (d / "map.csv").read_bytes() == recorded
+    for name in ["pilot_starts.csv", *(f"chains/ismap/chain_{c:03d}.csv" for c in (0, 1))]:
+        assert (d / name).read_bytes() == (fresh / name).read_bytes(), name
+    stages = json.loads((d / "manifest.json").read_text())["stages"]
+    assert stages["map"] == json.loads((fresh / "manifest.json").read_text())["stages"]["map"]
 
 
 # -- diagnose ------------------------------------------------------------------------

@@ -120,14 +120,27 @@ def test_quad_is_hessian_quadratic_form(linear_setup):
     assert lrh.quad(d) == pytest.approx(prior.space.inner(d, lrh.apply_H(d)), rel=1e-10)
 
 
+def rank_zero(prior):
+    """The Hessian with no retained pair: every operator is the prior's."""
+    return LowRankHessian(prior=prior, m_ref=prior.mean, Z=np.zeros((prior.n, 0)),
+                          lam=np.zeros(0))
+
+
 def test_draw_is_the_inverse_sqrt_of_whitened_noise(linear_setup):
     # the draw takes n ~ N(0, I) straight to C^{-1} (I + Z E Z^T) n: the
-    # result is H^{-1/2} R^{-1} n, without an R solve undone by a product
+    # result is H^{-1/2} R^{-1} n, without an R solve undone by a product;
+    # at rank 0 it is the prior draw, the mean plus the transported noise
+    # L R^{-1} n = C^{-1} n
     prior, _, m_ref, lrh, _, _ = linear_setup
-    y = lrh.draw(np.random.default_rng(14), m_ref)
-    n = np.random.default_rng(14).standard_normal(prior.n)
-    ref = m_ref + lrh.apply_inv_sqrt(bidiagonal_solve(prior.space.R, n))
-    np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    for H, mean in ((lrh, m_ref), (rank_zero(prior), prior.mean)):
+        y = H.draw(np.random.default_rng(14), mean)
+        n = np.random.default_rng(14).standard_normal(prior.n)
+        ref = mean + H.apply_inv_sqrt(bidiagonal_solve(prior.space.R, n))
+        np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    noise = white_noise(prior.space, np.random.default_rng(14))
+    np.testing.assert_allclose(y, prior.mean + prior.apply_L(noise), atol=1e-13)
+    C = np.diag(prior.C[1]) + np.diag(prior.C[0, 1:], 1)
+    np.testing.assert_allclose(y - prior.mean, np.linalg.solve(C, n), atol=1e-12)
 
 
 def test_half_logdet_matches_dense(linear_setup):
@@ -216,6 +229,15 @@ def test_rank_zero_falls_back_to_prior(caplog):
     np.testing.assert_allclose(lrh.apply_H(d), prior.apply_A(d), atol=1e-10)
     assert lrh.half_logdet_rel() == 0.0
     assert lrh.quad(d) == pytest.approx(space.inner(d, prior.apply_A(d)), rel=1e-9)
+    # its draws are the prior's: nodal covariance K^{-1}, and <v, Gamma v>_M
+    # for the M-weighted coordinate along v
+    draws = lrh.draw([rng] * 100_000, np.broadcast_to(prior.mean, (100_000, 12)))
+    Kinv = np.linalg.inv(prior.K.dense())
+    np.testing.assert_allclose(draws.var(axis=0, ddof=1), np.diag(Kinv), rtol=0.05)
+    v = rng.standard_normal(12)
+    coords = draws @ (space.mass.dense() @ v)
+    assert coords.var(ddof=1) == pytest.approx(space.inner(v, prior.apply_covariance(v)),
+                                               rel=0.05)
 
 
 def test_invalid_ranks_raise():
@@ -391,7 +413,7 @@ def test_stacked_proposal_algebra_is_bit_identical_per_row(linear_setup, c, rank
     # passed to np.matvec as it is
     prior, model, m_ref, lrh, theta, U = linear_setup
     if rank == "zero":
-        lrh = LowRankHessian(prior=prior, m_ref=m_ref, Z=np.zeros((prior.n, 0)), lam=np.zeros(0))
+        lrh = rank_zero(prior)
     X = np.random.default_rng(c).standard_normal((c, prior.n))
     inv, quad = lrh.apply_inv(X), lrh.quad(X)
     draws = lrh.draw([np.random.default_rng([3, i]) for i in range(c)], X)

@@ -57,37 +57,40 @@ def test_nonlinear_problem_defaults():
     assert len(res.line_search_steps) == res.newton_iters
 
 
-class _FailsOnFirstTrial:
-    """Model wrapper whose second prediction, the first Armijo trial point,
-    raises as an overflowed exp(m) would."""
+def fails_on_first_trial(model):
+    """A clone of the model whose second objective evaluation (a stacked
+    misfit without the adjoint), the first Armijo trial point, fails as an
+    overflowed exp(m) would."""
+    class FailsOnFirstTrial(type(model)):
+        evaluations = 0
 
-    def __init__(self, model):
-        self.model = model
-        self.predictions = 0
+        @classmethod
+        def stacked_misfit(cls, workers, points, adjoint):
+            if not adjoint:
+                cls.evaluations += 1
+                if cls.evaluations == 2:
+                    error = NumericalError("simulated overflow at the trial point")
+                    return np.full(len(points), np.nan), None, {0: error}
+            return super().stacked_misfit(workers, points, adjoint)
 
-    def __getattr__(self, name):
-        return getattr(self.model, name)
-
-    def predict(self, m):
-        self.predictions += 1
-        if self.predictions == 2:
-            raise NumericalError("simulated overflow at the trial point")
-        return self.model.predict(m)
+    worker = model.clone()
+    worker.__class__ = FailsOnFirstTrial
+    return worker
 
 
 def test_numerical_error_at_trial_point_halves_the_step():
     mesh, space, prior, model, _ = make_small_problem()
     reference = solve_map(model.clone(), prior)
-    wrapped = _FailsOnFirstTrial(model.clone())
+    wrapped = fails_on_first_trial(model)
     res = solve_map(wrapped, prior)
-    assert wrapped.predictions > 2
+    assert type(wrapped).evaluations > 2
     assert res.converged
     assert res.line_search_steps[0] == 0.5
     assert res.grad_norms[-1] <= 1e-5 * res.grad_norms[0]
     assert space.norm(res.m_map - reference.m_map) <= 1e-3 * space.norm(reference.m_map)
     # with no halving left the failed trial still ends the search
     with pytest.raises(NumericalError):
-        solve_map(_FailsOnFirstTrial(model.clone()), prior, max_backtracks=0)
+        solve_map(fails_on_first_trial(model), prior, max_backtracks=0)
 
 
 def test_cg_iterations_account_for_all_incremental_solves():

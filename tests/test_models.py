@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from hessmc import fem
 from hessmc.errors import NumericalError
 from hessmc.fem import Mesh1D, Tridiagonal, assemble_mass, assemble_weighted_mass
 from hessmc.models import (
@@ -17,7 +18,7 @@ from hessmc.models import (
     synthesize_data,
 )
 
-from conftest import make_small_problem, white_noise
+from conftest import make_small_problem, nan_dpttrs, white_noise
 
 
 def make_exp_model(n=20, length=1.0, source=1.0):
@@ -25,18 +26,28 @@ def make_exp_model(n=20, length=1.0, source=1.0):
     return mesh, ExpReaction1D(mesh, assemble_mass(mesh), source_constant=source)
 
 
+def forward_state(model, m):
+    """The state u at m, which ``predict`` leaves in the point cache; a
+    model without data gets some first (u does not depend on them)."""
+    if model.obs is None:
+        synthesize_data(model, np.zeros(model.space.n), 0.0, np.random.default_rng(0),
+                        points=observation_points(model.mesh, 3))
+    model.predict(m)
+    return model._state["u"]
+
+
 def test_constant_reaction_has_constant_solution():
     # -u'' + exp(m) u = s with m, s constant: u = s / exp(m), exact in the
     # discrete system because W(exp(m)) = exp(m) M for constant coefficients.
     mesh, model = make_exp_model()
-    np.testing.assert_allclose(model.solve_forward(np.zeros(20)), np.ones(20), atol=1e-12)
-    u = model.solve_forward(np.full(20, np.log(2.0)))
+    np.testing.assert_allclose(forward_state(model, np.zeros(20)), np.ones(20), atol=1e-12)
+    u = forward_state(model, np.full(20, np.log(2.0)))
     np.testing.assert_allclose(u, np.full(20, 0.5), atol=1e-12)
 
 
 def test_constant_solution_scales_with_source():
     mesh, model = make_exp_model(source=3.0)
-    np.testing.assert_allclose(model.solve_forward(np.zeros(20)), np.full(20, 3.0), atol=1e-11)
+    np.testing.assert_allclose(forward_state(model, np.zeros(20)), np.full(20, 3.0), atol=1e-11)
 
 
 def test_observation_points_regions():
@@ -160,7 +171,7 @@ def test_states_match_dense_solve_on_nonuniform_mesh():
     m = np.sin(3.0 * mesh.node_coords)
     F = model.K0.dense() + assemble_weighted_mass(mesh, np.exp(m)).dense()
     u_ref = np.linalg.solve(F, model.space.mass.dense() @ np.full(9, 2.0))
-    u = model.solve_forward(m)
+    u = forward_state(model, m)
     np.testing.assert_allclose(u, u_ref, rtol=1e-12)
     obs = model.obs
     v_ref = np.linalg.solve(F, -obs.B.T @ obs.weighted_residual(obs.B @ u_ref))
@@ -206,7 +217,7 @@ def test_linear_model_matches_dense_formulas():
     mesh, space, prior, model, _ = make_small_problem(kind="linear")
     model = model.clone()
     rng = np.random.default_rng(5)
-    m = prior.sample(rng)
+    m = prior.mean + prior.apply_L(white_noise(space, rng))
     F, obs = model.F, model.obs
     np.testing.assert_array_equal(model.predict(m), F @ m)
     g = model.misfit_gradient(m)
@@ -220,7 +231,7 @@ def test_linear_model_matches_dense_formulas():
 def test_log_posterior_splits_into_misfit_and_prior():
     mesh, space, prior, model, _ = make_small_problem()
     rng = np.random.default_rng(6)
-    m = prior.sample(rng)
+    m = prior.mean + prior.apply_L(white_noise(space, rng))
     lp = log_posterior(model, prior, m)
     y = model.predict(m)
     assert lp == pytest.approx(-model.obs.misfit(y) + prior.log_density(m), rel=1e-12)
@@ -369,3 +380,33 @@ def test_a_failed_block_in_a_stacked_evaluation_leaves_the_other_rows_alone(fail
         assert lp[i] == log_posterior(ref, prior, points[i])
         assert g[i].tobytes() == gradient(ref, prior, points[i]).tobytes()
         assert ledger(workers[i]) == ledger(ref)
+
+
+@pytest.mark.parametrize("solve", ["forward", "adjoint"])
+def test_a_non_finite_solve_is_redone_as_a_batch_of_one(solve, monkeypatch):
+    # the factors are finite, but a stand-in dpttrs leaves a nan in row 1's
+    # block of the stacked forward (call 0) or adjoint (call 1) solve. That
+    # solve is redone as batches of one (calls first + 1..3), where row 1's
+    # own solve fails again, as it does in row 1's batch of one
+    prior, model, points = stacked_points("exp_reaction", 3)
+    first = {"forward": 0, "adjoint": 1}[solve]
+    workers = [model.clone() for _ in range(3)]
+    monkeypatch.setattr(fem, "dpttrs", nan_dpttrs(prior.n, {first: 1, first + 2: 0}))
+    misfit, raw, errors = ExpReaction1D.stacked_misfit(workers, points, True)
+    alone = model.clone()
+    monkeypatch.setattr(fem, "dpttrs", nan_dpttrs(prior.n, {first: 0}))
+    _, _, errors_alone = ExpReaction1D.stacked_misfit([alone], points[1:2], True)
+    monkeypatch.undo()
+    assert list(errors) == [1] and list(errors_alone) == [0]
+    assert str(errors[1]) == str(errors_alone[0]) == f"{solve} solve produced non-finite state"
+    assert np.isnan(misfit[1]) and np.isnan(raw[1]).all()
+    # the failed solve is counted, as every solve made is
+    assert ledger(workers[1]) == ledger(alone) == {"forward": (1, 0, 0),
+                                                   "adjoint": (1, 1, 0)}[solve]
+    for i in (0, 2):
+        ref = model.clone()
+        mf, g, _ = ExpReaction1D.stacked_misfit([ref], points[i:i + 1], True)
+        assert misfit[i] == mf[0] and raw[i].tobytes() == g[0].tobytes()
+        assert ledger(workers[i]) == ledger(ref)
+        for key in ("em", "u", "y", "v", "em_uv"):
+            assert workers[i]._state[key].tobytes() == ref._state[key].tobytes(), key

@@ -1,12 +1,11 @@
-"""Elliptic-precision Gaussian prior: factorization and sampling identities."""
+"""Elliptic-precision Gaussian prior: factorization identities. Prior draws
+are ``LowRankHessian.draw`` at rank 0 (``test_lowrank``)."""
 
 import numpy as np
 import pytest
 
 from hessmc.fem import Mesh1D, assemble_mass
 from hessmc.prior import build_prior
-
-from conftest import white_noise
 
 
 @pytest.fixture
@@ -53,9 +52,7 @@ def test_sqrt_factor_as_dense_matrices(prior):
     draw = L @ np.linalg.inv(R)
     np.testing.assert_allclose(draw, np.linalg.inv(C), atol=1e-10 * np.abs(Kinv).max())
     np.testing.assert_allclose(draw @ draw.T, Kinv, atol=1e-10 * np.abs(Kinv).max())
-    noise = np.random.default_rng(5).standard_normal(n)
-    np.testing.assert_allclose(prior.sample(np.random.default_rng(5)) - prior.mean,
-                               np.linalg.solve(C, noise), atol=1e-12)
+    np.testing.assert_allclose(prior.pointwise_variance(), np.diag(Kinv), rtol=1e-10)
 
 
 def test_log_density_is_stiffness_quadratic(prior):
@@ -89,33 +86,6 @@ def test_sqrt_is_self_adjoint(prior):
     lhs = prior.space.inner(prior.apply_L(x), y)
     rhs = prior.space.inner(x, prior.apply_L_adj(y))
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_sample_covariance_matches_analytic():
-    # K(m - m0) quadratic form => Euclidean nodal covariance K^{-1}
-    mesh = Mesh1D.uniform(13, 1.0)
-    prior = build_prior(mesh, 1e-2, 1e2, mean=0.0)
-    rng = np.random.default_rng(4)
-    draws = prior.sample(rng, size=100_000)
-    assert draws.shape == (100_000, 13)
-    Kinv = np.linalg.inv(prior.K.dense())
-    emp_var = draws.var(axis=0, ddof=1)
-    np.testing.assert_allclose(emp_var, np.diag(Kinv), rtol=0.05)
-    np.testing.assert_allclose(prior.pointwise_variance(), np.diag(Kinv), rtol=1e-10)
-    # M-weighted covariance quadratic form, <v, Gamma_hat v> vs <v, Gamma v>_M
-    v = rng.standard_normal(13)
-    coords = draws @ (prior.space.mass.dense() @ v)
-    emp = coords.var(ddof=1)
-    ana = prior.space.inner(v, prior.apply_covariance(v))
-    assert emp == pytest.approx(ana, rel=0.05)
-
-
-def test_sample_is_mean_plus_transported_noise(prior):
-    rng1 = np.random.default_rng(7)
-    rng2 = np.random.default_rng(7)
-    s = prior.sample(rng1)
-    noise = white_noise(prior.space, rng2)
-    np.testing.assert_allclose(s, prior.mean + prior.apply_L(noise), atol=1e-13)
 
 
 @pytest.mark.parametrize("c", [1, 3])
