@@ -17,10 +17,26 @@ after the header lines ends in ``\r\n``. Floats are written with ``%.17g``
 is bit-exact and every diagnostic recomputed from disk matches the
 in-memory value.
 
-``write_chain`` formats and writes a block of rows (``WRITE_BLOCK_VALUES``
-state entries) at a time, so its working memory beyond the chain itself
-stays near 2 MB at any chain length; the bytes are those of a formatter
-that writes one row at a time.
+One function owns the number format: ``_cells`` returns ``',' + '%.17g' % v``
+for every entry of a float64 array, as fixed-width cells whose NUL padding
+one ``bytes.translate`` removes. For |v| in [1e-4, 1e15), where ``%.17g``
+writes fixed notation, the text is computed in numpy. With v = f 2^e
+(integer f < 2^53) and a decimal exponent E from ``np.log10``, corrected by
+one wherever the digit integer falls outside [10^16, 10^17) (a carry of
+the rounding to 10^17 bumps E), the 17 digits are
+D = round-half-even(f 5^(16-E) 2^(e+16-E)), exact from a two-limb uint64
+product and a right shift with a remainder test (the fixed-precision idea
+of Ryu printf, Adams 2019). The four-digit groups of the integer part and
+of the fraction come from a 10 000-entry table, with the integer part's
+leading and the fraction's trailing zeros as NUL. Every other value (±0,
+nan, ±inf, subnormals, |v| < 1e-4 and |v| >= 1e15) goes through Python's
+``'%.17g' %``. ``tests/test_chain_io.py`` holds the two to the same bytes
+on over a million values.
+
+``write_chain`` and the array body of ``write_table`` format and write a
+block of rows (``WRITE_BLOCK_VALUES`` values) at a time, so their working
+memory beyond the data stays under 2 MB at any length; the bytes are those
+of a formatter that writes one row at a time.
 """
 
 from __future__ import annotations
@@ -34,11 +50,144 @@ from .samplers import Chain
 
 _META_INT = ("seed", "chain_id", "n", "r", "l", "start_index", "partial")
 _COLUMNS = ("k", "accepted", "log_post", "cum_solves")
-WRITE_BLOCK_VALUES = 1 << 15   # state entries formatted per block of rows
+WRITE_BLOCK_VALUES = 1 << 13   # values formatted per block of rows
+
+_BAND = (1e-4, 1e15)           # |v| where %.17g writes fixed notation
+CELL_BYTES = 44                # one cell: eleven 4-byte words
+_U = np.uint64                 # scalars as numpy's, not Python's, keep small calls cheap
+_POW5 = [5 ** p for p in range(22)]
+_POW5_LO = np.array([a & 0xFFFFFFFF for a in _POW5], dtype=_U)
+_POW5_HI = np.array([a >> 32 for a in _POW5], dtype=_U)
+# per decimal exponent E = -4..14 (row E + 4): the divisor that splits the
+# integer part off the 17 digits, and the factors that lay the fraction's
+# 16 - E digits out as 16 + 4
+_SPLIT = np.array([[10 ** min(16 - E, 19), 10 ** max(E, 0), 10 ** max(-E, 0),
+                    10 ** (4 - max(-E, 0))] for E in range(-4, 15)], dtype=_U).T
+_M32, _32, _52, _64, _1 = _U(0xFFFFFFFF), _U(32), _U(52), _U(64), _U(1)
+_FRACTION, _HIDDEN = _U((1 << 52) - 1), _U(1 << 52)
+_E4, _E8, _E16, _E17 = _U(10 ** 4), _U(10 ** 8), _U(10 ** 16), _U(10 ** 17)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _word(text: bytes) -> np.uint32:
+    return np.frombuffer(text.ljust(4, b"\0"), dtype=np.uint32)[0]
+
+
+def _group_table() -> np.ndarray:
+    """The four ASCII digits of 0..9999 as one uint32 word each, in four
+    variants: as they are, trailing zeros as NUL, leading zeros as NUL, and
+    leading zeros as NUL but for the last digit."""
+    chars = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48
+             ).astype(np.uint8)
+    nonzero = chars != ord("0")
+    rstrip = chars * (np.cumsum(nonzero[:, ::-1], axis=1)[:, ::-1] > 0)
+    lstrip = chars * (np.cumsum(nonzero, axis=1) > 0)
+    last = lstrip.copy()
+    last[0, 3] = ord("0")
+    return np.stack([chars, rstrip, lstrip, last]).view(np.uint32).ravel()
+
+
+_GROUPS = _group_table()
+_RSTRIP, _LSTRIP, _LAST = (_U(k * 10_000) for k in (1, 2, 3))   # variant offsets
+_COMMA, _POINT = _word(b","), _word(b".")
+_MINUS = _word(b",-") - _COMMA
+
+
+def _digits(f: np.ndarray, e16: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """round-half-even(f 2^(e16 - 16) 10^(16 - E)) for integers f < 2^53 and
+    1 <= 16 - E <= 21, exactly: the product f 5^(16-E) < 2^102 in two
+    uint64 limbs, shifted right by q = E - e16, which is 1..63 here. The
+    remainder plus half of 2^q, less one, plus the kept integer's last bit
+    carries into bit q exactly when the rounding goes up."""
+    p = 16 - E
+    a_lo, a_hi = _POW5_LO[p], _POW5_HI[p]
+    f_lo, f_hi = f & _M32, f >> _32
+    low = f_lo * a_lo
+    mid = f_hi * a_lo + f_lo * a_hi
+    lo = low + (mid << _32)
+    hi = f_hi * a_hi + (mid >> _32) + (lo < low)
+    q = (E - e16).astype(_U)
+    d = (lo >> q) | (hi << (_64 - q))
+    mask = (_1 << q) - _1
+    return d + (((lo & mask) + (mask >> _1) + (d & _1)) >> q)
+
+
+def _quads(x: np.ndarray) -> tuple:
+    """The four-digit groups of integers x < 10^16, most significant first
+    (floor division by a scalar is the fast path, divmod is not)."""
+    hi = x // _E8
+    lo = x - hi * _E8
+    a, c = hi // _E4, lo // _E4
+    return a, hi - a * _E4, c, lo - c * _E4
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """``',' + '%.17g' % v`` for every entry v of a float64 array, as an
+    (N, CELL_BYTES) uint8 array whose rows, with their NUL bytes removed,
+    are those strings."""
+    v = np.ravel(values)
+    mag = np.abs(v)
+    band = (mag >= _BAND[0]) & (mag < _BAND[1])
+    x = np.where(band, mag, 1.0)
+    bits = x.view(_U)
+    f = (bits & _FRACTION) | _HIDDEN
+    e16 = (bits >> _52).astype(np.int64) - 1059           # e + 16, x = f 2^e
+    # the decimal exponent E of the 17 digits d: log10 may round across a
+    # power of ten, and the rounding of d may carry to 10^17
+    E = np.floor(np.log10(x)).astype(np.int64)
+    d = _digits(f, e16, E)
+    redo = np.flatnonzero((d < _E16) | (d >= _E17))
+    while redo.size:
+        E[redo] += np.where(d[redo] < _E16, -1, 1)
+        d[redo] = _digits(f[redo], e16[redo], E[redo])
+        redo = redo[(d[redo] < _E16) | (d[redo] >= _E17)]
+    # fixed notation: the integer part (up to 15 digits) and the fraction
+    # (16 - E digits, up to 20), in four-digit groups
+    split, up, down, scale = _SPLIT[:, E + 4]
+    whole, frac = np.divmod(d, split)
+    head, tail = np.divmod(frac * up, down)
+    tail *= scale
+    i1, i2, i3, i4 = _quads(whole)
+    f1, f2, f3, f4 = _quads(head)
+    cells = np.empty((v.size, CELL_BYTES // 4), dtype=np.uint32)
+    np.multiply(v < 0, _MINUS, out=cells[:, 0])
+    cells[:, 0] += _COMMA
+    # leading zeros of the integer part are NUL, but for its last digit
+    zero = i1 == 0
+    cells[:, 1] = _GROUPS[_LSTRIP + i1]
+    cells[:, 2] = _GROUPS[i2 + zero * _LSTRIP]
+    zero &= i2 == 0
+    cells[:, 3] = _GROUPS[i3 + zero * _LSTRIP]
+    zero &= i3 == 0
+    cells[:, 4] = _GROUPS[i4 + zero * _LAST]
+    np.multiply(frac != 0, _POINT, out=cells[:, 5])
+    # trailing zeros of the fraction are NUL
+    zero = tail == 0
+    cells[:, 10] = _GROUPS[_RSTRIP + tail]
+    for col, g in ((9, f4), (8, f3), (7, f2), (6, f1)):
+        cells[:, col] = _GROUPS[g + zero * _RSTRIP]
+        zero &= g == 0
+    out = np.flatnonzero(~band)
+    if out.size:
+        # +-0, nan, +-inf, subnormals and |v| outside the band
+        text = np.array(["%.17g" % y for y in v[out].tolist()], dtype="S24")
+        cells[out, 0] = _COMMA
+        cells[out, 1:7] = text.view(np.uint32).reshape(-1, 6)
+        cells[out, 7:] = 0
+    return cells.view(np.uint8)
+
+
+def _text(cells: np.ndarray) -> bytes:
+    """The bytes of an array of cells, NUL bytes removed."""
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _lines(cells: np.ndarray) -> bytes:
+    """The lines that the rows of a 2-D array of cells make, each ended by
+    CRLF."""
+    lines = np.empty((cells.shape[0], cells.shape[1] + 2), dtype=np.uint8)
+    lines[:, :-2] = cells
+    lines[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return _text(lines)
 
 
 def write_chain(chain: Chain, path: str) -> None:
@@ -54,22 +203,24 @@ def write_chain(chain: Chain, path: str) -> None:
     # keep -0 and 0 apart. A block's first row is compared with the last
     # row of the block before it, whose tail it may reuse.
     bits = samples.view(np.uint64)
-    state_fmt = ",%.17g" * n + "\r\n"
     step = max(1, WRITE_BLOCK_VALUES // max(n, 1))
     tail = None
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    with open(path, "wb") as fh:
+        fh.write("".join(lines).encode())
         for lo in range(0, count, step):
             hi = min(lo + step, count)
             first = max(lo, 1)
             new_state = np.ones(hi - lo, dtype=bool)
             new_state[first - lo:] = (bits[first:hi] != bits[first - 1:hi - 1]).any(axis=1)
-            tails = [tail, *[state_fmt % tuple(m)
-                             for m in samples[lo:hi][new_state].tolist()]]
-            heads = zip(range(lo + 1, hi + 1), chain.accepted[lo:hi].tolist(),
-                        chain.log_post[lo:hi].tolist(), chain.cum_solves[lo:hi].tolist())
-            fh.write("".join(["%d,%d,%.17g,%d" % head + tails[i]
-                              for head, i in zip(heads, np.cumsum(new_state).tolist())]))
+            states = samples[lo:hi][new_state]
+            cells = _cells(np.concatenate([chain.log_post[lo:hi], states.ravel()]))
+            log_post = _text(cells[:hi - lo]).split(b",")[1:]
+            tails = [tail, *_lines(cells[hi - lo:].reshape(len(states), n * CELL_BYTES))
+                     .splitlines(keepends=True)]
+            heads = zip(range(lo + 1, hi + 1), chain.accepted[lo:hi].tolist(), log_post,
+                        chain.cum_solves[lo:hi].tolist())
+            fh.write(b"".join([b"%d,%d,%b,%d" % head + tails[i]
+                               for head, i in zip(heads, np.cumsum(new_state).tolist())]))
             tail = tails[-1]
 
 
@@ -100,11 +251,12 @@ def read_chain(path: str) -> Chain:
 def write_table(path: str, header: list[str], rows, comments: list[str] | None = None) -> None:
     """CSV writer for every non-chain artifact, in the chain files' number
     format: floats as ``%.17g``, lines ending in ``\r\n`` after the
-    ``# `` comment lines. A 2D float array body formats each distinct value
-    once (distinct by bits, so ``-0`` and ``0`` stay apart and every NaN
-    prints ``nan``), then joins the rows from those strings and writes them
-    in one call; a list of rows holding ints or strings goes through
-    ``csv.writer``. Both give the same bytes for float rows."""
+    ``# `` comment lines. A 2D float array body is written a block of rows
+    at a time: each distinct value of the block is formatted once (distinct
+    by bits, so ``-0`` and ``0`` stay apart and every NaN prints ``nan``),
+    and the block's lines are laid out from those cells; a list of rows
+    holding ints or strings goes through ``csv.writer``, with its floats
+    formatted in one call. Both give the same bytes for float rows."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         for line in comments or []:
@@ -115,11 +267,16 @@ def write_table(path: str, header: list[str], rows, comments: list[str] | None =
             # contour grids repeat each coordinate once per cell of the
             # other axis, and a Gaussian reference column is symmetric
             rows = np.asarray(rows, dtype=np.float64)
-            bits, index = np.unique(rows.view(np.uint64), return_inverse=True)
-            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
-                            dtype=object)
-            fh.write("".join([",".join(row) + "\r\n"
-                              for row in text[index.reshape(rows.shape)].tolist()]))
+            step = max(1, WRITE_BLOCK_VALUES // max(rows.shape[1], 1))
+            for lo in range(0, len(rows), step):
+                block = rows[lo:lo + step]
+                bits, index = np.unique(block.view(np.uint64), return_inverse=True)
+                cells = _cells(bits.view(np.float64))[index.ravel()].reshape(len(block), -1)
+                cells[:, :1] = 0    # no comma before a line's first field
+                fh.write(_lines(cells).decode())
         else:
+            floats = [v for row in rows for v in row if isinstance(v, float)]
+            text = iter(_text(_cells(np.array(floats, dtype=np.float64))).decode()
+                        .split(",")[1:])
             for row in rows:
-                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+                writer.writerow([next(text) if isinstance(v, float) else v for v in row])

@@ -181,16 +181,6 @@ def _orthonormalize(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return w, np.sqrt(np.vecdot(w, w))
 
 
-def _fresh_direction(rng: np.random.Generator, Q: np.ndarray) -> np.ndarray:
-    """A random unit vector orthogonal to the rows of Q (j, n)."""
-    for _ in range(3):
-        raw = rng.standard_normal(Q.shape[1])
-        w, beta = _orthonormalize(raw[None], Q[None])
-        if beta[0] > 1e-10 * np.sqrt(raw @ raw):
-            return w[0] / beta[0]
-    raise NumericalError("Lanczos could not find a new direction after 3 restarts")
-
-
 def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
                   points: list[np.ndarray], r: int, l: int,
                   rngs: list[np.random.Generator]) -> list:
@@ -212,14 +202,14 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
 
     The c builds share their calls: one stacked Hessian action, one pair of
     multi-RHS bidiagonal solves and one batched Gram-Schmidt per
-    iteration; the tridiagonal eigensolve and the fresh-direction draws
-    stay per point. The blocks do not mix, so each result, and each
-    worker's counter, is bit-identical to the build of that point alone
-    (the batch of one). The Krylov basis holds c (r + l) n floats.
-    A point whose state cannot be formed raises NumericalError for the
-    batch (see ``ForwardModel.stacked_hvp_raw``), and a non-finite
-    coefficient raises ValueError for the batch; the samplers build only
-    at points whose gradient they have formed.
+    iteration, and one for the fresh directions that points draw at the
+    same iteration; the tridiagonal eigensolve stays per point. The blocks
+    do not mix, so each result, and each worker's counter, is bit-identical
+    to the build of that point alone (the batch of one). The Krylov basis
+    holds c (r + l) n floats. A point whose state cannot be formed raises
+    NumericalError for the batch (see ``ForwardModel.stacked_hvp_raw``),
+    and a non-finite coefficient raises ValueError for the batch; the
+    samplers build only at points whose gradient they have formed.
     """
     n = prior.n
     k = int(r) + int(l)
@@ -234,22 +224,33 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
     beta = np.zeros((len(live), k))     # and its off-diagonal (the last entry unused)
 
     def fresh_directions(rows, j: int) -> None:
-        """Q[i, j] for each row i, drawn from its point's stream; a point
-        that finds none is dropped from the batch."""
+        """Q[i, j] for each row i: a random unit vector orthogonal to
+        Q[i, :j], drawn from its point's stream, with the rows of one draw
+        orthonormalised in one call. A row whose draw falls in the span of
+        its basis draws again; a point that finds no direction in three
+        draws is dropped from the batch."""
         nonlocal Q, alpha, beta, live, op_scale, deflations
-        keep = []
-        for i in range(len(live)):
-            if i in rows:
-                try:
-                    Q[i, j] = _fresh_direction(rngs[live[i]], Q[i, :j])
-                except NumericalError as exc:
-                    results[live[i]] = exc
-                    continue
-            keep.append(i)
-        if len(keep) < len(live):
-            Q, alpha, beta = Q[keep], alpha[keep], beta[keep]
-            live, op_scale, deflations = ([x[i] for i in keep]
-                                          for x in (live, op_scale, deflations))
+        rows, draws = list(rows), 0
+        while rows and draws < 3:
+            raw = np.array([rngs[live[i]].standard_normal(n) for i in rows])
+            # when every row draws (a batch of one among them) its basis is a view
+            w, norms = _orthonormalize(raw, Q[:, :j] if len(rows) == len(Q) else Q[rows, :j])
+            again = []
+            for i, x, drawn, b in zip(rows, w, raw, norms.tolist()):
+                if b > 1e-10 * np.sqrt(drawn @ drawn):
+                    Q[i, j] = x / b
+                else:
+                    again.append(i)
+            rows, draws = again, draws + 1
+        if not rows:
+            return
+        for i in rows:
+            results[live[i]] = NumericalError(
+                "Lanczos could not find a new direction after 3 restarts")
+        keep = [i for i in range(len(live)) if i not in rows]
+        Q, alpha, beta = Q[keep], alpha[keep], beta[keep]
+        live, op_scale, deflations = ([x[i] for i in keep]
+                                      for x in (live, op_scale, deflations))
 
     op_scale = [0.0] * len(live)        # largest |T q| so far, per point
     deflations = [0] * len(live)

@@ -117,7 +117,7 @@ def test_blocked_write_matches_row_at_a_time(tmp_path, monkeypatch, block_rows):
     if block_rows is not None:
         monkeypatch.setattr(chain_io, "WRITE_BLOCK_VALUES", block_rows * n)
     step = chain_io.WRITE_BLOCK_VALUES // n
-    count = 2 * step + step // 2 + 1
+    count = 3 * step + step // 2 + 1
     rng = np.random.default_rng(9)
     samples = rng.standard_normal((count, n))
     # a run of rejected steps across the first block boundary
@@ -125,8 +125,15 @@ def test_blocked_write_matches_row_at_a_time(tmp_path, monkeypatch, block_rows):
     # rows that differ only in the sign of a zero, across the second
     samples[2 * step - 1:2 * step + 1] = [0.5, 0.0, 1.0]
     samples[2 * step, 1] = -0.0
+    # across the third: negative rows that mix entries inside and outside
+    # the fixed-notation band, one state repeated over the boundary
+    samples[3 * step - 2:3 * step + 2] = -np.abs(samples[3 * step - 2:3 * step + 2])
+    samples[3 * step - 1:3 * step + 1] = [-1e-7, -123.25, -3e20]
+    samples[3 * step + 1] = [np.nan, -9.5e14, 5e-324]
+    log_post = rng.standard_normal(count)
+    log_post[3 * step - 1:3 * step + 2] = [-0.0, -1e300, 2.5e-5]
     chain = Chain(samples=samples, accepted=rng.uniform(size=count) < 0.5,
-                  log_post=rng.standard_normal(count),
+                  log_post=log_post,
                   cum_solves=np.arange(count, dtype=np.int64) * 2,
                   meta={"method": "snmap", "seed": 1, "chain_id": 4, "n": n})
     path = tmp_path / "chain.csv"
@@ -196,7 +203,14 @@ def test_write_table_array_body_matches_csv_writer(tmp_path):
     repeats = np.array([[0.0, -0.0, 0.25, 0.25],
                         [*nans.view(np.float64), 0.0, -0.0],
                         [0.25, 0.1 + 0.2, 0.1 + 0.2, nans.view(np.float64)[0]]]).T
-    for values in (special, repeats):
+    # more values than a block of chain rows, with repeats and out-of-band
+    # entries among them
+    rng = np.random.default_rng(3)
+    big = rng.standard_normal((2 * chain_io.WRITE_BLOCK_VALUES // 5 + 7, 5))
+    big *= np.exp(rng.uniform(-30, 30, big.shape))
+    big[:, 4] = big[:, 0]
+    big[::7, 2] = 0.5
+    for values in (special, repeats, big):
         header = ["a", "b", "c", "d"][:values.shape[1]]
         path = tmp_path / "table.csv"
         write_table(str(path), header, values, comments=["k=1"])
@@ -207,3 +221,60 @@ def test_write_table_array_body_matches_csv_writer(tmp_path):
         for row in values.tolist():
             writer.writerow(["%.17g" % v for v in row])
         assert path.read_bytes() == ref.getvalue().encode()
+
+
+def power_of_ten_neighbours() -> np.ndarray:
+    """The 40 doubles on each side of 1e-4, of 1e15 and of each 10^k for
+    k = -5..15, and those powers themselves."""
+    edges = np.array([1e-4, 1e15, *(float(f"1e{k}") for k in range(-5, 16))])
+    neighbours = [edges]
+    for toward in (0.0, np.inf):
+        x = edges
+        for _ in range(40):
+            x = np.nextafter(x, toward)
+            neighbours.append(x)
+    return np.concatenate(neighbours)
+
+
+def percent_17g_cases() -> np.ndarray:
+    """Over a million doubles: random ones over scales of e^+-40, k 2^-j
+    (exact 17-digit ties among them), values rounded to 0-15 decimals, the
+    neighbours of the powers of ten near the band's edges, and the special
+    values, each with both signs."""
+    rng = np.random.default_rng(17)
+    scaled = rng.standard_normal(400_000) * np.exp(rng.uniform(-40, 40, 400_000))
+    dyadic = (rng.integers(1, 1 << 53, 300_000, dtype=np.int64).astype(np.float64)
+              * 2.0 ** -rng.integers(0, 61, 300_000))
+    ties = np.arange(26_215, 1 << 18) / 2.0 ** 18          # k / 2^18 in [0.1, 1)
+    rounded = np.array([round(x, int(d)) for x, d in zip(
+        (rng.standard_normal(100_000) * 10.0 ** rng.integers(-4, 15, 100_000)).tolist(),
+        rng.integers(0, 16, 100_000))])
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+    special = np.array([0.0, *nans.view(np.float64), np.inf, 5e-324,
+                        2.2250738585072009e-308, 1e-310, np.finfo(float).max])
+    values = np.concatenate([scaled, dyadic, ties, rounded, power_of_ten_neighbours(),
+                             special])
+    return np.concatenate([values, -values])
+
+
+def assert_cells_match_percent_17g(values):
+    for lo in range(0, values.size, 1 << 16):
+        chunk = values[lo:lo + (1 << 16)]
+        got = chain_io._text(chain_io._cells(chunk)).decode().split(",")[1:]
+        assert got == ["%.17g" % v for v in chunk.tolist()]
+
+
+def test_cells_are_bit_for_bit_percent_17g():
+    values = percent_17g_cases()
+    assert values.size >= 1_000_000
+    assert_cells_match_percent_17g(values)
+
+
+@pytest.mark.parametrize("error", [-1e-12, 1e-12])
+def test_cells_are_bit_for_bit_when_log10_misses_the_exponent(monkeypatch, error):
+    # the exponent estimate comes from np.log10; one that lands on the
+    # wrong side of a power of ten must be corrected from the digits alone
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + error)
+    values = power_of_ten_neighbours()
+    assert_cells_match_percent_17g(np.concatenate([values, -values]))

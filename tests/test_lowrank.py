@@ -372,6 +372,44 @@ def test_a_restart_failure_drops_only_that_build(after):
         assert workers[i].counter.incremental_solves == 2 * 12
 
 
+class ZeroAt:
+    """A generator whose ``at``-th call of standard_normal (from 0) gives
+    zeros, a draw in the span of any basis, which forces a restart."""
+
+    def __init__(self, seed, at):
+        self.rng, self.at, self.calls = np.random.default_rng(seed), at, 0
+
+    def standard_normal(self, size=None):
+        out = self.rng.standard_normal(size)
+        self.calls += 1
+        return 0.0 * out if self.calls - 1 == self.at else out
+
+
+def test_lockstep_fresh_directions_are_bit_identical_to_each_build_alone():
+    # the linear model's misfit Hessian is the same rank-6 operator at every
+    # point, so all three builds exhaust their Krylov space at the same
+    # iterations and draw their fresh directions together; the second
+    # point's first fresh draw is zero and must be drawn again
+    prior, model, workers, points = lockstep_points("linear")
+
+    def streams():
+        return [ZeroAt(30, None), ZeroAt(31, 1), ZeroAt(32, None)]
+    together = build_lowrank(workers, prior, points, 8, 4, streams())
+    for i, m in enumerate(points):
+        worker = model.clone()
+        gradient(worker, prior, m)
+        rng = streams()[i]
+        alone = build_one(worker, prior, m, 8, 4, rng)
+        got = together[i]
+        assert got.lam.tobytes() == alone.lam.tobytes()
+        assert got.Z.tobytes() == alone.Z.tobytes()
+        assert (got.deflations, got.lanczos_iters) == (alone.deflations, alone.lanczos_iters)
+        assert got.deflations == 12 - 6 - 1
+        # one start vector, one draw per deflation, one more for the restart
+        assert rng.calls == 1 + got.deflations + (i == 1)
+        assert workers[i].counter.incremental_solves == 2 * 12
+
+
 @pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
 def test_a_lockstep_tridiagonal_failure_drops_only_that_build(kind, monkeypatch):
     # the eigensolve of the second point's Lanczos tridiagonal reports
