@@ -29,9 +29,10 @@ product and a right shift with a remainder test (the fixed-precision idea
 of Ryu printf, Adams 2019). The four-digit groups of the integer part and
 of the fraction come from a 10 000-entry table, with the integer part's
 leading and the fraction's trailing zeros as NUL. Every other value (±0,
-nan, ±inf, subnormals, |v| < 1e-4 and |v| >= 1e15) goes through Python's
-``'%.17g' %``. ``tests/test_chain_io.py`` holds the two to the same bytes
-on over a million values.
+nan, ±inf, subnormals, |v| < 1e-4 and |v| >= 1e15), and every value of
+an array too small to repay the numpy path's fixed cost, goes through
+Python's ``'%.17g' %``. ``tests/test_chain_io.py`` holds the two to the
+same bytes on over a million values.
 
 ``write_chain`` and the array body of ``write_table`` format and write a
 block of rows (``WRITE_BLOCK_VALUES`` values) at a time, so their working
@@ -54,6 +55,7 @@ WRITE_BLOCK_VALUES = 1 << 13   # values formatted per block of rows
 
 _BAND = (1e-4, 1e15)           # |v| where %.17g writes fixed notation
 CELL_BYTES = 44                # one cell: eleven 4-byte words
+PYTHON_CELLS_BELOW = 160       # the two formatters cost the same near 170-200 values (2-core Xeon)
 _U = np.uint64                 # scalars as numpy's, not Python's, keep small calls cheap
 _POW5 = [5 ** p for p in range(22)]
 _POW5_LO = np.array([a & 0xFFFFFFFF for a in _POW5], dtype=_U)
@@ -120,11 +122,26 @@ def _quads(x: np.ndarray) -> tuple:
     return a, hi - a * _E4, c, lo - c * _E4
 
 
+def _python_cells(cells: np.ndarray, rows, values: np.ndarray) -> None:
+    """Fills ``cells[rows]`` (uint32 words) with ``',' + '%.17g' % v`` for
+    the values, formatted by Python."""
+    text = np.array(["%.17g" % y for y in values.tolist()], dtype="S24")
+    cells[rows, 0] = _COMMA
+    cells[rows, 1:7] = text.view(np.uint32).reshape(-1, 6)
+    cells[rows, 7:] = 0
+
+
 def _cells(values: np.ndarray) -> np.ndarray:
     """``',' + '%.17g' % v`` for every entry v of a float64 array, as an
     (N, CELL_BYTES) uint8 array whose rows, with their NUL bytes removed,
-    are those strings."""
+    are those strings. Fewer than ``PYTHON_CELLS_BELOW`` values are all
+    formatted by Python, which is then faster than the numpy path's fixed
+    cost of some 140 calls."""
     v = np.ravel(values)
+    if v.size < PYTHON_CELLS_BELOW:
+        cells = np.empty((v.size, CELL_BYTES // 4), dtype=np.uint32)
+        _python_cells(cells, slice(None), v)
+        return cells.view(np.uint8)
     mag = np.abs(v)
     band = (mag >= _BAND[0]) & (mag < _BAND[1])
     x = np.where(band, mag, 1.0)
@@ -169,10 +186,7 @@ def _cells(values: np.ndarray) -> np.ndarray:
     out = np.flatnonzero(~band)
     if out.size:
         # +-0, nan, +-inf, subnormals and |v| outside the band
-        text = np.array(["%.17g" % y for y in v[out].tolist()], dtype="S24")
-        cells[out, 0] = _COMMA
-        cells[out, 1:7] = text.view(np.uint32).reshape(-1, 6)
-        cells[out, 7:] = 0
+        _python_cells(cells, out, v[out])
     return cells.view(np.uint8)
 
 

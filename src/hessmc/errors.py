@@ -7,3 +7,7 @@ class ConfigError(Exception):
 
 class NumericalError(Exception):
     """A solver or factorization failed to produce a usable result."""
+
+
+class FactorizationError(NumericalError):
+    """A matrix could not be factored, so nothing was solved with it."""

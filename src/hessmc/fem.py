@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpttrf, dpttrs, dtbtrs
 
-from .errors import NumericalError
+from .errors import FactorizationError
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,15 @@ class Tridiagonal:
     def factor(self) -> "TridiagonalFactor":
         """L D L^T factorization (LAPACK dpttrf).
 
-        Raises NumericalError for a non-finite entry (dpttrf would pass a
-        NaN through) or when the matrix is not positive definite.
+        Raises FactorizationError for a non-finite entry (dpttrf would pass
+        a NaN through) or when the matrix is not positive definite.
         """
         if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
-            raise NumericalError("tridiagonal matrix has non-finite entries")
+            raise FactorizationError("tridiagonal matrix has non-finite entries")
         d, e, info = dpttrf(self.diag, self.off)
         if info != 0:
-            raise NumericalError(f"tridiagonal matrix is not positive definite "
-                                 f"(pivot {info} of {self.n})")
+            raise FactorizationError(f"tridiagonal matrix is not positive definite "
+                                     f"(pivot {info} of {self.n})")
         return TridiagonalFactor(d, e)
 
     def factor_blocks(self) -> tuple["TridiagonalFactor | None", list[int], dict]:
@@ -152,7 +152,7 @@ class Tridiagonal:
 
         Since d - 0 * 0 / d' = d, each block's factor is bitwise its own
         ``factor()``. Returns the factor of the blocks that pass, their
-        rows, and for each other row the NumericalError its own
+        rows, and for each other row the FactorizationError its own
         ``factor()`` raises: a block with a non-finite entry is left out
         before the call, and dpttrf stops at the first non-positive
         pivot, so the block that holds it is left out and the call is
@@ -183,7 +183,7 @@ class Tridiagonal:
             for row in sorted(set(range(k)).difference(rows)):
                 try:
                     Tridiagonal(self.diag[row], self.off[row]).factor()
-                except NumericalError as exc:
+                except FactorizationError as exc:
                     errors[row] = exc
         return factor, rows, errors
 

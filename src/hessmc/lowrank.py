@@ -22,10 +22,11 @@ bidiagonal solves, and one batched Gram-Schmidt, for every point at once.
 The build at one point (the pipeline's MAP Hessian, the pilot) is the
 batch of one of the same code, and each point's pairs, and its worker's
 solve count, are bit-identical to it.
-The proposal algebra (``apply_inv``, ``quad``, ``draw``) takes a vector
-or a (c, n) block of rows, one per chain that shares this Hessian; each
-row goes through its own gemv calls (np.matvec with the transposed view
-Z.T as it is), so every row is bit-identical to the one-vector call.
+The proposal algebra (``apply_inv``, ``quad``, ``draw`` and its
+``fluctuation``) takes a vector or a block of rows, one per chain that
+shares this Hessian, or one per chain and step of a block drawn ahead;
+each row goes through its own gemv calls (np.matvec with the transposed
+view Z.T as it is), so every row is bit-identical to the one-vector call.
 Lanczos runs on T with plain dot products and full reorthogonalization;
 its coefficients form a (r + l) x (r + l) tridiagonal, whose eigenpairs
 (one LAPACK dstemr call, MRRR) are the Ritz pairs. They give
@@ -155,9 +156,14 @@ class LowRankHessian:
         """State-dependent part of log det H^{1/2}: 1/2 sum log(lam_i + 1)."""
         return 0.5 * float(np.sum(np.log1p(self.lam))) if self.rank else 0.0
 
+    def fluctuation(self, n: np.ndarray) -> np.ndarray:
+        """C^{-1} (I + Z E Z^T) n, which is H^{-1/2} (R^{-1} n) without the R
+        round trip: the part of a draw from N(mean, H^{-1}) that the normals
+        n make, of a vector or of each row of a block."""
+        return bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n).T).T
+
     def draw(self, rng, mean: np.ndarray) -> np.ndarray:
-        """Sample N(mean, H^{-1}): mean + C^{-1} (I + Z E Z^T) n with
-        n ~ N(0, I), which is H^{-1/2} (R^{-1} n) without the R round trip.
+        """Sample N(mean, H^{-1}): mean + ``fluctuation(n)`` with n ~ N(0, I).
 
         For a (c, n) block of means, ``rng`` is a list of c generators and
         row i draws its n normals from ``rng[i]``."""
@@ -167,7 +173,7 @@ class LowRankHessian:
             n = np.empty(mean.shape)
             for g, row in zip(rng, n):
                 g.standard_normal(out=row)
-        return mean + bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n).T).T
+        return mean + self.fluctuation(n)
 
 
 def _orthonormalize(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -156,9 +156,13 @@ class ForwardModel:
 
         Returns (misfits (c,), gradients (c, n) or None, errors): a row
         whose state cannot be formed holds nan, and ``errors`` maps it to
-        the NumericalError that stopped it. Every row, and each worker's
-        point cache and counter, is bit for bit that row's batch of one,
-        ``stacked_misfit([workers[i]], points[i:i + 1], adjoint)``. The
+        the NumericalError that stopped it, a FactorizationError when no
+        solve was made for it. Every row, and each worker's point cache and
+        counter, is bit for bit that row's batch of one,
+        ``stacked_misfit([workers[i]], points[i:i + 1], adjoint)``. Without
+        ``adjoint`` a worker may fill several rows, distinct points in the
+        order its batches of one would take them (an independence
+        sampler's block of candidates); it keeps the last row's state. The
         workers are clones of one model (``clone``): the operators and data
         are read from the first."""
         raise NotImplementedError
@@ -319,15 +323,18 @@ class ExpReaction1D(ForwardModel):
         joining them again. A block that cannot be factored fails its row
         alone, and a non-finite solve is handled by ``_solve``.
 
-        Returns (errors, fresh): row -> NumericalError for each row whose
-        state cannot be formed, and, when the last stacked solve covered
-        every row, its (y rows, e^m .* load(u v) rows or None); else fresh
-        is None."""
+        Returns (errors, fresh, states): row -> NumericalError for each row
+        whose state cannot be formed (a FactorizationError where no solve
+        was made); when the last stacked solve covered every row, its
+        (y rows, e^m .* load(u v) rows or None), else None; and each row's
+        state. A worker that fills several rows has each of them checked
+        against the state it held when the call began."""
         model = workers[0]
         obs, mesh, (c, n) = model._require_obs(), model.mesh, points.shape
         keys = [m.tobytes() for m in points]
-        new = [i for i, (w, key) in enumerate(zip(workers, keys))
-               if w._state is None or w._state["key"] != key]
+        states = [w._state for w in workers]
+        new = [i for i, (state, key) in enumerate(zip(states, keys))
+               if state is None or state["key"] != key]
         errors: dict = {}
         done = []                       # the rows whose em, factor, u and Y are in hand
         if new:
@@ -339,42 +346,45 @@ class ExpReaction1D(ForwardModel):
             u = None
             if new:
                 u = cls._solve(workers, points, new, factor,
-                               np.concatenate([model.rhs] * len(new)), "forward", errors)
+                               np.concatenate([model.rhs] * len(new)), "forward", errors,
+                               states)
             if u is not None:
                 Y = np.matvec(obs.B, u)
                 for k, i in enumerate(new):
-                    workers[i]._state = {"key": keys[i], "em": em[k],
-                                         "factor": factor.block(k, n), "u": u[k], "y": Y[k]}
+                    states[i] = workers[i]._state = {
+                        "key": keys[i], "em": em[k], "factor": factor.block(k, n),
+                        "u": u[k], "y": Y[k]}
                     workers[i].counter.forward_solves += 1
                 done = new
         if not adjoint:
-            return errors, (Y, None) if len(done) == c else None
-        lacking = [i for i in range(c) if i not in errors and "v" not in workers[i]._state]
+            return errors, (Y, None) if len(done) == c else None, states
+        lacking = [i for i in range(c) if i not in errors and "v" not in states[i]]
         if not lacking:
-            return errors, None
+            return errors, None, states
         if lacking != done:
-            states = [workers[i]._state for i in lacking]
-            factor = TridiagonalFactor.join([s["factor"] for s in states])
-            em, u, Y = (np.array([s[key] for s in states]) for key in ("em", "u", "y"))
+            held = [states[i] for i in lacking]
+            factor = TridiagonalFactor.join([s["factor"] for s in held])
+            em, u, Y = (np.array([s[key] for s in held]) for key in ("em", "u", "y"))
         v = cls._solve(workers, points, lacking, factor,
-                       np.matvec(obs.B.T, -obs.weighted_residual(Y)).ravel(), "adjoint", errors)
+                       np.matvec(obs.B.T, -obs.weighted_residual(Y)).ravel(), "adjoint", errors,
+                       states)
         if v is None:
-            return errors, None
+            return errors, None, states
         em_uv = em * assemble_product_load(mesh, u, v)
         for i, vk, gk in zip(lacking, v, em_uv):
-            workers[i]._state.update(v=vk, em_uv=gk)
+            states[i].update(v=vk, em_uv=gk)
             workers[i].counter.adjoint_solves += 1
-        return errors, (Y, em_uv) if len(lacking) == c else None
+        return errors, (Y, em_uv) if len(lacking) == c else None, states
 
     @classmethod
-    def _solve(cls, workers, points, rows, factor, rhs, kind, errors):
+    def _solve(cls, workers, points, rows, factor, rhs, kind, errors, states):
         """``factor.solve(rhs)``, the ``kind`` ("forward" or "adjoint") solve
         of one block per row, as rows; the caller counts it. The zero
         coupling isolates the blocks only while every value is finite
         (0 * nan = nan): a non-finite solution of one block is its row's
         NumericalError (the solve counted here), and one of several blocks
-        is redone as batches of one, which report their own; either way
-        None is returned."""
+        is redone as batches of one, which report their own errors and
+        leave their states in ``states``; either way None is returned."""
         x = factor.solve(rhs)
         if np.isfinite(x).all():
             return x.reshape(len(rows), -1)
@@ -384,7 +394,8 @@ class ExpReaction1D(ForwardModel):
             errors[rows[0]] = NumericalError(f"{kind} solve produced non-finite state")
         else:
             for i in rows:
-                one = cls._form_states([workers[i]], points[i:i + 1], kind == "adjoint")[0]
+                one, _, (states[i],) = cls._form_states([workers[i]], points[i:i + 1],
+                                                         kind == "adjoint")
                 errors.update((i, exc) for exc in one.values())
         return None
 
@@ -392,12 +403,12 @@ class ExpReaction1D(ForwardModel):
     def stacked_misfit(cls, workers, points, adjoint):
         """The states the workers lack, formed by ``_form_states``; the B
         products of new states run one gemv per row through np.matvec."""
-        errors, fresh = cls._form_states(workers, points, adjoint)
+        errors, fresh, states = cls._form_states(workers, points, adjoint)
         obs = workers[0].obs
         if fresh is not None:
             return obs.misfit(fresh[0]), fresh[1], errors
         rows = [i for i in range(len(workers)) if i not in errors]
-        states = [workers[i]._state for i in rows]
+        states = [states[i] for i in rows]
         misfit = np.full(len(workers), np.nan)
         misfit[rows] = obs.misfit(np.array([s["y"] for s in states]).reshape(len(rows), obs.q))
         raw = None
@@ -413,11 +424,10 @@ class ExpReaction1D(ForwardModel):
         in its state. The zero coupling isolates the blocks only while
         every value is finite (0 * nan = nan), so an action with a
         non-finite entry is redone as batches of one."""
-        errors = cls._form_states(workers, np.asarray(points), True)[0]
+        errors, _, states = cls._form_states(workers, np.asarray(points), True)
         if errors:
             raise errors[min(errors)]
         mesh, obs, n, c = workers[0].mesh, workers[0].obs, workers[0].space.n, len(workers)
-        states = [w._state for w in workers]
         for state in states:
             if "Au" not in state:
                 em = state["em"]

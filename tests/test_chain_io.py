@@ -278,3 +278,14 @@ def test_cells_are_bit_for_bit_when_log10_misses_the_exponent(monkeypatch, error
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + error)
     values = power_of_ten_neighbours()
     assert_cells_match_percent_17g(np.concatenate([values, -values]))
+
+
+@pytest.mark.parametrize("size", [0, 1, 30, chain_io.PYTHON_CELLS_BELOW - 1,
+                                  chain_io.PYTHON_CELLS_BELOW, chain_io.PYTHON_CELLS_BELOW + 1,
+                                  1000])
+def test_cells_are_bit_for_bit_on_both_sides_of_the_python_cut(size):
+    # small arrays are formatted by Python, larger ones in numpy; each
+    # draw mixes values in the band with special and out-of-band ones
+    values = np.random.default_rng(size).choice(percent_17g_cases(), size)
+    assert_cells_match_percent_17g(values)
+    assert chain_io._cells(values).shape == (size, chain_io.CELL_BYTES)

@@ -372,9 +372,9 @@ class ZeroWindow:
             out *= 0.0
         return out
 
-    def uniform(self):
+    def random(self):
         self.uniforms += 1
-        return self.rng.uniform()
+        return self.rng.random()
 
 
 def test_a_lanczos_restart_failure_rejects_only_its_chains_step(campaign_setup, caplog,
@@ -429,9 +429,9 @@ class ConstantWindow:
             out[...] = self.value
         return out
 
-    def uniform(self):
+    def random(self):
         self.uniforms += 1
-        return self.rng.uniform()
+        return self.rng.random()
 
 
 @pytest.mark.parametrize("method, failure", [
@@ -441,9 +441,11 @@ def test_a_failed_stacked_factorisation_rejects_only_its_chains_step(method, fai
                                                                     monkeypatch):
     # chain 1's fourth candidate overflows exp(m), or makes the operator of
     # an exp model shifted by -0.01 I indefinite, inside the one stacked
-    # factorisation of the three candidates. (sn's own Hessian at a chain
-    # state can map the constant noise of the indefinite case to a modest
-    # candidate, so that case runs with the MAP Hessian's methods.)
+    # factorisation of the candidates evaluated with it: the step's three
+    # (snmap, sn), or all 24 of ismap's block of eight steps drawn ahead.
+    # (sn's own Hessian at a chain state can map the constant noise of the
+    # indefinite case to a modest candidate, so that case runs with the
+    # MAP Hessian's methods.)
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6, a=0.1, b=1e3)
     m_map = solve_map(model.clone(), prior).m_map
     lrh = build_one(model.clone(), prior, m_map, 4, 2, np.random.default_rng(7))
@@ -489,6 +491,118 @@ def test_fatal_error_flushes_every_chain_of_the_campaign(tmp_path):
         assert partial.meta["partial"] == 1 and partial.meta["chain_id"] == cid
         assert_same_bytes(partial, run_chain(settings, ref_model.clone(), prior,
                                              prior.mean, 4, seed=0, chain_id=cid))
+
+
+# -- blocks drawn ahead (ismap, snmap) ---------------------------------------
+
+def step_at_a_time(settings, workers, prior, starts, n_samples, seed, chain_ids):
+    """The chains from the ``mh_step`` kernel taking one step at a time,
+    drawing each step's proposals and uniforms as it takes it; each row's
+    cum_solves is read from its worker's solve ledger after the step."""
+    rngs = [np.random.default_rng([seed, cid]) for cid in chain_ids]
+    states = init_states(settings, workers, prior, starts, rngs)
+    steps = []
+    for _ in range(n_samples):
+        states, accepted = mh_step(settings, states, workers, prior, rngs)
+        steps.append((states.m, accepted, states.log_post, [w.counter.total for w in workers]))
+    return [Chain(samples=np.array([s[0][j] for s in steps]),
+                  accepted=np.array([s[1][j] for s in steps]),
+                  log_post=np.array([s[2][j] for s in steps]),
+                  cum_solves=np.array([s[3][j] for s in steps], dtype=np.int64))
+            for j in range(len(workers))]
+
+
+@pytest.mark.parametrize("method", ["ismap", "snmap"])
+def test_blocks_drawn_ahead_match_the_step_at_a_time_kernel(campaign_setup, method, caplog,
+                                                            monkeypatch):
+    prior, model, m_map, lrh, starts, r, l = campaign_setup
+    settings = SamplerSettings(method=method, r=r, l=l, lrh_map=lrh, m_map=m_map)
+    linear = isinstance(model, LinearGaussianModel)
+    if linear:
+        # chain 1's candidates at steps 4 and 14 fail, one in each block
+        make = [lambda: FailingModel(model), lambda: FailingModel(model, (5, 15)),
+                lambda: FailingModel(model)]
+        message, failures = "(synthetic solver failure); step rejected", 2
+    else:
+        # chain 1's fourth candidate overflows exp(m): its operator cannot
+        # be factored, and the step costs no solve
+        make = [model.clone] * 3
+        message, failures = "non-finite entries", 1
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda key: ConstantWindow(default_rng(key), 1e4)
+                            if list(key)[1] == 1 else default_rng(key))
+    # one group of the three chains, in blocks of r + l steps: 12 and 8
+    # steps on the linear model, 6, 6, 6 and 2 on the exp model
+    monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_VALUES", 3 * (r + l) * prior.n)
+    rows = []
+    fluctuation = LowRankHessian.fluctuation
+    monkeypatch.setattr(LowRankHessian, "fluctuation",
+                        lambda lrh, n: rows.append(len(n)) or fluctuation(lrh, n))
+    with caplog.at_level(logging.WARNING, logger="hessmc.samplers"), np.errstate(over="ignore"):
+        blocks = run_chains(settings, [m() for m in make], prior, starts, 20, seed=4,
+                            chain_ids=[0, 1, 2])
+        assert caplog.text.count(message) == failures
+        steps = step_at_a_time(settings, [m() for m in make], prior, starts, 20, 4, [0, 1, 2])
+    starts_of_blocks = range(0, 20, r + l)
+    assert rows[:len(starts_of_blocks)] == [3 * min(r + l, 20 - k) for k in starts_of_blocks]
+    assert not blocks[1].accepted[3]
+    if not linear:
+        assert blocks[1].cum_solves[3] == blocks[1].cum_solves[2]
+    for got, want in zip(blocks, steps):
+        assert_same_bytes(got, want)
+    assert any(chain.accepted.any() for chain in blocks)
+
+
+def test_fatal_error_in_an_ismap_block_flushes_the_completed_blocks(tmp_path, monkeypatch):
+    mesh, space, prior, ref_model, _ = make_small_problem(kind="linear")
+    m_map = solve_map(ref_model.clone(), prior).m_map
+    lrh = build_one(ref_model.clone(), prior, m_map, 4, 2, np.random.default_rng(7))
+    settings = SamplerSettings(method="ismap", r=1, l=1, lrh_map=lrh, m_map=m_map)
+    # one group of the three chains, in blocks of two steps
+    monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_VALUES", 3 * 2 * prior.n)
+    workers = [DiskFullModel(mesh, space, ref_model.F.copy()) for _ in range(3)]
+    for w in workers:
+        w.obs = ref_model.obs
+    workers[0].fail_after = workers[2].fail_after = math.inf
+    workers[1].fail_after = 6
+    paths = [str(tmp_path / f"chain_{cid}.csv") for cid in range(3)]
+    with pytest.raises(RuntimeError):
+        run_chains(settings, workers, prior, [m_map] * 3, 50, seed=0, chain_ids=[0, 1, 2],
+                   flush_paths=paths)
+    for cid, path in enumerate(paths):
+        partial = read_chain(path)
+        # chain 1's candidate of step 6 (its seventh evaluation) fails in
+        # the block of steps 5 and 6: the two blocks before it are kept,
+        # and step 5, in the failed block, is not
+        assert partial.n_samples == 4
+        assert partial.meta["partial"] == 1 and partial.meta["chain_id"] == cid
+        assert_same_bytes(partial, run_chain(settings, ref_model.clone(), prior, m_map, 4,
+                                             seed=0, chain_id=cid))
+
+
+@pytest.mark.parametrize("method, tick, lines", [
+    ("snmap", 10.0, ["snmap: 3 of 10 chain steps done", "snmap: 6 of 10 chain steps done",
+                     "snmap: 9 of 10 chain steps done"]),
+    ("ismap", 31.0, [f"ismap: {k} of 10 chain steps done" for k in (4, 8, 10)]),
+    ("snmap", 0.0, [])])
+def test_a_campaign_logs_its_progress_at_most_every_30_seconds(linear_map, monkeypatch, caplog,
+                                                                method, tick, lines):
+    # the clock advances ``tick`` seconds a reading: one at the start, then
+    # one at each step (snmap) or block (ismap, blocks of four steps here)
+    mesh, space, prior, model, m_map, lrh = linear_map
+    settings = SamplerSettings(method=method, lrh_map=lrh, m_map=m_map)
+    monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_VALUES", 4 * prior.n)
+    readings = iter(np.arange(100) * tick)
+    monkeypatch.setattr(samplers, "monotonic", lambda: next(readings))
+    with caplog.at_level(logging.INFO, logger="hessmc.samplers"):
+        chain = run_chain(settings, model.clone(), prior, m_map, 10, seed=6, chain_id=0)
+    assert samplers.PROGRESS_SECONDS == 30.0
+    logged = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
+    assert [line.split(",")[0] for line in logged] == lines
+    for line in logged:
+        done = int(line.split()[1])
+        assert line.endswith(f"acceptance {chain.accepted[:done].mean():.4f}")
 
 
 # -- start-point selection ---------------------------------------------------
