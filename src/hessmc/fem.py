@@ -16,7 +16,10 @@ Every assembled operator (mass, stiffness, weighted mass) is symmetric
 tridiagonal and is stored as its two diagonals (``Tridiagonal``), built by
 slice arithmetic over the elements. Factorizations and solves use the
 LAPACK routines for SPD tridiagonal matrices (dpttrf/dpttrs), so assembly,
-factorization and each solve cost O(n). A factorization also gives the
+factorization and each solve cost O(n). There is one factorization path:
+``Tridiagonal.factor_blocks`` factors a stack of matrices as one
+block-diagonal system and gives each block that fails its own error, and
+``Tridiagonal.factor`` is its batch of one. A factorization also gives the
 upper-bidiagonal Cholesky factor (A = C^T C), held in LAPACK upper band
 storage and applied or solved with in O(n) by ``bidiagonal_matvec`` and
 ``bidiagonal_solve``; the mass matrix's factor whitens the M-norm and, with
@@ -132,37 +135,36 @@ class Tridiagonal:
         return A
 
     def factor(self) -> "TridiagonalFactor":
-        """L D L^T factorization (LAPACK dpttrf).
+        """L D L^T factorization, the batch of one of ``factor_blocks``.
 
         Raises FactorizationError for a non-finite entry (dpttrf would pass
         a NaN through) or when the matrix is not positive definite.
         """
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
-            raise FactorizationError("tridiagonal matrix has non-finite entries")
-        d, e, info = dpttrf(self.diag, self.off)
-        if info != 0:
-            raise FactorizationError(f"tridiagonal matrix is not positive definite "
-                                     f"(pivot {info} of {self.n})")
-        return TridiagonalFactor(d, e)
+        factor, _, errors = Tridiagonal(self.diag[None], self.off[None]).factor_blocks()
+        if errors:
+            raise errors[0]
+        return factor
 
     def factor_blocks(self) -> tuple["TridiagonalFactor | None", list[int], dict]:
         """L D L^T of the block-diagonal matrix whose k blocks are the rows
         of a stack (``diag`` (k, n), ``off`` (k, n - 1)), joined with zero
         coupling, in one dpttrf call.
 
-        Since d - 0 * 0 / d' = d, each block's factor is bitwise its own
-        ``factor()``. Returns the factor of the blocks that pass, their
-        rows, and for each other row the FactorizationError its own
-        ``factor()`` raises: a block with a non-finite entry is left out
-        before the call, and dpttrf stops at the first non-positive
-        pivot, so the block that holds it is left out and the call is
-        made again for the rest. With no block left the factor is None.
+        Since d - 0 * 0 / d' = d, each block's factor is bitwise that of
+        the block alone. Returns the factor of the blocks that pass, their
+        rows, and for each other row its FactorizationError: a block with a
+        non-finite entry is left out before the call, and dpttrf stops at
+        the first non-positive pivot, so the block that holds it is left
+        out, with that pivot's place in the block, and the call is made
+        again for the rest. With no block left the factor is None.
         """
         k, n = self.diag.shape
-        rows = list(range(k))
+        rows, errors = list(range(k)), {}
         if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
             finite = np.isfinite(self.diag).all(axis=1) & np.isfinite(self.off).all(axis=1)
             rows = np.flatnonzero(finite).tolist()
+            errors = {row: FactorizationError("tridiagonal matrix has non-finite entries")
+                      for row in np.flatnonzero(~finite).tolist()}
         factor = None
         while rows:
             diag, off = self.diag, self.off
@@ -177,14 +179,9 @@ class Tridiagonal:
             if info == 0:
                 factor = TridiagonalFactor(d, e)
                 break
-            rows.pop((info - 1) // n)
-        errors = {}
-        if len(rows) < k:
-            for row in sorted(set(range(k)).difference(rows)):
-                try:
-                    Tridiagonal(self.diag[row], self.off[row]).factor()
-                except FactorizationError as exc:
-                    errors[row] = exc
+            pivot = (info - 1) % n + 1
+            errors[rows.pop((info - 1) // n)] = FactorizationError(
+                f"tridiagonal matrix is not positive definite (pivot {pivot} of {n})")
         return factor, rows, errors
 
 

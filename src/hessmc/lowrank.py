@@ -22,9 +22,9 @@ bidiagonal solves, and one batched Gram-Schmidt, for every point at once.
 The build at one point (the pipeline's MAP Hessian, the pilot) is the
 batch of one of the same code, and each point's pairs, and its worker's
 solve count, are bit-identical to it.
-The proposal algebra (``apply_inv``, ``quad``, ``draw`` and its
-``fluctuation``) takes a vector or a block of rows, one per chain that
-shares this Hessian, or one per chain and step of a block drawn ahead;
+The proposal algebra (``apply_inv``, ``quad`` and ``fluctuation``) takes
+a vector or a block of rows, one per chain that shares this Hessian, or
+one per chain and step of a block drawn ahead;
 each row goes through its own gemv calls (np.matvec with the transposed
 view Z.T as it is), so every row is bit-identical to the one-vector call.
 Lanczos runs on T with plain dot products and full reorthogonalization;
@@ -48,7 +48,10 @@ cancels in acceptance ratios. H^{-1/2} composes exactly:
 H^{-1} = H^{-1/2} (H^{-1/2})*. A draw from N(mean, H^{-1}) is
 H^{-1/2} applied to R^{-1} n, n ~ N(0, I), where R cancels:
 
-    mean + C^{-1} (I + Z E Z^T) n.
+    mean + C^{-1} (I + Z E Z^T) n,
+
+the mean plus ``fluctuation(n)``, which is the one draw path: the caller
+draws the normals n from its own stream.
 
 Negative and numerically tiny Ritz values are discarded. When nothing
 survives (rank 0) every operator degenerates to its prior counterpart:
@@ -161,19 +164,6 @@ class LowRankHessian:
         round trip: the part of a draw from N(mean, H^{-1}) that the normals
         n make, of a vector or of each row of a block."""
         return bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n).T).T
-
-    def draw(self, rng, mean: np.ndarray) -> np.ndarray:
-        """Sample N(mean, H^{-1}): mean + ``fluctuation(n)`` with n ~ N(0, I).
-
-        For a (c, n) block of means, ``rng`` is a list of c generators and
-        row i draws its n normals from ``rng[i]``."""
-        if mean.ndim == 1:
-            n = rng.standard_normal(self.prior.n)
-        else:
-            n = np.empty(mean.shape)
-            for g, row in zip(rng, n):
-                g.standard_normal(out=row)
-        return mean + self.fluctuation(n)
 
 
 def _orthonormalize(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

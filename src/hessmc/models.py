@@ -40,9 +40,10 @@ observation products).
 Every linear(ized) PDE solve is reported to a ``SolveCounter``; the
 samplers' per-step cost ledger depends on these counts being exact, so
 each model caches its most recent state per parameter point (``_state``),
-keyed on the point's bytes, and only counts genuinely new solves; a
-stacked call changes each worker's cache and counter as that worker's
-batch of one would.
+keyed on the point's bytes, and only counts genuinely new solves: on both
+models one forward and at most one adjoint per point. A stacked call
+changes each worker's cache and counter as that worker's batch of one
+would.
 """
 
 from __future__ import annotations
@@ -192,9 +193,10 @@ class LinearGaussianModel(ForwardModel):
     """f(m) = F m; no state is formed. By default F is the observation
     interpolation matrix itself, so q = number of observation points.
 
-    Solve accounting mirrors the PDE model: one "forward" per new
-    prediction point, one "adjoint" per gradient, two "incremental"
-    solves per Hessian action, even though each is a plain matvec.
+    Solve accounting mirrors the PDE model: one "forward" and at most one
+    "adjoint" per point (the point cache records both), and two
+    "incremental" solves per Hessian action, even though each is a plain
+    matvec.
     """
 
     predict = ForwardModel.predict
@@ -213,8 +215,9 @@ class LinearGaussianModel(ForwardModel):
     def stacked_misfit(cls, workers, points, adjoint):
         """F m and F^T Gamma_noise^{-1}(F m - y_obs) for every row: np.matvec
         runs one gemv per row, as F @ m does alone. A worker whose cache
-        holds the point counts no forward solve; its cached F m has the
-        same bits."""
+        holds the point counts no forward solve, and no adjoint solve once
+        the cache holds its gradient; the cached values have the same
+        bits."""
         model = workers[0]
         obs = model._require_obs()
         Y = np.matvec(model.F, points)
@@ -226,8 +229,10 @@ class LinearGaussianModel(ForwardModel):
         raw = None
         if adjoint:
             raw = np.matvec(model.F.T, obs.weighted_residual(Y))
-            for w in workers:
-                w.counter.adjoint_solves += 1
+            for w, g in zip(workers, raw):
+                if "raw" not in w._state:
+                    w.counter.adjoint_solves += 1
+                    w._state["raw"] = g
         return obs.misfit(Y), raw, {}
 
     @classmethod
@@ -303,12 +308,6 @@ class ExpReaction1D(ForwardModel):
         self.obs = None
         self.counter = SolveCounter()
         self._state = None
-
-    def _factorize(self, m: np.ndarray) -> tuple[np.ndarray, TridiagonalFactor]:
-        """exp(m) and the factors of F(m); an overflowed exp(m) or a NaN
-        raises NumericalError through the non-finite check of the factor."""
-        em = np.exp(m)
-        return em, (self.K0 + assemble_weighted_mass(self.mesh, em)).factor()
 
     @classmethod
     def _form_states(cls, workers, points, adjoint):
@@ -534,7 +533,8 @@ def synthesize_data(model: ForwardModel, m_true: np.ndarray, noise_rel: float,
     else:
         # solved outside the counter-facing cache path on purpose:
         # data synthesis is not part of any sampling cost ledger
-        y_clean = B @ model._factorize(m_true)[1].solve(model.rhs)
+        F = model.K0 + assemble_weighted_mass(model.mesh, np.exp(m_true))
+        y_clean = B @ F.factor().solve(model.rhs)
     scale = float(np.max(np.abs(y_clean)))
     if scale == 0.0:
         scale = 1.0
@@ -549,15 +549,26 @@ def synthesize_data(model: ForwardModel, m_true: np.ndarray, noise_rel: float,
     return obs
 
 
-def observation_points(mesh: Mesh1D, count: int, region: str = "right_half") -> np.ndarray:
-    """Uniformly spaced observation points; default on [L/2, L]."""
+def _observed_interval(mesh: Mesh1D, region: str) -> tuple[float, float]:
+    """The ends of the observed region: ``right_half`` from x0 + L/2 to the
+    right end, ``full`` the whole mesh interval."""
     x0, x1 = mesh.node_coords[0], mesh.node_coords[-1]
     if region == "right_half":
-        lo, hi = x0 + 0.5 * (x1 - x0), x1
-    elif region == "full":
-        lo, hi = x0, x1
-    else:
-        raise ValueError(f"unknown observation region {region!r}")
+        return x0 + 0.5 * (x1 - x0), x1
+    if region == "full":
+        return x0, x1
+    raise ValueError(f"unknown observation region {region!r}")
+
+
+def observation_points(mesh: Mesh1D, count: int, region: str = "right_half") -> np.ndarray:
+    """Uniformly spaced observation points over the region; default on [L/2, L]."""
+    lo, hi = _observed_interval(mesh, region)
     if count < 1:
         raise ValueError("need at least one observation point")
     return np.linspace(lo, hi, count)
+
+
+def observed_mask(mesh: Mesh1D, region: str) -> np.ndarray:
+    """The nodes inside the observed region."""
+    lo, hi = _observed_interval(mesh, region)
+    return (mesh.node_coords >= lo) & (mesh.node_coords <= hi)

@@ -49,7 +49,7 @@ from .fem import Mesh1D, assemble_mass, interpolation_matrix
 from .lowrank import build_lowrank
 from .map_point import solve_map
 from .models import (ExpReaction1D, LinearGaussianModel, observation_points,
-                     synthesize_data)
+                     observed_mask, synthesize_data)
 from .prior import build_prior
 from .samplers import SamplerSettings, run_chain, run_chains, select_start_points
 
@@ -108,12 +108,6 @@ def probe_node(mesh: Mesh1D, probe_x: float | None) -> int:
     """Mesh node nearest to the probe coordinate (default 0.69 of the length)."""
     x = 0.69 * mesh.length if probe_x is None else float(probe_x)
     return mesh.nearest_node(x)
-
-
-def observed_mask(mesh: Mesh1D, region: str) -> np.ndarray:
-    if region == "full":
-        return np.ones(mesh.n_nodes, dtype=bool)
-    return mesh.node_coords >= mesh.node_coords[0] + 0.5 * mesh.length
 
 
 def sampler_settings(cfg: RunConfig, method: str, lrh_map, m_map) -> SamplerSettings:
@@ -205,19 +199,17 @@ def stage_pilot(problem: Problem, m_map: np.ndarray, lrh_map):
 
 
 def run_campaign(problem: Problem, method: str, starts: np.ndarray,
-                 m_map: np.ndarray, lrh_map, out_dir: str | None,
-                 n_samples: int | None = None) -> list:
+                 m_map: np.ndarray, lrh_map, out_dir: str | None) -> list:
     """All chains for one method, in lockstep; one cloned model (fresh
     counter) each."""
     cfg = problem.cfg
     settings = sampler_settings(cfg, method, lrh_map, m_map)
-    n_samples = cfg["run.samples"] if n_samples is None else n_samples
     ids = range(starts.shape[0])
     paths = None
     if out_dir is not None:
         paths = [os.path.join(out_dir, "chains", method, f"chain_{cid:03d}.csv") for cid in ids]
     chains = run_chains(settings, [problem.model.clone() for _ in ids], problem.prior,
-                        starts, n_samples, cfg["run.seed"], ids, flush_paths=paths)
+                        starts, cfg["run.samples"], cfg["run.seed"], ids, flush_paths=paths)
     for cid, chain in zip(ids, chains):
         chain.meta["start_index"] = cid
         if paths is not None:

@@ -19,8 +19,8 @@ L L* = C^{-1} C^{-T} M = K^{-1} M = Gamma. A and Gamma are each one
 tridiagonal product and one tridiagonal solve. Any L with L L* = Gamma
 serves the low-rank algebra; this one costs O(n) per application and
 forms no n x n matrix. A prior draw m0 + L R^{-1} n = m0 + C^{-1} n,
-n ~ N(0, I), has Euclidean covariance K^{-1}; the program draws it as
-``lowrank.LowRankHessian.draw`` at rank 0.
+n ~ N(0, I), has Euclidean covariance K^{-1}; it is the mean plus
+``lowrank.LowRankHessian.fluctuation`` at rank 0.
 """
 
 from __future__ import annotations
@@ -80,13 +80,10 @@ class GaussianPrior:
         y = bidiagonal_matvec(self.space.R, x)
         return self.space.solve(bidiagonal_matvec(self.C, y, trans=True))
 
-    def log_density(self, m: np.ndarray) -> float:
-        """-1/2 <m - m0, A(m - m0)>_M, no normalization constant."""
-        return float(self.quadratic_terms(m)[0])
-
     def quadratic_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The log density and K(m - m0) at a point, or at each row of a
-        (c, n) block. K(m - m0) is the assembled form of the gradient's
+        """The log density -1/2 <m - m0, A(m - m0)>_M (no normalization
+        constant) and K(m - m0) at a point, or at each row of a (c, n)
+        block. K(m - m0) is the assembled form of the gradient's
         A(m - m0) = M^{-1} K(m - m0), so a caller that needs both forms it
         once."""
         d = m - self.mean

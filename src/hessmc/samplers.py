@@ -14,8 +14,9 @@ the mean and the Hessian H come from (``evaluate``):
 
 Proposal draws are y = mean + H^{-1/2} R^{-1} n with n ~ N(0, I), so the
 draw lives in the same M geometry as the density evaluations; with the
-low-rank factorization (see ``lowrank``) the R factors cancel and the
-draw is
+low-rank factorization (see ``lowrank``) the R factors cancel and every
+proposal of every method is the mean plus ``LowRankHessian.fluctuation``
+of the chain's normals,
 
     y = mean + C^{-1} (I + Z E Z^T) n,
 
@@ -169,9 +170,8 @@ class SamplerSettings:
 
 def _per_hessian(settings: SamplerSettings, lrhs: list, apply, *blocks) -> np.ndarray:
     """apply(lrh, *blocks) with each row's Hessian: one call on the whole
-    blocks when the rows share the MAP Hessian (ismap, snmap), and for
-    sn's own one call per row, on that row as a vector. A block is an
-    array or a list with one entry per row."""
+    blocks (arrays of rows) when the rows share the MAP Hessian (ismap,
+    snmap), and for sn's own one call per row, on that row as a vector."""
     if settings.method != "sn":
         return apply(lrhs[0], *blocks)
     return np.array([apply(h, *(b[i] for b in blocks)) for i, h in enumerate(lrhs)])
@@ -288,21 +288,28 @@ def mh_step(settings: SamplerSettings, states: ChainStates, workers: list[Forwar
     """One Metropolis-Hastings step of every chain; returns the new states
     and whether each chain accepted.
 
-    Each proposal is drawn first, before anything in the step can raise,
-    and the candidates are evaluated together. A solver failure while
-    evaluating a chain's candidate rejects that chain's step (with a
-    warning) rather than aborting it, and so does a non-finite log
-    posterior; the other chains do not see it. Each chain then draws its
+    Each proposal is drawn first, before anything in the step can raise:
+    each chain fills its row of normals from its own generator, and the
+    proposal is the mean plus their ``fluctuation``. The candidates are
+    evaluated together. A solver failure while evaluating a chain's
+    candidate rejects that chain's step (with a warning) rather than
+    aborting it, and so does a non-finite log posterior; the other chains
+    do not see it. Each chain then draws its
     uniform and accepts or rejects on its own. Chains that drew the step
     ahead pass ``drawn``, its proposal fluctuations (c, n) and log
     uniforms (c,) (see ``run_chains``); the step then reads no generator.
     """
     if drawn is None:
-        proposals = _per_hessian(settings, states.lrhs, LowRankHessian.draw, rngs, states.mean)
+        noise = np.empty(states.mean.shape)
+        for rng, row in zip(rngs, noise):
+            rng.standard_normal(out=row)
+        fluctuations = _per_hessian(settings, states.lrhs, LowRankHessian.fluctuation, noise)
     else:
-        proposals = states.mean + drawn[0]
-    candidates, _, rows = _candidates(settings, workers, prior, proposals, rngs)
-    log_u = [_log_uniform(rng) for rng in rngs] if drawn is None else drawn[1]
+        fluctuations, log_u = drawn
+    candidates, _, rows = _candidates(settings, workers, prior, states.mean + fluctuations,
+                                      rngs)
+    if drawn is None:
+        log_u = [_log_uniform(rng) for rng in rngs]
     accept = [False] * len(rngs)
     if rows:
         cand, state = candidates, states

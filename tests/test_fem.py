@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf
 
 from hessmc.fem import (
     Mesh1D,
@@ -267,9 +268,37 @@ def test_stacked_factor_blocks_fail_only_their_rows():
         with pytest.raises(NumericalError) as alone:
             A[i].factor()
         assert str(errors[i]) == str(alone.value)
+    assert str(errors[1]).endswith("(pivot 3 of 6)")
     b = rng.standard_normal(n)
     for k, i in enumerate(rows):
         own = A[i].factor()
         got = factor.block(k, n)
         assert got.d.tobytes() == own.d.tobytes() and got.e.tobytes() == own.e.tobytes()
         assert factor.solve(np.tile(b, 2))[k * n:(k + 1) * n].tobytes() == own.solve(b).tobytes()
+
+
+@pytest.mark.parametrize("case", ["spd", "indefinite", "non_finite"])
+def test_factor_is_the_batch_of_one_of_factor_blocks(case):
+    # factor() and a one-row factor_blocks give dpttrf's factor bits, and
+    # the same error for a non-finite entry and for a non-positive pivot
+    n = 6
+    mesh = Mesh1D.uniform(n)
+    A = assemble_stiffness(mesh, 1.0, 1.0) + assemble_weighted_mass(
+        mesh, np.exp(np.random.default_rng(3).standard_normal(n)))
+    if case == "indefinite":
+        A.diag[2] = -1.0
+    elif case == "non_finite":
+        A.off[4] = np.nan
+    factor, rows, errors = Tridiagonal(A.diag[None], A.off[None]).factor_blocks()
+    if case == "spd":
+        d, e, info = dpttrf(A.diag, A.off)
+        assert info == 0 and rows == [0] and errors == {}
+        for f in (factor, A.factor()):
+            assert f.d.tobytes() == d.tobytes() and f.e.tobytes() == e.tobytes()
+        return
+    message = {"indefinite": "tridiagonal matrix is not positive definite (pivot 3 of 6)",
+               "non_finite": "tridiagonal matrix has non-finite entries"}[case]
+    with pytest.raises(NumericalError) as alone:
+        A.factor()
+    assert factor is None and rows == [] and list(errors) == [0]
+    assert str(errors[0]) == str(alone.value) == message

@@ -127,14 +127,14 @@ def rank_zero(prior):
 
 
 def test_draw_is_the_inverse_sqrt_of_whitened_noise(linear_setup):
-    # the draw takes n ~ N(0, I) straight to C^{-1} (I + Z E Z^T) n: the
-    # result is H^{-1/2} R^{-1} n, without an R solve undone by a product;
-    # at rank 0 it is the prior draw, the mean plus the transported noise
-    # L R^{-1} n = C^{-1} n
+    # a draw is the mean plus the fluctuation, which takes n ~ N(0, I)
+    # straight to C^{-1} (I + Z E Z^T) n: the result is H^{-1/2} R^{-1} n,
+    # without an R solve undone by a product; at rank 0 it is the prior
+    # draw, the mean plus the transported noise L R^{-1} n = C^{-1} n
     prior, _, m_ref, lrh, _, _ = linear_setup
     for H, mean in ((lrh, m_ref), (rank_zero(prior), prior.mean)):
-        y = H.draw(np.random.default_rng(14), mean)
         n = np.random.default_rng(14).standard_normal(prior.n)
+        y = mean + H.fluctuation(n)
         ref = mean + H.apply_inv_sqrt(bidiagonal_solve(prior.space.R, n))
         np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     noise = white_noise(prior.space, np.random.default_rng(14))
@@ -231,7 +231,7 @@ def test_rank_zero_falls_back_to_prior(caplog):
     assert lrh.quad(d) == pytest.approx(space.inner(d, prior.apply_A(d)), rel=1e-9)
     # its draws are the prior's: nodal covariance K^{-1}, and <v, Gamma v>_M
     # for the M-weighted coordinate along v
-    draws = lrh.draw([rng] * 100_000, np.broadcast_to(prior.mean, (100_000, 12)))
+    draws = prior.mean + lrh.fluctuation(rng.standard_normal((100_000, 12)))
     Kinv = np.linalg.inv(prior.K.dense())
     np.testing.assert_allclose(draws.var(axis=0, ddof=1), np.diag(Kinv), rtol=0.05)
     v = rng.standard_normal(12)
@@ -447,15 +447,15 @@ def test_a_non_finite_build_fails_as_it_does_alone():
 @pytest.mark.parametrize("rank", ["low", "zero"])
 def test_stacked_proposal_algebra_is_bit_identical_per_row(linear_setup, c, rank):
     # one call on c rows (the shared MAP Hessian of ismap and snmap) against
-    # one call per row: apply_inv, quad and draw, the transposed view Z.T
-    # passed to np.matvec as it is
+    # one call per row: apply_inv, quad and the fluctuation of each chain's
+    # normals, the transposed view Z.T passed to np.matvec as it is
     prior, model, m_ref, lrh, theta, U = linear_setup
     if rank == "zero":
         lrh = rank_zero(prior)
     X = np.random.default_rng(c).standard_normal((c, prior.n))
-    inv, quad = lrh.apply_inv(X), lrh.quad(X)
-    draws = lrh.draw([np.random.default_rng([3, i]) for i in range(c)], X)
+    noise = np.array([np.random.default_rng([3, i]).standard_normal(prior.n) for i in range(c)])
+    inv, quad, fluctuation = lrh.apply_inv(X), lrh.quad(X), lrh.fluctuation(noise)
     for i in range(c):
         assert inv[i].tobytes() == lrh.apply_inv(X[i]).tobytes()
         assert quad[i] == lrh.quad(X[i])
-        assert draws[i].tobytes() == lrh.draw(np.random.default_rng([3, i]), X[i]).tobytes()
+        assert fluctuation[i].tobytes() == lrh.fluctuation(noise[i]).tobytes()

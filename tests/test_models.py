@@ -15,6 +15,7 @@ from hessmc.models import (
     hvp,
     log_posterior,
     observation_points,
+    observed_mask,
     synthesize_data,
 )
 
@@ -58,6 +59,15 @@ def test_observation_points_regions():
     np.testing.assert_allclose(full, np.linspace(0.0, 2.0, 5))
     with pytest.raises(ValueError):
         observation_points(mesh, 5, "left_half")
+    # the nodes the mask marks span the region the points cover, and an
+    # unknown region is refused there too (not read as the right half)
+    for region in ("right_half", "full"):
+        nodes = mesh.node_coords[observed_mask(mesh, region)]
+        points = observation_points(mesh, 5, region)
+        assert (nodes.min(), nodes.max()) == (points.min(), points.max())
+    np.testing.assert_array_equal(observed_mask(mesh, "right_half"), mesh.node_coords >= 1.0)
+    with pytest.raises(ValueError, match="left_half"):
+        observed_mask(mesh, "left_half")
 
 
 def test_synthesize_data_noise_scaling():
@@ -203,14 +213,16 @@ def test_misfit_hvp_matches_dense_operators_on_nonuniform_mesh():
 
 
 def test_factorize_rejects_overflow_and_nan():
+    # F(m) = K0 + W(exp(m)) at a point where one node's exp(m) overflows to
+    # inf, or is a NaN, has a non-finite entry, which its factor refuses
     mesh, model = make_exp_model()
     m = np.zeros(20)
     m[7] = 800.0
-    with np.errstate(over="ignore"), pytest.raises(NumericalError):
-        model._factorize(m)  # one node's exp(m) overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite entries"):
+        (model.K0 + assemble_weighted_mass(mesh, np.exp(m))).factor()
     m[7] = np.nan
-    with pytest.raises(NumericalError):
-        model._factorize(m)
+    with pytest.raises(NumericalError, match="non-finite entries"):
+        (model.K0 + assemble_weighted_mass(mesh, np.exp(m))).factor()
 
 
 def test_linear_model_matches_dense_formulas():
@@ -234,7 +246,7 @@ def test_log_posterior_splits_into_misfit_and_prior():
     m = prior.mean + prior.apply_L(white_noise(space, rng))
     lp = log_posterior(model, prior, m)
     y = model.predict(m)
-    assert lp == pytest.approx(-model.obs.misfit(y) + prior.log_density(m), rel=1e-12)
+    assert lp == pytest.approx(-model.obs.misfit(y) + prior.quadratic_terms(m)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
@@ -304,6 +316,19 @@ def stacked_points(kind, c):
 def ledger(model):
     c = model.counter
     return c.forward_solves, c.adjoint_solves, c.incremental_solves
+
+
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_a_repeated_gradient_counts_one_adjoint_per_point(kind):
+    # both models keep the adjoint in the point cache: a second gradient at
+    # the point costs no solve, and a new point costs one of each again
+    prior, model, points = stacked_points(kind, 2)
+    model = model.clone()
+    first = gradient(model, prior, points[0])
+    assert gradient(model, prior, points[0]).tobytes() == first.tobytes()
+    assert ledger(model) == (1, 1, 0)
+    gradient(model, prior, points[1])
+    assert ledger(model) == (2, 2, 0)
 
 
 @pytest.mark.parametrize("c", [1, 3])
