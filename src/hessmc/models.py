@@ -62,15 +62,30 @@ from .prior import GaussianPrior
 
 @dataclass
 class SolveCounter:
-    """Ledger of linearized PDE solves (forward, adjoint, incremental)."""
+    """Ledger of linearized PDE solves (forward, adjoint, incremental).
+    ``discarded_solves`` holds the solves of candidates a sampler evaluated
+    ahead and then discarded; they are not part of ``total``."""
 
     forward_solves: int = 0
     adjoint_solves: int = 0
     incremental_solves: int = 0
+    discarded_solves: int = 0
 
     @property
     def total(self) -> int:
         return self.forward_solves + self.adjoint_solves + self.incremental_solves
+
+    def absorb(self, other: "SolveCounter", discarded: bool = False) -> None:
+        """Move the solves of ``other`` here (into ``discarded_solves`` when
+        ``discarded``) and zero them there, so that each solve stays
+        counted once over both ledgers."""
+        if discarded:
+            self.discarded_solves += other.total
+        else:
+            self.forward_solves += other.forward_solves
+            self.adjoint_solves += other.adjoint_solves
+            self.incremental_solves += other.incremental_solves
+        other.forward_solves = other.adjoint_solves = other.incremental_solves = 0
 
 
 @dataclass
@@ -178,9 +193,16 @@ class ForwardModel:
         raise NotImplementedError
 
     def clone(self) -> "ForwardModel":
-        """Deep copy with a fresh counter (one per chain worker)."""
-        other = copy.deepcopy(self)
+        """A worker with its own point cache and a fresh counter (one per
+        chain worker): the operators and data (mesh, space, the PDE or
+        observation operator, the source and ``obs``), which no evaluation
+        writes, are shared, and the point cache is copied one level deep, so
+        neither model sees the other's later cache or counter writes. A
+        clone of a model that holds a point starts with that point's state,
+        and pays no solve for it."""
+        other = copy.copy(self)
         other.counter = SolveCounter()
+        other._state = None if self._state is None else dict(self._state)
         return other
 
     def _require_obs(self) -> ObservationSetup:

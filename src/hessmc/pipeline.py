@@ -194,8 +194,21 @@ def stage_pilot(problem: Problem, m_map: np.ndarray, lrh_map):
     info = {"chains": len(starts), "samples": pilot.n_samples,
             "solves": int(pilot.cum_solves[-1]),
             "acceptance_rate": pilot.acceptance_rate,
-            "start_indices": idx.tolist()}
+            "start_indices": idx.tolist(),
+            "reject_ahead": reject_ahead_record([pilot])}
     return pilot, starts, info
+
+
+def reject_ahead_record(chains: list) -> dict:
+    """The stacked calls of a run of chains (``Chain.depths``): the most
+    that one chain took part in (all of its lockstep group's calls), the
+    most candidates one chain put in a call, and the candidates evaluated
+    ahead and then discarded, with their solves, which no ``solves``
+    count includes."""
+    return {"stacked_calls": max(len(ch.depths) for ch in chains),
+            "max_depth": max(max(ch.depths, default=0) for ch in chains),
+            "discarded": sum(sum(ch.depths) - ch.n_samples for ch in chains),
+            "discarded_solves": sum(ch.discarded_solves for ch in chains)}
 
 
 def run_campaign(problem: Problem, method: str, starts: np.ndarray,
@@ -384,7 +397,9 @@ class RunDir:
     def solve_map(self, problem: Problem):
         """Solve and record the MAP, with the sha256 of map.csv; the pilot's
         start points recorded around an earlier MAP are dropped."""
+        t0 = time.perf_counter()
         result, info = stage_map(problem, self.path)
+        info["wall_time_volatile"] = time.perf_counter() - t0
         info["map_sha256"] = _file_sha256(os.path.join(self.path, MAP_TABLE))
         self.stages["map"] = info
         self.stages.pop("pilot", None)
@@ -421,7 +436,9 @@ class RunDir:
             if starts is not None:
                 return np.ascontiguousarray(starts.T)
         path = os.path.join(self.path, PILOT_STARTS)
+        t0 = time.perf_counter()
         _, starts, record = stage_pilot(problem, m_map, lrh)
+        record["wall_time_volatile"] = time.perf_counter() - t0
         write_table(path, [f"chain_{cid:03d}" for cid in range(len(starts))], starts.T)
         record["starts_sha256"] = _file_sha256(path)
         self.stages["pilot"] = record
@@ -430,7 +447,9 @@ class RunDir:
     def sample(self, problem: Problem, m_map: np.ndarray, methods: list[str]):
         """Low-rank Hessian at the MAP, the pilot's start points, then one
         campaign per method; returns the chains by method."""
+        t0 = time.perf_counter()
         lrh, self.stages["lowrank"] = stage_lowrank(problem, m_map)
+        self.stages["lowrank"]["wall_time_volatile"] = time.perf_counter() - t0
         starts = self.pilot_starts(problem, m_map, lrh)
         campaigns = self.stages.setdefault("campaigns", {})
         groups: dict[str, list] = {}
@@ -442,6 +461,7 @@ class RunDir:
                 "samples": int(chains[0].n_samples),
                 "solves": int(sum(ch.cum_solves[-1] for ch in chains)),
                 "acceptance_rate": float(np.mean([ch.acceptance_rate for ch in chains])),
+                "reject_ahead": reject_ahead_record(chains),
                 "wall_time_volatile": time.perf_counter() - t0,
             }
             groups[method] = chains

@@ -33,6 +33,22 @@ drawn between the noise and the uniform, and the fluctuation
 C^{-1} (I + Z E Z^T) n does not depend on the state, so these chains
 draw a block of steps ahead in that same order (``run_chains``).
 
+Since a rejected step leaves the state as it was, a chain that goes on
+rejecting knows its next candidates before it tests any of them
+(rejection prefetching: Brockwell 2006, Strid 2010). snmap and sn
+evaluate each chain's next steps in one stacked call as if it rejected
+them all, and take them in order up to its first acceptance
+(``_reject_ahead``). A chain's depth is one more than the steps it has
+rejected since its last acceptance (1, 2, 4, ... while every call runs
+to its end), so a call discards no more candidates than the steps
+rejected before it, and none where a chain never or always accepts. sn's
+builds run on the chain's stream forked after each step's noise, and a
+build that draws another number of start vectors than the chain's last
+ends its call, so every chain consumes its stream in the order of steps
+taken one at a time. A taken candidate's solves are charged once, to its
+chain's counter; a discarded one's are counted apart, outside the
+counter's total.
+
 Per-step linearized solve costs (exact, enforced by the point caches in
 the models): ismap 1, snmap 2, sn 2 + 2(r+l).
 
@@ -40,15 +56,16 @@ A campaign advances all of its chains together (``run_chains``), and
 their states are rows of one ``ChainStates``. Every chain draws its
 proposal, the candidates of all chains are evaluated together, and each
 chain then accepts or rejects with its own uniform. The point
-evaluations of a step are one stacked forward (and adjoint) solve for
-all chains (``models.evaluate_points``); for sn the step adds one
-lockstep ``build_lowrank``, whose Hessian actions, whitening solves and
-Gram-Schmidt passes are each one BLAS/LAPACK call for all chains, and
-whose Ritz pairs come from each chain's Lanczos tridiagonal. The
-proposal algebra (``apply_inv`` and the ``quad`` of both MH directions)
-is one call a step on all rows where the chains share the MAP Hessian,
-and one call per row on sn's own Hessians; the MAP Hessian's
-fluctuations are one call a block. An ismap candidate does not depend
+evaluations of a stacked call are one stacked forward (and adjoint)
+solve for all its candidates (``models.evaluate_points``); for sn the
+call adds one lockstep ``build_lowrank``, whose Hessian actions,
+whitening solves and Gram-Schmidt passes are each one BLAS/LAPACK call
+for all candidates, and whose Ritz pairs come from each candidate's
+Lanczos tridiagonal. The proposal algebra (``apply_inv`` and the
+``quad`` of both MH directions) is one call a stacked call on all rows
+where the chains share the MAP Hessian, and one call per row on sn's own
+Hessians; the MAP Hessian's fluctuations are one call a block, and sn's
+one call per chain and stacked call. An ismap candidate does not depend
 on the state at all, so a block's candidates are one stacked evaluation
 and their ``quad`` one call, and a scan then accepts or rejects each
 step; a state's reverse density is the forward one it had as a
@@ -71,6 +88,7 @@ cost of the whole run.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -86,7 +104,10 @@ from .prior import GaussianPrior
 logger = logging.getLogger(__name__)
 
 METHODS = ("sn", "snmap", "ismap")
-LOCKSTEP_BLOCK_VALUES = 1 << 18  # stacked Krylov basis floats per group of chains
+# stacked Krylov basis floats of a group of chains, and of the candidates
+# of one stacked call (each chain's reject-ahead depth is its share); a
+# block drawn ahead holds as many floats of steps x chains x n
+LOCKSTEP_BLOCK_VALUES = 1 << 18
 PROGRESS_SECONDS = 30.0          # a campaign logs its progress at most this often
 
 
@@ -135,6 +156,8 @@ class Chain:
     log_post: np.ndarray       # (N,)
     cum_solves: np.ndarray     # (N,) counter totals after each step
     meta: dict = field(default_factory=dict)
+    depths: list[int] = field(default_factory=list)  # candidates per stacked call
+    discarded_solves: int = 0  # solves of the candidates evaluated ahead and discarded
 
     @property
     def n_samples(self) -> int:
@@ -150,7 +173,8 @@ class Chain:
         k = int(frac * self.n_samples)
         return Chain(samples=self.samples[k:], accepted=self.accepted[k:],
                      log_post=self.log_post[k:], cum_solves=self.cum_solves[k:],
-                     meta=self.meta)
+                     meta=self.meta, depths=self.depths,
+                     discarded_solves=self.discarded_solves)
 
 
 @dataclass
@@ -392,6 +416,113 @@ def _ismap_block(settings: SamplerSettings, states: ChainStates, log_q: list[flo
     return last, log_q, (src, np.array(where), np.array(accepted), np.array(log_post), solves)
 
 
+class _Slot:
+    """One candidate's place in a reject-ahead call (``_reject_ahead``): a
+    light clone of its chain's worker, with its own point cache and
+    counter, reused from call to call. For sn it is also the stream the
+    candidate's build draws from: the chain's stream forked after the
+    candidate's noise, counting the start vectors the build draws."""
+
+    def __init__(self, worker: ForwardModel):
+        self.worker, self.rng, self.draws = worker.clone(), None, 0
+
+    def fork(self, rng) -> None:
+        """Go on from ``rng``'s position, on a stream of this slot's own."""
+        self.draws = 0
+        if type(rng) is type(self.rng) is np.random.Generator:
+            self.rng.bit_generator.state = rng.bit_generator.state
+        else:
+            self.rng = copy.deepcopy(rng)
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def _reject_ahead(settings: SamplerSettings, states: ChainStates, members: list[ForwardModel],
+                  prior: GaussianPrior, rngs: list, depths: list[int], slots: list[list],
+                  draws: list[int], drawn: tuple[np.ndarray, np.ndarray] | None):
+    """The next ``depths[j]`` steps of each chain j (none at depth 0) in one
+    stacked call (snmap, sn). A rejected step leaves the state as it was,
+    so all of a chain's candidates are proposed from its current state;
+    those of every chain are one ``evaluate``, row by row at the chain's
+    slots (``slots[j]``, grown as needed), chain after chain. A scan then
+    takes each chain's steps in order up to and including its first
+    acceptance, and discards the rest.
+
+    snmap reads each row's fluctuation and log uniform from ``drawn``. sn
+    draws each step's noise from the chain's stream, forks the stream to
+    the step's slot for the candidate's build, then skips the ``draws[j]``
+    start vectors that the chain's last build drew and the step's uniform.
+    A build that draws another number (none when the candidate cannot be
+    evaluated; more after a deflation or a restart) ends the chain's steps
+    there. Each sn step's uniform comes from its slot's stream, and the
+    chain goes on from the stream of its last step, so every chain
+    consumes its stream in the order of steps taken one at a time.
+
+    A taken candidate's solves move to its chain's counter, and the solves
+    of a discarded one to the counter's ``discarded_solves``; a failure at
+    a taken candidate is logged as ``mh_step`` logs it. Returns the new
+    states, whether each chain accepted, and the ``cum_solves`` of each
+    chain's steps taken."""
+    c, n = states.m.shape
+    sn = settings.method == "sn"
+    owner = [j for j in range(c) for _ in range(depths[j])]
+    rows, fluctuations = [], []
+    for j, depth in enumerate(depths):
+        mine = slots[j]
+        while len(mine) < depth:
+            mine.append(_Slot(members[j]))
+        rows.extend(mine[:depth])
+        if sn and depth:
+            noise, rng = np.empty((depth, n)), rngs[j]
+            for row, slot in zip(noise, mine):
+                rng.standard_normal(out=row)
+                slot.fork(rng)
+                for _ in range(draws[j]):
+                    rng.standard_normal(n)
+                rng.random()
+            fluctuations.append(states.lrhs[j].fluctuation(noise))
+    fluctuations = np.concatenate(fluctuations) if sn else drawn[0]
+    candidates, errors = evaluate(settings, [slot.worker for slot in rows], prior,
+                                  states.mean[owner] + fluctuations, rows)
+    finite = [i for i, lp in enumerate(candidates.log_post) if math.isfinite(lp)]
+    forward = [None] * len(rows)
+    reverse = list(forward)
+    if finite:
+        for i, rev, fwd in zip(finite, *log_q_pair(settings, states.take([owner[i] for i in finite]),
+                                                   candidates.take(finite))):
+            reverse[i], forward[i] = rev, fwd
+    took, last, solves, start = [False] * c, [0] * c, [], 0
+    for j, depth in enumerate(depths):
+        counter, steps = members[j].counter, []
+        for i in range(start, start + depth):
+            slot = rows[i]
+            if sn:
+                log_u, ends = _log_uniform(slot.rng), slot.draws != draws[j]
+            else:
+                log_u, ends = drawn[1][i], False
+            if i in errors:
+                logger.warning("proposal evaluation failed (%s); step rejected", errors[i])
+            took[j] = forward[i] is not None and _accepts(
+                log_u, candidates.log_post[i], states.log_post[j], reverse[i], forward[i])
+            counter.absorb(slot.worker.counter)
+            steps.append(counter.total)
+            if took[j] or ends:
+                break
+        solves.append(steps)
+        if steps:
+            last[j] = end = start + len(steps) - 1
+            for slot in rows[end + 1:start + depth]:
+                counter.absorb(slot.worker.counter, discarded=True)
+            if sn:
+                if end not in errors:
+                    draws[j] = rows[end].draws
+                rngs[j], rows[end].rng = rows[end].rng, rngs[j]
+        start += depth
+    return states.where(took, candidates.take(last)), took, solves
+
+
 class _Progress:
     """A campaign's chain steps and acceptances so far, logged at most once
     every ``PROGRESS_SECONDS``."""
@@ -418,19 +549,37 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
 
     The chains run in groups of as many as keep a group's stacked Krylov
     basis, (r + l) n floats per chain, within ``LOCKSTEP_BLOCK_VALUES``;
-    a group runs to the end before the next starts. sn takes one step at
-    a time. With the MAP Hessian (ismap, snmap) a step's proposal
-    fluctuation does not depend on the state, so a group draws a block of
-    steps ahead, as many as keep the block's steps x chains x n floats
-    within the same budget: snmap then takes its steps on the drawn rows,
-    and ismap takes the whole block at once (``_ismap_block``). A chain's
-    rows do not depend on the other chains, the groups, the blocks or
-    their number. A step or block boundary logs the campaign's progress,
-    at most once every ``PROGRESS_SECONDS``. On a fatal error every chain
-    that has rows is flushed, marked partial, to its path in
-    ``flush_paths`` (when given) before the exception propagates: the
-    rows of its completed steps, which for ismap are those of its
-    completed blocks.
+    a group runs to the end before the next starts. Each stacked call
+    evaluates some candidates of every chain of the group that has steps
+    left, and records their number in ``Chain.depths``:
+
+    * ismap's candidates do not depend on the state, so a group draws a
+      block of steps ahead, as many as keep the block's steps x chains x n
+      floats within the budget, and takes it in one call
+      (``_ismap_block``).
+    * snmap and sn evaluate each chain's next ``depth`` steps ahead as if
+      it rejected them all (``_reject_ahead``). A chain's depth is one
+      more than the steps it has rejected since its last acceptance: it
+      starts at 1, doubles after a call in which the chain accepted
+      nothing and returns to 1 after an acceptance. It is at most the
+      chain's share of the budget, (chains a group may hold) // (chains
+      in it), so that every candidate's Krylov basis fits, and at most
+      the steps the chain has left. While every chain of the group has
+      depth 1, each call is ``mh_step``. snmap's fluctuations and uniforms
+      are drawn ahead in ismap's blocks (``_draw_ahead``), and a chain
+      that has taken its block waits for the others before the next is
+      drawn.
+
+    A chain's rows, and its stream, do not depend on the other chains,
+    the groups, the blocks or the depths (which the group's size caps,
+    and with them the discarded candidates). A call discards no more candidates of a
+    chain than the steps the chain rejected before it, and their solves
+    are counted apart (``Chain.discarded_solves``, and the counter's).
+    A step or block boundary logs the campaign's progress, at most once
+    every ``PROGRESS_SECONDS``. On a fatal error every chain that has rows
+    is flushed, marked partial, to its path in ``flush_paths`` (when
+    given) before the exception propagates: the rows of its completed
+    steps, which for ismap are those of its completed blocks.
     """
     n = prior.n
     chains = [Chain(samples=np.empty((n_samples, n)), accepted=np.zeros(n_samples, dtype=bool),
@@ -440,58 +589,105 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
               for cid in chain_ids]
     size = max(1, LOCKSTEP_BLOCK_VALUES // ((settings.r + settings.l) * n))
     progress = _Progress(settings.method, n_samples * len(chains))
-    group, k = range(0), 0              # the group running and the rows it has
+    group, ks = range(0), []            # the group running and the rows of each of its chains
+    discarded = [w.counter.discarded_solves for w in workers]
 
     def keep(states: ChainStates, accepted: list[bool]) -> None:
         for j, i in enumerate(group):
-            chain = chains[i]
+            chain, k = chains[i], ks[j]
             chain.samples[k] = states.m[j]
             chain.accepted[k] = accepted[j]
             chain.log_post[k] = states.log_post[j]
             chain.cum_solves[k] = workers[i].counter.total
+            chain.depths.append(1)
+            ks[j] += 1
         progress.add(len(group), sum(accepted))
 
     try:
         for lo in range(0, len(chains), size):
-            group, k = range(lo, min(lo + size, len(chains))), 0
+            group = range(lo, min(lo + size, len(chains)))
+            c, ks = len(group), [0] * len(group)
             members = [workers[i] for i in group]
             rngs = [np.random.default_rng([int(seed), int(chain_ids[i])]) for i in group]
             states = init_states(settings, members, prior, [starts[i] for i in group], rngs)
-            if settings.method == "sn":
-                for k in range(n_samples):
-                    states, accepted = mh_step(settings, states, members, prior, rngs)
-                    keep(states, accepted)
-                continue
-            block = max(1, LOCKSTEP_BLOCK_VALUES // (len(group) * n))
+            block = max(1, LOCKSTEP_BLOCK_VALUES // (c * n))
             if settings.method == "ismap":
                 log_q = _log_q(states.half_logdet,
                                settings.lrh_map.quad(states.m - states.mean).tolist())
-            while k < n_samples:
-                fluctuations, log_u = _draw_ahead(settings.lrh_map, rngs,
-                                                  min(block, n_samples - k))
-                if settings.method == "snmap":
-                    for drawn in zip(fluctuations, log_u):
-                        states, accepted = mh_step(settings, states, members, prior, rngs,
-                                                   drawn)
-                        keep(states, accepted)
-                        k += 1
-                else:
+                while ks[0] < n_samples:
+                    fluctuations, log_u = _draw_ahead(settings.lrh_map, rngs,
+                                                      min(block, n_samples - ks[0]))
                     states, log_q, (src, where, accepted, log_post, solves) = _ismap_block(
                         settings, states, log_q, members, prior, fluctuations, log_u, rngs)
-                    rows = slice(k, k + len(log_u))
+                    rows = slice(ks[0], ks[0] + len(log_u))
                     for j, i in enumerate(group):
                         chain = chains[i]
                         chain.samples[rows] = src[where[:, j]]
                         chain.accepted[rows] = accepted[:, j]
                         chain.log_post[rows] = log_post[:, j]
                         chain.cum_solves[rows] = solves[:, j]
-                    k = rows.stop
+                        chain.depths.append(len(log_u))
+                    ks = [rows.stop] * c
                     progress.add(accepted.size, int(accepted.sum()))
+                continue
+            cap, run = max(1, size // c), [0] * c   # steps rejected since the last acceptance
+            draws, slots = [1] * c, [[] for _ in group]
+            sn = settings.method == "sn"
+            at, log_u = ks if sn else [0] * c, np.empty((0, c))   # each chain's next step or draw
+            while min(ks) < n_samples:
+                if not sn and min(at) == len(log_u):
+                    fluctuations, log_u = _draw_ahead(settings.lrh_map, rngs,
+                                                      min(block, n_samples - ks[0]))
+                    at = [0] * c
+                if not any(run) and at.count(at[0]) == c:
+                    # while every chain accepts, each takes its next step,
+                    # from the same row of the draws
+                    for k in range(at[0], n_samples if sn else len(log_u)):
+                        drawn = None if sn else (fluctuations[k], log_u[k])
+                        states, took = mh_step(settings, states, members, prior, rngs, drawn)
+                        keep(states, took)
+                        if not all(took):
+                            break
+                    if not sn:
+                        at = [k + 1] * c
+                    run = [0 if t else 1 for t in took]
+                    continue
+                end = n_samples if sn else len(log_u)
+                depths = [min(r + 1, cap, end - x) for r, x in zip(run, at)]
+                drawn = None
+                if not sn:
+                    steps = [x + t for x, d in zip(at, depths) for t in range(d)]
+                    owner = [j for j, d in enumerate(depths) for _ in range(d)]
+                    drawn = (fluctuations[steps, owner], log_u[steps, owner])
+                before = states
+                states, took, solves = _reject_ahead(settings, states, members, prior,
+                                                     rngs, depths, slots, draws, drawn)
+                for j, i in enumerate(group):
+                    if not depths[j]:
+                        continue
+                    chain, rows = chains[i], slice(ks[j], ks[j] + len(solves[j]))
+                    chain.samples[rows] = before.m[j]
+                    chain.accepted[rows] = False
+                    chain.log_post[rows] = before.log_post[j]
+                    chain.cum_solves[rows] = solves[j]
+                    if took[j]:
+                        chain.samples[rows.stop - 1] = states.m[j]
+                        chain.accepted[rows.stop - 1] = True
+                        chain.log_post[rows.stop - 1] = states.log_post[j]
+                    chain.depths.append(depths[j])
+                    ks[j] = rows.stop
+                taken = [len(x) for x in solves]
+                progress.add(sum(taken), sum(took))
+                if not sn:
+                    at = [x + t for x, t in zip(at, taken)]
+                run = [0 if t else r + x for t, r, x in zip(took, run, taken)]
+            for i in group:
+                chains[i].discarded_solves = workers[i].counter.discarded_solves - discarded[i]
     except Exception:
         if flush_paths is not None:
             from .chain_io import write_chain
             for i, (chain, path) in enumerate(zip(chains, flush_paths)):
-                rows = n_samples if i < group.start else k if i in group else 0
+                rows = n_samples if i < group.start else ks[i - group.start] if i in group else 0
                 if rows > 0:
                     write_chain(Chain(samples=chain.samples[:rows],
                                       accepted=chain.accepted[:rows],

@@ -148,8 +148,35 @@ def test_clone_isolates_counter_and_caches():
     worker.predict(prior.mean + 0.3)
     assert model.counter.total == 0
     assert worker.counter.total == 1
-    assert worker.obs is not model.obs
-    np.testing.assert_array_equal(worker.obs.y_obs, model.obs.y_obs)
+    # the operators and data are read only, and shared
+    assert worker.obs is model.obs and worker.K0 is model.K0 and worker.rhs is model.rhs
+    assert worker.mesh is model.mesh and worker.space is model.space
+
+
+@pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
+def test_a_clone_and_its_original_never_see_each_others_writes(kind):
+    # a clone starts with its original's point state, and from then on each
+    # writes only its own cache and counter: a new point, an adjoint or a
+    # Hessian action at the shared point (which adds keys to the cached
+    # state) on one side leaves the other side as it was
+    mesh, space, prior, model, _ = make_small_problem(kind=kind)
+    a, b = prior.mean + 0.3, prior.mean - 0.2
+    model.predict(a)
+    keys, before = set(model._state), ledger(model)
+    worker = model.clone()
+    assert worker._state is not model._state and set(worker._state) == keys
+    assert ledger(worker) == (0, 0, 0)
+    worker.misfit_gradient(a)
+    worker.misfit_hvp_raw(a, np.ones(prior.n))
+    assert ledger(worker) == (0, 1, 2)
+    assert set(model._state) == keys and ledger(model) == before
+    worker.predict(b)
+    assert model._state["key"] == a.tobytes() and ledger(model) == before
+    other = model.clone()
+    model.misfit_gradient(a)
+    model.predict(b)
+    assert set(other._state) == keys and other._state["key"] == a.tobytes()
+    assert ledger(other) == (0, 0, 0) and ledger(worker) == (1, 1, 2)
 
 
 def test_new_observations_invalidate_adjoint_state():

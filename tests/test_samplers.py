@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from hessmc import lowrank, samplers
+from hessmc import lowrank, pipeline, samplers
 from hessmc.chain_io import read_chain
+from hessmc.config import RunConfig
 from hessmc.errors import NumericalError
 from hessmc.fem import Tridiagonal
 from hessmc.lowrank import LowRankHessian
@@ -201,20 +202,20 @@ def test_init_state_rejects_non_finite_start():
 
 
 class DiskFullModel(LinearGaussianModel):
-    """Fails hard after a fixed number of point evaluations (calls of the
-    stacked misfit that include the worker)."""
+    """Fails hard after a fixed number of point evaluations (rows of the
+    stacked misfit at the worker or at its clones, which share the count)."""
 
     fail_after = 5
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.calls = 0
+        self.calls = [0]
 
     @classmethod
     def stacked_misfit(cls, workers, points, adjoint):
         for w in workers:
-            w.calls += 1
-            if w.calls > w.fail_after:
+            w.calls[0] += 1
+            if w.calls[0] > w.fail_after:
                 raise RuntimeError("synthetic hard failure")
         return super().stacked_misfit(workers, points, adjoint)
 
@@ -230,13 +231,15 @@ def test_fatal_error_flushes_partial_chain(tmp_path):
                   flush_path=str(path))
     assert path.exists()
     partial = read_chain(str(path))
-    # a state takes one evaluation: init consumed one, so steps 1..4
-    # completed before the blowup
-    assert partial.n_samples == 4
+    # a candidate takes one evaluation, and this chain rejects, so its
+    # stacked calls evaluate 1, 2, then 4 steps ahead: init consumed one
+    # and steps 1..3 three more, and the sixth, in the call of steps 4..7,
+    # blows up, so steps 1..3 completed
+    assert partial.n_samples == 3
     assert partial.meta["method"] == "sn"
     assert partial.meta["partial"] == 1
     # the flushed rows are the first steps of the same chain run to completion
-    full = run_chain(settings, ref_model.clone(), prior, prior.mean, 4, seed=0, chain_id=0)
+    full = run_chain(settings, ref_model.clone(), prior, prior.mean, 3, seed=0, chain_id=0)
     for name in ("samples", "accepted", "log_post", "cum_solves"):
         got, want = getattr(partial, name), getattr(full, name)
         assert got.dtype == want.dtype
@@ -266,22 +269,27 @@ def assert_same_bytes(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-@pytest.fixture(scope="module", params=["exp_reaction", "linear"])
-def campaign_setup(request):
-    """A small problem, its MAP and low-rank Hessian there, and three
-    dispersed starts. The exp prior is ten times stronger than the default,
-    so that every method accepts some steps; the linear problem has 6
-    observations and r + l = 12, so every sn build there deflates."""
-    kind = request.param
-    r, l = (4, 2) if kind == "exp_reaction" else (8, 4)
-    mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind=kind, a=0.1, b=1e3)
+def small_campaign(kind, r, l, a=0.1, b=1e3):
+    """A small problem with 6 observations, its MAP and low-rank Hessian
+    there, and three dispersed starts."""
+    mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind=kind, a=a, b=b)
     m_map = solve_map(model.clone(), prior).m_map
     lrh = build_one(model.clone(), prior, m_map, r, l, np.random.default_rng(7))
-    if kind == "linear":
-        assert lrh.deflations > 0
     rng = np.random.default_rng(3)
     starts = [m_map + 0.02 * white_noise(space, rng) for _ in range(3)]
     return prior, model, m_map, lrh, starts, r, l
+
+
+@pytest.fixture(scope="module", params=["exp_reaction", "linear"])
+def campaign_setup(request):
+    """``small_campaign`` with a prior ten times stronger than the default.
+    On the exp model every method accepts some steps; the linear problem
+    has r + l = 12, so every sn build there deflates."""
+    kind = request.param
+    setup = small_campaign(kind, *((4, 2) if kind == "exp_reaction" else (8, 4)))
+    if kind == "linear":
+        assert setup[3].deflations > 0
+    return setup
 
 
 @pytest.mark.parametrize("method", ["ismap", "snmap", "sn"])
@@ -312,25 +320,29 @@ def test_groups_under_the_budget_give_the_same_bytes(campaign_setup, monkeypatch
     grouped = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
                          seed=2, chain_ids=[0, 1, 2])
     assert sorted(set(calls)) == [1, 2]
+    # the start and 8 steps of group {0, 1}, whose share of the budget is
+    # one candidate a chain
+    assert calls[:9] == [2] * 9
     for a, b in zip(grouped, one_group):
         assert_same_bytes(a, b)
 
 
 class FailingModel(LinearGaussianModel):
-    """Fails with a NumericalError at the point evaluations (calls of the
-    stacked misfit that include the worker) numbered in ``fail_at``."""
+    """Fails with a NumericalError at the point evaluations (rows of the
+    stacked misfit at the worker or at its clones, which share the count)
+    numbered in ``fail_at``."""
 
     def __init__(self, model, fail_at=()):
         super().__init__(model.mesh, model.space, model.F)
         self.obs = model.obs
-        self.fail_at, self.calls = set(fail_at), 0
+        self.fail_at, self.calls = set(fail_at), [0]
 
     @classmethod
     def stacked_misfit(cls, workers, points, adjoint):
         misfit, raw, errors = super().stacked_misfit(workers, points, adjoint)
         for i, w in enumerate(workers):
-            w.calls += 1
-            if w.calls in w.fail_at:
+            w.calls[0] += 1
+            if w.calls[0] in w.fail_at:
                 errors[i] = NumericalError("synthetic solver failure")
                 misfit[i] = np.nan
                 if raw is not None:
@@ -358,16 +370,17 @@ def test_a_failed_candidate_rejects_only_its_chains_step(linear_map, method, cap
 
 
 class ZeroWindow:
-    """A generator whose first four standard normals after its third
-    uniform are zero: the fourth step's proposal noise, then its Lanczos
-    start vector and the two restarts, which find no direction."""
+    """A generator whose first four standard normals after its third (or
+    ``after``-th) uniform are zero: the fourth (next) step's proposal
+    noise, then its Lanczos start vector and the two restarts, which find
+    no direction."""
 
-    def __init__(self, rng):
-        self.rng, self.uniforms, self.zeros = rng, 0, 0
+    def __init__(self, rng, after=3):
+        self.rng, self.after, self.uniforms, self.zeros = rng, after, 0, 0
 
     def standard_normal(self, size=None, out=None):
         out = self.rng.standard_normal(size, out=out)
-        if self.uniforms == 3 and self.zeros < 4:
+        if self.uniforms == self.after and self.zeros < 4:
             self.zeros += 1
             out *= 0.0
         return out
@@ -396,14 +409,20 @@ def test_a_lanczos_restart_failure_rejects_only_its_chains_step(campaign_setup, 
 
 def test_a_lockstep_tridiagonal_failure_rejects_only_its_chains_step(campaign_setup, caplog,
                                                                       monkeypatch):
-    # one eigensolve per chain and state, in chain order: chain 1's at its
-    # fourth candidate is call 3 + 3 * 3 + 1 of the campaign, and call
-    # 1 + 3 of the chain run alone
+    # one eigensolve per start and candidate, chain after chain in each
+    # stacked call. On the linear model every step accepts, and each call
+    # holds one step of each chain: chain 1's fourth candidate is call
+    # 3 + 3 * 3 + 1 of the campaign. On the exp model every step rejects,
+    # and the calls hold 1, 2 and 4 steps of each chain: it is the first of
+    # chain 1's four in the third call, 3 + 3 * (1 + 2) + 4. Run alone, it
+    # is call 1 + 3 on both
     prior, model, m_map, lrh, starts, r, l = campaign_setup
     settings = SamplerSettings(method="sn", r=r, l=l)
     alone = [run_chain(settings, model.clone(), prior, start, 8, seed=4, chain_id=cid)
              for cid, start in enumerate(starts)]
-    monkeypatch.setattr(lowrank, "dstemr", failing_dstemr({13}))
+    linear = isinstance(model, LinearGaussianModel)
+    assert [ch.depths[:3] for ch in alone] == [[1, 1, 1] if linear else [1, 2, 4]] * 3
+    monkeypatch.setattr(lowrank, "dstemr", failing_dstemr({13 if linear else 16}))
     with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
         together = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
                               seed=4, chain_ids=[0, 1, 2])
@@ -486,11 +505,11 @@ def test_fatal_error_flushes_every_chain_of_the_campaign(tmp_path):
                    chain_ids=[0, 1, 2], flush_paths=paths)
     for cid, path in enumerate(paths):
         partial = read_chain(path)
-        # the failing chain completed 4 steps (see above), and so did the others
-        assert partial.n_samples == 4
+        # the failing chain completed 3 steps (see above), and so did the others
+        assert partial.n_samples == 3
         assert partial.meta["partial"] == 1 and partial.meta["chain_id"] == cid
         assert_same_bytes(partial, run_chain(settings, ref_model.clone(), prior,
-                                             prior.mean, 4, seed=0, chain_id=cid))
+                                             prior.mean, 3, seed=0, chain_id=cid))
 
 
 # -- blocks drawn ahead (ismap, snmap) ---------------------------------------
@@ -579,6 +598,141 @@ def test_fatal_error_in_an_ismap_block_flushes_the_completed_blocks(tmp_path, mo
         assert partial.meta["partial"] == 1 and partial.meta["chain_id"] == cid
         assert_same_bytes(partial, run_chain(settings, ref_model.clone(), prior, m_map, 4,
                                              seed=0, chain_id=cid))
+
+
+# -- reject-ahead calls (snmap, sn) -------------------------------------------
+
+def discarded(chain):
+    """The candidates a chain evaluated ahead and discarded."""
+    return sum(chain.depths) - chain.n_samples
+
+
+@pytest.mark.parametrize("method", ["snmap", "sn"])
+def test_reject_ahead_calls_match_the_step_at_a_time_kernel(method):
+    # on the exp model at ten times the default prior, the chains reject
+    # runs of steps (sn's chain 0 its first eight, so its fourth call holds
+    # 8 steps) and then accept inside a call, whose later candidates are
+    # discarded; every byte is the one-step kernel's
+    prior, model, m_map, lrh, starts, r, l = small_campaign("exp_reaction", 4, 2)
+    settings = SamplerSettings(method=method, r=r, l=l, lrh_map=lrh, m_map=m_map)
+    workers = [model.clone() for _ in starts]
+    ahead = run_chains(settings, workers, prior, starts, 40, seed=4, chain_ids=[0, 1, 2])
+    steps = step_at_a_time(settings, [model.clone() for _ in starts], prior, starts, 40, 4,
+                           [0, 1, 2])
+    for got, want in zip(ahead, steps):
+        assert_same_bytes(got, want)
+    assert max(max(ch.depths) for ch in ahead) >= (8 if method == "sn" else 4)
+    assert any(ch.accepted.any() for ch in ahead)
+    assert any(discarded(ch) > 0 for ch in ahead)
+    for chain, worker in zip(ahead, workers):
+        # a discarded candidate costs what a step costs, counted apart
+        cost = 2 + (2 * (r + l) if method == "sn" else 0)
+        assert chain.discarded_solves == worker.counter.discarded_solves == cost * discarded(chain)
+        assert chain.cum_solves[-1] == worker.counter.total
+
+
+def test_a_failed_candidate_inside_an_sn_reject_ahead_call(caplog):
+    # the linear problem at the default prior with r = 4 below its data
+    # rank rejects every step, in calls of 1, 2, 4, ... steps. Chain 1's
+    # sixth evaluation, its fifth candidate, fails in the call of steps
+    # 4..7: it draws no start vector, so the call ends there for chain 1
+    # and its steps 6 and 7 are discarded
+    prior, model, m_map, lrh, starts, r, l = small_campaign("linear", 4, 2, a=1e-2, b=1e2)
+    settings = SamplerSettings(method="sn", r=r, l=l)
+    make = [lambda: FailingModel(model), lambda: FailingModel(model, (6,)),
+            lambda: FailingModel(model)]
+    with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
+        ahead = run_chains(settings, [m() for m in make], prior, starts, 20, seed=4,
+                           chain_ids=[0, 1, 2])
+        assert caplog.text.count("(synthetic solver failure); step rejected") == 1
+        steps = step_at_a_time(settings, [m() for m in make], prior, starts, 20, 4, [0, 1, 2])
+    for got, want in zip(ahead, steps):
+        assert_same_bytes(got, want)
+    assert ahead[0].depths[:3] == ahead[1].depths[:3] == [1, 2, 4]
+    assert discarded(ahead[1]) == 2 and discarded(ahead[0]) == 0
+    assert not any(ch.accepted.any() for ch in ahead)
+
+
+def test_a_lanczos_restart_inside_an_sn_reject_ahead_call(caplog, monkeypatch):
+    # chain 1 rejects every step, and the normals after its fourth uniform
+    # are zero: step 5, the second of its call of steps 4..7, proposes the
+    # mean, and its build finds no start vector in three draws. That build
+    # drew three vectors, not one, so the call ends there for chain 1, and
+    # the chain goes on from that step's stream
+    prior, model, m_map, lrh, starts, r, l = small_campaign("exp_reaction", 4, 2)
+    settings = SamplerSettings(method="sn", r=r, l=l)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda key: ZeroWindow(default_rng(key), after=4)
+                        if list(key)[1] == 1 else default_rng(key))
+    with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
+        ahead = run_chains(settings, [model.clone() for _ in starts], prior, starts, 20,
+                           seed=4, chain_ids=[0, 1, 2])
+        assert caplog.text.count("could not find a new direction") == 1
+        steps = step_at_a_time(settings, [model.clone() for _ in starts], prior, starts, 20,
+                               4, [0, 1, 2])
+    for got, want in zip(ahead, steps):
+        assert_same_bytes(got, want)
+    assert ahead[1].depths[:3] == [1, 2, 4] and not ahead[1].accepted.any()
+    assert discarded(ahead[1]) == 2
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_deflating_builds_in_reject_ahead_calls_keep_the_stream_order(seed):
+    # r = 4 is below the data rank 6 and r + l = 8 above it: the builds
+    # deflate and draw several start vectors each, a number the chains
+    # learn from their builds, so a call ends at a build that drew another
+    prior, model, m_map, lrh, starts, r, l = small_campaign("linear", 4, 4, a=1e-2, b=1e2)
+    assert lrh.deflations > 0
+    settings = SamplerSettings(method="sn", r=r, l=l)
+    ahead = run_chains(settings, [model.clone() for _ in starts], prior, starts, 40,
+                       seed=seed, chain_ids=[0, 1, 2])
+    steps = step_at_a_time(settings, [model.clone() for _ in starts], prior, starts, 40,
+                           seed, [0, 1, 2])
+    for got, want in zip(ahead, steps):
+        assert_same_bytes(got, want)
+    assert max(max(ch.depths) for ch in ahead) >= 8
+    # a call ends early at most once for each change of that number, so
+    # the candidates discarded stay below the steps rejected
+    for chain in ahead:
+        assert 0 < discarded(chain) <= (~chain.accepted).sum()
+
+
+def test_reject_ahead_at_the_exp_pipeline_settings(monkeypatch):
+    # the pinned prior, a 200-step snmap pilot and three sn chains of 60
+    # steps: nothing is accepted, so the pilot and the campaign take calls
+    # of 1, 2, 4, ... steps up to the budget's 25 a chain, and neither
+    # discards a candidate. The pilot picks the one-step kernel's starts,
+    # and the campaign makes 8 builds (the starts' and 7 calls) where one
+    # step at a time makes 61
+    cfg = RunConfig({"run.chains": 3, "run.samples": 60, "pilot.samples": 200,
+                     "run.seed": 7})
+    problem = pipeline.build_problem(cfg)
+    m_map = pipeline.stage_map(problem)[0].m_map
+    lrh = pipeline.stage_lowrank(problem, m_map)[0]
+    pilot, starts, info = pipeline.stage_pilot(problem, m_map, lrh)
+    assert info["reject_ahead"] == {"stacked_calls": 8, "max_depth": 73, "discarded": 0,
+                                    "discarded_solves": 0}
+    settings = pipeline.sampler_settings(cfg, "snmap", lrh, m_map)
+    (one,) = step_at_a_time(settings, [problem.model.clone()], problem.prior, [m_map], 200,
+                            7, [pipeline.PILOT_CHAIN_ID])
+    assert_same_bytes(pilot, one)
+    assert starts.tobytes() == select_start_points(one.samples, 3, problem.space)[0].tobytes()
+
+    settings = pipeline.sampler_settings(cfg, "sn", lrh, m_map)
+    calls = []
+    build = samplers.build_lowrank
+    monkeypatch.setattr(samplers, "build_lowrank",
+                        lambda workers, *args: calls.append(len(workers)) or build(workers, *args))
+    ahead = run_chains(settings, [problem.model.clone() for _ in starts], problem.prior,
+                       list(starts), 60, 7, [0, 1, 2])
+    assert len(calls) <= 8 and calls == [3, 3, 6, 12, 24, 48, 75, 12]
+    monkeypatch.undo()
+    steps = step_at_a_time(settings, [problem.model.clone() for _ in starts], problem.prior,
+                           list(starts), 60, 7, [0, 1, 2])
+    for got, want in zip(ahead, steps):
+        assert_same_bytes(got, want)
+    assert not any(ch.accepted.any() or discarded(ch) for ch in ahead)
 
 
 @pytest.mark.parametrize("method, tick, lines", [
