@@ -8,6 +8,8 @@ run directory's manifest (see ``pipeline.RunDir``).
 
 from __future__ import annotations
 
+import math
+
 import yaml
 
 from .errors import ConfigError
@@ -81,7 +83,8 @@ class RunConfig:
 
     def validate(self) -> None:
         v = self._values
-        problems = []
+        problems = [f"{key} must be finite, got {v[key]!r}" for key, (typ, _, _) in SCHEMA.items()
+                    if typ is float and not math.isfinite(v[key])]
         if v["mesh.n_nodes"] < 2:
             problems.append("mesh.n_nodes must be >= 2")
         if v["mesh.length"] <= 0:

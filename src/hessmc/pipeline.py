@@ -105,8 +105,14 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 
 def probe_node(mesh: Mesh1D, probe_x: float | None) -> int:
-    """Mesh node nearest to the probe coordinate (default 0.69 of the length)."""
+    """Mesh node nearest to the probe coordinate (default 0.69 of the
+    length); a coordinate that is not finite or lies outside the mesh
+    raises ConfigError."""
     x = 0.69 * mesh.length if probe_x is None else float(probe_x)
+    lo, hi = mesh.node_coords[0], mesh.node_coords[-1]
+    if not lo <= x <= hi:
+        raise ConfigError(f"probe x must lie in the mesh interval [{lo:g}, {hi:g}], "
+                          f"got {probe_x!r}")
     return mesh.nearest_node(x)
 
 

@@ -25,13 +25,18 @@ mean is computed once, when the state is evaluated: it is the mean of the
 reverse density when the state is proposed and, once the state is
 accepted, the mean of the next proposal and of its forward density, so
 each step applies H^{-1} once. Within a step the random stream is
-consumed in a fixed order (proposal noise, the Lanczos start vectors of
-an sn candidate, then the accept/reject uniform), and a rejected step
+consumed in a fixed order: the proposal noise, for sn one integer key,
+then the accept/reject uniform. An sn candidate's build draws its Lanczos
+start vector and any fresh directions from a generator seeded by that
+key, not from the chain's stream; only a chain's start state, built
+before anything is drawn, builds on the stream itself. A rejected step
 leaves the state bit-identical, so chains are reproducible from
-(seed, chain_id) alone. With the MAP Hessian (ismap, snmap) nothing is
-drawn between the noise and the uniform, and the fluctuation
-C^{-1} (I + Z E Z^T) n does not depend on the state, so these chains
-draw a block of steps ahead in that same order (``run_chains``).
+(seed, chain_id) alone. Every step of a method consumes a fixed count of
+its stream, so every chain draws a block of steps ahead in that same
+order (``run_chains``). With the MAP Hessian (ismap, snmap) the
+fluctuation C^{-1} (I + Z E Z^T) n does not depend on the state, and a
+block's normals are transformed when drawn; sn's are transformed at the
+state that proposes from them, by its own Hessian.
 
 Since a rejected step leaves the state as it was, a chain that goes on
 rejecting knows its next candidates before it tests any of them
@@ -39,13 +44,11 @@ rejecting knows its next candidates before it tests any of them
 evaluate each chain's next steps in one stacked call as if it rejected
 them all, and take them in order up to its first acceptance
 (``_reject_ahead``). A chain's depth is one more than the steps it has
-rejected since its last acceptance (1, 2, 4, ... while every call runs
-to its end), so a call discards no more candidates than the steps
-rejected before it, and none where a chain never or always accepts. sn's
-builds run on the chain's stream forked after each step's noise, and a
-build that draws another number of start vectors than the chain's last
-ends its call, so every chain consumes its stream in the order of steps
-taken one at a time. A taken candidate's solves are charged once, to its
+rejected since its last acceptance (1, 2, 4, ...), so a call discards no
+more candidates than the steps rejected before it, and none where a
+chain never or always accepts. Each step's draws, sn's key among them,
+are made before the call, so the steps taken are those of one step at a
+time. A taken candidate's solves are charged once, to its
 chain's counter; a discarded one's are counted apart, outside the
 counter's total.
 
@@ -88,7 +91,6 @@ cost of the whole run.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -207,14 +209,17 @@ def evaluate(settings: SamplerSettings, workers: list[ForwardModel], prior: Gaus
     """The log posterior at each row of ``points`` (c, n) and the proposal
     drawn from it, as ChainStates, and the NumericalError that stopped
     each row that could not be evaluated (by row). Row i uses
-    ``workers[i]`` and ``rngs[i]`` alone.
+    ``workers[i]`` and ``rngs[i]`` alone: ``rngs[i]`` is the generator
+    sn's build at that row draws its Lanczos start vector and any fresh
+    directions from (the chain's stream at a start, and at a candidate
+    the generator seeded by its step's key); ismap and snmap draw nothing.
 
     The log posteriors and gradients of all rows are one stacked
     evaluation (``models.evaluate_points``); the gradient and the sn
     build run even where the log posterior is not finite, so a step's
-    solve count and random stream do not depend on the candidate. The sn
-    builds of all points are one lockstep ``build_lowrank``, and the
-    Newton means one ``apply_inv`` per Hessian.
+    solve count does not depend on the candidate. The sn builds of all
+    points are one lockstep ``build_lowrank``, and the Newton means one
+    ``apply_inv`` per Hessian.
     """
     c = len(points)
     lp, g, errors = evaluate_points(workers, prior, points, settings.method != "ismap")
@@ -307,33 +312,30 @@ def init_states(settings: SamplerSettings, workers: list[ForwardModel], prior: G
 
 def mh_step(settings: SamplerSettings, states: ChainStates, workers: list[ForwardModel],
             prior: GaussianPrior, rngs: list[np.random.Generator],
-            drawn: tuple[np.ndarray, np.ndarray] | None = None
-            ) -> tuple[ChainStates, list[bool]]:
+            drawn: tuple | None = None) -> tuple[ChainStates, list[bool]]:
     """One Metropolis-Hastings step of every chain; returns the new states
     and whether each chain accepted.
 
-    Each proposal is drawn first, before anything in the step can raise:
-    each chain fills its row of normals from its own generator, and the
-    proposal is the mean plus their ``fluctuation``. The candidates are
-    evaluated together. A solver failure while evaluating a chain's
-    candidate rejects that chain's step (with a warning) rather than
-    aborting it, and so does a non-finite log posterior; the other chains
-    do not see it. Each chain then draws its
-    uniform and accepts or rejects on its own. Chains that drew the step
-    ahead pass ``drawn``, its proposal fluctuations (c, n) and log
-    uniforms (c,) (see ``run_chains``); the step then reads no generator.
+    Each chain first draws its whole step from its own generator, before
+    anything in the step can raise: a row of normals, for sn one integer
+    key, then its uniform (``_draw_ahead``). The proposal is the mean
+    plus the normals' ``fluctuation``, and an sn candidate's build draws
+    from a generator seeded by its key. The candidates are evaluated
+    together. A solver failure while evaluating a chain's candidate
+    rejects that chain's step (with a warning) rather than aborting it,
+    and so does a non-finite log posterior; the other chains do not see
+    it. Each chain then accepts or rejects on its own. Chains that drew
+    the step ahead pass ``drawn``, one step's row of each of
+    ``_draw_ahead``'s blocks: the draws (c, n), sn's keys (c,) or None,
+    and the log uniforms (c,) (see ``run_chains``); the step then reads
+    no generator.
     """
     if drawn is None:
-        noise = np.empty(states.mean.shape)
-        for rng, row in zip(rngs, noise):
-            rng.standard_normal(out=row)
-        fluctuations = _per_hessian(settings, states.lrhs, LowRankHessian.fluctuation, noise)
-    else:
-        fluctuations, log_u = drawn
-    candidates, _, rows = _candidates(settings, workers, prior, states.mean + fluctuations,
-                                      rngs)
-    if drawn is None:
-        log_u = [_log_uniform(rng) for rng in rngs]
+        drawn = _rows(_draw_ahead(settings, states.m.shape[1], rngs, 1), 0)
+    draws, keys, log_u = drawn
+    candidates, _, rows = _candidates(settings, workers, prior,
+                                      states.mean + _fluctuations(settings, states.lrhs, draws),
+                                      _keyed(keys, len(rngs)))
     accept = [False] * len(rngs)
     if rows:
         cand, state = candidates, states
@@ -345,20 +347,47 @@ def mh_step(settings: SamplerSettings, states: ChainStates, workers: list[Forwar
     return states.where(accept, candidates), accept
 
 
-def _draw_ahead(lrh: LowRankHessian, rngs: list[np.random.Generator],
-                steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_ahead(settings: SamplerSettings, n: int, rngs: list[np.random.Generator],
+                steps: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Each chain's draws for ``steps`` steps, in the order a step makes
-    them (n normals, then one uniform): the proposal fluctuations
-    (steps, c, n), transformed in one call, and the log uniforms
-    (steps, c)."""
-    n = lrh.prior.n
+    them: n normals, for sn one integer key, then one uniform. Returns
+    the draws (steps, c, n), sn's keys (steps, c) (None for the other
+    methods) and the log uniforms (steps, c). The MAP Hessian's draws
+    are the proposal fluctuations, transformed in one call; sn's are the
+    normals, which each state's own Hessian transforms
+    (``_fluctuations``)."""
+    sn = settings.method == "sn"
     noise = np.empty((steps, len(rngs), n))
+    keys = np.empty((steps, len(rngs)), dtype=np.int64) if sn else None
     log_u = np.empty((steps, len(rngs)))
     for j, rng in enumerate(rngs):
         for s in range(steps):
             rng.standard_normal(out=noise[s, j])
+            if sn:
+                keys[s, j] = rng.integers(1 << 63)
             log_u[s, j] = _log_uniform(rng)
-    return lrh.fluctuation(noise.reshape(-1, n)).reshape(noise.shape), log_u
+    if sn:
+        return noise, keys, log_u
+    return settings.lrh_map.fluctuation(noise.reshape(-1, n)).reshape(noise.shape), None, log_u
+
+
+def _rows(drawn: tuple, index) -> tuple:
+    """The rows ``index`` of each of ``_draw_ahead``'s blocks."""
+    return tuple(None if x is None else x[index] for x in drawn)
+
+
+def _fluctuations(settings: SamplerSettings, lrhs: list, draws: np.ndarray) -> np.ndarray:
+    """The proposal fluctuations of rows of draws: the MAP Hessian's as
+    drawn, and sn's normals through each row's own Hessian."""
+    if settings.method != "sn":
+        return draws
+    return _per_hessian(settings, lrhs, LowRankHessian.fluctuation, draws)
+
+
+def _keyed(keys: np.ndarray | None, c: int) -> list:
+    """The generators that the builds of c candidates draw from: for sn
+    each seeded by its step's key; the other methods build nothing."""
+    return [None] * c if keys is None else [np.random.default_rng(k) for k in keys]
 
 
 def _log_uniform(rng: np.random.Generator) -> float:
@@ -370,7 +399,7 @@ def _log_uniform(rng: np.random.Generator) -> float:
 
 def _ismap_block(settings: SamplerSettings, states: ChainStates, log_q: list[float],
                  workers: list[ForwardModel], prior: GaussianPrior, fluctuations: np.ndarray,
-                 log_u: np.ndarray, rngs: list):
+                 log_u: np.ndarray):
     """ismap's steps on draws made ahead. Its candidates m_map +
     fluctuations (steps, c, n) do not depend on the states: those of every
     step and chain are one stacked ``evaluate`` (row s c + j is chain j's
@@ -390,7 +419,8 @@ def _ismap_block(settings: SamplerSettings, states: ChainStates, log_q: list[flo
     points = src[c:]
     np.add(settings.m_map, fluctuations.reshape(-1, n), out=points)
     before = [w.counter.total for w in workers]
-    cands, errors, rows = _candidates(settings, workers * steps, prior, points, rngs * steps)
+    cands, errors, rows = _candidates(settings, workers * steps, prior, points,
+                                      _keyed(None, len(points)))
     forward = [None] * (steps * c)      # log q(state -> candidate) of the finite rows
     if rows:
         finite = points if len(rows) == len(points) else points[rows]
@@ -416,76 +446,40 @@ def _ismap_block(settings: SamplerSettings, states: ChainStates, log_q: list[flo
     return last, log_q, (src, np.array(where), np.array(accepted), np.array(log_post), solves)
 
 
-class _Slot:
-    """One candidate's place in a reject-ahead call (``_reject_ahead``): a
-    light clone of its chain's worker, with its own point cache and
-    counter, reused from call to call. For sn it is also the stream the
-    candidate's build draws from: the chain's stream forked after the
-    candidate's noise, counting the start vectors the build draws."""
-
-    def __init__(self, worker: ForwardModel):
-        self.worker, self.rng, self.draws = worker.clone(), None, 0
-
-    def fork(self, rng) -> None:
-        """Go on from ``rng``'s position, on a stream of this slot's own."""
-        self.draws = 0
-        if type(rng) is type(self.rng) is np.random.Generator:
-            self.rng.bit_generator.state = rng.bit_generator.state
-        else:
-            self.rng = copy.deepcopy(rng)
-
-    def standard_normal(self, *args, **kwargs):
-        self.draws += 1
-        return self.rng.standard_normal(*args, **kwargs)
-
-
 def _reject_ahead(settings: SamplerSettings, states: ChainStates, members: list[ForwardModel],
-                  prior: GaussianPrior, rngs: list, depths: list[int], slots: list[list],
-                  draws: list[int], drawn: tuple[np.ndarray, np.ndarray] | None):
+                  prior: GaussianPrior, depths: list[int], slots: list[list],
+                  drawn: tuple):
     """The next ``depths[j]`` steps of each chain j (none at depth 0) in one
-    stacked call (snmap, sn). A rejected step leaves the state as it was,
-    so all of a chain's candidates are proposed from its current state;
-    those of every chain are one ``evaluate``, row by row at the chain's
-    slots (``slots[j]``, grown as needed), chain after chain. A scan then
-    takes each chain's steps in order up to and including its first
-    acceptance, and discards the rest.
-
-    snmap reads each row's fluctuation and log uniform from ``drawn``. sn
-    draws each step's noise from the chain's stream, forks the stream to
-    the step's slot for the candidate's build, then skips the ``draws[j]``
-    start vectors that the chain's last build drew and the step's uniform.
-    A build that draws another number (none when the candidate cannot be
-    evaluated; more after a deflation or a restart) ends the chain's steps
-    there. Each sn step's uniform comes from its slot's stream, and the
-    chain goes on from the stream of its last step, so every chain
-    consumes its stream in the order of steps taken one at a time.
+    stacked call (snmap, sn), on the rows of ``_draw_ahead``'s blocks in
+    ``drawn``, chain after chain. A rejected step leaves the state as it
+    was, so all of a chain's candidates are proposed from its current
+    state (sn's normals through its own Hessian, one call a chain); those
+    of every chain are one ``evaluate``, row by row at the chain's slots
+    (``slots[j]``: clones of its worker, each with its own point cache and
+    counter, grown as needed and reused from call to call), and an sn
+    candidate's build draws from the generator seeded by its step's key.
+    A scan then takes each chain's steps in order up to and including its
+    first acceptance, and discards the rest. No step's draws depend on
+    the steps before it, so the steps taken are those of one step at a
+    time.
 
     A taken candidate's solves move to its chain's counter, and the solves
     of a discarded one to the counter's ``discarded_solves``; a failure at
     a taken candidate is logged as ``mh_step`` logs it. Returns the new
     states, whether each chain accepted, and the ``cum_solves`` of each
     chain's steps taken."""
-    c, n = states.m.shape
-    sn = settings.method == "sn"
+    c = len(depths)
     owner = [j for j in range(c) for _ in range(depths[j])]
-    rows, fluctuations = [], []
+    rows = []
     for j, depth in enumerate(depths):
-        mine = slots[j]
-        while len(mine) < depth:
-            mine.append(_Slot(members[j]))
-        rows.extend(mine[:depth])
-        if sn and depth:
-            noise, rng = np.empty((depth, n)), rngs[j]
-            for row, slot in zip(noise, mine):
-                rng.standard_normal(out=row)
-                slot.fork(rng)
-                for _ in range(draws[j]):
-                    rng.standard_normal(n)
-                rng.random()
-            fluctuations.append(states.lrhs[j].fluctuation(noise))
-    fluctuations = np.concatenate(fluctuations) if sn else drawn[0]
-    candidates, errors = evaluate(settings, [slot.worker for slot in rows], prior,
-                                  states.mean[owner] + fluctuations, rows)
+        slots[j].extend(members[j].clone() for _ in range(depth - len(slots[j])))
+        rows.extend(slots[j][:depth])
+    draws, keys, log_u = drawn
+    if keys is not None:
+        parts = np.split(draws, np.cumsum(depths)[:-1])
+        draws = np.concatenate([h.fluctuation(x) for h, x in zip(states.lrhs, parts) if len(x)])
+    candidates, errors = evaluate(settings, rows, prior, states.mean[owner] + draws,
+                                  _keyed(keys, len(rows)))
     finite = [i for i, lp in enumerate(candidates.log_post) if math.isfinite(lp)]
     forward = [None] * len(rows)
     reverse = list(forward)
@@ -497,28 +491,19 @@ def _reject_ahead(settings: SamplerSettings, states: ChainStates, members: list[
     for j, depth in enumerate(depths):
         counter, steps = members[j].counter, []
         for i in range(start, start + depth):
-            slot = rows[i]
-            if sn:
-                log_u, ends = _log_uniform(slot.rng), slot.draws != draws[j]
-            else:
-                log_u, ends = drawn[1][i], False
             if i in errors:
                 logger.warning("proposal evaluation failed (%s); step rejected", errors[i])
             took[j] = forward[i] is not None and _accepts(
-                log_u, candidates.log_post[i], states.log_post[j], reverse[i], forward[i])
-            counter.absorb(slot.worker.counter)
+                log_u[i], candidates.log_post[i], states.log_post[j], reverse[i], forward[i])
+            counter.absorb(rows[i].counter)
             steps.append(counter.total)
-            if took[j] or ends:
+            if took[j]:
                 break
         solves.append(steps)
         if steps:
-            last[j] = end = start + len(steps) - 1
-            for slot in rows[end + 1:start + depth]:
-                counter.absorb(slot.worker.counter, discarded=True)
-            if sn:
-                if end not in errors:
-                    draws[j] = rows[end].draws
-                rngs[j], rows[end].rng = rows[end].rng, rngs[j]
+            last[j] = start + len(steps) - 1
+        for worker in rows[start + len(steps):start + depth]:
+            counter.absorb(worker.counter, discarded=True)
         start += depth
     return states.where(took, candidates.take(last)), took, solves
 
@@ -549,14 +534,16 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
 
     The chains run in groups of as many as keep a group's stacked Krylov
     basis, (r + l) n floats per chain, within ``LOCKSTEP_BLOCK_VALUES``;
-    a group runs to the end before the next starts. Each stacked call
-    evaluates some candidates of every chain of the group that has steps
-    left, and records their number in ``Chain.depths``:
+    a group runs to the end before the next starts. A group evaluates its
+    starts (sn's builds there draw from the chains' streams), then draws
+    a block of steps ahead (``_draw_ahead``), as many as keep the block's
+    steps x chains x n floats within the budget, takes it, and draws the
+    next. Each stacked call evaluates some candidates of every chain of
+    the group that has steps of the block left, and records their number
+    in ``Chain.depths``:
 
-    * ismap's candidates do not depend on the state, so a group draws a
-      block of steps ahead, as many as keep the block's steps x chains x n
-      floats within the budget, and takes it in one call
-      (``_ismap_block``).
+    * ismap's candidates do not depend on the state, so the group takes
+      the block in one call (``_ismap_block``).
     * snmap and sn evaluate each chain's next ``depth`` steps ahead as if
       it rejected them all (``_reject_ahead``). A chain's depth is one
       more than the steps it has rejected since its last acceptance: it
@@ -564,11 +551,9 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
       nothing and returns to 1 after an acceptance. It is at most the
       chain's share of the budget, (chains a group may hold) // (chains
       in it), so that every candidate's Krylov basis fits, and at most
-      the steps the chain has left. While every chain of the group has
-      depth 1, each call is ``mh_step``. snmap's fluctuations and uniforms
-      are drawn ahead in ismap's blocks (``_draw_ahead``), and a chain
-      that has taken its block waits for the others before the next is
-      drawn.
+      the steps of the block the chain has left; a chain that has taken
+      its block waits for the others. While every chain of the group has
+      depth 1, each call is ``mh_step``.
 
     A chain's rows, and its stream, do not depend on the other chains,
     the groups, the blocks or the depths (which the group's size caps,
@@ -610,15 +595,21 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
             members = [workers[i] for i in group]
             rngs = [np.random.default_rng([int(seed), int(chain_ids[i])]) for i in group]
             states = init_states(settings, members, prior, [starts[i] for i in group], rngs)
-            block = max(1, LOCKSTEP_BLOCK_VALUES // (c * n))
             if settings.method == "ismap":
                 log_q = _log_q(states.half_logdet,
                                settings.lrh_map.quad(states.m - states.mean).tolist())
-                while ks[0] < n_samples:
-                    fluctuations, log_u = _draw_ahead(settings.lrh_map, rngs,
-                                                      min(block, n_samples - ks[0]))
+            block = max(1, LOCKSTEP_BLOCK_VALUES // (c * n))
+            cap, run = max(1, size // c), [0] * c   # steps rejected since the last acceptance
+            slots, at = [[] for _ in group], [0] * c    # each chain's next row of the draws
+            log_u = np.empty((0, c))
+            while min(ks) < n_samples:
+                if min(at) == len(log_u):
+                    draws, keys, log_u = _draw_ahead(settings, n, rngs,
+                                                     min(block, n_samples - ks[0]))
+                    at = [0] * c
+                if settings.method == "ismap":
                     states, log_q, (src, where, accepted, log_post, solves) = _ismap_block(
-                        settings, states, log_q, members, prior, fluctuations, log_u, rngs)
+                        settings, states, log_q, members, prior, draws, log_u)
                     rows = slice(ks[0], ks[0] + len(log_u))
                     for j, i in enumerate(group):
                         chain = chains[i]
@@ -627,60 +618,45 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
                         chain.log_post[rows] = log_post[:, j]
                         chain.cum_solves[rows] = solves[:, j]
                         chain.depths.append(len(log_u))
-                    ks = [rows.stop] * c
+                    ks, at = [rows.stop] * c, [len(log_u)] * c
                     progress.add(accepted.size, int(accepted.sum()))
-                continue
-            cap, run = max(1, size // c), [0] * c   # steps rejected since the last acceptance
-            draws, slots = [1] * c, [[] for _ in group]
-            sn = settings.method == "sn"
-            at, log_u = ks if sn else [0] * c, np.empty((0, c))   # each chain's next step or draw
-            while min(ks) < n_samples:
-                if not sn and min(at) == len(log_u):
-                    fluctuations, log_u = _draw_ahead(settings.lrh_map, rngs,
-                                                      min(block, n_samples - ks[0]))
-                    at = [0] * c
-                if not any(run) and at.count(at[0]) == c:
+                elif not any(run) and at.count(at[0]) == c:
                     # while every chain accepts, each takes its next step,
                     # from the same row of the draws
-                    for k in range(at[0], n_samples if sn else len(log_u)):
-                        drawn = None if sn else (fluctuations[k], log_u[k])
-                        states, took = mh_step(settings, states, members, prior, rngs, drawn)
+                    for k in range(at[0], len(log_u)):
+                        states, took = mh_step(settings, states, members, prior, rngs,
+                                               _rows((draws, keys, log_u), k))
                         keep(states, took)
                         if not all(took):
                             break
-                    if not sn:
-                        at = [k + 1] * c
+                    at = [k + 1] * c
                     run = [0 if t else 1 for t in took]
-                    continue
-                end = n_samples if sn else len(log_u)
-                depths = [min(r + 1, cap, end - x) for r, x in zip(run, at)]
-                drawn = None
-                if not sn:
+                else:
+                    depths = [min(r + 1, cap, len(log_u) - x) for r, x in zip(run, at)]
                     steps = [x + t for x, d in zip(at, depths) for t in range(d)]
                     owner = [j for j, d in enumerate(depths) for _ in range(d)]
-                    drawn = (fluctuations[steps, owner], log_u[steps, owner])
-                before = states
-                states, took, solves = _reject_ahead(settings, states, members, prior,
-                                                     rngs, depths, slots, draws, drawn)
-                for j, i in enumerate(group):
-                    if not depths[j]:
-                        continue
-                    chain, rows = chains[i], slice(ks[j], ks[j] + len(solves[j]))
-                    chain.samples[rows] = before.m[j]
-                    chain.accepted[rows] = False
-                    chain.log_post[rows] = before.log_post[j]
-                    chain.cum_solves[rows] = solves[j]
-                    if took[j]:
-                        chain.samples[rows.stop - 1] = states.m[j]
-                        chain.accepted[rows.stop - 1] = True
-                        chain.log_post[rows.stop - 1] = states.log_post[j]
-                    chain.depths.append(depths[j])
-                    ks[j] = rows.stop
-                taken = [len(x) for x in solves]
-                progress.add(sum(taken), sum(took))
-                if not sn:
+                    before = states
+                    states, took, solves = _reject_ahead(settings, states, members, prior, depths,
+                                                         slots, _rows((draws, keys, log_u),
+                                                                      (steps, owner)))
+                    for j, i in enumerate(group):
+                        if not depths[j]:
+                            continue
+                        chain, rows = chains[i], slice(ks[j], ks[j] + len(solves[j]))
+                        chain.samples[rows] = before.m[j]
+                        chain.accepted[rows] = False
+                        chain.log_post[rows] = before.log_post[j]
+                        chain.cum_solves[rows] = solves[j]
+                        if took[j]:
+                            chain.samples[rows.stop - 1] = states.m[j]
+                            chain.accepted[rows.stop - 1] = True
+                            chain.log_post[rows.stop - 1] = states.log_post[j]
+                        chain.depths.append(depths[j])
+                        ks[j] = rows.stop
+                    taken = [len(x) for x in solves]
+                    progress.add(sum(taken), sum(took))
                     at = [x + t for x, t in zip(at, taken)]
-                run = [0 if t else r + x for t, r, x in zip(took, run, taken)]
+                    run = [0 if t else r + x for t, r, x in zip(took, run, taken)]
             for i in group:
                 chains[i].discarded_solves = workers[i].counter.discarded_solves - discarded[i]
     except Exception:

@@ -275,6 +275,16 @@ def test_diagnose_missing_chains_dir(tmp_path):
     assert rc == 2
 
 
+def test_non_finite_or_outside_values_exit_2(campaign_dir, tmp_path, capsys):
+    for flags in (["--prior-a", "nan"], ["--obs-noise-rel", "inf"]):
+        assert main(["map", *MINI, *flags, "--out-dir", str(tmp_path)]) == 2, flags
+    assert not any(tmp_path.iterdir())
+    for x in ("nan", "inf", "-5", "1.5"):
+        assert main(["diagnose", *MINI, "--chains-dir", str(campaign_dir / "chains"),
+                     "--probe-x", x]) == 2, x
+    assert "probe x must lie in the mesh interval [0, 1]" in capsys.readouterr().err
+
+
 # -- analyze -------------------------------------------------------------------------
 
 def test_analyze_writes_tables(campaign_dir):

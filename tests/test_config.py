@@ -68,6 +68,21 @@ def test_validate_rejects_inconsistent_values():
     RunConfig({"pilot.samples": 50, "run.chains": 50})
 
 
+def test_non_finite_floats_are_refused_by_name(tmp_path):
+    floats = [key for key, (typ, _, _) in SCHEMA.items() if typ is float]
+    for key in floats:
+        for text in ("nan", "inf", "-inf"):
+            cfg = RunConfig()
+            cfg.set(key, text)                  # as a flag's text arrives
+            with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+                cfg.validate()
+    for text in ("prior:\n  a: .nan\n", "obs.noise_rel: .inf\n", "mesh:\n  length: -.inf\n"):
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="must be finite"):
+            RunConfig.from_file(str(path))
+
+
 def test_methods_parsing_tolerates_spacing():
     cfg = RunConfig({"run.methods": " snmap , sn "})
     assert cfg.methods() == ["snmap", "sn"]

@@ -131,15 +131,19 @@ def test_rejected_steps_repeat_the_state_bitwise(linear_map):
 
 def test_newton_proposals_draw_plain_normals(linear_map):
     # ismap/snmap/sn map n ~ N(0, I) through C^{-1} (I + Z E Z^T); a step
-    # takes n normals, then one uniform
+    # takes n normals, for sn one integer key (its build draws from the
+    # key's generator, not from the chain's stream), then one uniform
     mesh, space, prior, model, m_map, lrh = linear_map
-    for method in ("ismap", "snmap"):
-        settings = SamplerSettings(method=method, lrh_map=lrh, m_map=m_map)
+    for method in ("ismap", "snmap", "sn"):
+        settings = SamplerSettings(method=method, r=10, l=5, lrh_map=lrh, m_map=m_map)
         rng, worker = np.random.default_rng(21), model.clone()
         states = init_states(settings, [worker], prior, [m_map], [rng])
+        ref = np.random.default_rng()
+        ref.bit_generator.state = rng.bit_generator.state
         mh_step(settings, states, [worker], prior, [rng])
-        ref = np.random.default_rng(21)
         ref.standard_normal(prior.n)
+        if method == "sn":
+            ref.integers(1 << 63)
         ref.uniform()
         assert rng.uniform() == ref.uniform()
     sn = SamplerSettings(method="sn", r=10, l=5)
@@ -369,14 +373,34 @@ def test_a_failed_candidate_rejects_only_its_chains_step(linear_map, method, cap
     assert together[1].accepted.sum() == together[0].accepted.sum() - 2
 
 
-class ZeroWindow:
+class Window:
+    """A generator that counts its uniforms; ``keys`` holds the sn step keys
+    it marked (none here)."""
+
+    keys = frozenset()
+
+    def __init__(self, rng):
+        self.rng, self.uniforms = rng, 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+
+class ZeroWindow(Window):
     """A generator whose first four standard normals after its third (or
-    ``after``-th) uniform are zero: the fourth (next) step's proposal
-    noise, then its Lanczos start vector and the two restarts, which find
-    no direction."""
+    ``after``-th) uniform are zero. On a chain's stream that is the fourth
+    (next) step's proposal noise, and the window marks the key the step
+    draws; on the generator of that key (``through_window``) they are the
+    candidate's Lanczos start vector and its two restarts, which find no
+    direction."""
 
     def __init__(self, rng, after=3):
-        self.rng, self.after, self.uniforms, self.zeros = rng, after, 0, 0
+        super().__init__(rng)
+        self.after, self.zeros, self.keys = after, 0, set()
 
     def standard_normal(self, size=None, out=None):
         out = self.rng.standard_normal(size, out=out)
@@ -385,18 +409,47 @@ class ZeroWindow:
             out *= 0.0
         return out
 
-    def random(self):
-        self.uniforms += 1
-        return self.rng.random()
+    def integers(self, *args):
+        key = self.rng.integers(*args)
+        if self.uniforms == self.after:
+            self.keys.add(int(key))
+        return key
+
+
+class Counted(Window):
+    """A generator that counts the draws of its standard normals."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.normals = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.normals += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def through_window(monkeypatch, window):
+    """Make ``np.random.default_rng`` pass chain 1's stream, keyed by
+    (seed, 1), through ``window``, and the generator seeded by a step key
+    that a window marked through a ``ZeroWindow`` from its first normal."""
+    default_rng, windows = np.random.default_rng, []
+
+    def rng(key):
+        if np.ndim(key) == 0:
+            marked = any(int(key) in w.keys for w in windows)
+            return ZeroWindow(default_rng(key), after=0) if marked else default_rng(key)
+        if list(key)[1] != 1:
+            return default_rng(key)
+        windows.append(window(default_rng(key)))
+        return windows[-1]
+    monkeypatch.setattr(np.random, "default_rng", rng)
 
 
 def test_a_lanczos_restart_failure_rejects_only_its_chains_step(campaign_setup, caplog,
                                                                  monkeypatch):
     prior, model, m_map, lrh, starts, r, l = campaign_setup
     settings = SamplerSettings(method="sn", r=r, l=l)
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda key: ZeroWindow(default_rng(key))
-                        if list(key)[1] == 1 else default_rng(key))
+    through_window(monkeypatch, ZeroWindow)
     with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
         together = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
                               seed=4, chain_ids=[0, 1, 2])
@@ -434,12 +487,13 @@ def test_a_lockstep_tridiagonal_failure_rejects_only_its_chains_step(campaign_se
         assert_same_bytes(chain, ref)
 
 
-class ConstantWindow:
+class ConstantWindow(Window):
     """A generator whose normals after its third uniform, the fourth step's
     proposal noise, are all ``value``."""
 
     def __init__(self, rng, value):
-        self.rng, self.value, self.uniforms, self.done = rng, value, 0, False
+        super().__init__(rng)
+        self.value, self.done = value, False
 
     def standard_normal(self, size=None, out=None):
         out = self.rng.standard_normal(size, out=out)
@@ -447,10 +501,6 @@ class ConstantWindow:
             self.done = True
             out[...] = self.value
         return out
-
-    def random(self):
-        self.uniforms += 1
-        return self.rng.random()
 
 
 @pytest.mark.parametrize("method, failure", [
@@ -476,9 +526,7 @@ def test_a_failed_stacked_factorisation_rejects_only_its_chains_step(method, fai
         shift = Tridiagonal(np.full(prior.n, -0.01), np.zeros(prior.n - 1))
         model.K0 = model.K0 + shift
     settings = SamplerSettings(method=method, r=4, l=2, lrh_map=lrh, m_map=m_map)
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda key: ConstantWindow(default_rng(key), value)
-                        if list(key)[1] == 1 else default_rng(key))
+    through_window(monkeypatch, lambda rng: ConstantWindow(rng, value))
     with caplog.at_level(logging.WARNING, logger="hessmc.samplers"), np.errstate(over="ignore"):
         together = run_chains(settings, [model.clone() for _ in starts], prior, starts, 8,
                               seed=4, chain_ids=[0, 1, 2])
@@ -512,7 +560,7 @@ def test_fatal_error_flushes_every_chain_of_the_campaign(tmp_path):
                                              prior.mean, 3, seed=0, chain_id=cid))
 
 
-# -- blocks drawn ahead (ismap, snmap) ---------------------------------------
+# -- blocks drawn ahead -------------------------------------------------------
 
 def step_at_a_time(settings, workers, prior, starts, n_samples, seed, chain_ids):
     """The chains from the ``mh_step`` kernel taking one step at a time,
@@ -531,14 +579,15 @@ def step_at_a_time(settings, workers, prior, starts, n_samples, seed, chain_ids)
             for j in range(len(workers))]
 
 
-@pytest.mark.parametrize("method", ["ismap", "snmap"])
+@pytest.mark.parametrize("method", ["ismap", "snmap", "sn"])
 def test_blocks_drawn_ahead_match_the_step_at_a_time_kernel(campaign_setup, method, caplog,
                                                             monkeypatch):
     prior, model, m_map, lrh, starts, r, l = campaign_setup
     settings = SamplerSettings(method=method, r=r, l=l, lrh_map=lrh, m_map=m_map)
     linear = isinstance(model, LinearGaussianModel)
     if linear:
-        # chain 1's candidates at steps 4 and 14 fail, one in each block
+        # chain 1's candidates at steps 4 and 14 fail, one in each block;
+        # every sn build there deflates
         make = [lambda: FailingModel(model), lambda: FailingModel(model, (5, 15)),
                 lambda: FailingModel(model)]
         message, failures = "(synthetic solver failure); step rejected", 2
@@ -547,15 +596,15 @@ def test_blocks_drawn_ahead_match_the_step_at_a_time_kernel(campaign_setup, meth
         # be factored, and the step costs no solve
         make = [model.clone] * 3
         message, failures = "non-finite entries", 1
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda key: ConstantWindow(default_rng(key), 1e4)
-                            if list(key)[1] == 1 else default_rng(key))
+        through_window(monkeypatch, lambda rng: ConstantWindow(rng, 1e4))
     # one group of the three chains, in blocks of r + l steps: 12 and 8
-    # steps on the linear model, 6, 6, 6 and 2 on the exp model
+    # steps on the linear model, 6, 6, 6 and 2 on the exp model; the MAP
+    # Hessian's fluctuations of a block are one call
     monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_VALUES", 3 * (r + l) * prior.n)
-    rows = []
-    fluctuation = LowRankHessian.fluctuation
+    sizes, rows = [], []
+    draw, fluctuation = samplers._draw_ahead, LowRankHessian.fluctuation
+    monkeypatch.setattr(samplers, "_draw_ahead",
+                        lambda *args: sizes.append(args[-1]) or draw(*args))
     monkeypatch.setattr(LowRankHessian, "fluctuation",
                         lambda lrh, n: rows.append(len(n)) or fluctuation(lrh, n))
     with caplog.at_level(logging.WARNING, logger="hessmc.samplers"), np.errstate(over="ignore"):
@@ -564,7 +613,9 @@ def test_blocks_drawn_ahead_match_the_step_at_a_time_kernel(campaign_setup, meth
         assert caplog.text.count(message) == failures
         steps = step_at_a_time(settings, [m() for m in make], prior, starts, 20, 4, [0, 1, 2])
     starts_of_blocks = range(0, 20, r + l)
-    assert rows[:len(starts_of_blocks)] == [3 * min(r + l, 20 - k) for k in starts_of_blocks]
+    assert sizes[:len(starts_of_blocks)] == [min(r + l, 20 - k) for k in starts_of_blocks]
+    if method != "sn":
+        assert rows[:len(starts_of_blocks)] == [3 * min(r + l, 20 - k) for k in starts_of_blocks]
     assert not blocks[1].accepted[3]
     if not linear:
         assert blocks[1].cum_solves[3] == blocks[1].cum_solves[2]
@@ -635,8 +686,8 @@ def test_a_failed_candidate_inside_an_sn_reject_ahead_call(caplog):
     # the linear problem at the default prior with r = 4 below its data
     # rank rejects every step, in calls of 1, 2, 4, ... steps. Chain 1's
     # sixth evaluation, its fifth candidate, fails in the call of steps
-    # 4..7: it draws no start vector, so the call ends there for chain 1
-    # and its steps 6 and 7 are discarded
+    # 4..7: it builds nothing, and the call still runs to its end, since
+    # the builds after it draw from their own steps' keys
     prior, model, m_map, lrh, starts, r, l = small_campaign("linear", 4, 2, a=1e-2, b=1e2)
     settings = SamplerSettings(method="sn", r=r, l=l)
     make = [lambda: FailingModel(model), lambda: FailingModel(model, (6,)),
@@ -648,23 +699,19 @@ def test_a_failed_candidate_inside_an_sn_reject_ahead_call(caplog):
         steps = step_at_a_time(settings, [m() for m in make], prior, starts, 20, 4, [0, 1, 2])
     for got, want in zip(ahead, steps):
         assert_same_bytes(got, want)
-    assert ahead[0].depths[:3] == ahead[1].depths[:3] == [1, 2, 4]
-    assert discarded(ahead[1]) == 2 and discarded(ahead[0]) == 0
-    assert not any(ch.accepted.any() for ch in ahead)
+    assert [ch.depths for ch in ahead] == [[1, 2, 4, 8, 5]] * 3
+    assert not any(ch.accepted.any() or discarded(ch) for ch in ahead)
 
 
 def test_a_lanczos_restart_inside_an_sn_reject_ahead_call(caplog, monkeypatch):
     # chain 1 rejects every step, and the normals after its fourth uniform
     # are zero: step 5, the second of its call of steps 4..7, proposes the
-    # mean, and its build finds no start vector in three draws. That build
-    # drew three vectors, not one, so the call ends there for chain 1, and
-    # the chain goes on from that step's stream
+    # mean, and its build, on the generator of that step's key, finds no
+    # start vector in three draws. That build drew three vectors, not one,
+    # and the call still runs to its end
     prior, model, m_map, lrh, starts, r, l = small_campaign("exp_reaction", 4, 2)
     settings = SamplerSettings(method="sn", r=r, l=l)
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda key: ZeroWindow(default_rng(key), after=4)
-                        if list(key)[1] == 1 else default_rng(key))
+    through_window(monkeypatch, lambda rng: ZeroWindow(rng, after=4))
     with caplog.at_level(logging.WARNING, logger="hessmc.samplers"):
         ahead = run_chains(settings, [model.clone() for _ in starts], prior, starts, 20,
                            seed=4, chain_ids=[0, 1, 2])
@@ -673,29 +720,32 @@ def test_a_lanczos_restart_inside_an_sn_reject_ahead_call(caplog, monkeypatch):
                                4, [0, 1, 2])
     for got, want in zip(ahead, steps):
         assert_same_bytes(got, want)
-    assert ahead[1].depths[:3] == [1, 2, 4] and not ahead[1].accepted.any()
-    assert discarded(ahead[1]) == 2
+    assert ahead[1].depths == [1, 2, 4, 8, 5] and not ahead[1].accepted.any()
+    assert discarded(ahead[1]) == 0
 
 
 @pytest.mark.parametrize("seed", [4, 5])
-def test_deflating_builds_in_reject_ahead_calls_keep_the_stream_order(seed):
+def test_deflating_builds_in_reject_ahead_calls_keep_the_stream_order(seed, monkeypatch):
     # r = 4 is below the data rank 6 and r + l = 8 above it: the builds
-    # deflate and draw several start vectors each, a number the chains
-    # learn from their builds, so a call ends at a build that drew another
+    # deflate and draw several start vectors each, not all the same number.
+    # Each draws from its own step's key, so no call ends at a build that
+    # drew another number: the chains reject every step, in calls of 1, 2,
+    # 4, ... steps, and discard nothing
     prior, model, m_map, lrh, starts, r, l = small_campaign("linear", 4, 4, a=1e-2, b=1e2)
     assert lrh.deflations > 0
     settings = SamplerSettings(method="sn", r=r, l=l)
+    keyed, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: default_rng(key) if np.ndim(key)
+                        else keyed.append(Counted(default_rng(key))) or keyed[-1])
     ahead = run_chains(settings, [model.clone() for _ in starts], prior, starts, 40,
                        seed=seed, chain_ids=[0, 1, 2])
+    assert len({g.normals for g in keyed}) > 1
+    assert [ch.depths for ch in ahead] == [[1, 2, 4, 8, 16, 9]] * 3
+    assert not any(ch.accepted.any() or discarded(ch) for ch in ahead)
     steps = step_at_a_time(settings, [model.clone() for _ in starts], prior, starts, 40,
                            seed, [0, 1, 2])
     for got, want in zip(ahead, steps):
         assert_same_bytes(got, want)
-    assert max(max(ch.depths) for ch in ahead) >= 8
-    # a call ends early at most once for each change of that number, so
-    # the candidates discarded stay below the steps rejected
-    for chain in ahead:
-        assert 0 < discarded(chain) <= (~chain.accepted).sum()
 
 
 def test_reject_ahead_at_the_exp_pipeline_settings(monkeypatch):
