@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .models import ForwardModel
+from .models import LOCKSTEP_BLOCK_VALUES, ForwardModel
 from .prior import GaussianPrior
 
 
@@ -54,9 +54,15 @@ def posterior_eigensystem(model: ForwardModel, prior: GaussianPrior,
     """Dense M-symmetric eigendecomposition of the Hessian at m_map.
 
     Builds the columns of the assembled misfit Hessian M H_misfit once (n
-    actions, 2n linearized solves), through the model's batch-of-one
-    action (``stacked_hvp_raw`` at m_map alone), bound once and applied to
-    each column of the identity, and adds the prior part,
+    actions, 2n linearized solves) as stacked actions at m_map: the
+    model's ``stacked_hvp_raw`` with one row per column, all at this
+    model, applied to the columns of the identity in blocks of
+    ``LOCKSTEP_BLOCK_VALUES // (9 n)`` columns: each column of a block
+    holds its own copy of the MAP state, about 9 n floats (the exp
+    model's factor, 2 n, bands, 6 n, and e^m load(uv), n). Each column
+    is bit for bit the batch-of-one action on it. The MAP state is formed
+    first, by the batch of one, so a cold point cache pays one forward and
+    one adjoint solve, not one per column. Adds the prior part,
     M H = M H_misfit + K. Returns (lam, V, MHm) with lam descending,
     V^T M V = I, and MHm the symmetrized M H_misfit, which
     ``classify_eigenvectors`` reuses.
@@ -64,9 +70,13 @@ def posterior_eigensystem(model: ForwardModel, prior: GaussianPrior,
     n = prior.n
     MHm = np.empty((n, n))
     eye = np.eye(n)
-    apply = type(model).stacked_hvp_raw([model], [m_map])
-    for j in range(n):
-        MHm[:, j] = apply(eye[:, j:j + 1])[:, 0]
+    stacked_hvp_raw = type(model).stacked_hvp_raw
+    stacked_hvp_raw([model], [m_map])
+    width = max(1, LOCKSTEP_BLOCK_VALUES // (9 * n))
+    for lo in range(0, n, width):
+        cols = min(width, n - lo)
+        MHm[:, lo:lo + cols] = stacked_hvp_raw([model] * cols, [m_map] * cols)(
+            eye[:, lo:lo + cols])
     MHm = 0.5 * (MHm + MHm.T)
     lam, V = scipy.linalg.eigh(MHm + prior.K.dense(), prior.space.mass.dense())
     return lam[::-1], V[:, ::-1], MHm

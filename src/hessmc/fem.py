@@ -120,12 +120,15 @@ class Tridiagonal:
         """A diag(scale) in LAPACK general band storage with kl = ku = 1, in
         the Fortran order dgbmv reads: column j holds A[j-1, j], A[j, j] and
         A[j+1, j], each times scale[j], in rows 0, 1 and 2 (the two unused
-        corners are zero)."""
-        band = np.zeros((3, self.n), order="F")
-        band[0, 1:] = self.off * scale[1:]
-        band[1] = self.diag * scale
-        band[2, :-1] = self.off * scale[:-1]
-        return band
+        corners are zero). For a stack of k matrices (``diag`` (k, n)) and
+        scales (k, n), the k bands side by side, (3, k n): the band of their
+        block-diagonal matrix with zero coupling, block i in columns i n to
+        (i + 1) n, each bit for bit the band of its matrix alone."""
+        band = np.zeros(self.diag.shape + (3,))     # its transpose is Fortran-ordered
+        band[..., 1:, 0] = self.off * scale[..., 1:]
+        band[..., 1] = self.diag * scale
+        band[..., :-1, 2] = self.off * scale[..., :-1]
+        return band.reshape(-1, 3).T
 
     def dense(self) -> np.ndarray:
         A = np.diag(self.diag)

@@ -22,11 +22,15 @@ bidiagonal solves, and one batched Gram-Schmidt, for every point at once.
 The build at one point (the pipeline's MAP Hessian, the pilot) is the
 batch of one of the same code, and each point's pairs, and its worker's
 solve count, are bit-identical to it.
-The proposal algebra (``apply_inv``, ``quad`` and ``fluctuation``) takes
-a vector or a block of rows, one per chain that shares this Hessian, or
-one per chain and step of a block drawn ahead;
-each row goes through its own gemv calls (np.matvec with the transposed
-view Z.T as it is), so every row is bit-identical to the one-vector call.
+The proposal algebra (``apply_inv``, ``quad``, ``fluctuation`` and
+``half_logdet_rel``) takes a vector or a block of rows, one per chain
+that shares this Hessian, or one per chain and step of a block drawn
+ahead; on a stacked Hessian (``stacked``: g Hessians of one rank, such
+as the candidates of one build), one row per Hessian. Each row goes
+through its own gemv calls (np.matvec with the transposed view Z.mT as
+it is), so every row is bit-identical to the one-vector call of its
+Hessian. A build forms the Ritz vectors of all its points of one rank
+in one stacked matmul, and each point's Z is a view of that one array.
 Lanczos runs on T with plain dot products and full reorthogonalization;
 its coefficients form a (r + l) x (r + l) tridiagonal, whose eigenpairs
 (one LAPACK dstemr call, MRRR) are the Ritz pairs. They give
@@ -95,10 +99,16 @@ def _whitened_operator(workers: list[ForwardModel], prior: GaussianPrior,
 
 @dataclass
 class LowRankHessian:
-    """Retained eigenpairs of the preconditioned misfit Hessian at m_ref."""
+    """Retained eigenpairs of the preconditioned misfit Hessian at m_ref.
+
+    Stacked (``stacked``), it holds g Hessians of one rank, Z (g, n, r) and
+    lam (g, r), and no m_ref, and its proposal algebra takes a block of g
+    rows, row i through Hessian i. The Hessians of one build's points of
+    one rank share one allocation: each Z is a view of their stacked Ritz
+    vectors, which stay alive while any of them does."""
 
     prior: GaussianPrior
-    m_ref: np.ndarray
+    m_ref: np.ndarray | None
     Z: np.ndarray          # (n, r), orthonormal Ritz vectors of T (z = R x)
     lam: np.ndarray        # (r,), positive, descending
     lanczos_iters: int = 0
@@ -110,21 +120,21 @@ class LowRankHessian:
 
     @property
     def rank(self) -> int:
-        return self.lam.size
+        return self.lam.shape[-1]
 
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
         """H^{-1} x = C^{-1} (I - Z D Z^T) C^{-T} M x, of a vector or of each
         row of a block."""
         y = _c_inv_adj_m(self.prior, x)
         if self.rank:
-            y = y - np.matvec(self.Z, self._D * np.matvec(self.Z.T, y))
+            y = y - np.matvec(self.Z, self._D * np.matvec(self.Z.mT, y))
         return bidiagonal_solve(self.prior.C, y.T).T
 
     def _inv_sqrt_core(self, y: np.ndarray) -> np.ndarray:
         """(I + Z E Z^T) y, the whitened middle factor of H^{-1/2}, of a
         vector or of each row of a block."""
         if self.rank:
-            y = y + np.matvec(self.Z, self._E * np.matvec(self.Z.T, y))
+            y = y + np.matvec(self.Z, self._E * np.matvec(self.Z.mT, y))
         return y
 
     def apply_inv_sqrt(self, x: np.ndarray) -> np.ndarray:
@@ -151,19 +161,30 @@ class LowRankHessian:
         z = bidiagonal_matvec(self.prior.C, d.T).T
         out = np.vecdot(z, z)
         if self.rank:
-            c = np.matvec(self.Z.T, z)
+            c = np.matvec(self.Z.mT, z)
             out = out + np.vecdot(c, self.lam * c)
         return out
 
-    def half_logdet_rel(self) -> float:
-        """State-dependent part of log det H^{1/2}: 1/2 sum log(lam_i + 1)."""
-        return 0.5 * float(np.sum(np.log1p(self.lam))) if self.rank else 0.0
+    def half_logdet_rel(self) -> float | np.ndarray:
+        """State-dependent part of log det H^{1/2}: 1/2 sum log(lam_i + 1);
+        stacked, that of each Hessian."""
+        out = 0.5 * np.sum(np.log1p(self.lam), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def fluctuation(self, n: np.ndarray) -> np.ndarray:
         """C^{-1} (I + Z E Z^T) n, which is H^{-1/2} (R^{-1} n) without the R
         round trip: the part of a draw from N(mean, H^{-1}) that the normals
         n make, of a vector or of each row of a block."""
         return bidiagonal_solve(self.prior.C, self._inv_sqrt_core(n).T).T
+
+
+def stacked(hessians: list[LowRankHessian]) -> LowRankHessian:
+    """Hessians of one rank as one stacked Hessian (a copy of their Z and
+    lam), whose proposal algebra on a block takes row i through
+    hessians[i], each row bit for bit that Hessian's own call (np.matvec
+    runs one gemv per row)."""
+    return LowRankHessian(hessians[0].prior, None, np.array([h.Z for h in hessians]),
+                          np.array([h.lam for h in hessians]))
 
 
 def _orthonormalize(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,9 +220,11 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
     The c builds share their calls: one stacked Hessian action, one pair of
     multi-RHS bidiagonal solves and one batched Gram-Schmidt per
     iteration, and one for the fresh directions that points draw at the
-    same iteration; the tridiagonal eigensolve stays per point. The blocks
-    do not mix, so each result, and each worker's counter, is bit-identical
-    to the build of that point alone (the batch of one). The Krylov basis
+    same iteration; the tridiagonal eigensolve stays per point, and the
+    Ritz vectors of the points of each rank are one stacked matmul, of
+    which each point's Z is a view. The blocks do not
+    mix, so each result, and each worker's counter, is bit-identical to
+    the build of that point alone (the batch of one). The Krylov basis
     holds c (r + l) n floats. A point whose state cannot be formed raises
     NumericalError for the batch (see ``ForwardModel.stacked_hvp_raw``),
     and a non-finite coefficient raises ValueError for the batch; the
@@ -218,39 +241,36 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
     Q = np.empty((len(live), k, n))     # Lanczos vectors as rows, one stack per point
     alpha = np.empty((len(live), k))    # the tridiagonal of each point: its diagonal,
     beta = np.zeros((len(live), k))     # and its off-diagonal (the last entry unused)
+    op_scale = np.ones(len(live))       # largest |T q| so far, and at least 1, per point
+    deflations = [0] * len(live)
 
-    def fresh_directions(rows, j: int) -> None:
+    def fresh_directions(rows: list[int], j: int) -> None:
         """Q[i, j] for each row i: a random unit vector orthogonal to
         Q[i, :j], drawn from its point's stream, with the rows of one draw
         orthonormalised in one call. A row whose draw falls in the span of
         its basis draws again; a point that finds no direction in three
         draws is dropped from the batch."""
         nonlocal Q, alpha, beta, live, op_scale, deflations
-        rows, draws = list(rows), 0
+        draws = 0
         while rows and draws < 3:
             raw = np.array([rngs[live[i]].standard_normal(n) for i in rows])
             # when every row draws (a batch of one among them) its basis is a view
             w, norms = _orthonormalize(raw, Q[:, :j] if len(rows) == len(Q) else Q[rows, :j])
-            again = []
-            for i, x, drawn, b in zip(rows, w, raw, norms.tolist()):
-                if b > 1e-10 * np.sqrt(drawn @ drawn):
+            found = (norms > 1e-10 * np.sqrt(np.vecdot(raw, raw))).tolist()
+            for i, x, b, f in zip(rows, w, norms.tolist(), found):
+                if f:
                     Q[i, j] = x / b
-                else:
-                    again.append(i)
-            rows, draws = again, draws + 1
+            rows, draws = [i for i, f in zip(rows, found) if not f], draws + 1
         if not rows:
             return
         for i in rows:
             results[live[i]] = NumericalError(
                 "Lanczos could not find a new direction after 3 restarts")
         keep = [i for i in range(len(live)) if i not in rows]
-        Q, alpha, beta = Q[keep], alpha[keep], beta[keep]
-        live, op_scale, deflations = ([x[i] for i in keep]
-                                      for x in (live, op_scale, deflations))
+        Q, alpha, beta, op_scale = Q[keep], alpha[keep], beta[keep], op_scale[keep]
+        live, deflations = [live[i] for i in keep], [deflations[i] for i in keep]
 
-    op_scale = [0.0] * len(live)        # largest |T q| so far, per point
-    deflations = [0] * len(live)
-    fresh_directions(range(len(live)), 0)
+    fresh_directions(list(range(len(live))), 0)
     T = None                            # made for the points still live
     for j in range(k):
         if not live:
@@ -264,41 +284,46 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
             break
         w_orth, norms = _orthonormalize(w, Q[:, :j + 1])
         beta[:, j] = norms
-        spent = []
-        for i, (x, b) in enumerate(zip(np.sqrt(np.vecdot(w, w)).tolist(), norms.tolist())):
-            op_scale[i] = max(op_scale[i], x)
-            if b <= 1e-11 * max(1.0, op_scale[i]):
-                spent.append(i)
-        if not spent:
+        np.maximum(op_scale, np.sqrt(np.vecdot(w, w)), out=op_scale)
+        spent = (norms <= 1e-11 * op_scale).tolist()
+        if not any(spent):
             np.divide(w_orth.T, norms, out=Q[:, j + 1].T)
             continue
         # invariant subspace reached; continue in its orthogonal complement
-        for i in range(len(live)):
-            if i in spent:
+        for i, s in enumerate(spent):
+            if s:
                 deflations[i] += 1
                 beta[i, j] = 0.0
             else:
                 Q[i, j + 1] = w_orth[i] / norms[i]
         before = len(live)
-        fresh_directions(spent, j + 1)
+        fresh_directions([i for i, s in enumerate(spent) if s], j + 1)
         if len(live) < before:
             T = None
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise ValueError("array must not contain infs or NaNs")
-    for i, point in enumerate(live):
-        results[point] = _rayleigh_ritz(prior, points[point], Q[i], alpha[i], beta[i],
-                                        r, k, deflations[i])
+    by_rank: dict[int, list[int]] = {}
+    pairs = [_ritz_pairs(alpha[i], beta[i], r) for i in range(len(live))]
+    for i, pair in enumerate(pairs):
+        if isinstance(pair, NumericalError):
+            results[live[i]] = pair
+        else:
+            by_rank.setdefault(pair[0].size, []).append(i)
+    for rows in by_rank.values():
+        basis = Q if len(rows) == len(Q) else Q[rows]
+        Z = np.matmul(basis.mT, np.array([pairs[i][1] for i in rows]))
+        for g, i in enumerate(rows):
+            results[live[i]] = LowRankHessian(prior, np.array(points[live[i]], dtype=float),
+                                              Z[g], pairs[i][0], k, deflations[i])
     return results
 
 
-def _rayleigh_ritz(prior: GaussianPrior, m: np.ndarray, Q: np.ndarray, alpha: np.ndarray,
-                   beta: np.ndarray, r: int, k: int,
-                   deflations: int) -> LowRankHessian | NumericalError:
-    """The top r Ritz pairs of T on the Krylov basis Q (rows), from the
-    eigenpairs of its Lanczos tridiagonal (diagonal alpha, off-diagonal
-    beta[:-1]; dstemr overwrites beta), or the NumericalError of a failed
+def _ritz_pairs(alpha: np.ndarray, beta: np.ndarray,
+                r: int) -> tuple[np.ndarray, np.ndarray] | NumericalError:
+    """The top r Ritz values of T on a Krylov basis, and their eigenvectors
+    of its Lanczos tridiagonal (diagonal alpha, off-diagonal beta[:-1];
+    dstemr overwrites beta) as columns, or the NumericalError of a failed
     eigensolve."""
-    n = prior.n
     _, theta, S, info = dstemr(alpha, beta, 0, 0.0, 0.0, 0, 0, compute_v=1)
     if info:
         return NumericalError(f"tridiagonal eigensolve (dstemr) failed with info {info}")
@@ -308,10 +333,4 @@ def _rayleigh_ritz(prior: GaussianPrior, m: np.ndarray, Q: np.ndarray, alpha: np
     if keep.size == 0:
         logger.warning("no positive Hessian eigenvalues retained at this point; "
                        "operators fall back to the prior covariance")
-        Z = np.zeros((n, 0))
-        lam = np.zeros(0)
-    else:
-        lam = theta[keep]
-        Z = Q.T @ S[:, keep]
-    return LowRankHessian(prior=prior, m_ref=np.asarray(m, dtype=float).copy(),
-                          Z=Z, lam=lam, lanczos_iters=k, deflations=deflations)
+    return theta[keep], S[:, keep]

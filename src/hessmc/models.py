@@ -59,6 +59,12 @@ from .fem import (Mesh1D, TridiagonalFactor, WeightedSpace, assemble_product_loa
                   interpolation_matrix)
 from .prior import GaussianPrior
 
+# stacked Krylov basis floats of a group of chains, and of the candidates
+# of one stacked call (each chain's reject-ahead depth is its share); a
+# block drawn ahead holds as many floats of steps x chains x n, and a
+# block of posterior_eigensystem's columns as many of their MAP states
+LOCKSTEP_BLOCK_VALUES = 1 << 18
+
 
 @dataclass
 class SolveCounter:
@@ -442,18 +448,25 @@ class ExpReaction1D(ForwardModel):
     def stacked_hvp_raw(cls, workers, points):
         """The Hessian actions of c workers as two dpttrs and four dgbmv
         calls on c n unknowns; the first action at a point keeps Au and Av
-        in its state. The zero coupling isolates the blocks only while
-        every value is finite (0 * nan = nan), so an action with a
-        non-finite entry is redone as batches of one."""
+        in its state. Au and Av of all the states that lack them are one
+        stacked assembly of W(u) and W(v) and one band layout. The zero
+        coupling isolates the blocks only while every value is finite
+        (0 * nan = nan), so an action with a non-finite entry is redone as
+        batches of one."""
         errors, _, states = cls._form_states(workers, np.asarray(points), True)
         if errors:
             raise errors[min(errors)]
         mesh, obs, n, c = workers[0].mesh, workers[0].obs, workers[0].space.n, len(workers)
-        for state in states:
-            if "Au" not in state:
-                em = state["em"]
-                state["Au"] = assemble_weighted_mass(mesh, state["u"]).column_scaled_band(em)
-                state["Av"] = assemble_weighted_mass(mesh, state["v"]).column_scaled_band(em)
+        lacking = [s for s in states if "Au" not in s]
+        if lacking:
+            g = len(lacking)
+            em = np.array([s["em"] for s in lacking])
+            bands = assemble_weighted_mass(
+                mesh, np.array([s["u"] for s in lacking] + [s["v"] for s in lacking])
+            ).column_scaled_band(np.concatenate([em, em]))
+            for k, s in enumerate(lacking):
+                s["Au"] = bands[:, k * n:(k + 1) * n]
+                s["Av"] = bands[:, (g + k) * n:(g + k + 1) * n]
         factor = TridiagonalFactor.join([s["factor"] for s in states])
         Au = _stack([s["Au"] for s in states], axis=1)
         Av = _stack([s["Av"] for s in states], axis=1)

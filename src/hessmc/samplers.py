@@ -61,18 +61,21 @@ proposal, the candidates of all chains are evaluated together, and each
 chain then accepts or rejects with its own uniform. The point
 evaluations of a stacked call are one stacked forward (and adjoint)
 solve for all its candidates (``models.evaluate_points``); for sn the
-call adds one lockstep ``build_lowrank``, whose Hessian actions,
-whitening solves and Gram-Schmidt passes are each one BLAS/LAPACK call
-for all candidates, and whose Ritz pairs come from each candidate's
-Lanczos tridiagonal. The proposal algebra (``apply_inv`` and the
-``quad`` of both MH directions) is one call a stacked call on all rows
-where the chains share the MAP Hessian, and one call per row on sn's own
-Hessians; the MAP Hessian's fluctuations are one call a block, and sn's
-one call per chain and stacked call. An ismap candidate does not depend
-on the state at all, so a block's candidates are one stacked evaluation
-and their ``quad`` one call, and a scan then accepts or rejects each
-step; a state's reverse density is the forward one it had as a
-candidate (``_ismap_block``).
+call adds one lockstep ``build_lowrank``, whose band assembly, Hessian
+actions, whitening solves, Gram-Schmidt passes and Ritz vectors are each
+one BLAS/LAPACK call for all candidates (the Ritz vectors one per rank),
+and whose Ritz values come from each candidate's Lanczos tridiagonal.
+The proposal algebra (``apply_inv`` and the ``quad`` of both MH
+directions) is one call a stacked call on all rows where the chains
+share the MAP Hessian. On sn's own Hessians, the Newton means and the
+reverse forms of a call's candidates are one call per rank, on their
+stacked Hessian (``lowrank.stacked``), and a forward form is one call
+per chain, on its state Hessian; the MAP Hessian's fluctuations are one
+call a block, and sn's one call per chain and stacked call. An ismap
+candidate does not depend on the state at all, so a block's candidates
+are one stacked evaluation and their ``quad`` one call, and a scan then
+accepts or rejects each step; a state's reverse density is the forward
+one it had as a candidate (``_ismap_block``).
 Each chain keeps its own worker model, solve counter and (seed,
 chain_id) stream, and the stacked calls do not mix chains, so a chain's
 rows and ``cum_solves`` are bit-identical to those of the chain run
@@ -91,6 +94,7 @@ cost of the whole run.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -99,17 +103,13 @@ from time import monotonic
 import numpy as np
 
 from .errors import FactorizationError, NumericalError
-from .lowrank import LowRankHessian, build_lowrank
-from .models import ForwardModel, evaluate_points
+from .lowrank import LowRankHessian, build_lowrank, stacked
+from .models import LOCKSTEP_BLOCK_VALUES, ForwardModel, evaluate_points
 from .prior import GaussianPrior
 
 logger = logging.getLogger(__name__)
 
 METHODS = ("sn", "snmap", "ismap")
-# stacked Krylov basis floats of a group of chains, and of the candidates
-# of one stacked call (each chain's reject-ahead depth is its share); a
-# block drawn ahead holds as many floats of steps x chains x n
-LOCKSTEP_BLOCK_VALUES = 1 << 18
 PROGRESS_SECONDS = 30.0          # a campaign logs its progress at most this often
 
 
@@ -197,10 +197,31 @@ class SamplerSettings:
 def _per_hessian(settings: SamplerSettings, lrhs: list, apply, *blocks) -> np.ndarray:
     """apply(lrh, *blocks) with each row's Hessian: one call on the whole
     blocks (arrays of rows) when the rows share the MAP Hessian (ismap,
-    snmap), and for sn's own one call per row, on that row as a vector."""
+    snmap), and on sn's own Hessians one call per rank, on their stacked
+    Hessian (``lowrank.stacked``) and the rows of that rank. Ranks are not
+    padded to one: a zero-padded Ritz basis moves the rows' last bits."""
     if settings.method != "sn":
         return apply(lrhs[0], *blocks)
-    return np.array([apply(h, *(b[i] for b in blocks)) for i, h in enumerate(lrhs)])
+    ranks = [h.rank for h in lrhs]
+    out = None
+    for rank in dict.fromkeys(ranks):
+        rows = [i for i, x in enumerate(ranks) if x == rank]
+        part = apply(stacked([lrhs[i] for i in rows]), *(b[rows] for b in blocks))
+        if out is None:
+            out = np.empty((len(ranks),) + part.shape[1:])
+        out[rows] = part
+    return out
+
+
+def _per_state(lrhs: list, apply, block: np.ndarray) -> np.ndarray:
+    """apply(lrh, rows) on each run of consecutive rows that share a state's
+    Hessian lrh (the rows of one chain's candidates): one call per chain."""
+    parts, start = [], 0
+    for _, rows in itertools.groupby(lrhs, key=id):
+        stop = start + len(list(rows))
+        parts.append(apply(lrhs[start], block[start:stop]))
+        start = stop
+    return np.concatenate(parts)
 
 
 def evaluate(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
@@ -219,7 +240,7 @@ def evaluate(settings: SamplerSettings, workers: list[ForwardModel], prior: Gaus
     build run even where the log posterior is not finite, so a step's
     solve count does not depend on the candidate. The sn builds of all
     points are one lockstep ``build_lowrank``, and the Newton means one
-    ``apply_inv`` per Hessian.
+    call per rank (``_per_hessian``).
     """
     c = len(points)
     lp, g, errors = evaluate_points(workers, prior, points, settings.method != "ismap")
@@ -264,13 +285,20 @@ def log_q_pair(settings: SamplerSettings, states: ChainStates,
     """log q(candidate -> state) and log q(state -> candidate) at each row,
     up to constants that cancel: the two proposal densities of the
     Metropolis-Hastings ratio. From a state, log q(y) = half_logdet
-    - 1/2 <y - mean, H (y - mean)>_M; the quadratic forms of both
-    directions are one ``quad`` call per Hessian."""
+    - 1/2 <y - mean, H (y - mean)>_M. The quadratic forms of both
+    directions are one ``quad`` call on the MAP Hessian (ismap, snmap). On
+    sn's own Hessians the reverse forms are one call per rank
+    (``_per_hessian``) and the forward forms one call per chain, on the
+    consecutive rows of its candidates (``_per_state``)."""
     c = len(states)
-    q = _per_hessian(settings, candidates.lrhs + states.lrhs, LowRankHessian.quad,
-                     np.concatenate([states.m - candidates.mean,
-                                     candidates.m - states.mean])).tolist()
-    return _log_q(candidates.half_logdet, q[:c]), _log_q(states.half_logdet, q[c:])
+    back, ahead = states.m - candidates.mean, candidates.m - states.mean
+    if settings.method != "sn":
+        q = settings.lrh_map.quad(np.concatenate([back, ahead])).tolist()
+        reverse, forward = q[:c], q[c:]
+    else:
+        reverse = _per_hessian(settings, candidates.lrhs, LowRankHessian.quad, back).tolist()
+        forward = _per_state(states.lrhs, LowRankHessian.quad, ahead).tolist()
+    return _log_q(candidates.half_logdet, reverse), _log_q(states.half_logdet, forward)
 
 
 def _log_q(half_logdets: list[float], quads: list[float]) -> list[float]:
@@ -377,11 +405,12 @@ def _rows(drawn: tuple, index) -> tuple:
 
 
 def _fluctuations(settings: SamplerSettings, lrhs: list, draws: np.ndarray) -> np.ndarray:
-    """The proposal fluctuations of rows of draws: the MAP Hessian's as
-    drawn, and sn's normals through each row's own Hessian."""
+    """The proposal fluctuations of rows of draws, row i proposed from the
+    state whose Hessian is lrhs[i]: the MAP Hessian's as drawn, and sn's
+    normals through the state's own Hessian, one call per chain."""
     if settings.method != "sn":
         return draws
-    return _per_hessian(settings, lrhs, LowRankHessian.fluctuation, draws)
+    return _per_state(lrhs, LowRankHessian.fluctuation, draws)
 
 
 def _keyed(keys: np.ndarray | None, c: int) -> list:
@@ -475,10 +504,8 @@ def _reject_ahead(settings: SamplerSettings, states: ChainStates, members: list[
         slots[j].extend(members[j].clone() for _ in range(depth - len(slots[j])))
         rows.extend(slots[j][:depth])
     draws, keys, log_u = drawn
-    if keys is not None:
-        parts = np.split(draws, np.cumsum(depths)[:-1])
-        draws = np.concatenate([h.fluctuation(x) for h, x in zip(states.lrhs, parts) if len(x)])
-    candidates, errors = evaluate(settings, rows, prior, states.mean[owner] + draws,
+    fluctuations = _fluctuations(settings, [states.lrhs[j] for j in owner], draws)
+    candidates, errors = evaluate(settings, rows, prior, states.mean[owner] + fluctuations,
                                   _keyed(keys, len(rows)))
     finite = [i for i, lp in enumerate(candidates.log_post) if math.isfinite(lp)]
     forward = [None] * len(rows)

@@ -38,19 +38,28 @@ def exp_records():
 
 
 @pytest.mark.parametrize("kind", ["exp_reaction", "linear"])
-def test_eigensystem_columns_are_batch_of_one_actions(kind):
-    # the action is bound once at m and applied per column: each column,
-    # and the solve count, is the batch-of-one action misfit_hvp_raw's
+def test_eigensystem_columns_are_batch_of_one_actions(kind, monkeypatch):
+    # the columns are stacked actions at m, in one block of n columns and in
+    # blocks of 7 (the last one short), each from a cold point cache: every
+    # column, and the solve count, is the batch-of-one action misfit_hvp_raw's,
+    # and the state at m is formed once, not once per column
     mesh, space, prior, model, _ = make_small_problem(n=30, q=6, kind=kind)
     m = prior.mean + 0.3 * prior.apply_L(white_noise(space, np.random.default_rng(2)))
-    worker, ref = model.clone(), model.clone()
-    _, _, MHm = posterior_eigensystem(worker, prior, m)
+    ref = model.clone()
     cols = np.column_stack([ref.misfit_hvp_raw(m, e) for e in np.eye(prior.n)])
-    assert MHm.tobytes() == (0.5 * (cols + cols.T)).tobytes()
-    c, r = worker.counter, ref.counter
-    assert (c.forward_solves, c.adjoint_solves, c.incremental_solves) == \
-        (r.forward_solves, r.adjoint_solves, r.incremental_solves)
-    assert c.incremental_solves == 2 * prior.n
+    r = ref.counter
+    for values in (analysis.LOCKSTEP_BLOCK_VALUES, 7 * 9 * prior.n):
+        monkeypatch.setattr(analysis, "LOCKSTEP_BLOCK_VALUES", values)
+        worker = model.clone()
+        assert worker._state is None
+        _, _, MHm = posterior_eigensystem(worker, prior, m)
+        assert MHm.tobytes() == (0.5 * (cols + cols.T)).tobytes()
+        c = worker.counter
+        assert (c.forward_solves, c.adjoint_solves, c.incremental_solves) == \
+            (r.forward_solves, r.adjoint_solves, r.incremental_solves)
+        assert c.incremental_solves == 2 * prior.n
+        # the exp model forms its state once; the linear model has none
+        assert c.forward_solves == c.adjoint_solves == (kind == "exp_reaction")
 
 
 def test_eigensystem_matches_analytic_pencil(linear_eigensystem):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hessmc import lowrank
+from hessmc import lowrank, samplers
 from hessmc.config import RunConfig
 from hessmc.fem import (Mesh1D, WeightedSpace, assemble_mass, bidiagonal_solve,
                         interpolation_matrix)
@@ -18,6 +18,7 @@ from hessmc.models import (ExpReaction1D, LinearGaussianModel, gradient,
                            observation_points, synthesize_data)
 from hessmc.pipeline import LANCZOS_KEY, build_problem
 from hessmc.prior import build_prior
+from hessmc.samplers import ChainStates, SamplerSettings
 
 from conftest import build_one, failing_dstemr, make_small_problem, white_noise
 
@@ -307,6 +308,28 @@ def test_stacked_action_equals_each_points_action(kind):
         # exactly the two incremental solves of one action, per point
         assert workers[i].counter.total - before[i] == 2
         assert workers[i].counter.incremental_solves == 2
+    # a batch in which the first and last states already hold Au and Av (on
+    # the exp model) from the action above and the two between do not: one
+    # stacked assembly for those two, and every column still its batch of one
+    rng = np.random.default_rng(5)
+    fresh = [prior.mean + 0.3 * prior.apply_L(white_noise(prior.space, rng)) for _ in range(2)]
+    fresh_workers = [model.clone() for _ in fresh]
+    for worker, m in zip(fresh_workers, fresh):
+        gradient(worker, prior, m)
+    if kind == "exp_reaction":
+        assert all("Au" in w._state for w in workers)
+        assert not any("Au" in w._state for w in fresh_workers)
+    mixed = [workers[0], *fresh_workers, workers[2]]
+    at = [points[0], *fresh, points[2]]
+    before = [(w.counter.forward_solves, w.counter.adjoint_solves, w.counter.incremental_solves)
+              for w in mixed]
+    Y = type(model).stacked_hvp_raw(mixed, at)(X[:, [0, 1, 2, 0]])
+    for i, (worker, m, (f, a, inc)) in enumerate(zip(mixed, at, before)):
+        alone = model.clone()
+        gradient(alone, prior, m)
+        assert Y[:, i].tobytes() == alone.misfit_hvp_raw(m, X[:, [0, 1, 2, 0][i]]).tobytes()
+        assert (worker.counter.forward_solves, worker.counter.adjoint_solves,
+                worker.counter.incremental_solves) == (f, a, inc + 2)
 
 
 def test_a_non_finite_stacked_action_leaves_the_other_blocks_alone():
@@ -443,13 +466,33 @@ def test_a_non_finite_build_fails_as_it_does_alone():
 
 # -- proposal algebra on a block of rows -------------------------------------
 
+def mixed_rank_hessians():
+    """Hessians at six points of the small exp problem from one lockstep
+    build (r = 8, l = 4) whose ranks interleave: 1, 8, 2, 8, 1, 8."""
+    mesh, space, prior, model, _ = make_small_problem(n=30, q=6)
+    rng = np.random.default_rng(21)
+    drawn = [prior.mean + s * prior.apply_L(white_noise(space, rng))
+             for s in (0.1, 0.3, 1.0, 2.0, 3.0, 0.5)]
+    points = [drawn[i] for i in (0, 2, 5, 3, 1, 4)]
+    workers = [model.clone() for _ in points]
+    for worker, m in zip(workers, points):
+        gradient(worker, prior, m)
+    hessians = build_lowrank(workers, prior, points, 8, 4,
+                             [np.random.default_rng([9, i]) for i in range(len(points))])
+    assert [h.rank for h in hessians] == [1, 8, 2, 8, 1, 8]
+    return prior, np.array(points), hessians
+
+
 @pytest.mark.parametrize("c", [1, 3])
-@pytest.mark.parametrize("rank", ["low", "zero"])
+@pytest.mark.parametrize("rank", ["low", "zero", "own"])
 def test_stacked_proposal_algebra_is_bit_identical_per_row(linear_setup, c, rank):
     # one call on c rows (the shared MAP Hessian of ismap and snmap) against
     # one call per row: apply_inv, quad and the fluctuation of each chain's
     # normals, the transposed view Z.T passed to np.matvec as it is
     prior, model, m_ref, lrh, theta, U = linear_setup
+    if rank == "own":
+        check_own_hessians_per_row(c)
+        return
     if rank == "zero":
         lrh = rank_zero(prior)
     X = np.random.default_rng(c).standard_normal((c, prior.n))
@@ -459,3 +502,36 @@ def test_stacked_proposal_algebra_is_bit_identical_per_row(linear_setup, c, rank
         assert inv[i].tobytes() == lrh.apply_inv(X[i]).tobytes()
         assert quad[i] == lrh.quad(X[i])
         assert fluctuation[i].tobytes() == lrh.fluctuation(noise[i]).tobytes()
+
+
+def check_own_hessians_per_row(c):
+    """sn's rows, each with its own Hessian from one lockstep build of mixed
+    ranks: the Newton means and reverse quads of six candidates take one
+    stacked call per rank, and so do the determinant factors of a stacked
+    Hessian, and the forward quads and fluctuations one call per each of c
+    chains, on its state Hessian; every value is byte for byte that row's
+    single-Hessian call, for all six rows and for a subset of them."""
+    prior, points, hessians = mixed_rank_hessians()
+    sn = SamplerSettings(method="sn")
+    rng = np.random.default_rng(c)
+    X, noise = rng.standard_normal((2, len(hessians), prior.n))
+    owner = np.repeat(np.arange(c), -(-len(hessians) // c))[:len(hessians)].tolist()
+    states = ChainStates(points[:c], [0.0] * c, hessians[:c], rng.standard_normal((c, prior.n)),
+                         [h.half_logdet_rel() for h in hessians[:c]])
+    for rows in (range(len(hessians)), [0, 1, 3, 5]):
+        rows = list(rows)
+        hs = [hessians[i] for i in rows]
+        inv = samplers._per_hessian(sn, hs, LowRankHessian.apply_inv, X[rows])
+        half = samplers._per_hessian(sn, hs, LowRankHessian.half_logdet_rel)
+        for i, h, x, d in zip(rows, hs, inv, half.tolist()):
+            assert x.tobytes() == h.apply_inv(X[i]).tobytes()
+            assert d == h.half_logdet_rel()
+    candidates = ChainStates(points, [0.0] * len(points), hessians, X,
+                             [h.half_logdet_rel() for h in hessians])
+    reverse, forward = samplers.log_q_pair(sn, states.take(owner), candidates)
+    fluctuation = samplers._fluctuations(sn, [states.lrhs[j] for j in owner], noise)
+    for i, (h, j) in enumerate(zip(hessians, owner)):
+        state = states.lrhs[j]
+        assert reverse[i] == h.half_logdet_rel() - 0.5 * h.quad(points[j] - X[i])
+        assert forward[i] == state.half_logdet_rel() - 0.5 * state.quad(points[i] - states.mean[j])
+        assert fluctuation[i].tobytes() == state.fluctuation(noise[i]).tobytes()
