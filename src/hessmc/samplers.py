@@ -40,51 +40,55 @@ state that proposes from them, by its own Hessian.
 
 Since a rejected step leaves the state as it was, a chain that goes on
 rejecting knows its next candidates before it tests any of them
-(rejection prefetching: Brockwell 2006, Strid 2010). snmap and sn
-evaluate each chain's next steps in one stacked call as if it rejected
-them all, and take them in order up to its first acceptance
-(``_reject_ahead``). A chain's depth is one more than the steps it has
-rejected since its last acceptance (1, 2, 4, ...), so a call discards no
-more candidates than the steps rejected before it, and none where a
-chain never or always accepts. Each step's draws, sn's key among them,
-are made before the call, so the steps taken are those of one step at a
-time. A taken candidate's solves are charged once, to its
-chain's counter; a discarded one's are counted apart, outside the
+(rejection prefetching: Brockwell 2006, Strid 2010). So every method
+steps on one engine (``_advance``): one stacked call evaluates each
+chain's next candidates from its current state, as if it rejected them
+all, and one scan accepts or rejects them in step order. The methods
+differ in two facts. First, whether a candidate depends on the state: an
+ismap candidate does not, so an acceptance does not end its chain's scan,
+and a state's reverse density is the forward one it had as a candidate;
+a Newton candidate (snmap, sn) does, so an acceptance ends the scan and
+the chain's later candidates are discarded. Second, the depth, the
+number of a chain's candidates in a call: an ismap chain's is the rest
+of its block of draws, and a Newton chain's is one more than the steps
+it has rejected since its last acceptance (1, 2, 4, ...), so a call
+discards no more candidates than the steps rejected before it, and none
+where a chain never or always accepts. Each step's draws, sn's key among
+them, are made before the call, so the steps taken are those of one step
+at a time (``mh_step``). A taken candidate's solves are charged once, to
+its chain's counter; a discarded one's are counted apart, outside the
 counter's total.
 
 Per-step linearized solve costs (exact, enforced by the point caches in
 the models): ismap 1, snmap 2, sn 2 + 2(r+l).
 
 A campaign advances all of its chains together (``run_chains``), and
-their states are rows of one ``ChainStates``. Every chain draws its
-proposal, the candidates of all chains are evaluated together, and each
-chain then accepts or rejects with its own uniform. The point
-evaluations of a stacked call are one stacked forward (and adjoint)
-solve for all its candidates (``models.evaluate_points``); for sn the
-call adds one lockstep ``build_lowrank``, whose band assembly, Hessian
-actions, whitening solves, Gram-Schmidt passes and Ritz vectors are each
-one BLAS/LAPACK call for all candidates (the Ritz vectors one per rank),
-and whose Ritz values come from each candidate's Lanczos tridiagonal.
-The proposal algebra (``apply_inv`` and the ``quad`` of both MH
-directions) is one call a stacked call on all rows where the chains
-share the MAP Hessian. On sn's own Hessians, the Newton means and the
-reverse forms of a call's candidates are one call per rank, on their
-stacked Hessian (``lowrank.stacked``), and a forward form is one call
-per chain, on its state Hessian; the MAP Hessian's fluctuations are one
-call a block, and sn's one call per chain and stacked call. An ismap
-candidate does not depend on the state at all, so a block's candidates
-are one stacked evaluation and their ``quad`` one call, and a scan then
-accepts or rejects each step; a state's reverse density is the forward
-one it had as a candidate (``_ismap_block``).
-Each chain keeps its own worker model, solve counter and (seed,
-chain_id) stream, and the stacked calls do not mix chains, so a chain's
-rows and ``cum_solves`` are bit-identical to those of the chain run
-alone, whatever the number of chains beside it; ``run_chain`` is the
-driver with one chain, the batch of one. The per-step solve ledger
-above is unchanged. A solver failure at one chain's candidate rejects
-only that chain's step. A fatal error ends the campaign: every chain's
-rows so far are flushed, marked partial (for ismap, the rows of its
-completed blocks).
+their states are rows of one ``ChainStates``. The candidates of all
+chains are evaluated together, and each chain then accepts or rejects
+with its own uniforms. The point evaluations of a stacked call are one
+stacked forward (and adjoint) solve for all its candidates
+(``models.evaluate_points``); for sn the call adds one lockstep
+``build_lowrank``, whose band assembly, Hessian actions, whitening
+solves, Gram-Schmidt passes and Ritz vectors are each one BLAS/LAPACK
+call for all candidates (the Ritz vectors one per rank), and whose Ritz
+values come from each candidate's Lanczos tridiagonal. The proposal
+algebra (``apply_inv`` and the ``quad`` of both MH directions) is one
+call a stacked call on all rows where the chains share the MAP Hessian
+(for ismap, one ``quad`` of the candidates and one of the states). On
+sn's own Hessians, the Newton means and the reverse forms of a call's
+candidates are one call per rank, on their stacked Hessian
+(``lowrank.stacked``), and a forward form is one call per chain, on its
+state Hessian; the MAP Hessian's fluctuations are one call a block, and
+sn's one call per chain and stacked call. Each chain keeps its own
+worker model, solve counter and (seed, chain_id) stream, and the stacked
+calls do not mix chains, so a chain's rows and ``cum_solves`` are
+bit-identical to those of the chain run alone, whatever the number of
+chains beside it; ``run_chain`` is the driver with one chain, the batch
+of one. The per-step solve ledger above is unchanged. A solver failure
+at one chain's candidate rejects only that chain's step. A fatal error
+ends the campaign: every chain's rows so far are flushed, marked
+partial (the rows of its completed calls: for ismap, of its completed
+blocks).
 
 A ``Chain`` holds one row per step. ``Chain.after_burn_in`` is the one
 place the burn-in rule is written: it drops the first int(frac * N) rows
@@ -130,6 +134,10 @@ class ChainStates:
         return len(self.log_post)
 
     def take(self, rows: list[int]) -> "ChainStates":
+        """Rows ``rows`` of these states: these states when that is every
+        row in order."""
+        if rows == list(range(len(self))):
+            return self
         return ChainStates(self.m[rows], [self.log_post[i] for i in rows],
                            [self.lrhs[i] for i in rows], self.mean[rows],
                            [self.half_logdet[i] for i in rows])
@@ -313,18 +321,6 @@ def _accepts(log_u: float, log_post: float, state_log_post: float, reverse: floa
     return log_u < log_post - state_log_post + reverse - forward
 
 
-def _candidates(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
-                points: np.ndarray, rngs: list) -> tuple[ChainStates, dict, list[int]]:
-    """``evaluate`` at the candidates, with their errors and the rows
-    whose log posterior is finite. The step of every other row is
-    rejected, and a solver failure there is logged as a warning."""
-    candidates, errors = evaluate(settings, workers, prior, points, rngs)
-    for i in sorted(errors):
-        logger.warning("proposal evaluation failed (%s); step rejected", errors[i])
-    return candidates, errors, [i for i, lp in enumerate(candidates.log_post)
-                                if math.isfinite(lp)]
-
-
 def init_states(settings: SamplerSettings, workers: list[ForwardModel], prior: GaussianPrior,
                 starts: list[np.ndarray], rngs: list[np.random.Generator]) -> ChainStates:
     """The first state of each chain; a start that cannot be evaluated, or
@@ -339,8 +335,8 @@ def init_states(settings: SamplerSettings, workers: list[ForwardModel], prior: G
 
 
 def mh_step(settings: SamplerSettings, states: ChainStates, workers: list[ForwardModel],
-            prior: GaussianPrior, rngs: list[np.random.Generator],
-            drawn: tuple | None = None) -> tuple[ChainStates, list[bool]]:
+            prior: GaussianPrior, rngs: list[np.random.Generator]
+            ) -> tuple[ChainStates, list[bool]]:
     """One Metropolis-Hastings step of every chain; returns the new states
     and whether each chain accepted.
 
@@ -352,23 +348,20 @@ def mh_step(settings: SamplerSettings, states: ChainStates, workers: list[Forwar
     together. A solver failure while evaluating a chain's candidate
     rejects that chain's step (with a warning) rather than aborting it,
     and so does a non-finite log posterior; the other chains do not see
-    it. Each chain then accepts or rejects on its own. Chains that drew
-    the step ahead pass ``drawn``, one step's row of each of
-    ``_draw_ahead``'s blocks: the draws (c, n), sn's keys (c,) or None,
-    and the log uniforms (c,) (see ``run_chains``); the step then reads
-    no generator.
+    it. Each chain then accepts or rejects on its own. This is the kernel
+    one step at a time; ``run_chains`` takes the same steps on draws made
+    a block ahead (``_advance``).
     """
-    if drawn is None:
-        drawn = _rows(_draw_ahead(settings, states.m.shape[1], rngs, 1), 0)
-    draws, keys, log_u = drawn
-    candidates, _, rows = _candidates(settings, workers, prior,
-                                      states.mean + _fluctuations(settings, states.lrhs, draws),
-                                      _keyed(keys, len(rngs)))
+    draws, keys, log_u = _rows(_draw_ahead(settings, states.m.shape[1], rngs, 1), 0)
+    candidates, errors = evaluate(settings, workers, prior,
+                                  states.mean + _fluctuations(settings, states.lrhs, draws),
+                                  _keyed(keys, len(rngs)))
+    for i in sorted(errors):
+        logger.warning("proposal evaluation failed (%s); step rejected", errors[i])
+    rows = [i for i, lp in enumerate(candidates.log_post) if math.isfinite(lp)]
     accept = [False] * len(rngs)
     if rows:
-        cand, state = candidates, states
-        if len(rows) < len(rngs):
-            cand, state = candidates.take(rows), states.take(rows)
+        cand, state = candidates.take(rows), states.take(rows)
         for i, a, b, rev, fwd in zip(rows, cand.log_post, state.log_post,
                                      *log_q_pair(settings, state, cand)):
             accept[i] = _accepts(log_u[i], a, b, rev, fwd)
@@ -426,113 +419,115 @@ def _log_uniform(rng: np.random.Generator) -> float:
     return np.log(rng.random())
 
 
-def _ismap_block(settings: SamplerSettings, states: ChainStates, log_q: list[float],
-                 workers: list[ForwardModel], prior: GaussianPrior, fluctuations: np.ndarray,
-                 log_u: np.ndarray):
-    """ismap's steps on draws made ahead. Its candidates m_map +
-    fluctuations (steps, c, n) do not depend on the states: those of every
-    step and chain are one stacked ``evaluate`` (row s c + j is chain j's
-    at step s, at its own worker) and their forward densities one
-    ``quad``. A scan then accepts or rejects each step in order; a
-    state's reverse density is its forward one as a candidate, and
-    ``log_q`` holds those of ``states``.
+def _advance(settings: SamplerSettings, states: ChainStates, members: list[ForwardModel],
+             prior: GaussianPrior, slots: list[list], chains: list[Chain], drawn: tuple,
+             first: int, at: list[int], depths: list[int], run: list[int]
+             ) -> tuple[ChainStates, int]:
+    """The next ``depths[j]`` steps of each chain j of a group (none at
+    depth 0) in one stacked call and one scan: the steps at[j], at[j] + 1,
+    ... of the block of draws ``drawn`` (``_draw_ahead``'s), whose step s
+    is the chains' row ``first`` + s. Chain j's steps taken are written to
+    ``chains[j]``, and ``at[j]`` and ``run[j]`` (for a Newton chain, the
+    steps it has rejected since its last acceptance) move on past them.
 
-    Returns the states and their log q after the block, and its rows:
-    ``src`` = [states.m; candidates], and per step and chain (steps, c)
-    the row of ``src`` that is the state, whether the step accepted, the
-    log posterior and the solve count. A candidate costs one forward
-    solve, none when its operator could not be factored."""
-    steps, c, n = fluctuations.shape
-    src = np.empty(((steps + 1) * c, n))
-    src[:c] = states.m
-    points = src[c:]
-    np.add(settings.m_map, fluctuations.reshape(-1, n), out=points)
-    before = [w.counter.total for w in workers]
-    cands, errors, rows = _candidates(settings, workers * steps, prior, points,
-                                      _keyed(None, len(points)))
-    forward = [None] * (steps * c)      # log q(state -> candidate) of the finite rows
-    if rows:
-        finite = points if len(rows) == len(points) else points[rows]
-        quads = settings.lrh_map.quad(finite - settings.m_map).tolist()
-        for i, x in zip(rows, _log_q([cands.half_logdet[i] for i in rows], quads)):
-            forward[i] = x
-    lp, state_lp, log_q, at = cands.log_post, list(states.log_post), list(log_q), list(range(c))
-    where, accepted, log_post = [], [], []
-    for s, u in enumerate(log_u.tolist()):
-        took = [False] * c
-        for j in range(c):
-            i = s * c + j
-            if forward[i] is not None and _accepts(u[j], lp[i], state_lp[j], log_q[j],
-                                                   forward[i]):
-                at[j], state_lp[j], log_q[j], took[j] = c + i, lp[i], forward[i], True
-        where.append(list(at))
-        accepted.append(took)
-        log_post.append(list(state_lp))
-    costs = np.ones(steps * c, dtype=np.int64)
-    costs[[i for i, e in errors.items() if isinstance(e, FactorizationError)]] = 0
-    solves = np.array(before) + np.cumsum(costs.reshape(steps, c), axis=0)
-    last = ChainStates(src[at], state_lp, states.lrhs, states.mean, states.half_logdet)
-    return last, log_q, (src, np.array(where), np.array(accepted), np.array(log_post), solves)
+    A rejected step leaves the state as it was, so all of a chain's
+    candidates are proposed from its current state (sn's normals through
+    its own Hessian, one call a chain); those of every chain are one
+    ``evaluate``, chain after chain, and an sn candidate's build draws
+    from the generator seeded by its step's key. The scan then accepts or
+    rejects each chain's steps in order. An ismap candidate does not
+    depend on the state: an acceptance does not end the scan, and a
+    state's reverse density is the forward one it had as a candidate. A
+    Newton chain's (snmap, sn) scan ends at its first acceptance, and its
+    later candidates are discarded. No step's draws depend on the steps
+    before it, so the steps taken are those of one step at a time.
 
+    A chain's candidates are evaluated at its worker when none can be
+    discarded (ismap's, the worker repeated, and a chain at depth 1), else
+    each at one of its slots (``slots[j]``: clones of its worker, each
+    with its own point cache and counter, grown as needed and reused from
+    call to call), whose solves then move to the worker's counter, or to
+    its ``discarded_solves`` for a discarded candidate. A failure at a
+    taken candidate is logged as ``mh_step`` logs it.
 
-def _reject_ahead(settings: SamplerSettings, states: ChainStates, members: list[ForwardModel],
-                  prior: GaussianPrior, depths: list[int], slots: list[list],
-                  drawn: tuple):
-    """The next ``depths[j]`` steps of each chain j (none at depth 0) in one
-    stacked call (snmap, sn), on the rows of ``_draw_ahead``'s blocks in
-    ``drawn``, chain after chain. A rejected step leaves the state as it
-    was, so all of a chain's candidates are proposed from its current
-    state (sn's normals through its own Hessian, one call a chain); those
-    of every chain are one ``evaluate``, row by row at the chain's slots
-    (``slots[j]``: clones of its worker, each with its own point cache and
-    counter, grown as needed and reused from call to call), and an sn
-    candidate's build draws from the generator seeded by its step's key.
-    A scan then takes each chain's steps in order up to and including its
-    first acceptance, and discards the rest. No step's draws depend on
-    the steps before it, so the steps taken are those of one step at a
-    time.
-
-    A taken candidate's solves move to its chain's counter, and the solves
-    of a discarded one to the counter's ``discarded_solves``; a failure at
-    a taken candidate is logged as ``mh_step`` logs it. Returns the new
-    states, whether each chain accepted, and the ``cum_solves`` of each
-    chain's steps taken."""
-    c = len(depths)
-    owner = [j for j in range(c) for _ in range(depths[j])]
-    rows = []
-    for j, depth in enumerate(depths):
-        slots[j].extend(members[j].clone() for _ in range(depth - len(slots[j])))
-        rows.extend(slots[j][:depth])
-    draws, keys, log_u = drawn
-    fluctuations = _fluctuations(settings, [states.lrhs[j] for j in owner], draws)
-    candidates, errors = evaluate(settings, rows, prior, states.mean[owner] + fluctuations,
-                                  _keyed(keys, len(rows)))
-    finite = [i for i, lp in enumerate(candidates.log_post) if math.isfinite(lp)]
-    forward = [None] * len(rows)
-    reverse = list(forward)
-    if finite:
-        for i, rev, fwd in zip(finite, *log_q_pair(settings, states.take([owner[i] for i in finite]),
-                                                   candidates.take(finite))):
-            reverse[i], forward[i] = rev, fwd
-    took, last, solves, start = [False] * c, [0] * c, [], 0
-    for j, depth in enumerate(depths):
-        counter, steps = members[j].counter, []
-        for i in range(start, start + depth):
+    Returns the new states and the number of steps accepted."""
+    c, independent = len(depths), settings.method == "ismap"
+    if depths.count(1) == c and at.count(at[0]) == c:
+        # one step of every chain, from one row of the draws: the rows of
+        # the call are the chains'
+        owner, workers = list(range(c)), members
+        draws, keys, log_u = _rows(drawn, at[0])
+        points = states.mean + _fluctuations(settings, states.lrhs, draws)
+    else:
+        owner, workers = [], []
+        for j, d in enumerate(depths):
+            owner += [j] * d
+            if independent or d == 1:
+                workers += [members[j]] * d
+            else:
+                slots[j].extend(members[j].clone() for _ in range(d - len(slots[j])))
+                workers += slots[j][:d]
+        draws, keys, log_u = _rows(drawn, ([x + t for x, d in zip(at, depths) for t in range(d)],
+                                           owner))
+        # the rows gathered are a copy: the means are added in place
+        points = _fluctuations(settings, [states.lrhs[j] for j in owner], draws)
+        points += np.repeat(states.mean, depths, axis=0)
+    candidates, errors = evaluate(settings, workers, prior, points, _keyed(keys, len(owner)))
+    lps = candidates.log_post
+    if independent:
+        # log q(candidate -> state) is the state's own density
+        reverse = _log_q(states.half_logdet,
+                         settings.lrh_map.quad(states.m - settings.m_map).tolist())
+        forward, finite = [None] * len(owner), [i for i, lp in enumerate(lps) if math.isfinite(lp)]
+        ok = candidates.take(finite)
+        for i, q in zip(finite, _log_q(ok.half_logdet,
+                                       settings.lrh_map.quad(ok.m - settings.m_map).tolist())):
+            forward[i] = q
+        # a candidate costs one forward solve, none when its operator could not be factored
+        costs = [1] * len(owner)
+        for i, exc in errors.items():
+            costs[i] = not isinstance(exc, FactorizationError)
+    elif all(map(math.isfinite, lps)):
+        reverse, forward = log_q_pair(settings, states.take(owner), candidates)
+    else:
+        reverse, forward = [None] * len(owner), [None] * len(owner)
+        finite = [i for i, lp in enumerate(lps) if math.isfinite(lp)]
+        if finite:
+            for i, rev, fwd in zip(finite, *log_q_pair(
+                    settings, states.take([owner[i] for i in finite]), candidates.take(finite))):
+                reverse[i], forward[i] = rev, fwd
+    log_u = log_u.tolist()
+    moved, ends, stop, accepted = [False] * c, [0] * c, 0, 0
+    for j, (d, chain, worker, lp, r, a) in enumerate(zip(depths, chains, members,
+                                                       states.log_post, run, at)):
+        if not d:
+            continue
+        start, stop, counter, k = stop, stop + d, worker.counter, first + a
+        src, row, owed = states.m, j, sum(costs[start:stop]) if independent else 0
+        for i in range(start, stop):
             if i in errors:
                 logger.warning("proposal evaluation failed (%s); step rejected", errors[i])
-            took[j] = forward[i] is not None and _accepts(
-                log_u[i], candidates.log_post[i], states.log_post[j], reverse[i], forward[i])
-            counter.absorb(rows[i].counter)
-            steps.append(counter.total)
-            if took[j]:
+            took = forward[i] is not None and _accepts(
+                log_u[i], lps[i], lp, reverse[j] if independent else reverse[i], forward[i])
+            if workers[i] is not worker:
+                counter.absorb(workers[i].counter)
+            elif independent:
+                owed -= costs[i]
+            if took:
+                src, row, lp, moved[j], ends[j] = candidates.m, i, lps[i], True, i
+                accepted += 1
+                if independent:
+                    reverse[j] = forward[i]
+            chain.samples[k], chain.accepted[k], chain.log_post[k] = src[row], took, lp
+            chain.cum_solves[k] = counter.total - owed
+            k += 1
+            if took and not independent:
                 break
-        solves.append(steps)
-        if steps:
-            last[j] = start + len(steps) - 1
-        for worker in rows[start + len(steps):start + depth]:
-            counter.absorb(worker.counter, discarded=True)
-        start += depth
-    return states.where(took, candidates.take(last)), took, solves
+        for slot in workers[i + 1:stop]:
+            counter.absorb(slot.counter, discarded=True)
+        chain.depths.append(d)
+        at[j], run[j] = k - first, 0 if moved[j] else r + k - first - a
+    return states.where(moved, candidates.take(ends)), accepted
 
 
 class _Progress:
@@ -565,33 +560,31 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
     starts (sn's builds there draw from the chains' streams), then draws
     a block of steps ahead (``_draw_ahead``), as many as keep the block's
     steps x chains x n floats within the budget, takes it, and draws the
-    next. Each stacked call evaluates some candidates of every chain of
-    the group that has steps of the block left, and records their number
-    in ``Chain.depths``:
+    next. Each stacked call (``_advance``) evaluates the next ``depth``
+    candidates of every chain of the group that has steps of the block
+    left, from its current state, and records their number in
+    ``Chain.depths``:
 
-    * ismap's candidates do not depend on the state, so the group takes
-      the block in one call (``_ismap_block``).
-    * snmap and sn evaluate each chain's next ``depth`` steps ahead as if
-      it rejected them all (``_reject_ahead``). A chain's depth is one
-      more than the steps it has rejected since its last acceptance: it
-      starts at 1, doubles after a call in which the chain accepted
-      nothing and returns to 1 after an acceptance. It is at most the
-      chain's share of the budget, (chains a group may hold) // (chains
-      in it), so that every candidate's Krylov basis fits, and at most
-      the steps of the block the chain has left; a chain that has taken
-      its block waits for the others. While every chain of the group has
-      depth 1, each call is ``mh_step``.
+    * an ismap chain's depth is the rest of the block, so the group takes
+      the block in one call;
+    * a Newton chain's (snmap, sn) depth is one more than the steps it has
+      rejected since its last acceptance: it starts at 1, doubles after a
+      call in which the chain accepted nothing and returns to 1 after an
+      acceptance. It is at most the chain's share of the budget, (chains
+      a group may hold) // (chains in it), so that every candidate's
+      Krylov basis fits, and at most the steps of the block the chain has
+      left; a chain that has taken its block waits for the others.
 
     A chain's rows, and its stream, do not depend on the other chains,
     the groups, the blocks or the depths (which the group's size caps,
-    and with them the discarded candidates). A call discards no more candidates of a
-    chain than the steps the chain rejected before it, and their solves
-    are counted apart (``Chain.discarded_solves``, and the counter's).
-    A step or block boundary logs the campaign's progress, at most once
-    every ``PROGRESS_SECONDS``. On a fatal error every chain that has rows
-    is flushed, marked partial, to its path in ``flush_paths`` (when
-    given) before the exception propagates: the rows of its completed
-    steps, which for ismap are those of its completed blocks.
+    and with them the discarded candidates). A call discards no more
+    candidates of a chain than the steps the chain rejected before it, and
+    their solves are counted apart (``Chain.discarded_solves``, and the
+    counter's). A call logs the campaign's progress, at most once every
+    ``PROGRESS_SECONDS``. On a fatal error every chain that has rows is
+    flushed, marked partial, to its path in ``flush_paths`` (when given)
+    before the exception propagates: the rows of its completed calls,
+    which for ismap are those of its completed blocks.
     """
     n = prior.n
     chains = [Chain(samples=np.empty((n_samples, n)), accepted=np.zeros(n_samples, dtype=bool),
@@ -601,96 +594,36 @@ def run_chains(settings: SamplerSettings, workers: list[ForwardModel], prior: Ga
               for cid in chain_ids]
     size = max(1, LOCKSTEP_BLOCK_VALUES // ((settings.r + settings.l) * n))
     progress = _Progress(settings.method, n_samples * len(chains))
-    group, ks = range(0), []            # the group running and the rows of each of its chains
+    group, first, at = range(0), 0, []  # the group running; its chain j has rows to first + at[j]
     discarded = [w.counter.discarded_solves for w in workers]
-
-    def keep(states: ChainStates, accepted: list[bool]) -> None:
-        for j, i in enumerate(group):
-            chain, k = chains[i], ks[j]
-            chain.samples[k] = states.m[j]
-            chain.accepted[k] = accepted[j]
-            chain.log_post[k] = states.log_post[j]
-            chain.cum_solves[k] = workers[i].counter.total
-            chain.depths.append(1)
-            ks[j] += 1
-        progress.add(len(group), sum(accepted))
-
     try:
         for lo in range(0, len(chains), size):
             group = range(lo, min(lo + size, len(chains)))
-            c, ks = len(group), [0] * len(group)
-            members = [workers[i] for i in group]
+            c, first, at = len(group), 0, [0] * len(group)
+            members, running = workers[lo:group.stop], chains[lo:group.stop]
             rngs = [np.random.default_rng([int(seed), int(chain_ids[i])]) for i in group]
             states = init_states(settings, members, prior, [starts[i] for i in group], rngs)
-            if settings.method == "ismap":
-                log_q = _log_q(states.half_logdet,
-                               settings.lrh_map.quad(states.m - states.mean).tolist())
             block = max(1, LOCKSTEP_BLOCK_VALUES // (c * n))
             cap, run = max(1, size // c), [0] * c   # steps rejected since the last acceptance
-            slots, at = [[] for _ in group], [0] * c    # each chain's next row of the draws
-            log_u = np.empty((0, c))
-            while min(ks) < n_samples:
-                if min(at) == len(log_u):
-                    draws, keys, log_u = _draw_ahead(settings, n, rngs,
-                                                     min(block, n_samples - ks[0]))
-                    at = [0] * c
-                if settings.method == "ismap":
-                    states, log_q, (src, where, accepted, log_post, solves) = _ismap_block(
-                        settings, states, log_q, members, prior, draws, log_u)
-                    rows = slice(ks[0], ks[0] + len(log_u))
-                    for j, i in enumerate(group):
-                        chain = chains[i]
-                        chain.samples[rows] = src[where[:, j]]
-                        chain.accepted[rows] = accepted[:, j]
-                        chain.log_post[rows] = log_post[:, j]
-                        chain.cum_solves[rows] = solves[:, j]
-                        chain.depths.append(len(log_u))
-                    ks, at = [rows.stop] * c, [len(log_u)] * c
-                    progress.add(accepted.size, int(accepted.sum()))
-                elif not any(run) and at.count(at[0]) == c:
-                    # while every chain accepts, each takes its next step,
-                    # from the same row of the draws
-                    for k in range(at[0], len(log_u)):
-                        states, took = mh_step(settings, states, members, prior, rngs,
-                                               _rows((draws, keys, log_u), k))
-                        keep(states, took)
-                        if not all(took):
-                            break
-                    at = [k + 1] * c
-                    run = [0 if t else 1 for t in took]
-                else:
-                    depths = [min(r + 1, cap, len(log_u) - x) for r, x in zip(run, at)]
-                    steps = [x + t for x, d in zip(at, depths) for t in range(d)]
-                    owner = [j for j, d in enumerate(depths) for _ in range(d)]
-                    before = states
-                    states, took, solves = _reject_ahead(settings, states, members, prior, depths,
-                                                         slots, _rows((draws, keys, log_u),
-                                                                      (steps, owner)))
-                    for j, i in enumerate(group):
-                        if not depths[j]:
-                            continue
-                        chain, rows = chains[i], slice(ks[j], ks[j] + len(solves[j]))
-                        chain.samples[rows] = before.m[j]
-                        chain.accepted[rows] = False
-                        chain.log_post[rows] = before.log_post[j]
-                        chain.cum_solves[rows] = solves[j]
-                        if took[j]:
-                            chain.samples[rows.stop - 1] = states.m[j]
-                            chain.accepted[rows.stop - 1] = True
-                            chain.log_post[rows.stop - 1] = states.log_post[j]
-                        chain.depths.append(depths[j])
-                        ks[j] = rows.stop
-                    taken = [len(x) for x in solves]
-                    progress.add(sum(taken), sum(took))
-                    at = [x + t for x, t in zip(at, taken)]
-                    run = [0 if t else r + x for t, r, x in zip(took, run, taken)]
+            slots = [[] for _ in group]
+            for first in range(0, n_samples, block):
+                steps, at = min(block, n_samples - first), [0] * c   # at: each chain's next step
+                drawn = _draw_ahead(settings, n, rngs, steps)
+                while min(at) < steps:
+                    depths = ([steps - x for x in at] if settings.method == "ismap" else
+                              [min(r + 1, cap, steps - x) for r, x in zip(run, at)])
+                    taken = sum(at)
+                    states, accepted = _advance(settings, states, members, prior, slots, running,
+                                                drawn, first, at, depths, run)
+                    progress.add(sum(at) - taken, accepted)
             for i in group:
                 chains[i].discarded_solves = workers[i].counter.discarded_solves - discarded[i]
     except Exception:
         if flush_paths is not None:
             from .chain_io import write_chain
             for i, (chain, path) in enumerate(zip(chains, flush_paths)):
-                rows = n_samples if i < group.start else ks[i - group.start] if i in group else 0
+                rows = (n_samples if i < group.start else first + at[i - group.start]
+                        if i in group else 0)
                 if rows > 0:
                     write_chain(Chain(samples=chain.samples[:rows],
                                       accepted=chain.accepted[:rows],

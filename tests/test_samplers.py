@@ -14,7 +14,7 @@ from hessmc.errors import NumericalError
 from hessmc.fem import Tridiagonal
 from hessmc.lowrank import LowRankHessian
 from hessmc.map_point import solve_map
-from hessmc.models import LinearGaussianModel, gradient
+from hessmc.models import ForwardModel, LinearGaussianModel, SolveCounter, gradient
 from hessmc.samplers import (Chain, ChainStates, SamplerSettings, evaluate, init_states,
                              log_q_pair, mh_step, run_chain, run_chains, select_start_points)
 
@@ -658,12 +658,14 @@ def discarded(chain):
     return sum(chain.depths) - chain.n_samples
 
 
-@pytest.mark.parametrize("method", ["snmap", "sn"])
+@pytest.mark.parametrize("method", ["ismap", "snmap", "sn"])
 def test_reject_ahead_calls_match_the_step_at_a_time_kernel(method):
     # on the exp model at ten times the default prior, the chains reject
     # runs of steps (sn's chain 0 its first eight, so its fourth call holds
     # 8 steps) and then accept inside a call, whose later candidates are
-    # discarded; every byte is the one-step kernel's
+    # discarded; every byte is the one-step kernel's. An ismap chain takes
+    # its block of 40 steps in one call, and its scan goes on past each
+    # acceptance: it discards nothing
     prior, model, m_map, lrh, starts, r, l = small_campaign("exp_reaction", 4, 2)
     settings = SamplerSettings(method=method, r=r, l=l, lrh_map=lrh, m_map=m_map)
     workers = [model.clone() for _ in starts]
@@ -672,14 +674,53 @@ def test_reject_ahead_calls_match_the_step_at_a_time_kernel(method):
                            [0, 1, 2])
     for got, want in zip(ahead, steps):
         assert_same_bytes(got, want)
-    assert max(max(ch.depths) for ch in ahead) >= (8 if method == "sn" else 4)
+    if method == "ismap":
+        assert [ch.depths for ch in ahead] == [[40]] * 3
+        assert all(ch.accepted.sum() > 1 for ch in ahead)
+        assert not any(discarded(ch) or ch.discarded_solves for ch in ahead)
+    else:
+        assert max(max(ch.depths) for ch in ahead) >= (8 if method == "sn" else 4)
+        assert any(discarded(ch) > 0 for ch in ahead)
     assert any(ch.accepted.any() for ch in ahead)
-    assert any(discarded(ch) > 0 for ch in ahead)
     for chain, worker in zip(ahead, workers):
         # a discarded candidate costs what a step costs, counted apart
         cost = 2 + (2 * (r + l) if method == "sn" else 0)
         assert chain.discarded_solves == worker.counter.discarded_solves == cost * discarded(chain)
         assert chain.cum_solves[-1] == worker.counter.total
+
+
+@pytest.mark.parametrize("method", ["ismap", "snmap", "sn"])
+def test_calls_that_can_discard_nothing_clone_no_worker_and_move_no_solve(linear_map,
+                                                                         monkeypatch, method):
+    # on the linear model with rank r above the data's, snmap and sn accept
+    # every step, so every call holds one candidate a chain; ismap takes
+    # each block (here of 4, 4 and 2 steps) in one call. No candidate can
+    # be discarded, so each is evaluated at its chain's own worker
+    mesh, space, prior, model, m_map, lrh = linear_map
+    rng = np.random.default_rng(3)
+    starts = [m_map + 0.02 * white_noise(space, rng) for _ in range(3)]
+    workers = [model.clone() for _ in starts]
+    r, l = 10, 5
+    if method == "ismap":
+        # one group of the three chains (ismap's r + l only sizes the
+        # groups), in blocks of four steps
+        r, l = 1, 1
+        monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_VALUES", 3 * 4 * prior.n)
+    settings = SamplerSettings(method=method, r=r, l=l, lrh_map=lrh, m_map=m_map)
+    calls = []
+    clone, absorb = ForwardModel.clone, SolveCounter.absorb
+    monkeypatch.setattr(ForwardModel, "clone",
+                        lambda self: calls.append("clone") or clone(self))
+    monkeypatch.setattr(SolveCounter, "absorb",
+                        lambda self, *args, **kw: calls.append("absorb") or absorb(self, *args,
+                                                                                   **kw))
+    chains = run_chains(settings, workers, prior, starts, 10, seed=3, chain_ids=[0, 1, 2])
+    assert calls == []
+    for chain, worker in zip(chains, workers):
+        assert chain.depths == ([4, 4, 2] if method == "ismap" else [1] * 10)
+        assert chain.discarded_solves == worker.counter.discarded_solves == 0
+        assert chain.cum_solves[-1] == worker.counter.total
+        assert method == "ismap" or chain.accepted.all()
 
 
 def test_a_failed_candidate_inside_an_sn_reject_ahead_call(caplog):
