@@ -99,16 +99,15 @@ def _whitened_operator(workers: list[ForwardModel], prior: GaussianPrior,
 
 @dataclass
 class LowRankHessian:
-    """Retained eigenpairs of the preconditioned misfit Hessian at m_ref.
+    """Retained eigenpairs of the preconditioned misfit Hessian at a point.
 
     Stacked (``stacked``), it holds g Hessians of one rank, Z (g, n, r) and
-    lam (g, r), and no m_ref, and its proposal algebra takes a block of g
+    lam (g, r), and its proposal algebra takes a block of g
     rows, row i through Hessian i. The Hessians of one build's points of
     one rank share one allocation: each Z is a view of their stacked Ritz
     vectors, which stay alive while any of them does."""
 
     prior: GaussianPrior
-    m_ref: np.ndarray | None
     Z: np.ndarray          # (n, r), orthonormal Ritz vectors of T (z = R x)
     lam: np.ndarray        # (r,), positive, descending
     lanczos_iters: int = 0
@@ -183,7 +182,7 @@ def stacked(hessians: list[LowRankHessian]) -> LowRankHessian:
     lam), whose proposal algebra on a block takes row i through
     hessians[i], each row bit for bit that Hessian's own call (np.matvec
     runs one gemv per row)."""
-    return LowRankHessian(hessians[0].prior, None, np.array([h.Z for h in hessians]),
+    return LowRankHessian(hessians[0].prior, np.array([h.Z for h in hessians]),
                           np.array([h.lam for h in hessians]))
 
 
@@ -213,9 +212,12 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
     pass the positivity floor. If the Krylov space is exhausted early (the
     operator has numerically low rank), a fresh random direction is
     injected, with beta_j = 0 where it enters, so the iteration count --
-    and with it the solve count -- never changes. A build whose fresh
-    direction cannot be found, or whose tridiagonal eigensolve fails,
-    stops there and leaves the batch.
+    and with it the solve count -- never changes. A point that finds no
+    fresh direction in three draws gets its NumericalError at once, and
+    a point whose tridiagonal eigensolve fails gets its own; every point
+    stays in the batch to the end (a failed one on zero directions), so
+    the batch is fixed from the first iteration to the last and each
+    point, failed or not, makes its 2(r+l) solves.
 
     The c builds share their calls: one stacked Hessian action, one pair of
     multi-RHS bidiagonal solves and one batched Gram-Schmidt per
@@ -228,7 +230,8 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
     holds c (r + l) n floats. A point whose state cannot be formed raises
     NumericalError for the batch (see ``ForwardModel.stacked_hvp_raw``),
     and a non-finite coefficient raises ValueError for the batch; the
-    samplers build only at points whose gradient they have formed.
+    samplers build only at points whose gradient they have formed. An
+    empty batch returns an empty list.
     """
     n = prior.n
     k = int(r) + int(l)
@@ -236,48 +239,39 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
         raise ValueError("need r >= 1 and l >= 0")
     if k > n:
         raise ValueError("r + l must not exceed the parameter dimension")
-    results: list = [None] * len(workers)
-    live = list(range(len(workers)))
-    Q = np.empty((len(live), k, n))     # Lanczos vectors as rows, one stack per point
-    alpha = np.empty((len(live), k))    # the tridiagonal of each point: its diagonal,
-    beta = np.zeros((len(live), k))     # and its off-diagonal (the last entry unused)
-    op_scale = np.ones(len(live))       # largest |T q| so far, and at least 1, per point
-    deflations = [0] * len(live)
+    c = len(workers)
+    if not c:
+        return []
+    results: list = [None] * c          # a point's NumericalError as soon as its build fails
+    Q = np.empty((c, k, n))             # Lanczos vectors as rows, one stack per point
+    alpha = np.empty((c, k))            # the tridiagonal of each point: its diagonal,
+    beta = np.zeros((c, k))             # and its off-diagonal (the last entry unused)
+    op_scale = np.ones(c)               # largest |T q| so far, and at least 1, per point
+    deflations = [0] * c
 
     def fresh_directions(rows: list[int], j: int) -> None:
         """Q[i, j] for each row i: a random unit vector orthogonal to
         Q[i, :j], drawn from its point's stream, with the rows of one draw
         orthonormalised in one call. A row whose draw falls in the span of
         its basis draws again; a point that finds no direction in three
-        draws is dropped from the batch."""
-        nonlocal Q, alpha, beta, live, op_scale, deflations
+        draws gets its NumericalError and zero directions from there on."""
         draws = 0
         while rows and draws < 3:
-            raw = np.array([rngs[live[i]].standard_normal(n) for i in rows])
+            raw = np.array([rngs[i].standard_normal(n) for i in rows])
             # when every row draws (a batch of one among them) its basis is a view
-            w, norms = _orthonormalize(raw, Q[:, :j] if len(rows) == len(Q) else Q[rows, :j])
+            w, norms = _orthonormalize(raw, Q[:, :j] if len(rows) == c else Q[rows, :j])
             found = (norms > 1e-10 * np.sqrt(np.vecdot(raw, raw))).tolist()
             for i, x, b, f in zip(rows, w, norms.tolist(), found):
                 if f:
                     Q[i, j] = x / b
             rows, draws = [i for i, f in zip(rows, found) if not f], draws + 1
-        if not rows:
-            return
         for i in rows:
-            results[live[i]] = NumericalError(
-                "Lanczos could not find a new direction after 3 restarts")
-        keep = [i for i in range(len(live)) if i not in rows]
-        Q, alpha, beta, op_scale = Q[keep], alpha[keep], beta[keep], op_scale[keep]
-        live, deflations = [live[i] for i in keep], [deflations[i] for i in keep]
+            results[i] = NumericalError("Lanczos could not find a new direction after 3 restarts")
+            Q[i, j:] = 0.0
 
-    fresh_directions(list(range(len(live))), 0)
-    T = None                            # made for the points still live
+    fresh_directions(list(range(c)), 0)
+    T = _whitened_operator(workers, prior, points)
     for j in range(k):
-        if not live:
-            break
-        if T is None:
-            T = _whitened_operator([workers[i] for i in live], prior,
-                                   [points[i] for i in live])
         w = T(Q[:, j])
         alpha[:, j] = np.vecdot(Q[:, j], w)
         if j + 1 == k:
@@ -289,32 +283,30 @@ def build_lowrank(workers: list[ForwardModel], prior: GaussianPrior,
         if not any(spent):
             np.divide(w_orth.T, norms, out=Q[:, j + 1].T)
             continue
-        # invariant subspace reached; continue in its orthogonal complement
+        # invariant subspace reached (a failed point's zero direction always
+        # is); continue in its orthogonal complement
         for i, s in enumerate(spent):
             if s:
                 deflations[i] += 1
                 beta[i, j] = 0.0
             else:
                 Q[i, j + 1] = w_orth[i] / norms[i]
-        before = len(live)
-        fresh_directions([i for i, s in enumerate(spent) if s], j + 1)
-        if len(live) < before:
-            T = None
+        fresh_directions([i for i, s in enumerate(spent) if s and results[i] is None], j + 1)
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise ValueError("array must not contain infs or NaNs")
     by_rank: dict[int, list[int]] = {}
-    pairs = [_ritz_pairs(alpha[i], beta[i], r) for i in range(len(live))]
+    pairs = [_ritz_pairs(alpha[i], beta[i], r) if results[i] is None else results[i]
+             for i in range(c)]
     for i, pair in enumerate(pairs):
         if isinstance(pair, NumericalError):
-            results[live[i]] = pair
+            results[i] = pair
         else:
             by_rank.setdefault(pair[0].size, []).append(i)
     for rows in by_rank.values():
-        basis = Q if len(rows) == len(Q) else Q[rows]
+        basis = Q if len(rows) == c else Q[rows]
         Z = np.matmul(basis.mT, np.array([pairs[i][1] for i in rows]))
         for g, i in enumerate(rows):
-            results[live[i]] = LowRankHessian(prior, np.array(points[live[i]], dtype=float),
-                                              Z[g], pairs[i][0], k, deflations[i])
+            results[i] = LowRankHessian(prior, Z[g], pairs[i][0], k, deflations[i])
     return results
 
 

@@ -85,7 +85,10 @@ calls do not mix chains, so a chain's rows and ``cum_solves`` are
 bit-identical to those of the chain run alone, whatever the number of
 chains beside it; ``run_chain`` is the driver with one chain, the batch
 of one. The per-step solve ledger above is unchanged. A solver failure
-at one chain's candidate rejects only that chain's step. A fatal error
+at one chain's candidate rejects only that chain's step: the failed row
+rides along to the end of every stacked call it is in, with a nan log
+posterior (and, for the Newton methods, a nan mean from its nan
+gradient), which no Metropolis-Hastings test passes. A fatal error
 ends the campaign: every chain's rows so far are flushed, marked
 partial (the rows of its completed calls: for ismap, of its completed
 blocks).
@@ -122,7 +125,8 @@ class ChainStates:
     """The states of c chains, one row each: the point, its log posterior
     and the proposal N(mean, H^{-1}) drawn from it; ``lrhs[i]`` holds row
     i's H. The per-chain numbers are lists of floats. A row that could
-    not be evaluated holds nan and no H."""
+    not be evaluated holds a nan log posterior; its H is the MAP Hessian
+    (ismap, snmap) or, for sn, the rank-0 prior Hessian."""
 
     m: np.ndarray              # (c, n)
     log_post: list[float]
@@ -248,7 +252,12 @@ def evaluate(settings: SamplerSettings, workers: list[ForwardModel], prior: Gaus
     build run even where the log posterior is not finite, so a step's
     solve count does not depend on the candidate. The sn builds of all
     points are one lockstep ``build_lowrank``, and the Newton means one
-    call per rank (``_per_hessian``).
+    call per rank (``_per_hessian``). A row that fails stays in every
+    call, and rows with and without errors return alike: its log
+    posterior is nan, and so is a Newton mean formed from its nan
+    gradient. An sn row whose evaluation failed has no build and carries
+    the rank-0 prior Hessian (what a build keeping no pairs gives); one
+    whose build failed carries it too.
     """
     c = len(points)
     lp, g, errors = evaluate_points(workers, prior, points, settings.method != "ismap")
@@ -257,6 +266,7 @@ def evaluate(settings: SamplerSettings, workers: list[ForwardModel], prior: Gaus
         return ChainStates(points, lp, lrhs, np.broadcast_to(settings.m_map, points.shape),
                            [0.0] * c), errors
     if settings.method == "sn":
+        lrhs = [LowRankHessian(prior, np.zeros((prior.n, 0)), np.zeros(0))] * c
         ok = [i for i in range(c) if i not in errors]
         for i, lrh in zip(ok, build_lowrank([workers[i] for i in ok], prior,
                                             [points[i] for i in ok], settings.r, settings.l,
@@ -265,19 +275,9 @@ def evaluate(settings: SamplerSettings, workers: list[ForwardModel], prior: Gaus
                 errors[i], lp[i] = lrh, math.nan
             else:
                 lrhs[i] = lrh
-    if not errors:
-        return ChainStates(points, lp, lrhs,
-                           points - _per_hessian(settings, lrhs, LowRankHessian.apply_inv, g),
-                           _half_logdets(settings, lrhs)), errors
-    ok = [i for i in range(c) if i not in errors]
-    mean = np.full(points.shape, np.nan)
-    half_logdet = [math.nan] * c
-    if ok:
-        hs = [lrhs[i] for i in ok]
-        mean[ok] = points[ok] - _per_hessian(settings, hs, LowRankHessian.apply_inv, g[ok])
-        for i, h in zip(ok, _half_logdets(settings, hs)):
-            half_logdet[i] = h
-    return ChainStates(points, lp, lrhs, mean, half_logdet), errors
+    return ChainStates(points, lp, lrhs,
+                       points - _per_hessian(settings, lrhs, LowRankHessian.apply_inv, g),
+                       _half_logdets(settings, lrhs)), errors
 
 
 def _half_logdets(settings: SamplerSettings, lrhs: list[LowRankHessian]) -> list[float]:
@@ -317,7 +317,10 @@ def _log_q(half_logdets: list[float], quads: list[float]) -> list[float]:
 def _accepts(log_u: float, log_post: float, state_log_post: float, reverse: float,
              forward: float) -> bool:
     """The Metropolis-Hastings test of one chain's candidate; ``reverse``
-    is log q(candidate -> state) and ``forward`` log q(state -> candidate)."""
+    is log q(candidate -> state) and ``forward`` log q(state -> candidate).
+    A candidate's log posterior is finite, -inf or nan (a failed row), and
+    neither of the last two ever passes: every comparison with nan is
+    false, and -inf stays -inf or becomes nan."""
     return log_u < log_post - state_log_post + reverse - forward
 
 
@@ -447,8 +450,14 @@ def _advance(settings: SamplerSettings, states: ChainStates, members: list[Forwa
     each at one of its slots (``slots[j]``: clones of its worker, each
     with its own point cache and counter, grown as needed and reused from
     call to call), whose solves then move to the worker's counter, or to
-    its ``discarded_solves`` for a discarded candidate. A failure at a
-    taken candidate is logged as ``mh_step`` logs it.
+    its ``discarded_solves`` for a discarded candidate. The log q of both
+    directions is formed at every candidate row, failed or not (for ismap
+    one ``quad`` of the candidates, one of the states; for the Newton
+    methods one ``log_q_pair`` of the candidates and their states): a
+    failed candidate's nan log posterior fails ``_accepts``. A failure at
+    a taken candidate is logged as ``mh_step`` logs it; ``mh_step`` keeps
+    its explicit filter of the finite rows, the reference this scan is
+    tested against.
 
     Returns the new states and the number of steps accepted."""
     c, independent = len(depths), settings.method == "ismap"
@@ -482,22 +491,14 @@ def _advance(settings: SamplerSettings, states: ChainStates, members: list[Forwa
         # log q(candidate -> state) is the state's own density
         reverse = _log_q(states.half_logdet,
                          settings.lrh_map.quad(states.m - settings.m_map).tolist())
-        forward, finite = [None] * len(owner), [i for i, lp in enumerate(lps) if math.isfinite(lp)]
-        ok = candidates.take(finite)
-        for i, q in zip(finite, _log_q(ok.half_logdet,
-                                       settings.lrh_map.quad(ok.m - settings.m_map).tolist())):
-            forward[i] = q
+        forward = _log_q(candidates.half_logdet,
+                         settings.lrh_map.quad(candidates.m - settings.m_map).tolist())
         # a candidate costs one forward solve, none when its operator could not be factored
         costs = [1] * len(owner)
         for i, exc in errors.items():
             costs[i] = not isinstance(exc, FactorizationError)
     else:
-        reverse, forward = [None] * len(owner), [None] * len(owner)
-        finite = [i for i, lp in enumerate(lps) if math.isfinite(lp)]
-        if finite:
-            for i, rev, fwd in zip(finite, *log_q_pair(
-                    settings, states.take([owner[i] for i in finite]), candidates.take(finite))):
-                reverse[i], forward[i] = rev, fwd
+        reverse, forward = log_q_pair(settings, states.take(owner), candidates)
     log_u = log_u.tolist()
     moved, ends, stop, accepted = [False] * c, [0] * c, 0, 0
     for j, (d, chain, worker, lp, r, a) in enumerate(zip(depths, chains, members,
@@ -509,8 +510,8 @@ def _advance(settings: SamplerSettings, states: ChainStates, members: list[Forwa
         for i in range(start, stop):
             if i in errors:
                 logger.warning("proposal evaluation failed (%s); step rejected", errors[i])
-            took = forward[i] is not None and _accepts(
-                log_u[i], lps[i], lp, reverse[j] if independent else reverse[i], forward[i])
+            took = _accepts(log_u[i], lps[i], lp, reverse[j] if independent else reverse[i],
+                            forward[i])
             if workers[i] is not worker:
                 counter.absorb(workers[i].counter)
             elif independent:

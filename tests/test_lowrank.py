@@ -123,8 +123,7 @@ def test_quad_is_hessian_quadratic_form(linear_setup):
 
 def rank_zero(prior):
     """The Hessian with no retained pair: every operator is the prior's."""
-    return LowRankHessian(prior=prior, m_ref=prior.mean, Z=np.zeros((prior.n, 0)),
-                          lam=np.zeros(0))
+    return LowRankHessian(prior=prior, Z=np.zeros((prior.n, 0)), lam=np.zeros(0))
 
 
 def test_draw_is_the_inverse_sqrt_of_whitened_noise(linear_setup):
@@ -386,8 +385,13 @@ def test_a_restart_failure_drops_only_that_build(after):
                              [np.random.default_rng(0), ZeroAfter(1, after),
                               np.random.default_rng(2)])
     assert isinstance(together[1], NumericalError)
+    alone = model.clone()
     with pytest.raises(NumericalError, match="could not find a new direction"):
-        build_one(model.clone(), prior, points[1], 8, 4, ZeroAfter(1, after))
+        build_one(alone, prior, points[1], 8, 4, ZeroAfter(1, after))
+    # the failed point stays in the batch to the end of its build: it pays
+    # its full 2 (r + l) solves, in lockstep as alone
+    assert workers[1].counter.incremental_solves == 2 * 12
+    assert alone.counter.incremental_solves == workers[1].counter.incremental_solves
     for i in (0, 2):
         alone = build_one(model.clone(), prior, points[i], 8, 4, np.random.default_rng(i))
         assert together[i].Z.tobytes() == alone.Z.tobytes()

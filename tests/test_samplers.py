@@ -119,8 +119,7 @@ def test_rejected_steps_repeat_the_state_bitwise(linear_map):
     # independence draws from the prior's spread around the MAP, rank 0:
     # the data-informed eigenvalues reach 1.9e3, so every proposal lands
     # in the far tail of this posterior
-    prior_only = LowRankHessian(prior=prior, m_ref=m_map, Z=np.zeros((prior.n, 0)),
-                                lam=np.zeros(0))
+    prior_only = LowRankHessian(prior=prior, Z=np.zeros((prior.n, 0)), lam=np.zeros(0))
     settings = SamplerSettings(method="ismap", lrh_map=prior_only, m_map=m_map)
     chain = run_chain(settings, model.clone(), prior, m_map, 50, seed=0, chain_id=0)
     assert chain.acceptance_rate == 0.0
@@ -371,6 +370,42 @@ def test_a_failed_candidate_rejects_only_its_chains_step(linear_map, method, cap
         assert_same_bytes(chain, run_chain(settings, m(), prior, m_map, 10, seed=8,
                                            chain_id=cid))
     assert together[1].accepted.sum() == together[0].accepted.sum() - 2
+
+
+@pytest.mark.parametrize("method", ["ismap", "snmap", "sn"])
+def test_a_failed_row_rides_along_and_leaves_the_others_their_batch_of_one(linear_map,
+                                                                          method):
+    # one ``evaluate`` of three candidates whose second fails in the stacked
+    # misfit: the failed row keeps its place to the end of the call, with a
+    # nan log posterior and, for the Newton methods, a nan mean from its nan
+    # gradient (ismap's mean is the MAP at every row); an sn row carries the
+    # rank-0 prior Hessian. Every other row is bit for bit its batch of one
+    mesh, space, prior, model, m_map, lrh = linear_map
+    settings = SamplerSettings(method=method, r=10, l=5, lrh_map=lrh, m_map=m_map)
+    noise = np.random.default_rng(6).standard_normal((3, prior.n))
+    points = m_map + lrh.fluctuation(noise)
+    workers = [FailingModel(model), FailingModel(model, (1,)), FailingModel(model)]
+    states, errors = evaluate(settings, workers, prior, points,
+                              [np.random.default_rng([6, i]) for i in range(3)])
+    assert list(errors) == [1] and "synthetic solver failure" in str(errors[1])
+    assert math.isnan(states.log_post[1])
+    if method == "ismap":
+        assert states.mean[1].tobytes() == m_map.tobytes()
+    else:
+        assert np.isnan(states.mean[1]).all()
+    if method == "sn":
+        assert states.lrhs[1].rank == 0 and states.half_logdet[1] == 0.0
+    for i in (0, 2):
+        worker = FailingModel(model)
+        alone, none = evaluate(settings, [worker], prior, points[i:i + 1],
+                               [np.random.default_rng([6, i])])
+        assert not none
+        assert states.log_post[i] == alone.log_post[0]
+        assert states.mean[i].tobytes() == alone.mean[0].tobytes()
+        assert states.half_logdet[i] == alone.half_logdet[0]
+        assert states.lrhs[i].Z.tobytes() == alone.lrhs[0].Z.tobytes()
+        assert states.lrhs[i].lam.tobytes() == alone.lrhs[0].lam.tobytes()
+        assert workers[i].counter.total == worker.counter.total
 
 
 class Window:
