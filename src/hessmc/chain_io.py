@@ -38,12 +38,34 @@ same bytes on over a million values.
 block of rows (``WRITE_BLOCK_VALUES`` values) at a time, so their working
 memory beyond the data stays under 2 MB at any length; the bytes are those
 of a formatter that writes one row at a time.
+
+``read_chain`` and ``read_table`` parse the body a block of rows
+(``READ_BLOCK_VALUES`` values) at a time. A row must hold as many fields as
+the column line, or the read refuses the file. Each block is one
+``np.fromstring`` into long doubles, which numpy reads with the C library's
+correctly rounded ``strtold``, then rounded to float64. Rounding twice
+gives the correctly rounded double, ``float(field)``, except where the long
+double lands exactly on a midpoint between two doubles: a midpoint is a
+long double, so a decimal on either side of it stays on that side, and
+only a decimal that rounds onto it can round on to the wrong double
+(Clinger 1990; Boldo & Melquiond 2008). A field whose long double has the
+bits below double precision 100...0, or lies below the normal doubles
+(where that bit position moves), is parsed again by ``float()``, and so
+is a nan, whose sign numpy's long double parse drops. A
+``%.17g`` field lies at least 0.05 ulp from any midpoint, so no field a
+chain file holds takes that path, and a read is what ``float()`` and
+``np.loadtxt`` return, bit for bit, at about half of ``float()``'s cost
+for 17 digits (dtoa's bignum path). The guard is derived from the long
+double's format at import (x87 extended, IEEE binary128, or double itself,
+which needs none); on any other format a read raises.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
+import sys
 
 import numpy as np
 
@@ -52,6 +74,7 @@ from .samplers import Chain
 _META_INT = ("seed", "chain_id", "n", "r", "l", "start_index", "partial")
 _COLUMNS = ("k", "accepted", "log_post", "cum_solves")
 WRITE_BLOCK_VALUES = 1 << 13   # values formatted per block of rows
+READ_BLOCK_VALUES = 1 << 13    # values parsed per block of rows
 
 _BAND = (1e-4, 1e15)           # |v| where %.17g writes fixed notation
 CELL_BYTES = 44                # one cell: eleven 4-byte words
@@ -92,6 +115,28 @@ _GROUPS = _group_table()
 _RSTRIP, _LSTRIP, _LAST = (_U(k * 10_000) for k in (1, 2, 3))   # variant offsets
 _COMMA, _POINT = _word(b","), _word(b".")
 _MINUS = _word(b",-") - _COMMA
+
+# the bytes of a decimal float, inf or nan; every other byte becomes "!",
+# which no field parses, so the read refuses whitespace (numpy reads a
+# whitespace-only field as 0), hex floats and nan payloads, as float() does
+_FIELD_BYTES = bytes(c if c in b"0123456789+-.eEnNaAiIfFtTyY," else ord("!")
+                     for c in range(256))
+_LONG_DOUBLES = {52: "double", 63: "x87 extended", 112: "IEEE binary128"}
+
+
+def _guard_bits(nmant: int) -> int | None:
+    """The significand bits of a long double with ``nmant`` fraction bits
+    that lie below double precision: 11 for x87 extended, 60 for IEEE
+    binary128, 0 when long double is double (one rounding, nothing to
+    guard); None for any other format, such as IBM double-double."""
+    return nmant - 52 if nmant in _LONG_DOUBLES else None
+
+
+_NMANT = np.finfo(np.longdouble).nmant
+_GUARD_BITS = _guard_bits(_NMANT)
+# the byte offset of the low 64 significand bits within a long double
+_LOW_WORD = 0 if sys.byteorder == "little" else np.dtype(np.longdouble).itemsize - 8
+_TINY = np.finfo(np.float64).tiny
 
 
 def _digits(f: np.ndarray, e16: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -238,28 +283,80 @@ def write_chain(chain: Chain, path: str) -> None:
             tail = tails[-1]
 
 
-def read_chain(path: str) -> Chain:
-    """Read a chain file through one binary handle: the ``#`` header lines
-    and the column line as bytes, then the body by ``np.loadtxt`` on the same
-    handle (no newline translation on the way)."""
-    meta: dict = {}
+def _parse(text: bytes) -> np.ndarray:
+    """``float(field)`` for every comma-separated field of ``text``, bit for
+    bit: one ``strtold`` pass, rounded to float64, and ``float()`` on the
+    fields where that double rounding can differ (module docstring)."""
+    wide = np.fromstring(text, dtype=np.longdouble, sep=",")
+    with np.errstate(over="ignore"):
+        values = wide.astype(np.float64)
+    redo = np.isnan(values)     # numpy's long double parse drops the sign of "-nan"
+    if _GUARD_BITS:
+        low = np.ndarray(wide.shape, dtype=np.uint64, buffer=wide, offset=_LOW_WORD,
+                         strides=wide.strides)
+        redo |= (low & np.uint64((1 << _GUARD_BITS) - 1)) == np.uint64(1 << (_GUARD_BITS - 1))
+        redo |= np.abs(values) <= _TINY
+    redo = np.flatnonzero(redo)
+    redo = redo[wide[redo] != 0]    # a zero is exact
+    if redo.size:
+        fields = text.split(b",")
+        values[redo] = [float(fields[i]) for i in redo.tolist()]
+    return values
+
+
+def _read(path: str) -> tuple[list[bytes], np.ndarray]:
+    """The ``#`` lines of a file in the format above, and its body as an
+    (N, columns) float64 array, the columns counted on the column line.
+    Lines may end in CRLF or LF, the last one in neither; a row with another
+    field count (a blank line too) or a field that is empty or not a number
+    raises ``ValueError`` naming the file."""
+    if _GUARD_BITS is None:
+        raise NotImplementedError(
+            f"{path}: cannot read exactly through a long double with {_NMANT} fraction bits "
+            f"(not {', '.join(_LONG_DOUBLES.values())}; IBM double-double?)")
+    comments = []
     with open(path, "rb") as fh:
         line = fh.readline()
         while line.startswith(b"#"):
-            key, _, value = line[1:].decode().strip().partition("=")
-            key = key.strip()
-            meta[key] = int(value) if key in _META_INT else value
+            comments.append(line)
             line = fh.readline()
-        n = line.count(b",") + 1 - len(_COLUMNS)
-        body = fh.tell()
-        if fh.readline():
-            fh.seek(body)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        else:
-            data = np.empty((0, n + len(_COLUMNS)))
+        commas = line.count(b",")
+        step = max(1, READ_BLOCK_VALUES // (commas + 1))
+        blocks = [np.empty((0, commas + 1))]
+        first = len(comments) + 2           # the line number of the block's first row
+        while lines := [row.rstrip(b"\r\n") for row in itertools.islice(fh, step)]:
+            for lineno, row in enumerate(lines, first):
+                if row.count(b",") != commas:
+                    raise ValueError(f"{path}: line {lineno} holds {row.count(b',') + 1} "
+                                     f"fields, not {commas + 1}")
+            try:
+                values = _parse(b",".join(lines).translate(_FIELD_BYTES))
+                blocks.append(values.reshape(len(lines), commas + 1))
+            except ValueError:
+                raise ValueError(f"{path}: a field in lines {first}-{first + len(lines) - 1} "
+                                 "is empty or not a number") from None
+            first += len(lines)
+    return comments, np.concatenate(blocks)
+
+
+def read_chain(path: str) -> Chain:
+    """Read a chain file: the ``#`` header lines into meta, the body as in
+    ``_read``."""
+    comments, data = _read(path)
+    meta: dict = {}
+    for line in comments:
+        key, _, value = line[1:].decode().strip().partition("=")
+        key = key.strip()
+        meta[key] = int(value) if key in _META_INT else value
     return Chain(samples=np.ascontiguousarray(data[:, len(_COLUMNS):]),
                  accepted=data[:, 1] != 0, log_post=data[:, 2].copy(),
                  cum_solves=data[:, 3].astype(np.int64), meta=meta)
+
+
+def read_table(path: str) -> np.ndarray:
+    """The body of a table whose fields are all numbers (``write_table`` with
+    an array body) as a 2D float64 array, read as ``read_chain`` reads."""
+    return _read(path)[1]
 
 
 def write_table(path: str, header: list[str], rows, comments: list[str] | None = None) -> None:

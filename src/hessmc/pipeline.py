@@ -41,7 +41,7 @@ import numpy as np
 
 from .analysis import (classify_eigenvectors, eigen_marginal, pair_density,
                        posterior_eigensystem)
-from .chain_io import read_chain, write_chain, write_table
+from .chain_io import read_chain, read_table, write_chain, write_table
 from .config import RunConfig
 from .diagnostics import diagnostics_report
 from .errors import ConfigError
@@ -414,22 +414,22 @@ class RunDir:
         self.write()
         return result, info
 
-    def _recorded_table(self, name: str, sha256: str | None, **loadtxt) -> np.ndarray | None:
-        """The body of the table ``name`` here when the file's sha256 is the
-        recorded ``sha256`` (the tables hold %.17g, so the read-back is
-        bit-exact); None when it is missing, edited or not recorded."""
+    def _recorded_table(self, name: str, sha256: str | None) -> np.ndarray | None:
+        """The body of the table ``name`` here, as a 2D array, when the
+        file's sha256 is the recorded ``sha256`` (the tables hold %.17g, so
+        the read-back is bit-exact); None when it is missing, edited or not
+        recorded."""
         path = os.path.join(self.path, name)
         if sha256 is None or not os.path.exists(path) or _file_sha256(path) != sha256:
             return None
-        return np.loadtxt(path, delimiter=",", skiprows=1, **loadtxt)
+        return read_table(path)
 
     def map_point(self, problem: Problem) -> np.ndarray:
         """The MAP recorded here; when there is none, or map.csv is missing
         or edited, it is solved and recorded now (which drops the pilot's
         record)."""
-        m_map = self._recorded_table(MAP_TABLE, self.stages.get("map", {}).get("map_sha256"),
-                                    usecols=1)
-        return self.solve_map(problem)[0].m_map if m_map is None else m_map
+        table = self._recorded_table(MAP_TABLE, self.stages.get("map", {}).get("map_sha256"))
+        return self.solve_map(problem)[0].m_map if table is None else table[:, 1].copy()
 
     def pilot_starts(self, problem: Problem, m_map: np.ndarray, lrh) -> np.ndarray:
         """The ``run.chains`` start points recorded here, when the pilot
@@ -438,7 +438,7 @@ class RunDir:
         replaced."""
         record = self.stages.get("pilot", {})
         if record.get("chains") == problem.cfg["run.chains"]:
-            starts = self._recorded_table(PILOT_STARTS, record.get("starts_sha256"), ndmin=2)
+            starts = self._recorded_table(PILOT_STARTS, record.get("starts_sha256"))
             if starts is not None:
                 return np.ascontiguousarray(starts.T)
         path = os.path.join(self.path, PILOT_STARTS)

@@ -1,6 +1,7 @@
 """Chain CSV round trips must be bit-exact, and the bytes are pinned."""
 
 import csv
+import decimal
 import io
 import tracemalloc
 import warnings
@@ -161,6 +162,25 @@ def test_write_chain_memory_is_bounded(tmp_path):
     assert peak < 4e6
 
 
+def test_read_chain_memory_is_bounded(tmp_path):
+    # the body array and the samples copied out of it, plus one block's text
+    # and long doubles, at any length
+    rng = np.random.default_rng(7)
+    count, n = 5000, 139
+    chain = Chain(samples=rng.standard_normal((count, n)), accepted=np.zeros(count, dtype=bool),
+                  log_post=rng.standard_normal(count), cum_solves=np.arange(count, dtype=np.int64),
+                  meta={"method": "sn", "n": n})
+    path = tmp_path / "chain.csv"
+    write_chain(chain, str(path))
+    tracemalloc.start()
+    try:
+        read_chain(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * count * (n + 4) * 8 + 1e6
+
+
 @pytest.mark.parametrize("count", [0, 1])
 def test_short_chain_round_trip(tmp_path, count):
     n = 5
@@ -289,3 +309,137 @@ def test_cells_are_bit_for_bit_on_both_sides_of_the_python_cut(size):
     values = np.random.default_rng(size).choice(percent_17g_cases(), size)
     assert_cells_match_percent_17g(values)
     assert chain_io._cells(values).shape == (size, chain_io.CELL_BYTES)
+
+
+def decimal_fields() -> list[str]:
+    """Over a million decimal fields: %.17g of random bit patterns
+    (subnormals, +-0, +-inf and nan among them), short decimals of 1-16
+    digits, random decimals of 20-60 digits, the exact midpoints between
+    adjacent doubles with the 25-digit decimals on either side of them, and
+    the overflow and underflow edges."""
+    rng = np.random.default_rng(28)
+    bits = rng.integers(0, 1 << 64, 400_000, dtype=np.uint64).view(np.float64)
+    fields = ["%.17g" % v for v in bits.tolist()]
+    fields += ["%.*g" % (p, v) for p, v in zip(
+        rng.integers(1, 17, 400_000).tolist(),
+        (rng.standard_normal(400_000) * 10.0 ** rng.integers(-300, 300, 400_000)).tolist())]
+    digits = rng.integers(0, 10, (150_000, 60)).astype(np.uint8) + ord("0")
+    for row, size, exp in zip(digits, rng.integers(20, 61, 150_000).tolist(),
+                              rng.integers(-340, 320, 150_000).tolist()):
+        text = row[:size].tobytes().decode()
+        fields.append(f"{text[0]}.{text[1:]}e{exp}")
+    # midpoints: random doubles over the whole range, subnormals, and the
+    # doubles next to the smallest normal and the largest finite double
+    tiny, top = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    below = np.concatenate([
+        np.abs(rng.standard_normal(16_000) * 10.0 ** rng.integers(-30, 30, 16_000)),
+        np.abs(rng.integers(1, 1 << 64, 5_000, dtype=np.uint64).view(np.float64)),
+        rng.integers(1, 1 << 52, 4_000).astype(np.uint64).view(np.float64),
+        np.nextafter(tiny, 0.0) - np.arange(10) * 5e-324, tiny + np.arange(10) * 5e-324,
+        top - np.arange(1, 11) * np.spacing(np.nextafter(top, 0.0))])
+    below = below[np.isfinite(below) & (below < top)]
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        for a, b in zip(below.tolist(), np.nextafter(below, np.inf).tolist()):
+            mid = (decimal.Decimal(a) + decimal.Decimal(b)) / 2
+            fields += [str(mid), str(-mid)]
+            for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+                fields.append(str(decimal.Context(prec=25, rounding=rounding).plus(mid)))
+        edge = decimal.Decimal(2) ** 1024 - decimal.Decimal(2) ** 970     # max + half an ulp
+        half = decimal.Decimal(2) ** -1075                                # half the least subnormal
+        for x in (edge, half):
+            for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+                fields.append(str(decimal.Context(prec=25, rounding=rounding).plus(x)))
+            fields += [str(x), str(-x)]
+    fields += ["1e400", "-1e400", "1e5000", "1e-400", "-1e-400", "1e-5000",
+               "1.7976931348623157e308", "1.7976931348623159e308", "2.2250738585072014e-308",
+               "2.2250738585072011e-308", "4.9406564584124654e-324", "2.4703282292062328e-324",
+               "0", "-0", "nan", "-nan", "inf", "-inf", "infinity", "+1.5", ".5", "5.", "1E5"]
+    return fields
+
+
+def read_fields(path, fields: list[str], columns: int = 1000) -> np.ndarray:
+    """``fields`` written as a table of ``columns`` columns (the last row
+    padded with 0) and read back by ``read_table``, in field order."""
+    rows = -(-len(fields) // columns)
+    cells = fields + ["0"] * (rows * columns - len(fields))
+    lines = [",".join(cells[k:k + columns]) for k in range(0, len(cells), columns)]
+    path.write_text(",".join(f"c{j}" for j in range(columns)) + "\r\n"
+                    + "\r\n".join(lines) + "\r\n", newline="")
+    return chain_io.read_table(str(path)).ravel()[:len(fields)]
+
+
+def test_read_is_bit_for_bit_float_of_every_field(tmp_path, monkeypatch):
+    fields = decimal_fields()
+    assert len(fields) >= 1_000_000
+    want = np.array([float(f) for f in fields]).view(np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_fields(tmp_path / "fields.csv", fields).view(np.uint64)
+    assert (got == want).all(), [fields[i] for i in np.flatnonzero(got != want)[:10]]
+    if chain_io._GUARD_BITS:
+        # without the guard, rounding the long double to a double misses
+        # float() on some of these fields: the test reaches the guard
+        monkeypatch.setattr(chain_io, "_GUARD_BITS", 0)
+        unguarded = read_fields(tmp_path / "fields.csv", fields).view(np.uint64)
+        assert (unguarded != want).any()
+
+
+def test_read_refuses_malformed_bodies_and_reads_lf_and_unterminated_ones(tmp_path):
+    rng = np.random.default_rng(9)
+    chain = Chain(samples=rng.standard_normal((6, 3)), accepted=np.ones(6, dtype=bool),
+                  log_post=rng.standard_normal(6), cum_solves=np.arange(1, 7, dtype=np.int64),
+                  meta={"method": "ismap", "n": 3})
+    path = tmp_path / "chain.csv"
+    write_chain(chain, str(path))
+    text = path.read_bytes()
+    head, body = text[:text.index(b"k,")], text[text.index(b"k,"):]
+    rows = body.split(b"\r\n")
+
+    def with_row(k, row):
+        return head + b"\r\n".join(rows[:k] + [row] + rows[k + 1:])
+
+    def with_field(k, j, field):
+        fields = rows[k].split(b",")
+        return with_row(k, b",".join(fields[:j] + [field] + fields[j + 1:]))
+
+    def read(data):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return read_chain(str(bad))
+
+    last_emptied = rows[6][:rows[6].rindex(b",") + 1]
+    for data in (with_row(3, rows[3][:rows[3].rindex(b",")]), with_row(3, rows[3] + b",1"),
+                 with_row(2, b""), text + b"\r\n",
+                 with_field(3, 5, b""), with_field(3, 6, b""),
+                 head + b"\r\n".join(rows[:6] + [last_emptied]),    # and no line end
+                 *(with_field(3, 5, f) for f in (b"abc", b" ", b"0x1p3", b"nan(1)", b"1_0"))):
+        with pytest.raises(ValueError, match="bad.csv"):
+            read(data)
+    # LF line ends, and no line end after the last row, read as CRLF does
+    for data in (text.replace(b"\r\n", b"\n"), text[:-2], text.replace(b"\r\n", b"\n")[:-1]):
+        back = read(data)
+        for name in ("samples", "accepted", "log_post", "cum_solves"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(chain, name))
+    # a field beyond the double range reads as inf, without an overflow warning
+    back = read(with_field(3, 6, b"1e400"))
+    assert back.samples[2, 2] == np.inf
+    np.testing.assert_array_equal(back.samples[:2], chain.samples[:2])
+
+
+def test_guard_bits_follow_the_long_double_format(tmp_path, monkeypatch):
+    assert chain_io._guard_bits(63) == 11       # x87 extended
+    assert chain_io._guard_bits(112) == 60      # IEEE binary128
+    assert chain_io._guard_bits(52) == 0        # long double is double
+    assert chain_io._guard_bits(105) is None    # IBM double-double
+    assert chain_io._guard_bits(106) is None
+    assert chain_io._GUARD_BITS == chain_io._guard_bits(np.finfo(np.longdouble).nmant)
+    path = tmp_path / "chain.csv"
+    write_chain(Chain(samples=np.ones((2, 2)), accepted=np.ones(2, dtype=bool),
+                      log_post=np.zeros(2), cum_solves=np.arange(1, 3, dtype=np.int64),
+                      meta={"method": "sn", "n": 2}), str(path))
+    monkeypatch.setattr(chain_io, "_GUARD_BITS", None)
+    monkeypatch.setattr(chain_io, "_NMANT", 105)
+    with pytest.raises(NotImplementedError, match="105 fraction bits"):
+        read_chain(str(path))
