@@ -37,7 +37,9 @@ same bytes on over a million values.
 ``write_chain`` and the array body of ``write_table`` format and write a
 block of rows (``WRITE_BLOCK_VALUES`` values) at a time, so their working
 memory beyond the data stays under 2 MB at any length; the bytes are those
-of a formatter that writes one row at a time.
+of a formatter that writes one row at a time. ``write_chain`` hashes each
+block as it writes it and returns the file's sha256, so a caller can
+record the file without reading it back.
 
 ``read_chain`` and ``read_table`` parse the body a block of rows
 (``READ_BLOCK_VALUES`` values) at a time. A row must hold as many fields as
@@ -63,6 +65,7 @@ which needs none); on any other format a read raises.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import os
 import sys
@@ -249,8 +252,9 @@ def _lines(cells: np.ndarray) -> bytes:
     return _text(lines)
 
 
-def write_chain(chain: Chain, path: str) -> None:
-    """Write ``chain`` in the format above, one block of rows at a time."""
+def write_chain(chain: Chain, path: str) -> str:
+    """Write ``chain`` in the format above, one block of rows at a time;
+    returns the file's sha256, hashed block by block as it is written."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     samples = chain.samples
     count, n = samples.shape
@@ -264,8 +268,13 @@ def write_chain(chain: Chain, path: str) -> None:
     bits = samples.view(np.uint64)
     step = max(1, WRITE_BLOCK_VALUES // max(n, 1))
     tail = None
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write("".join(lines).encode())
+        def write(text: bytes) -> None:
+            digest.update(text)
+            fh.write(text)
+
+        write("".join(lines).encode())
         for lo in range(0, count, step):
             hi = min(lo + step, count)
             first = max(lo, 1)
@@ -278,9 +287,10 @@ def write_chain(chain: Chain, path: str) -> None:
                      .splitlines(keepends=True)]
             heads = zip(range(lo + 1, hi + 1), chain.accepted[lo:hi].tolist(), log_post,
                         chain.cum_solves[lo:hi].tolist())
-            fh.write(b"".join([b"%d,%d,%b,%d" % head + tails[i]
-                               for head, i in zip(heads, np.cumsum(new_state).tolist())]))
+            write(b"".join([b"%d,%d,%b,%d" % head + tails[i]
+                            for head, i in zip(heads, np.cumsum(new_state).tolist())]))
             tail = tails[-1]
+    return digest.hexdigest()
 
 
 def _parse(text: bytes) -> np.ndarray:

@@ -10,7 +10,10 @@ Each command works in one run directory (--out-dir, else the parent of
 ``pipeline`` takes too: a directory whose manifest records another
 problem config is refused before anything is written, ``sample`` and
 ``analyze`` reuse the MAP the directory records, and ``sample`` reuses the
-pilot's start points recorded for the same chain count.
+pilot's start points recorded for the same chain count. ``sample`` records
+each campaign's chain statistics as it ends, and ``diagnose`` builds a
+method's report row from them while its chain files are the recorded ones
+(``RunDir.diagnose``), reading the chains only otherwise.
 
 ``main`` builds the parser of the command it runs, per call and never at
 import: every command is registered, so the top-level help, usage and
@@ -85,20 +88,17 @@ def cmd_sample(args) -> int:
     method = methods[0]
     run = _run_dir(args, cfg)
     problem = pl.build_problem(cfg)
-    groups = run.sample(problem, run.map_point(problem), methods)
-    chains = groups[method]
-    ar = sum(ch.acceptance_rate for ch in chains) / len(chains)
-    print(f"{method}: {len(chains)} chains x {chains[0].n_samples} samples, "
-          f"mean acceptance {ar:.3f} -> {run.path}/chains/{method}/")
+    run.sample(problem, run.map_point(problem), methods)
+    record = run.stages["campaigns"][method]
+    print(f"{method}: {record['chains']} chains x {record['samples']} samples, "
+          f"mean acceptance {record['acceptance_rate']:.3f} -> {run.path}/chains/{method}/")
     return 0
 
 
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
     run = _run_dir(args, cfg)
-    files = pl.chain_files(args.chains_dir or os.path.join(run.path, "chains"))
-    groups = {method: pl.read_chains(paths) for method, paths in files.items()}
-    reports = run.diagnose(pl.build_problem(cfg), groups, probe_x=args.probe_x)
+    reports = run.diagnose(pl.build_problem(cfg), args.chains_dir, probe_x=args.probe_x)
     for method in sorted(reports):
         rep = reports[method]
         print(f"{method}: AR={rep.acceptance_rate:.3f} MPSRF={rep.mpsrf:.4f} "

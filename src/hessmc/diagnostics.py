@@ -8,6 +8,13 @@ autocorrelations (capped at lag N/2, floored at 1).
 
 Every function here reads chains whose burn-in is already removed
 (``samplers.Chain.after_burn_in``); none of them trims.
+
+A report is built in two steps: ``chain_statistics`` takes everything it
+reads from the chains, and ``charge`` adds the set-up solves and the wall
+time and derives IAT, solves and time per independent sample from them.
+A run directory records the statistics of each campaign as it ends
+(``pipeline.RunDir.sample``), so a report can be charged without the
+chains.
 """
 
 from __future__ import annotations
@@ -110,6 +117,21 @@ def mpsrf(chain_samples: list[np.ndarray]) -> float:
 
 
 @dataclass
+class ChainStatistics:
+    """What the diagnostics read from one method's chains, burn-in already
+    removed, before any set-up or wall time is charged (``charge``)."""
+    n_chains: int
+    n_samples_total: int
+    probe_index: int
+    mpsrf: float
+    ess: float            # summed over the chains at the probe node
+    msj: float
+    acceptance_rate: float
+    chain_solves: int     # the chains' own solves, burn-in included
+    frozen_chains: int    # chains that accepted no proposal after burn-in
+
+
+@dataclass
 class DiagnosticsReport:
     method: str
     n_chains: int
@@ -126,31 +148,54 @@ class DiagnosticsReport:
     tpis: float | None = None
 
 
-def diagnostics_report(method: str, chains, space, probe_index: int,
-                       setup_solves: int = 0,
-                       wall_time: float | None = None) -> DiagnosticsReport:
-    """Aggregate per-method diagnostics from a set of chains, burn-in
-    already removed (``Chain.after_burn_in``).
+def chain_statistics(chains, space, probe_index: int) -> ChainStatistics:
+    """The statistics of a set of chains, burn-in already removed
+    (``Chain.after_burn_in``)."""
+    return ChainStatistics(
+        n_chains=len(chains),
+        n_samples_total=sum(ch.n_samples for ch in chains),
+        probe_index=probe_index,
+        mpsrf=mpsrf([ch.samples for ch in chains]) if len(chains) >= 2 else float("nan"),
+        ess=sum(ess(ch.samples[:, probe_index]) for ch in chains),
+        msj=float(np.mean([msj(ch.samples, space) for ch in chains])),
+        acceptance_rate=float(np.mean(np.concatenate([ch.accepted for ch in chains]))),
+        chain_solves=sum(int(ch.cum_solves[-1]) for ch in chains),
+        frozen_chains=sum(not ch.accepted.any() for ch in chains),
+    )
+
+
+def charge(method: str, stats: ChainStatistics, setup_solves: int = 0,
+           wall_time: float | None = None) -> DiagnosticsReport:
+    """The report of one method's chain statistics, charged ``setup_solves``
+    on top of the chains' own and, when given, ``wall_time``.
 
     The reported IAT is the pooled-equivalent value N_total/ESS_total
     (the N-weighted harmonic mean of per-chain IATs), so that
     ess == n_samples_total / iat holds exactly.
     """
-    n_total = sum(ch.n_samples for ch in chains)
-    e_total = sum(ess(ch.samples[:, probe_index]) for ch in chains)
-    solves = setup_solves + sum(int(ch.cum_solves[-1]) for ch in chains)
+    solves = setup_solves + stats.chain_solves
     return DiagnosticsReport(
         method=method,
-        n_chains=len(chains),
-        n_samples_total=n_total,
-        probe_index=probe_index,
-        mpsrf=mpsrf([ch.samples for ch in chains]) if len(chains) >= 2 else float("nan"),
-        iat=n_total / e_total,
-        ess=e_total,
-        msj=float(np.mean([msj(ch.samples, space) for ch in chains])),
-        acceptance_rate=float(np.mean(np.concatenate([ch.accepted for ch in chains]))),
+        n_chains=stats.n_chains,
+        n_samples_total=stats.n_samples_total,
+        probe_index=stats.probe_index,
+        mpsrf=stats.mpsrf,
+        iat=stats.n_samples_total / stats.ess,
+        ess=stats.ess,
+        msj=stats.msj,
+        acceptance_rate=stats.acceptance_rate,
         solves_total=solves,
-        spis=solves / e_total,
-        frozen_chains=sum(not ch.accepted.any() for ch in chains),
-        tpis=None if wall_time is None else wall_time / e_total,
+        spis=solves / stats.ess,
+        frozen_chains=stats.frozen_chains,
+        tpis=None if wall_time is None else wall_time / stats.ess,
     )
+
+
+def diagnostics_report(method: str, chains, space, probe_index: int,
+                       setup_solves: int = 0,
+                       wall_time: float | None = None) -> DiagnosticsReport:
+    """Aggregate per-method diagnostics from a set of chains, burn-in
+    already removed (``Chain.after_burn_in``): ``chain_statistics``,
+    charged (``charge``)."""
+    return charge(method, chain_statistics(chains, space, probe_index),
+                  setup_solves, wall_time)

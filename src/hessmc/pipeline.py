@@ -21,10 +21,20 @@ while it matches.
 ``RunDir`` is the one orchestration path: ``run_pipeline`` and every CLI
 stage command write through it, so the manifest, the campaign step and
 the set-up cost are defined once. Every method is charged the same set-up:
-the MAP solve plus the low-rank Hessian at the MAP. On the read side,
-``stage_diagnose`` and ``stage_analyze`` each remove the burn-in
-(``run.burn_frac``) once, through ``Chain.after_burn_in``, before any
-diagnostic or density sees the chains.
+the MAP solve plus the low-rank Hessian at the MAP.
+
+Each campaign is diagnosed as it ends, from its chains in memory: the
+manifest's record of the campaign holds its chain statistics at the
+default probe node (``diagnostics.ChainStatistics``) and the name and
+sha256 of each chain file, which ``write_chain`` returns as it writes.
+``report.csv`` is charged from statistics (``stage_diagnose``):
+``run_pipeline`` takes them from the records its campaigns just made, and
+``RunDir.diagnose`` takes a method's record while the probe node and the
+chain files, by name and sha256, are the recorded ones, and reads and
+diagnoses the chains otherwise. ``run_pipeline`` keeps only the chains
+that ``stage_analyze`` pools. ``campaign_statistics`` and ``stage_analyze``
+each remove the burn-in (``run.burn_frac``) once, through
+``Chain.after_burn_in``, before any diagnostic or density sees the chains.
 """
 
 from __future__ import annotations
@@ -33,9 +43,10 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,7 +54,7 @@ from .analysis import (classify_eigenvectors, eigen_marginal, pair_density,
                        posterior_eigensystem)
 from .chain_io import read_chain, read_table, write_chain, write_table
 from .config import RunConfig
-from .diagnostics import diagnostics_report
+from .diagnostics import ChainStatistics, chain_statistics, charge
 from .errors import ConfigError
 from .fem import Mesh1D, assemble_mass, interpolation_matrix
 from .lowrank import build_lowrank
@@ -63,6 +74,8 @@ LANCZOS_KEY = 202
 PER_CALL_KEYS = ("run.methods", "run.chains", "run.samples")
 MAP_TABLE = "map.csv"
 PILOT_STARTS = "pilot_starts.csv"
+CHAIN_FILE = "chain_{:03d}.csv"
+HASH_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -220,19 +233,21 @@ def reject_ahead_record(chains: list) -> dict:
 def run_campaign(problem: Problem, method: str, starts: np.ndarray,
                  m_map: np.ndarray, lrh_map, out_dir: str | None) -> list:
     """All chains for one method, in lockstep; one cloned model (fresh
-    counter) each."""
+    counter) each. With ``out_dir``, chain i is written to
+    <out_dir>/chains/<method>/chain_<i>.csv and its meta holds the file's
+    sha256 (``sha256``)."""
     cfg = problem.cfg
     settings = sampler_settings(cfg, method, lrh_map, m_map)
     ids = range(starts.shape[0])
     paths = None
     if out_dir is not None:
-        paths = [os.path.join(out_dir, "chains", method, f"chain_{cid:03d}.csv") for cid in ids]
+        paths = [os.path.join(out_dir, "chains", method, CHAIN_FILE.format(cid)) for cid in ids]
     chains = run_chains(settings, [problem.model.clone() for _ in ids], problem.prior,
                         starts, cfg["run.samples"], cfg["run.seed"], ids, flush_paths=paths)
     for cid, chain in zip(ids, chains):
         chain.meta["start_index"] = cid
         if paths is not None:
-            write_chain(chain, paths[cid])
+            chain.meta["sha256"] = write_chain(chain, paths[cid])
     return chains
 
 
@@ -276,22 +291,25 @@ def pooled_method(methods, method: str | None = None) -> str:
     return method
 
 
-def stage_diagnose(problem: Problem, groups: dict[str, list], probe_x: float | None,
+def campaign_statistics(problem: Problem, chains: list, node: int) -> ChainStatistics:
+    """The statistics of one method's chains after burn-in, at probe node
+    ``node``."""
+    burn = problem.cfg["run.burn_frac"]
+    return chain_statistics([ch.after_burn_in(burn) for ch in chains], problem.space, node)
+
+
+def stage_diagnose(problem: Problem, statistics: dict[str, ChainStatistics],
                    setup_solves: int = 0,
                    wall_times: dict[str, float] | None = None,
                    out_dir: str | None = None):
-    """Diagnostics of each method's chains after burn-in, written to
-    report.csv when ``out_dir`` is given; every method is charged the
-    same ``setup_solves``."""
-    burn = problem.cfg["run.burn_frac"]
-    node = probe_node(problem.mesh, probe_x)
-    reports = {}
-    for method, chains in groups.items():
-        reports[method] = diagnostics_report(
-            method, [ch.after_burn_in(burn) for ch in chains], problem.space, node,
-            setup_solves=setup_solves,
-            wall_time=(wall_times or {}).get(method))
+    """Each method's diagnostics from its chain statistics
+    (``campaign_statistics``, all at one probe node), written to report.csv
+    when ``out_dir`` is given; every method is charged the same
+    ``setup_solves``."""
+    reports = {method: charge(method, stats, setup_solves, (wall_times or {}).get(method))
+               for method, stats in statistics.items()}
     if out_dir is not None:
+        node = next(iter(reports.values())).probe_index
         header = ["method", "chains", "samples_total", "probe_node", "acceptance_rate",
                   "mpsrf", "iat", "ess", "msj", "solves_total", "spis", "tpis",
                   "frozen_chains"]
@@ -450,15 +468,20 @@ class RunDir:
         self.stages["pilot"] = record
         return starts
 
-    def sample(self, problem: Problem, m_map: np.ndarray, methods: list[str]):
+    def sample(self, problem: Problem, m_map: np.ndarray, methods: list[str],
+               keep: str | None = None) -> list | None:
         """Low-rank Hessian at the MAP, the pilot's start points, then one
-        campaign per method; returns the chains by method."""
+        campaign per method. Each campaign is diagnosed as it ends, at the
+        default probe node, and its record holds those statistics and the
+        sha256 of each chain file; only the chains of the method ``keep``
+        are kept, and returned."""
         t0 = time.perf_counter()
         lrh, self.stages["lowrank"] = stage_lowrank(problem, m_map)
         self.stages["lowrank"]["wall_time_volatile"] = time.perf_counter() - t0
         starts = self.pilot_starts(problem, m_map, lrh)
         campaigns = self.stages.setdefault("campaigns", {})
-        groups: dict[str, list] = {}
+        node = probe_node(problem.mesh, None)
+        kept = None
         for method in methods:
             t0 = time.perf_counter()
             chains = run_campaign(problem, method, starts, m_map, lrh, self.path)
@@ -469,23 +492,68 @@ class RunDir:
                 "acceptance_rate": float(np.mean([ch.acceptance_rate for ch in chains])),
                 "reject_ahead": reject_ahead_record(chains),
                 "wall_time_volatile": time.perf_counter() - t0,
+                # JSON holds no nan or inf: a value that is not finite is
+                # recorded as its repr, which float() reads back
+                "statistics": {k: v if math.isfinite(v) else repr(v) for k, v in
+                               asdict(campaign_statistics(problem, chains, node)).items()},
+                "chain_files": {CHAIN_FILE.format(cid): ch.meta["sha256"]
+                                for cid, ch in enumerate(chains)},
             }
-            groups[method] = chains
+            if method == keep:
+                kept = chains
+            del chains     # the next campaign runs without this one's chains
         self.write()
-        return groups
+        return kept
 
-    def diagnose(self, problem: Problem, groups: dict[str, list],
-                 probe_x: float | None = None):
-        """report.csv, with the wall times this directory records and the
-        set-up it charges every method: the MAP solve plus the low-rank
-        Hessian at the MAP."""
+    def statistics(self, method: str) -> ChainStatistics:
+        """The chain statistics that ``method``'s campaign recorded."""
+        record = self.stages["campaigns"][method]["statistics"]
+        return ChainStatistics(**{k: float(v) if isinstance(v, str) else v
+                                  for k, v in record.items()})
+
+    def _recorded_statistics(self, method: str, paths: list[str],
+                             node: int) -> ChainStatistics | None:
+        """``statistics(method)`` when they were taken at probe node
+        ``node`` and ``paths`` are exactly the chain files the campaign
+        recorded, by name and sha256; None otherwise."""
+        record = self.stages.get("campaigns", {}).get(method, {})
+        files = record.get("chain_files")
+        if files is None or record["statistics"]["probe_index"] != node:
+            return None
+        names = [os.path.basename(path) for path in paths]
+        if names != sorted(files) or any(_file_sha256(path) != files[name]
+                                         for name, path in zip(names, paths)):
+            return None
+        return self.statistics(method)
+
+    def report(self, problem: Problem, statistics: dict[str, ChainStatistics]):
+        """report.csv from each method's chain statistics, with the wall
+        times this directory records and the set-up it charges every
+        method: the MAP solve plus the low-rank Hessian at the MAP."""
         campaigns = self.stages.get("campaigns", {})
         return stage_diagnose(
-            problem, groups, probe_x,
+            problem, statistics,
             setup_solves=sum(self.stages.get(stage, {}).get("solves", 0)
                              for stage in ("map", "lowrank")),
             wall_times={m: c["wall_time_volatile"] for m, c in campaigns.items()},
             out_dir=self.path)
+
+    def diagnose(self, problem: Problem, chains_dir: str | None = None,
+                 probe_x: float | None = None):
+        """``report`` for the chain files under ``chains_dir`` (default
+        <run dir>/chains), one row per method directory. A method's
+        statistics are those its campaign recorded when they match
+        (``_recorded_statistics``); otherwise its chains are read, a partial
+        one refused, and diagnosed."""
+        files = chain_files(chains_dir or os.path.join(self.path, "chains"))
+        node = probe_node(problem.mesh, probe_x)
+        statistics = {}
+        for method, paths in files.items():
+            stats = self._recorded_statistics(method, paths, node)
+            if stats is None:
+                stats = campaign_statistics(problem, read_chains(paths), node)
+            statistics[method] = stats
+        return self.report(problem, statistics)
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
@@ -497,10 +565,11 @@ def run_pipeline(cfg: RunConfig, out_dir: str | None = None,
     problem = build_problem(cfg)
     run.synth(problem)
     map_result, _ = run.solve_map(problem)
-    groups = run.sample(problem, map_result.m_map, cfg.methods())
-    reports = run.diagnose(problem, groups)
-    method = pooled_method(groups)
-    stage_analyze(problem, method, groups[method], map_result.m_map,
+    methods = cfg.methods()
+    method = pooled_method(methods)
+    chains = run.sample(problem, map_result.m_map, methods, keep=method)
+    reports = run.report(problem, {m: run.statistics(m) for m in methods})
+    stage_analyze(problem, method, chains, map_result.m_map,
                   n_eigs=n_eigs, pairs=pairs, out_dir=run.path)
     return {"problem": problem, "map": map_result, "reports": reports,
             "manifest": run.manifest, "out_dir": run.path}
@@ -512,8 +581,12 @@ def _sha256(obj) -> str:
 
 
 def _file_sha256(path: str) -> str:
+    """The sha256 of a file, read a block at a time."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while block := fh.read(HASH_BLOCK_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _strip_volatile(node):

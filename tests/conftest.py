@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
+from hessmc import pipeline
 from hessmc.fem import Mesh1D, assemble_mass, bidiagonal_solve, interpolation_matrix
 from hessmc.lowrank import build_lowrank
 from hessmc.models import (
@@ -82,6 +83,19 @@ def make_small_problem(n=35, q=6, kind="exp_reaction", a=1e-2, b=1e2,
     m_true = 1.0 + np.sin(2.0 * np.pi * mesh.node_coords / length)
     synthesize_data(model, m_true, noise_rel, rng, points=pts)
     return mesh, space, prior, model, m_true
+
+
+@pytest.fixture
+def chain_reads(monkeypatch):
+    """The path of every chain file the pipeline reads while the test runs."""
+    paths, read = [], pipeline.read_chain
+
+    def counted(path):
+        paths.append(path)
+        return read(path)
+
+    monkeypatch.setattr(pipeline, "read_chain", counted)
+    return paths
 
 
 @pytest.fixture

@@ -22,8 +22,8 @@ from hessmc.config import RunConfig
 from hessmc.diagnostics import autocorrelation, ess, iat, mpsrf
 from hessmc.map_point import solve_map
 from hessmc.models import gradient, hvp
-from hessmc.pipeline import (LANCZOS_KEY, build_problem, observed_mask,
-                             probe_node, run_campaign, stage_diagnose,
+from hessmc.pipeline import (LANCZOS_KEY, build_problem, campaign_statistics,
+                             observed_mask, probe_node, run_campaign, stage_diagnose,
                              stage_lowrank, stage_map, stage_pilot)
 from hessmc.samplers import SamplerSettings, run_chain
 
@@ -63,7 +63,9 @@ def exp_campaign():
     groups = {method: run_campaign(problem, method, starts, map_result.m_map,
                                    lrh, out_dir=None)
               for method in ("ismap", "snmap", "sn")}
-    reports = stage_diagnose(problem, groups, probe_x=None,
+    node = probe_node(problem.mesh, None)
+    reports = stage_diagnose(problem, {method: campaign_statistics(problem, chains, node)
+                                       for method, chains in groups.items()},
                              setup_solves=setup)
     return {"problem": problem, "m_map": map_result.m_map, "groups": groups,
             "reports": reports}

@@ -2,6 +2,7 @@
 
 import csv
 import decimal
+import hashlib
 import io
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hessmc import chain_io
+from hessmc import chain_io, pipeline
 from hessmc.chain_io import read_chain, write_chain, write_table
 from hessmc.samplers import Chain
 
@@ -140,6 +141,30 @@ def test_blocked_write_matches_row_at_a_time(tmp_path, monkeypatch, block_rows):
     path = tmp_path / "chain.csv"
     write_chain(chain, str(path))
     assert path.read_bytes() == row_at_a_time(chain)
+
+
+@pytest.mark.parametrize("kind", ["moving", "frozen", "partial"])
+def test_write_chain_returns_the_sha256_of_its_file(tmp_path, monkeypatch, kind):
+    # small blocks, so the file is written and hashed in many pieces
+    monkeypatch.setattr(chain_io, "WRITE_BLOCK_VALUES", 64)
+    monkeypatch.setattr(pipeline, "HASH_BLOCK_BYTES", 1000)
+    rng = np.random.default_rng(11)
+    count, n = 300, 7
+    samples = rng.standard_normal((count, n))
+    meta = {"method": "snmap", "seed": 1, "chain_id": 2, "n": n}
+    if kind == "frozen":
+        samples[:] = samples[0]
+    if kind == "partial":
+        count = 37      # the rows a failed run reached
+        samples, meta = samples[:count], {**meta, "partial": True}
+    chain = Chain(samples=samples, accepted=np.full(count, kind == "moving"),
+                  log_post=rng.standard_normal(count),
+                  cum_solves=np.arange(1, count + 1, dtype=np.int64), meta=meta)
+    path = tmp_path / "chain.csv"
+    digest = write_chain(chain, str(path))
+    assert len(path.read_bytes()) > 5 * 1000
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert pipeline._file_sha256(str(path)) == digest
 
 
 def test_write_chain_memory_is_bounded(tmp_path):

@@ -3,6 +3,7 @@ exit codes."""
 
 import argparse
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -283,6 +284,98 @@ def test_non_finite_or_outside_values_exit_2(campaign_dir, tmp_path, capsys):
         assert main(["diagnose", *MINI, "--chains-dir", str(campaign_dir / "chains"),
                      "--probe-x", x]) == 2, x
     assert "probe x must lie in the mesh interval [0, 1]" in capsys.readouterr().err
+
+
+LINEAR = [*MINI, "--model-kind", "linear", "--run-seed", "0"]
+RECORDED = ("ismap", "snmap", "sn")
+
+
+@pytest.fixture(scope="module")
+def stages_dir(tmp_path_factory):
+    """synth, map and one sample call per method on the linear model, where
+    the chains move: each campaign records its statistics."""
+    d = tmp_path_factory.mktemp("stages")
+    for cmd in (["synth"], ["map"],
+                *[["sample", "--method", m, "--chains", "3", "--samples", "40"]
+                  for m in RECORDED]):
+        assert main([*cmd, *LINEAR, "--out-dir", str(d)]) == 0, cmd
+    return d
+
+
+def recomputed_report(run_dir, monkeypatch, *flags):
+    """report.csv as diagnose writes it from the chain files alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline.RunDir, "_recorded_statistics", lambda self, *args: None)
+        assert main(["diagnose", *LINEAR, "--out-dir", str(run_dir), *flags]) == 0
+    return (run_dir / "report.csv").read_bytes()
+
+
+def test_recorded_statistics_give_the_recomputed_report_bytes(stages_dir, tmp_path,
+                                                              monkeypatch, chain_reads):
+    d = tmp_path / "run"
+    shutil.copytree(stages_dir, d)
+    assert main(["diagnose", *LINEAR, "--out-dir", str(d)]) == 0
+    assert chain_reads == []
+    recorded = (d / "report.csv").read_bytes()
+    assert recomputed_report(d, monkeypatch) == recorded
+    assert len(chain_reads) == 3 * len(RECORDED)
+    # the chains move, so MPSRF, ESS and MSJ are computed, not a frozen case
+    assert all(float(line.split(",")[4]) > 0.0 for line in rows(d / "report.csv"))
+
+
+def test_recorded_statistics_serve_a_byte_identical_chains_copy(stages_dir, tmp_path,
+                                                                chain_reads):
+    d, copy = tmp_path / "run", tmp_path / "elsewhere" / "chains"
+    shutil.copytree(stages_dir, d)
+    shutil.copytree(stages_dir / "chains", copy)
+    assert main(["diagnose", *LINEAR, "--out-dir", str(d)]) == 0
+    recorded = (d / "report.csv").read_bytes()
+    assert main(["diagnose", *LINEAR, "--out-dir", str(d), "--chains-dir", str(copy)]) == 0
+    assert chain_reads == []
+    assert (d / "report.csv").read_bytes() == recorded
+
+
+def edit_one_digit(path):
+    text = path.read_bytes()
+    last = len(text) - 3          # the last digit before the final CRLF
+    path.write_bytes(text[:last] + b"%d" % ((int(text[last:last + 1]) + 1) % 10)
+                     + text[last + 1:])
+
+
+@pytest.mark.parametrize("change", ["edited-digit", "extra-file", "missing-file",
+                                    "probe-x", "partial-file"])
+def test_recorded_statistics_are_not_used_for_other_chains(stages_dir, tmp_path,
+                                                           monkeypatch, chain_reads,
+                                                           change, capsys):
+    d = tmp_path / "run"
+    shutil.copytree(stages_dir, d)
+    mdir, flags = d / "chains" / "ismap", []
+    if change == "edited-digit":
+        edit_one_digit(mdir / "chain_001.csv")
+    elif change == "extra-file":
+        shutil.copy(mdir / "chain_000.csv", mdir / "chain_003.csv")
+    elif change == "missing-file":
+        (mdir / "chain_001.csv").unlink()
+    elif change == "probe-x":
+        flags = ["--probe-x", "0.25"]
+    else:
+        chain = read_chain(str(mdir / "chain_000.csv"))
+        chain.meta = {**chain.meta, "partial": True}
+        write_chain(chain, str(mdir / "chain_003.csv"))
+        chain_reads.clear()
+    rc = main(["diagnose", *LINEAR, "--out-dir", str(d), *flags])
+    if change == "partial-file":
+        assert rc == 2
+        assert str(mdir / "chain_003.csv") in capsys.readouterr().err
+        assert not (d / "report.csv").exists()
+        return
+    assert rc == 0
+    # only the changed method is read, and every method at another probe node
+    files = sorted(str(f) for f in mdir.glob("chain_*.csv"))
+    assert chain_reads == (files if change != "probe-x" else
+                           sorted(str(f) for f in (d / "chains").glob("*/chain_*.csv")))
+    report = (d / "report.csv").read_bytes()
+    assert recomputed_report(d, monkeypatch, *flags) == report
 
 
 # -- analyze -------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Pipeline stages on a small mesh."""
 
+import json
 import logging
+import os
 
 import numpy as np
 import pytest
 
+from hessmc import pipeline
+from hessmc.chain_io import write_chain
 from hessmc.config import RunConfig
-from hessmc.pipeline import (RunDir, build_problem, stage_analyze, stage_lowrank,
-                             stage_map, stage_pilot)
+from hessmc.pipeline import (CHAIN_FILE, RunDir, build_problem, campaign_statistics,
+                             probe_node, stage_analyze, stage_lowrank, stage_map,
+                             stage_pilot)
 from hessmc.samplers import Chain
 
 MINI = {"mesh.n_nodes": 25, "obs.count": 4, "lowrank.r": 6, "lowrank.l": 2}
@@ -47,17 +52,66 @@ def test_run_dir_charges_every_method_the_map_and_lowrank_solves(tmp_path):
                      accepted=np.ones(count, dtype=bool), log_post=np.zeros(count),
                      cum_solves=cost * np.arange(1, count + 1, dtype=np.int64))
 
-    groups = {"ismap": [chain(1), chain(1)], "sn": [chain(14), chain(14)]}
+    node = probe_node(problem.mesh, None)
+    statistics = {"ismap": campaign_statistics(problem, [chain(1), chain(1)], node),
+                  "sn": campaign_statistics(problem, [chain(14), chain(14)], node)}
     charged = RunDir(problem.cfg, str(tmp_path / "charged"))
     charged.stages.update({"map": {"solves": 56}, "lowrank": {"solves": 50},
                            "pilot": {"solves": 9}})
-    reports = charged.diagnose(problem, groups)
+    reports = charged.report(problem, statistics)
     assert {m: rep.solves_total for m, rep in reports.items()} == \
         {"ismap": 106 + 2 * 50, "sn": 106 + 2 * 14 * 50}
     # a directory that records no set-up charges none
-    reports = RunDir(problem.cfg, str(tmp_path / "bare")).diagnose(problem, groups)
+    reports = RunDir(problem.cfg, str(tmp_path / "bare")).report(problem, statistics)
     assert {m: rep.solves_total for m, rep in reports.items()} == \
         {"ismap": 2 * 50, "sn": 2 * 14 * 50}
+
+
+@pytest.mark.parametrize("case, mpsrf", [
+    ("one-chain", "nan"),
+    ("frozen-apart", "inf"),
+    ("frozen-together", "%.17g" % np.sqrt(19 / 20)),
+])
+def test_recorded_statistics_round_trip_non_finite_values(tmp_path, monkeypatch, chain_reads,
+                                                         case, mpsrf):
+    # campaigns whose MPSRF is nan (one chain), inf (chains frozen at
+    # distinct points) or sqrt((N-1)/N) (every chain frozen at one point)
+    problem = build_problem(RunConfig({**MINI, "model.kind": "linear", "pilot.samples": 20,
+                                     "run.chains": 3}))
+    n, count = problem.prior.n, 20
+    rng = np.random.default_rng(3)
+
+    def campaign(problem, method, starts, m_map, lrh_map, out_dir):
+        if case == "one-chain":
+            states = [rng.standard_normal((count, n))]
+        else:
+            points = rng.standard_normal((3, n)) if case == "frozen-apart" else np.zeros((3, n))
+            states = [np.tile(p, (count, 1)) for p in points]
+        chains = [Chain(samples=x, accepted=np.full(count, case == "one-chain"),
+                        log_post=np.zeros(count),
+                        cum_solves=np.arange(1, count + 1, dtype=np.int64),
+                        meta={"method": method, "n": n}) for x in states]
+        for cid, chain in enumerate(chains):
+            chain.meta["sha256"] = write_chain(
+                chain, os.path.join(out_dir, "chains", method, CHAIN_FILE.format(cid)))
+        return chains
+
+    monkeypatch.setattr(pipeline, "run_campaign", campaign)
+    RunDir(problem.cfg, str(tmp_path)).sample(problem, problem.prior.mean, ["snmap"])
+    text = (tmp_path / "manifest.json").read_text()
+
+    def refuse(constant):
+        raise AssertionError(f"manifest.json holds {constant}, which is not JSON")
+    json.loads(text, parse_constant=refuse)
+
+    RunDir(problem.cfg, str(tmp_path)).diagnose(problem)
+    assert chain_reads == []
+    recorded = (tmp_path / "report.csv").read_bytes()
+    assert recorded.decode().splitlines()[2].split(",")[5] == mpsrf
+    monkeypatch.setattr(RunDir, "_recorded_statistics", lambda self, *args: None)
+    RunDir(problem.cfg, str(tmp_path)).diagnose(problem)
+    assert len(chain_reads) == len(list(tmp_path.glob("chains/snmap/chain_*.csv")))
+    assert (tmp_path / "report.csv").read_bytes() == recorded
 
 
 def test_analyze_flags_the_tables_of_frozen_chains(tmp_path):
